@@ -7,67 +7,9 @@ counter; each formation walks a precomputed drawing path through its share of
 the pattern and leaves one robot on every coordinate.
 """
 
-from .geometry import (
-    Circle,
-    TAU_GEOM,
-    mindist,
-    signed_angle,
-    smallest_enclosing_circle,
-    unit_disc_connected,
-)
-from .symmetry import Pattern, SymmetryInfo, cone_index, normalize, symmetric_component, symmetricity
-from .formation import (
-    DetectedFormation,
-    DrawingHull,
-    FormationParams,
-    StateSpec,
-    check_validity,
-    count_states,
-    detect_formations,
-    epsilon_locations,
-    index_of_state,
-    plan_move,
-    state_by_index,
-)
-from .pathing import (
-    CompatibilityReport,
-    DrawingPath,
-    PathConstructionError,
-    build_drawing_path,
-    build_drawing_tree,
-    check_compatibility,
-    coverage_and_tail,
-    find_connected_triple_rotation,
-    path_state_label,
-    traverse_tree,
-)
-from .protocol import (
-    LocalView,
-    Phase,
-    Plan,
-    PlanError,
-    ProtocolParams,
-    build_plan,
-    classify_phase,
-    derive_params,
-    initial_drawing_pattern,
-    robot_step,
-)
-from .simulator import SimConfig, Trace, make_local_view, run_fsync, verify_pattern
+from .protocol import Plan, PlanError, build_plan
+from .simulator import SimConfig, Trace, run_fsync, verify_pattern
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Circle", "TAU_GEOM", "mindist", "signed_angle", "smallest_enclosing_circle",
-    "unit_disc_connected", "Pattern", "SymmetryInfo", "cone_index", "normalize",
-    "symmetric_component", "symmetricity", "DetectedFormation", "DrawingHull",
-    "FormationParams", "StateSpec", "check_validity", "count_states",
-    "detect_formations", "epsilon_locations", "index_of_state", "plan_move",
-    "state_by_index", "CompatibilityReport", "DrawingPath", "PathConstructionError",
-    "build_drawing_path", "build_drawing_tree", "check_compatibility",
-    "coverage_and_tail", "find_connected_triple_rotation", "path_state_label",
-    "traverse_tree", "LocalView", "Phase", "Plan", "PlanError", "ProtocolParams",
-    "build_plan", "classify_phase", "derive_params", "initial_drawing_pattern",
-    "robot_step", "SimConfig", "Trace", "make_local_view", "run_fsync",
-    "verify_pattern",
-]
+__all__ = ["Plan", "PlanError", "SimConfig", "Trace", "build_plan", "run_fsync", "verify_pattern"]

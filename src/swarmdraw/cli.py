@@ -133,9 +133,12 @@ def cmd_simulate(args) -> int:
                   f"the pattern symmetricity {plan.params.s_p}", file=sys.stderr)
             return EXIT_INVALID
 
-    cfg = SimConfig(seed=args.seed, max_rounds=args.max_rounds,
-                    noise_mu=args.noise_mu, params_c=args.params_c)
-    trace = run_fsync(initial, pts, cfg)
+    cfg = SimConfig(seed=args.seed, max_rounds=args.max_rounds, noise_mu=args.noise_mu)
+    try:
+        trace = run_fsync(initial, plan, cfg)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     if args.trace:
         trace.write_jsonl(args.trace)
     msg = {"verdict": trace.verdict, "rounds": trace.total_rounds}
@@ -220,6 +223,13 @@ def render_frame(record: dict, pattern, path_vertices) -> str:
     return "\n".join(parts) + "\n"
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="swarmdraw",
@@ -253,7 +263,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("render", help="Render a trace to SVG frames")
     p.add_argument("trace")
     p.add_argument("--out", required=True, help="Output directory")
-    p.add_argument("--every", type=int, default=1, help="Render every k-th round")
+    p.add_argument("--every", type=positive_int, default=1, help="Render every k-th round")
     p.set_defaults(func=cmd_render)
 
     args = parser.parse_args(argv)

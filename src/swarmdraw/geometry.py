@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
 
 # Absolute tolerance for distance / coincidence predicates.
 TAU_GEOM = 1e-9
@@ -217,6 +219,28 @@ def mindist(points) -> float:
     if m <= TAU_GEOM:
         raise ValueError("duplicate points")
     return m
+
+
+def match_points(a, b, tol):
+    """Bijection i -> perm[i] with a[i] ~ b[perm[i]] within tol.
+
+    Returns (perm, max error), or (None, largest nearest-neighbor distance).
+    Nearest neighbors decide when they are injective; when they collide, an
+    exact minimum-cost assignment arbitrates.
+    """
+    tree = cKDTree(b)
+    dd, idx = tree.query(a, k=1)
+    if dd.max() <= tol and len(set(idx.tolist())) == len(a):
+        return idx, float(dd.max())
+    if dd.max() <= 10 * tol + 1e-9:
+        cost = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+        rows, cols = linear_sum_assignment(cost)
+        err = float(cost[rows, cols].max())
+        if err <= tol:
+            perm = np.empty(len(a), dtype=int)
+            perm[rows] = cols
+            return perm, err
+    return None, float(dd.max())
 
 
 def unit_disc_connected(points) -> bool:

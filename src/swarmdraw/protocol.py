@@ -1,7 +1,7 @@
 """Per-robot decision logic and the plan derived deterministically from a pattern.
 
-Every robot runs the same pure function of its local view and the shared
-pattern.  The pattern alone determines a plan: protocol parameters, the
+Every robot runs the same pure function of its local view and the plan.
+The pattern alone determines the plan: protocol parameters, the
 canonical rotation, the drawing path, the initial cluster placement, and a
 reference schedule used both as the simulator's ground truth and as the
 near-gathering snapshot list robots match against.
@@ -19,13 +19,13 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
 from .geometry import (
     TAU_GEOM,
     as_points,
     dist,
+    match_points,
     mindist,
     pairwise_distances,
     polar_angle,
@@ -35,7 +35,7 @@ from .geometry import (
     unit,
     unit_disc_connected,
 )
-from .symmetry import Pattern, normalize, rotation_maps_onto, symmetricity
+from .symmetry import Pattern, normalize, rotation_orbits, symmetricity
 from .formation import (
     DetectedFormation,
     DrawingHull,
@@ -75,21 +75,16 @@ class ProtocolParams:
     n: int
     branch: str  # "draw" or "star"
 
-    @property
-    def s(self) -> int:
-        return self.s_p
-
 
 @dataclass(frozen=True)
 class LocalView:
-    """One robot's perception: neighbors in its private frame plus the pattern.
+    """One robot's perception: its neighbors in its private frame.
 
     The robot itself sits at the origin; neighbor order carries no
     information (sorted by local coordinates).
     """
 
     neighbors: np.ndarray
-    pattern: np.ndarray
 
     @property
     def all_points(self) -> np.ndarray:
@@ -216,11 +211,6 @@ def _build_plan(pts: np.ndarray, c0: float) -> Plan:
     raise PlanError(f"no workable epsilon found after {_MAX_HALVINGS} halvings: {last_err}")
 
 
-def derive_params(pattern, c: float = DEFAULT_C) -> ProtocolParams:
-    """Protocol parameters for a pattern (validated against the actual path)."""
-    return build_plan(pattern, c).params
-
-
 def _finish_draw_plan(plan: Plan) -> None:
     path = plan.path
     vk = path.vertices[-1]
@@ -261,13 +251,6 @@ def initial_positions(plan: Plan) -> np.ndarray:
     base = spec.points(hull)
     blocks = [rotate(base, k * 2.0 * math.pi / s) for k in range(s)]
     return np.vstack(blocks)
-
-
-def initial_drawing_pattern(pattern, c: float = DEFAULT_C) -> np.ndarray:
-    plan = build_plan(pattern, c)
-    if plan.branch != "draw":
-        raise PlanError("initial drawing pattern exists only for the drawing branch")
-    return plan.initial.copy()
 
 
 def _build_draw_schedule(plan: Plan) -> list[ScheduleRound]:
@@ -380,23 +363,6 @@ def _fit_centered(a, b, tol):
     return None
 
 
-def match_points(a, b, tol):
-    """Bijection i -> perm[i] with a[i] ~ b[perm[i]]; exact assignment fallback."""
-    tree = cKDTree(b)
-    dd, idx = tree.query(a, k=1)
-    if dd.max() <= tol and len(set(idx.tolist())) == len(a):
-        return idx, float(dd.max())
-    if dd.max() <= 10 * tol + 1e-9:
-        cost = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
-        rows, cols = linear_sum_assignment(cost)
-        err = float(cost[rows, cols].max())
-        if err <= tol:
-            perm = np.empty(len(a), dtype=int)
-            perm[rows] = cols
-            return perm, err
-    return None, float(dd.max())
-
-
 # --- phase classification ---------------------------------------------------------
 
 def _matches_snapshot(pts, plan: Plan, tol) -> bool:
@@ -472,11 +438,9 @@ def _find_intermediate(pts, plan: Plan, tol: float):
     return None
 
 
-def classify_phase(view: LocalView, plan: Plan | None = None, tol: float | None = None) -> Phase:
+def classify_phase(view: LocalView, plan: Plan, tol: float = TAU_GEOM) -> Phase:
     """Which of the four protocol situations the viewing robot is in."""
-    if plan is None:
-        plan = build_plan(view.pattern)
-    return _classify(view.all_points, plan, tol if tol is not None else TAU_GEOM)[0]
+    return _classify(view.all_points, plan, tol)[0]
 
 
 def _classify(pts, plan: Plan, tol: float, snapshot_tol=None):
@@ -502,22 +466,14 @@ def _classify(pts, plan: Plan, tol: float, snapshot_tol=None):
 
 # --- per-robot steps ----------------------------------------------------------------
 
-def robot_step(view: LocalView, pattern=None, c: float = DEFAULT_C) -> np.ndarray:
-    """Movement target (in the robot's own frame) for one round."""
-    return robot_decision(view, pattern, c=c).target
-
-
-def robot_decision(view: LocalView, pattern=None, c: float = DEFAULT_C,
-                   plan: Plan | None = None, tol: float = TAU_GEOM,
+def robot_decision(view: LocalView, plan: Plan, tol: float = TAU_GEOM,
                    snapshot_tol=None) -> Decision:
-    """The robot's move and phase.
+    """The robot's move (in its own frame) and phase for one round.
 
     tol is the detection tolerance.  snapshot_tol is the tolerance at which a
     full view is matched against the reference snapshots (one value, or one
     per entry of plan.snapshot_ids); by default max(tol, 1e-7).
     """
-    if plan is None:
-        plan = build_plan(view.pattern if pattern is None else pattern, c)
     if plan.branch == "star":
         return _star_decision(view, plan, max(tol, 1e-7))
     phase, mine, inter = _classify(view.all_points, plan, tol, snapshot_tol)
@@ -595,28 +551,6 @@ class AssignmentError(RuntimeError):
     pass
 
 
-def _orbit_split(slots: np.ndarray, s: int) -> list[list[int]]:
-    if s == 1:
-        return [[i] for i in range(len(slots))]
-    perm = rotation_maps_onto(slots, 2.0 * math.pi / s, tol=1e-7)
-    if perm is None:
-        raise AssignmentError("slot set lacks the required rotational symmetry")
-    seen = np.zeros(len(slots), dtype=bool)
-    orbits = []
-    for i in range(len(slots)):
-        if seen[i]:
-            continue
-        orbit = [i]
-        seen[i] = True
-        j = int(perm[i])
-        while j != i:
-            orbit.append(j)
-            seen[j] = True
-            j = int(perm[j])
-        orbits.append(orbit)
-    return orbits
-
-
 def assignment_target(points: np.ndarray, self_idx: int, slots: np.ndarray) -> np.ndarray:
     """Equivariant one-round assignment of mutually visible robots to slots.
 
@@ -649,7 +583,9 @@ def assignment_target(points: np.ndarray, self_idx: int, slots: np.ndarray) -> n
     order = sorted(range(len(orbits)), key=lambda i: sigs[i])
     orbits = [orbits[i] for i in order]
 
-    slot_orbits = _orbit_split(slots, s)
+    slot_orbits = rotation_orbits(slots, s, tol=1e-7)
+    if slot_orbits is None:
+        raise AssignmentError("slot set lacks the required rotational symmetry")
     if len(slot_orbits) != len(orbits):
         raise AssignmentError("orbit counts of configuration and slots differ")
 

@@ -18,18 +18,16 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import TAU_GEOM, as_points, mindist, pairwise_distances, rotation_matrix
+from .geometry import TAU_GEOM, as_points, match_points, mindist, pairwise_distances, rotation_matrix
 from .symmetry import Pattern, normalize
 from .formation import check_validity
 from .protocol import (
-    DEFAULT_C,
     Decision,
     LocalView,
     Phase,
     Plan,
     build_plan,
     fit_isometry,
-    match_points,
     robot_decision,
 )
 
@@ -55,8 +53,6 @@ class SimConfig:
     tolerance: float = 1e-6
     noise_mu: float = 0.0
     frame_mode: str = "random"      # "random" or "fixed"
-    emit_trace: bool = True
-    params_c: float = DEFAULT_C
 
 
 @dataclass
@@ -118,7 +114,7 @@ def _noise_vector(seed: int, robot: int, rnd: int, mu: float) -> np.ndarray:
     return np.array([r * math.cos(phi), r * math.sin(phi)])
 
 
-def make_local_view(positions, robot: int, rnd: int, cfg: SimConfig, pattern) -> LocalView:
+def make_local_view(positions, robot: int, rnd: int, cfg: SimConfig) -> LocalView:
     """Neighbors within distance 1, in a per-(robot, round) rotated frame."""
     pts = as_points(positions)
     rel = pts - pts[robot]
@@ -130,8 +126,7 @@ def make_local_view(positions, robot: int, rnd: int, cfg: SimConfig, pattern) ->
         rot = rotation_matrix(_frame_angle(cfg.seed, robot, rnd))
         neighbors = neighbors @ rot.T
     order = np.lexsort((neighbors[:, 1], neighbors[:, 0])) if len(neighbors) else []
-    return LocalView(neighbors[order] if len(neighbors) else neighbors.reshape(0, 2),
-                     as_points(pattern))
+    return LocalView(neighbors[order] if len(neighbors) else neighbors.reshape(0, 2))
 
 
 def verify_pattern(config, pattern, tol: float = 1e-6):
@@ -192,12 +187,11 @@ def drift_tolerance(plan: Plan, noise_mu: float, t: int) -> float:
 class _GroundTruth:
     """Matches simulated configurations against the reference schedule.
 
-    Round rnd is matched at max(tol, D(rnd)) for drawing runs with noise.
+    Round rnd is matched at max(1e-6, D(rnd)).
     """
 
-    def __init__(self, plan: Plan, tol: float, noise_mu: float = 0.0):
+    def __init__(self, plan: Plan, noise_mu: float):
         self.plan = plan
-        self.tol = tol
         self.noise_mu = noise_mu
         self.offset: int | None = None
         self.transform: tuple[float, np.ndarray] | None = None
@@ -241,9 +235,7 @@ class _GroundTruth:
         return [rec.roles[i] for i in idx]
 
     def _tol(self, rnd: int) -> float:
-        if self.noise_mu == 0.0:
-            return self.tol
-        return max(self.tol, drift_tolerance(self.plan, self.noise_mu, rnd))
+        return max(1e-6, drift_tolerance(self.plan, self.noise_mu, rnd))
 
 
 _ROLE_TO_PHASE = {
@@ -261,8 +253,11 @@ def ground_truth_phase(trace: Trace, robot: int, rnd: int) -> str | None:
     return trace.gt_phases[rnd][robot]
 
 
-def run_fsync(initial, pattern, cfg: SimConfig = SimConfig()) -> Trace:
-    """Run the synchronous protocol until the pattern is formed.
+def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
+    """Run the synchronous protocol until the plan's pattern is formed.
+
+    plan is the ``Plan`` of the pattern, or the pattern's points, which are
+    planned with the default grid constant.
 
     Every round is computed from the previous configuration only; moves are
     rigid (exact) except for optional uniform noise of radius noise_mu
@@ -273,9 +268,14 @@ def run_fsync(initial, pattern, cfg: SimConfig = SimConfig()) -> Trace:
     Under noise a drawing run matches reference snapshot t, and the ground
     truth of round t, at the drift bound D(t) of ``drift_tolerance``, and
     terminates at max(cfg.tolerance, min(D(hops + 2), 0.45 * mindist)), the
-    cap keeping "formed" a one-to-one placement on the pattern.
+    cap keeping "formed" a one-to-one placement on the pattern.  The scaling
+    branch has no noise model and rejects noise_mu > 0.
     """
-    plan = build_plan(pattern, cfg.params_c)
+    if not cfg.noise_mu >= 0.0:
+        raise ValueError("noise_mu must be a nonnegative number")
+    if cfg.max_rounds < 0:
+        raise ValueError("max_rounds must be nonnegative")
+    plan = plan if isinstance(plan, Plan) else build_plan(plan)
     positions = as_points(initial).copy()
     n = len(positions)
     if n != plan.n:
@@ -283,29 +283,27 @@ def run_fsync(initial, pattern, cfg: SimConfig = SimConfig()) -> Trace:
 
     detect_tol = TAU_GEOM
     snapshot_tol = None
-    match_tol = 1e-6
     tolerance = cfg.tolerance
     if cfg.noise_mu > 0.0:
-        if plan.branch == "draw":
-            eps = plan.params.epsilon
-            bound = eps / (10.0 * max(plan.hops, 1))
-            if cfg.noise_mu >= bound:
-                raise ValueError(f"noise_mu must stay below epsilon/(10*hops) = {bound:.3g}")
-            # Grid-snap residuals accumulate both translational noise and the
-            # pair-direction angular noise amplified by the hull lever arm;
-            # the residual tolerance must stay below half the 2*eps pitch.
-            guard = 2.0 * cfg.noise_mu * (1.0 + plan.params.delta / eps)
-            detect_tol = min(0.45 * eps, max(3.0 * plan.hops * cfg.noise_mu, guard))
-            # Deviation from the reference schedule: snapshot t is reached
-            # after t rounds at the earliest.
-            snapshot_tol = [max(detect_tol, drift_tolerance(plan, cfg.noise_mu, t))
-                            for t in plan.snapshot_ids]
-            tolerance = max(cfg.tolerance, min(drift_tolerance(plan, cfg.noise_mu, plan.hops + 2),
-                                               0.45 * mindist(plan.pattern)))
-        else:
-            match_tol = max(match_tol, 2.0 * (plan.hops + 2) * cfg.noise_mu)
+        if plan.branch != "draw":
+            raise ValueError("the scaling branch has no noise model")
+        eps = plan.params.epsilon
+        bound = eps / (10.0 * max(plan.hops, 1))
+        if cfg.noise_mu >= bound:
+            raise ValueError(f"noise_mu must stay below epsilon/(10*hops) = {bound:.3g}")
+        # Grid-snap residuals accumulate both translational noise and the
+        # pair-direction angular noise amplified by the hull lever arm;
+        # the residual tolerance must stay below half the 2*eps pitch.
+        guard = 2.0 * cfg.noise_mu * (1.0 + plan.params.delta / eps)
+        detect_tol = min(0.45 * eps, max(3.0 * plan.hops * cfg.noise_mu, guard))
+        # Deviation from the reference schedule: snapshot t is reached
+        # after t rounds at the earliest.
+        snapshot_tol = [max(detect_tol, drift_tolerance(plan, cfg.noise_mu, t))
+                        for t in plan.snapshot_ids]
+        tolerance = max(cfg.tolerance, min(drift_tolerance(plan, cfg.noise_mu, plan.hops + 2),
+                                           0.45 * mindist(plan.pattern)))
 
-    gt = _GroundTruth(plan, match_tol, cfg.noise_mu if plan.branch == "draw" else 0.0)
+    gt = _GroundTruth(plan, cfg.noise_mu)
     trace = Trace(pattern=plan.pattern,
                   path_vertices=plan.path.vertices if plan.path is not None else None)
 
@@ -347,8 +345,8 @@ def _compute_round(positions, plan, cfg, rnd, detect_tol, snapshot_tol=None):
     events: list[dict] = []
     targets = np.empty((n, 2))
     for i in range(n):
-        view = make_local_view(positions, i, rnd, cfg, plan.pattern)
-        decision: Decision = robot_decision(view, plan=plan, tol=detect_tol,
+        view = make_local_view(positions, i, rnd, cfg)
+        decision: Decision = robot_decision(view, plan, tol=detect_tol,
                                             snapshot_tol=snapshot_tol)
         phase = decision.phase.value if isinstance(decision.phase, Phase) else str(decision.phase)
         phases.append(phase)

@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (
     ANG_SNAP,
     TAU_GEOM,
     as_points,
+    match_points,
     polar_angle,
     rotate,
     smallest_enclosing_circle,
@@ -66,21 +66,27 @@ def _require_normalized(pattern: Pattern) -> np.ndarray:
     return pts
 
 
-def rotation_maps_onto(points: np.ndarray, theta: float, tol: float = TAU_GEOM) -> np.ndarray | None:
-    """Permutation mapping each point onto the set after rotating by theta.
-
-    Returns the index array perm with rotate(points[i]) == points[perm[i]]
-    within tol, or None if the rotation is not a symmetry.
-    """
+def rotation_orbits(points, m: int, tol: float = TAU_GEOM) -> list[list[int]] | None:
+    """Orbits of the rotation by 2*pi/m about the origin, or None if that
+    rotation does not map the point set onto itself within tol."""
     pts = as_points(points)
-    rotated = rotate(pts, theta)
-    tree = cKDTree(pts)
-    dists, idx = tree.query(rotated, k=1)
-    if np.any(dists > tol):
+    perm, _ = match_points(rotate(pts, 2.0 * math.pi / m), pts, tol)
+    if perm is None:
         return None
-    if len(set(idx.tolist())) != len(pts):
-        return None
-    return idx
+    seen = np.zeros(len(pts), dtype=bool)
+    orbits = []
+    for i in range(len(pts)):
+        if seen[i]:
+            continue
+        orbit = [i]
+        seen[i] = True
+        j = int(perm[i])
+        while j != i:
+            orbit.append(j)
+            seen[j] = True
+            j = int(perm[j])
+        orbits.append(orbit)
+    return orbits
 
 
 def _divisors(n: int) -> list[int]:
@@ -119,22 +125,9 @@ def symmetricity(pattern: Pattern | np.ndarray) -> SymmetryInfo:
         g = math.gcd(g, s)
 
     for m in sorted((d for d in _divisors(g) if d > 1), reverse=True):
-        perm = rotation_maps_onto(pts, 2.0 * math.pi / m)
-        if perm is None:
+        orbits = rotation_orbits(pts, m)
+        if orbits is None:
             continue
-        seen = np.zeros(n, dtype=bool)
-        orbits = []
-        for i in range(n):
-            if seen[i]:
-                continue
-            orbit = [i]
-            seen[i] = True
-            j = int(perm[i])
-            while j != i:
-                orbit.append(j)
-                seen[j] = True
-                j = int(perm[j])
-            orbits.append(orbit)
         assert all(len(o) == m for o in orbits)
         return SymmetryInfo(m, orbits)
     return SymmetryInfo(1, singletons)

@@ -44,6 +44,6 @@ def corpus_runs(corpus_plans):
     for name, plan in corpus_plans:
         cfg = SimConfig(seed=0, max_rounds=plan.hops + 10)
         t0 = time.perf_counter()
-        trace = run_fsync(plan.initial, plan.pattern, cfg)
+        trace = run_fsync(plan.initial, plan, cfg)
         runs.append((name, plan, trace, time.perf_counter() - t0))
     return runs

@@ -155,7 +155,7 @@ def test_criterion_5_star_protocol(star_corpus):
         if len(pts) <= 70:
             starts.append(("gathered", corpus.near_gathering(len(pts), seed=hash(name) % 1000)))
         for kind, initial in starts:
-            trace = run_fsync(initial, pts, SimConfig(seed=3, max_rounds=bound + 5))
+            trace = run_fsync(initial, plan, SimConfig(seed=3, max_rounds=bound + 5))
             if not (trace.verdict == "formed" and trace.total_rounds <= bound
                     and trace.max_error <= 1e-6):
                 failures.append((name, kind, trace.verdict, trace.total_rounds, bound))
@@ -206,7 +206,7 @@ def test_criterion_7_model_honesty(corpus_runs):
             invariant_failures.append((name, "verdict", trace.verdict))
         for seed in (1, 2, 3, 4):
             cfg = SimConfig(seed=seed, max_rounds=plan.hops + 10)
-            other = run_fsync(plan.initial, plan.pattern, cfg)
+            other = run_fsync(plan.initial, plan, cfg)
             if other.total_rounds != trace.total_rounds:
                 replay_failures.append((name, seed, "rounds"))
                 continue
@@ -253,7 +253,7 @@ def test_criterion_8_noise_tolerance(corpus_plans):
         bound = min(2.0 * t * mu + 8.0 * (1.0 - plan.path.delta) * math.sqrt(t) * mu / eps,
                     0.45 * spacing)
         cfg = SimConfig(seed=11, max_rounds=plan.hops + 6, noise_mu=mu)
-        trace = run_fsync(plan.initial, plan.pattern, cfg)
+        trace = run_fsync(plan.initial, plan, cfg)
         if trace.verdict == "formed" and trace.max_error <= bound:
             formed += 1
             worst = max(worst, (trace.max_error / (0.5 * spacing), name))
@@ -263,7 +263,7 @@ def test_criterion_8_noise_tolerance(corpus_plans):
                                        tol=plan.params.epsilon)
             errors.append(err / plan.params.epsilon)
         if k % 5 == 0 and trace.verdict == "formed":
-            quarter = run_fsync(plan.initial, plan.pattern, replace(cfg, noise_mu=mu / 4.0))
+            quarter = run_fsync(plan.initial, plan, replace(cfg, noise_mu=mu / 4.0))
             ratios.append(trace.max_error / quarter.max_error
                           if quarter.verdict == "formed" else math.nan)
     rate = formed / len(corpus_plans)

@@ -168,3 +168,32 @@ def test_render_unreadable_trace(tmp_path):
 def test_env_seed_default(pattern_file, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SWARMDRAW_SEED", "777")
     assert main(["simulate", pattern_file, "--max-rounds", "200"]) == 0
+
+
+def test_simulate_noise_above_bound_exit_code(pattern_file, capsys):
+    assert main(["simulate", pattern_file, "--noise-mu", "0.5"]) == 2
+    assert "noise_mu" in capsys.readouterr().err
+
+
+def test_simulate_negative_noise_exit_code(pattern_file, capsys):
+    assert main(["simulate", pattern_file, "--noise-mu", "-0.1"]) == 2
+    assert "noise_mu" in capsys.readouterr().err
+
+
+def test_simulate_negative_max_rounds_exit_code(pattern_file, capsys):
+    assert main(["simulate", pattern_file, "--max-rounds", "-1"]) == 2
+    assert "max_rounds" in capsys.readouterr().err
+
+
+def test_simulate_star_noise_exit_code(tmp_path, capsys):
+    f = write_pattern(tmp_path / "octagon.json", ngon(8, 0.6))
+    assert main(["simulate", f, "--noise-mu", "1e-4", "--max-rounds", "20"]) == 2
+    assert "scaling branch has no noise model" in capsys.readouterr().err
+
+
+def test_render_every_zero_rejected(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(json.dumps({"verdict": "timeout", "rounds": 0}) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["render", str(trace), "--out", str(tmp_path / "f"), "--every", "0"])
+    assert exc.value.code == 2

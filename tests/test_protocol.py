@@ -12,24 +12,21 @@ from swarmdraw.protocol import (
     Phase,
     build_plan,
     classify_phase,
-    derive_params,
-    initial_drawing_pattern,
     intermediate_targets,
     robot_decision,
-    robot_step,
 )
 from swarmdraw.simulator import SimConfig, make_local_view, run_fsync
 
 from corpus import near_gathering, random_connected_pattern, symmetric_pattern
 
 
-def view_from_global(positions, idx, pattern, theta=0.0):
+def view_from_global(positions, idx, theta=0.0):
     """Hand-built local view: neighbors relative to robot idx, rotated."""
     rel = np.delete(positions, idx, axis=0) - positions[idx]
     keep = rel[np.hypot(*rel.T) <= 1.0 + 1e-9]
     local = rotate(keep, theta)
     order = np.lexsort((local[:, 1], local[:, 0]))
-    return LocalView(local[order], np.asarray(pattern, float))
+    return LocalView(local[order])
 
 
 # --- parameter derivation ---------------------------------------------------------
@@ -37,17 +34,17 @@ def view_from_global(positions, idx, pattern, theta=0.0):
 def test_derive_params_span_choice():
     pts7 = symmetric_pattern(7, 3, seed=77) if False else None
     # span follows min(2*pi/s, pi/3): check on real plans
-    p1 = derive_params(random_connected_pattern(8, seed=1))
+    p1 = build_plan(random_connected_pattern(8, seed=1)).params
     assert p1.span == pytest.approx(math.pi / 3)
-    p4 = derive_params(symmetric_pattern(4, 3, seed=2))
+    p4 = build_plan(symmetric_pattern(4, 3, seed=2)).params
     assert p4.span == pytest.approx(math.pi / 3)  # 2*pi/4 > pi/3
-    p6 = derive_params(symmetric_pattern(6, 3, seed=3))
+    p6 = build_plan(symmetric_pattern(6, 3, seed=3)).params
     assert p6.span == pytest.approx(2 * math.pi / 6)
 
 
 def test_derive_params_epsilon_formula():
     pts = random_connected_pattern(12, seed=5)
-    params = derive_params(pts)
+    params = build_plan(pts).params
     base = min(1.0, mindist(normalize(Pattern(pts)).points), 1.0 / math.sqrt(12))
     assert params.epsilon == pytest.approx(params.c * base)
     assert params.epsilon < params.delta / 3
@@ -57,7 +54,7 @@ def test_derive_params_epsilon_formula():
 def test_derive_params_star_branch():
     from corpus import ngon
 
-    params = derive_params(ngon(14, 2.0))
+    params = build_plan(ngon(14, 2.0)).params
     assert params.branch == "star" and params.s_p == 14
 
 
@@ -75,7 +72,7 @@ def test_plan_capacity_invariants():
 def test_initial_pattern_anchor_sym1():
     pts = random_connected_pattern(9, seed=4)
     plan = build_plan(pts)
-    initial = initial_drawing_pattern(pts)
+    initial = plan.initial
     # The anchor robot of the single formation sits at polar (0.2, pi).
     anchor = from_polar(0.2, math.pi)
     assert min(dist(p, anchor) for p in initial) <= 1e-9
@@ -110,7 +107,7 @@ def test_classify_dropped_robot():
     plan = build_plan(pts)
     # A robot alone on a pattern coordinate with one far neighbor.
     positions = np.array([[0.0, 0.0], [0.9, 0.0]])
-    view = view_from_global(positions, 0, plan.pattern)
+    view = view_from_global(positions, 0)
     assert classify_phase(view, plan) is Phase.DROPPED
 
 
@@ -122,7 +119,7 @@ def test_classify_formation_member():
     hull = DrawingHull(np.array([2.0, 1.0]), np.array([0.0, 1.0]),
                        plan.params.span, plan.params.delta)
     members = state_by_index(plan.grid, 5, 3).points(hull)
-    view = view_from_global(members, 2, plan.pattern, theta=0.7)
+    view = view_from_global(members, 2, theta=0.7)
     assert classify_phase(view, plan) is Phase.FORMATION
 
 
@@ -130,7 +127,7 @@ def test_classify_intermediate_triple():
     pts = random_connected_pattern(10, seed=14)
     plan = build_plan(pts)
     shape = intermediate_targets(plan)
-    view = view_from_global(shape, 1, plan.pattern, theta=1.3)
+    view = view_from_global(shape, 1, theta=1.3)
     assert classify_phase(view, plan) is Phase.INTERMEDIATE
 
 
@@ -138,14 +135,14 @@ def test_classify_initial_near_gathering():
     pts = random_connected_pattern(10, seed=14)
     plan = build_plan(pts)
     config = near_gathering(10, seed=3)
-    view = view_from_global(config, 4, plan.pattern)
+    view = view_from_global(config, 4)
     assert classify_phase(view, plan) is Phase.INITIAL
 
 
 def test_classify_initial_pattern_is_not_initial_phase():
     pts = random_connected_pattern(10, seed=14)
     plan = build_plan(pts)
-    view = view_from_global(plan.initial, 0, plan.pattern)
+    view = view_from_global(plan.initial, 0)
     assert classify_phase(view, plan) is Phase.FORMATION
 
 
@@ -155,7 +152,7 @@ def test_dropped_robot_stays():
     pts = random_connected_pattern(10, seed=14)
     plan = build_plan(pts)
     positions = np.array([[0.0, 0.0], [0.95, 0.1]])
-    view = view_from_global(positions, 0, plan.pattern)
+    view = view_from_global(positions, 0)
     dec = robot_decision(view, plan=plan)
     assert dec.phase is Phase.DROPPED
     assert np.allclose(dec.target, [0, 0])
@@ -164,14 +161,14 @@ def test_dropped_robot_stays():
 def test_robot_step_pure_function_of_view():
     pts = random_connected_pattern(8, seed=15)
     plan = build_plan(pts)
-    view = view_from_global(plan.initial, 3, plan.pattern, theta=0.9)
-    t1 = robot_step(view)
-    t2 = robot_step(view)
+    view = view_from_global(plan.initial, 3, theta=0.9)
+    t1 = robot_decision(view, plan).target
+    t2 = robot_decision(view, plan).target
     assert np.array_equal(t1, t2)
 
 
 def test_robot_step_frame_equivariance():
-    """robot_step(rot(view)) == rot(robot_step(view)) across all phases."""
+    """robot_decision(rot(view)) == rot(robot_decision(view)) across all phases."""
     pts = random_connected_pattern(10, seed=16)
     plan = build_plan(pts)
     shape = intermediate_targets(plan)
@@ -182,11 +179,11 @@ def test_robot_step_frame_equivariance():
     ]
     rng = np.random.default_rng(0)
     for positions, idx in scenarios:
-        base = view_from_global(positions, idx, plan.pattern, theta=0.0)
+        base = view_from_global(positions, idx, theta=0.0)
         t0 = robot_decision(base, plan=plan).target
         for _ in range(100):
             theta = float(rng.uniform(0, 2 * math.pi))
-            view = view_from_global(positions, idx, plan.pattern, theta=theta)
+            view = view_from_global(positions, idx, theta=theta)
             t = robot_decision(view, plan=plan).target
             assert np.allclose(t, rotation_matrix(theta) @ t0, atol=1e-9)
 
@@ -200,7 +197,7 @@ def test_formation_step_matches_path_ground_truth():
     cfg = SimConfig(seed=0, frame_mode="fixed")
     targets = np.empty_like(plan.initial)
     for i in range(len(plan.initial)):
-        view = make_local_view(plan.initial, i, 0, cfg, plan.pattern)
+        view = make_local_view(plan.initial, i, 0, cfg)
         targets[i] = plan.initial[i] + robot_decision(view, plan=plan).target
     dets = detect_formations(targets, plan.fparams)
     assert len(dets) == plan.params.s_p
@@ -220,7 +217,7 @@ def test_endgame_round_two_zero_displacement_when_vertex_is_coordinate():
         if dist(vk, p1) > 1e-9:
             continue
         shape = intermediate_targets(plan)
-        view = view_from_global(shape, 0, plan.pattern, theta=0.4)
+        view = view_from_global(shape, 0, theta=0.4)
         dec = robot_decision(view, plan=plan)
         assert dec.phase is Phase.INTERMEDIATE
         assert np.hypot(*dec.target) <= 1e-9
@@ -232,7 +229,7 @@ def test_endgame_displacements_within_viewing_range(tail_corpus):
         plan = build_plan(pts)
         shape = intermediate_targets(plan)
         for idx in range(3):
-            view = view_from_global(shape, idx, plan.pattern, theta=0.8)
+            view = view_from_global(shape, idx, theta=0.8)
             dec = robot_decision(view, plan=plan)
             assert dec.phase is Phase.INTERMEDIATE
             assert np.hypot(*dec.target) <= 1.0 + 1e-9
@@ -241,7 +238,7 @@ def test_endgame_displacements_within_viewing_range(tail_corpus):
 def test_locality_view_excludes_far_robots():
     positions = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.5, 0.0]])
     cfg = SimConfig(seed=0, frame_mode="fixed")
-    view = make_local_view(positions, 0, 0, cfg, positions)
+    view = make_local_view(positions, 0, 0, cfg)
     dists = np.hypot(*view.neighbors.T)
     assert len(view.neighbors) == 2  # 0.5 and exactly 1.0; 1.5 is out of range
     assert dists.max() <= 1.0 + 1e-9
@@ -254,7 +251,7 @@ def test_near_gathering_assignment_forms_initial_pattern():
     cfg = SimConfig(seed=0, frame_mode="fixed")
     targets = np.empty_like(config)
     for i in range(len(config)):
-        view = make_local_view(config, i, 0, cfg, plan.pattern)
+        view = make_local_view(config, i, 0, cfg)
         dec = robot_decision(view, plan=plan)
         assert dec.phase is Phase.INITIAL
         targets[i] = config[i] + dec.target
@@ -278,7 +275,7 @@ def test_symmetric_near_gathering_assignment_respects_orbits():
     cfg = SimConfig(seed=0, frame_mode="fixed")
     targets = np.empty_like(config)
     for i in range(len(config)):
-        view = make_local_view(config, i, 0, cfg, plan.pattern)
+        view = make_local_view(config, i, 0, cfg)
         targets[i] = config[i] + robot_decision(view, plan=plan).target
     from swarmdraw.protocol import fit_isometry
 
@@ -297,7 +294,7 @@ def test_star_single_ring_growth_rounds():
     pts = ngon(14, 2.0)
     plan = build_plan(pts)
     init = plan.star.kappa0 * plan.pattern
-    trace = run_fsync(init, pts, SimConfig(seed=2, max_rounds=50))
+    trace = run_fsync(init, plan, SimConfig(seed=2, max_rounds=50))
     assert trace.verdict == "formed"
     assert trace.total_rounds <= math.ceil(2.0 - plan.star.kappa0 * 2.0) + 1
 
@@ -308,7 +305,7 @@ def test_star_two_ring_ratio_preserved():
     pts = two_ring(20, 3.0, 2.4)
     plan = build_plan(pts)
     init = plan.star.kappa0 * plan.pattern
-    trace = run_fsync(init, pts, SimConfig(seed=2, max_rounds=50))
+    trace = run_fsync(init, plan, SimConfig(seed=2, max_rounds=50))
     assert trace.verdict == "formed"
     for rec in trace.rounds:
         radii = np.sort(np.hypot(*rec.positions.T))
@@ -322,7 +319,7 @@ def test_star_rounds_bound_with_assignment():
     pts = ngon(14, 2.0)
     plan = build_plan(pts)
     config = near_gathering(14, seed=21)
-    trace = run_fsync(config, pts, SimConfig(seed=3, max_rounds=50))
+    trace = run_fsync(config, plan, SimConfig(seed=3, max_rounds=50))
     assert trace.verdict == "formed"
     assert trace.total_rounds <= plan.star.rounds_bound
 

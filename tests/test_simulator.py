@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from swarmdraw import protocol
 from swarmdraw.geometry import mindist, pairwise_distances, rotate
 from swarmdraw.protocol import Phase, build_plan, robot_decision
 from swarmdraw.simulator import (
@@ -27,31 +28,31 @@ def small_plan():
 
 def test_view_isolated_robot():
     positions = np.array([[0.0, 0.0], [2.0, 2.0], [3.0, 0.0]])
-    view = make_local_view(positions, 0, 0, SimConfig(frame_mode="fixed"), positions)
+    view = make_local_view(positions, 0, 0, SimConfig(frame_mode="fixed"))
     assert len(view.neighbors) == 0
 
 
 def test_view_includes_boundary_neighbor():
     positions = np.array([[0.0, 0.0], [1.0, 0.0]])
-    view = make_local_view(positions, 0, 0, SimConfig(frame_mode="fixed"), positions)
+    view = make_local_view(positions, 0, 0, SimConfig(frame_mode="fixed"))
     assert len(view.neighbors) == 1
 
 
 def test_view_rotation_preserves_distances():
     positions = np.vstack([np.zeros(2), np.random.default_rng(0).uniform(-0.5, 0.5, (6, 2))])
-    views = [make_local_view(positions, 0, 0, SimConfig(seed=s), positions) for s in (1, 2)]
+    views = [make_local_view(positions, 0, 0, SimConfig(seed=s)) for s in (1, 2)]
     d1 = np.sort(np.hypot(*views[0].neighbors.T))
     d2 = np.sort(np.hypot(*views[1].neighbors.T))
     assert np.allclose(d1, d2, atol=1e-12)
 
 
 def test_run_already_formed(small_plan):
-    trace = run_fsync(small_plan.pattern, small_plan.pattern, SimConfig(seed=0, max_rounds=5))
+    trace = run_fsync(small_plan.pattern, small_plan, SimConfig(seed=0, max_rounds=5))
     assert trace.verdict == "formed" and trace.total_rounds == 0
 
 
 def test_run_from_initial_pattern(small_plan):
-    trace = run_fsync(small_plan.initial, small_plan.pattern,
+    trace = run_fsync(small_plan.initial, small_plan,
                       SimConfig(seed=0, max_rounds=small_plan.hops + 5))
     assert trace.verdict == "formed"
     assert trace.total_rounds <= small_plan.hops + 2
@@ -61,14 +62,14 @@ def test_run_from_initial_pattern(small_plan):
 
 def test_run_from_near_gathering(small_plan):
     config = near_gathering(10, seed=5)
-    trace = run_fsync(config, small_plan.pattern,
+    trace = run_fsync(config, small_plan,
                       SimConfig(seed=2, max_rounds=small_plan.hops + 6))
     assert trace.verdict == "formed"
     assert trace.total_rounds <= small_plan.hops + 3
 
 
 def test_seed_replay_identical_positions(small_plan):
-    traces = [run_fsync(small_plan.initial, small_plan.pattern,
+    traces = [run_fsync(small_plan.initial, small_plan,
                         SimConfig(seed=s, max_rounds=small_plan.hops + 5))
               for s in (0, 123)]
     assert traces[0].verdict == traces[1].verdict == "formed"
@@ -78,9 +79,9 @@ def test_seed_replay_identical_positions(small_plan):
 
 
 def test_fixed_frame_mode_matches_random(small_plan):
-    t_fixed = run_fsync(small_plan.initial, small_plan.pattern,
+    t_fixed = run_fsync(small_plan.initial, small_plan,
                         SimConfig(seed=0, frame_mode="fixed", max_rounds=small_plan.hops + 5))
-    t_rand = run_fsync(small_plan.initial, small_plan.pattern,
+    t_rand = run_fsync(small_plan.initial, small_plan,
                        SimConfig(seed=0, frame_mode="random", max_rounds=small_plan.hops + 5))
     assert t_fixed.total_rounds == t_rand.total_rounds
     for a, b in zip(t_fixed.rounds, t_rand.rounds):
@@ -88,7 +89,7 @@ def test_fixed_frame_mode_matches_random(small_plan):
 
 
 def test_displacements_and_collisions(small_plan):
-    trace = run_fsync(small_plan.initial, small_plan.pattern,
+    trace = run_fsync(small_plan.initial, small_plan,
                       SimConfig(seed=0, max_rounds=small_plan.hops + 5))
     for a, b in zip(trace.rounds[:-1], trace.rounds[1:]):
         disp = np.hypot(*(b.positions - a.positions).T)
@@ -99,7 +100,7 @@ def test_displacements_and_collisions(small_plan):
 
 
 def test_dropped_robots_never_move(small_plan):
-    trace = run_fsync(small_plan.initial, small_plan.pattern,
+    trace = run_fsync(small_plan.initial, small_plan,
                       SimConfig(seed=0, max_rounds=small_plan.hops + 5))
     n = len(small_plan.pattern)
     for i in range(n):
@@ -113,7 +114,7 @@ def test_dropped_robots_never_move(small_plan):
 
 
 def test_ground_truth_matches_classification(small_plan):
-    trace = run_fsync(small_plan.initial, small_plan.pattern,
+    trace = run_fsync(small_plan.initial, small_plan,
                       SimConfig(seed=0, max_rounds=small_plan.hops + 5))
     assert not trace.diverged
     for r, rec in enumerate(trace.rounds):
@@ -124,7 +125,7 @@ def test_ground_truth_matches_classification(small_plan):
 
 
 def test_timeout_verdict(small_plan):
-    trace = run_fsync(small_plan.initial, small_plan.pattern, SimConfig(seed=0, max_rounds=1))
+    trace = run_fsync(small_plan.initial, small_plan, SimConfig(seed=0, max_rounds=1))
     assert trace.verdict == "timeout"
     assert trace.total_rounds == 1
 
@@ -170,7 +171,7 @@ def test_noise_run_completes_with_bounded_error(small_plan):
     mu = plan.params.epsilon / (20 * plan.hops)
     achievable = 8.0 * mu / plan.params.epsilon * (1 - plan.path.delta) * math.sqrt(plan.hops)
     cfg = SimConfig(seed=6, max_rounds=plan.hops + 6, noise_mu=mu, tolerance=achievable)
-    trace = run_fsync(plan.initial, plan.pattern, cfg)
+    trace = run_fsync(plan.initial, plan, cfg)
     assert trace.verdict == "formed"
     assert trace.max_error <= achievable
 
@@ -181,7 +182,7 @@ def test_noisy_run_is_not_misread_as_near_gathering(main_corpus):
     plan = build_plan(dict(main_corpus)["sym-2x3"])
     assert (plan.n, plan.params.s_p, plan.hops) == (6, 2, 9)
     mu = plan.params.epsilon / (20 * plan.hops)
-    trace = run_fsync(plan.initial, plan.pattern,
+    trace = run_fsync(plan.initial, plan,
                       SimConfig(seed=11, max_rounds=plan.hops + 6, noise_mu=mu))
     assert trace.verdict == "formed"
     for rec in trace.rounds[1:]:
@@ -198,12 +199,12 @@ def test_noisy_small_pattern_stays_formed(main_corpus):
     assert pairwise_distances(plan.pattern).max() <= 1.0
     mu = plan.params.epsilon / (20 * plan.hops)
     cfg = SimConfig(seed=11, max_rounds=plan.hops + 6, noise_mu=mu)
-    trace = run_fsync(plan.initial, plan.pattern, cfg)
+    trace = run_fsync(plan.initial, plan, cfg)
     assert trace.verdict == "formed"
     final = trace.rounds[-1].positions
     snapshot_tol = [drift_tolerance(plan, mu, t) for t in plan.snapshot_ids]
     for i in range(plan.n):
-        view = make_local_view(final, i, trace.total_rounds + 1, cfg, plan.pattern)
+        view = make_local_view(final, i, trace.total_rounds + 1, cfg)
         decision = robot_decision(view, plan=plan, snapshot_tol=snapshot_tol)
         assert decision.phase is Phase.DROPPED
         assert not decision.target.any()
@@ -217,7 +218,7 @@ def test_noisy_formed_needs_one_robot_per_pattern_point(tail_corpus):
     spacing = mindist(plan.pattern)
     assert drift_tolerance(plan, mu, plan.hops + 2) > spacing
     cfg = SimConfig(max_rounds=0, noise_mu=mu)
-    assert run_fsync(plan.pattern, plan.pattern, cfg).verdict == "formed"
+    assert run_fsync(plan.pattern, plan, cfg).verdict == "formed"
     # Move the robot whose nearest neighbour is farthest, away from that
     # neighbour: within D of its point, but more than 0.45 * spacing off it.
     d = pairwise_distances(plan.pattern)
@@ -226,18 +227,18 @@ def test_noisy_formed_needs_one_robot_per_pattern_point(tail_corpus):
     away = plan.pattern[k] - plan.pattern[int(np.argmin(d[k]))]
     off = plan.pattern.copy()
     off[k] += 0.6 * spacing * away / np.hypot(*away)
-    assert run_fsync(off, plan.pattern, cfg).verdict == "timeout"
+    assert run_fsync(off, plan, cfg).verdict == "timeout"
 
 
 def test_noise_mu_bound_enforced(small_plan):
     mu = small_plan.params.epsilon  # far beyond the stability bound
     with pytest.raises(ValueError):
-        run_fsync(small_plan.initial, small_plan.pattern,
+        run_fsync(small_plan.initial, small_plan,
                   SimConfig(seed=0, noise_mu=mu))
 
 
 def test_trace_jsonl_schema(tmp_path, small_plan):
-    trace = run_fsync(small_plan.initial, small_plan.pattern,
+    trace = run_fsync(small_plan.initial, small_plan,
                       SimConfig(seed=0, max_rounds=small_plan.hops + 5))
     f = tmp_path / "trace.jsonl"
     trace.write_jsonl(f)
@@ -254,4 +255,23 @@ def test_trace_jsonl_schema(tmp_path, small_plan):
 
 def test_wrong_robot_count_rejected(small_plan):
     with pytest.raises(ValueError):
-        run_fsync(small_plan.initial[:-1], small_plan.pattern, SimConfig())
+        run_fsync(small_plan.initial[:-1], small_plan, SimConfig())
+
+
+def test_run_builds_no_second_plan(monkeypatch):
+    """A run given the plan builds none; a run given the points reuses the
+    plan the caller built from the same points."""
+    builds = []
+    inner = protocol._build_plan
+    monkeypatch.setattr(protocol, "_PLAN_CACHE", {})
+    monkeypatch.setattr(protocol, "_build_plan", lambda *args: builds.append(1) or inner(*args))
+    pts = random_connected_pattern(10, seed=7)
+    plan = build_plan(pts)
+    cfg = SimConfig(seed=0, max_rounds=plan.hops + 5)
+    by_plan = run_fsync(plan.initial, plan, cfg)
+    assert len(builds) == 1
+    by_points = run_fsync(plan.initial, pts, cfg)
+    assert len(builds) == 1
+    assert by_plan.verdict == by_points.verdict == "formed"
+    assert by_plan.total_rounds == by_points.total_rounds
+    assert np.array_equal(by_plan.rounds[-1].positions, by_points.rounds[-1].positions)
