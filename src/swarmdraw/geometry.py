@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -123,16 +124,24 @@ class Circle:
 # circle itself is unique regardless.
 
 def smallest_enclosing_circle(points) -> Circle:
-    pts = [(float(x), float(y)) for x, y in as_points(points)]
-    if not pts:
+    arr = as_points(points)
+    if not len(arr):
         raise ValueError("smallest_enclosing_circle requires at least one point")
-    random.Random(_SEC_SEED).shuffle(pts)
+    pts = arr[_sec_order(len(arr))].tolist()
 
     c = None
     for i, p in enumerate(pts):
         if c is None or not _in_circle(c, p):
             c = _circle_one_point(pts[: i + 1], p)
     return Circle((c[0], c[1]), c[2])
+
+
+@lru_cache(maxsize=None)
+def _sec_order(n: int) -> np.ndarray:
+    """The fixed-seed shuffle of range(n): it depends on the length alone."""
+    order = list(range(n))
+    random.Random(_SEC_SEED).shuffle(order)
+    return np.array(order)
 
 
 def _in_circle(c, p) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -112,6 +113,8 @@ class StarPlan:
     d_max: float
     kappa0: float
     rounds_bound: int
+    mindist: float      # mindist(pattern); 1.0 for a single point
+    rings: tuple        # per orbit: (its first point q, nonzero pattern - q, norms, 8 nearest)
 
 
 @dataclass
@@ -174,8 +177,15 @@ def _build_plan(pts: np.ndarray, c0: float) -> Plan:
         params = ProtocolParams(epsilon=0.0, delta=0.1,
                                 span=min(2.0 * math.pi / s, math.pi / 3),
                                 c=0.0, s_p=s, n=n, branch="star")
-        plan = Plan(pattern=pts, params=params,
-                    star=StarPlan(d_max=d_max, kappa0=kappa0, rounds_bound=rounds_bound))
+        rings = []
+        for orbit in info.orbit_partition:
+            offs = pts - pts[orbit[0]]
+            norms = np.hypot(*offs.T)
+            keep = norms > TAU_GEOM
+            rings.append((pts[orbit[0]], offs[keep], norms[keep], np.argsort(norms[keep])[:8]))
+        star = StarPlan(d_max=d_max, kappa0=kappa0, rounds_bound=rounds_bound,
+                        mindist=mindist(pts) if n > 1 else 1.0, rings=tuple(rings))
+        plan = Plan(pattern=pts, params=params, star=star)
         _build_star_schedule(plan)
         return plan
 
@@ -570,13 +580,18 @@ def assignment_target(points: np.ndarray, self_idx: int, slots: np.ndarray) -> n
     radii = np.hypot(*rel.T)
     ang = np.array([polar_angle(p) if r > TAU_GEOM else 0.0 for p, r in zip(rel, radii)])
 
-    def orbit_sig(orbit):
-        i = orbit[0]
-        rows = sorted((round(float(radii[j]), 9), round((ang[j] - ang[i]) % (2 * math.pi), 9))
-                      for j in range(n))
-        return (round(float(radii[i]), 9), tuple(rows))
-
+    rr = [round(float(r), 9) for r in radii]
     orbits = info.orbit_partition
+    orbits_at = Counter(rr[orb[0]] for orb in orbits)
+
+    def orbit_sig(orbit):
+        # Signatures compare the radius first, so rows only break radius ties.
+        i = orbit[0]
+        if orbits_at[rr[i]] == 1:
+            return (rr[i], ())
+        rows = sorted((rr[j], round((ang[j] - ang[i]) % (2 * math.pi), 9)) for j in range(n))
+        return (rr[i], tuple(rows))
+
     sigs = [orbit_sig(orb) for orb in orbits]
     if len(set(sigs)) != len(sigs):
         raise AssignmentError("configuration orbits are indistinguishable")
@@ -671,7 +686,7 @@ def _star_full_fit(pts, plan: Plan, tol: float):
     kappa = r_max / star.d_max
     if kappa > 1.0 + 1e-9:
         return None
-    if fit_isometry(pts, kappa * plan.pattern, max(tol, 1e-9 + kappa * 1e-9)) is None:
+    if _fit_centered(rel, kappa * plan.pattern, max(tol, 1e-9 + kappa * 1e-9)) is None:
         return None
     return kappa, center
 
@@ -688,24 +703,18 @@ def _star_local_fits(pts, plan: Plan, tol: float):
     me_neighbors = pts[1:]
     if len(me_neighbors) == 0:
         return []
-    pattern = plan.pattern
-    md = mindist(pattern) if len(pattern) > 1 else 1.0
+    star = plan.star
     obs_norms = np.hypot(*me_neighbors.T)
     nearest = me_neighbors[int(np.argmin(obs_norms))]
     fits = []
-    for q in _ring_representatives(plan):
-        offs = pattern - q
-        norms = np.hypot(*offs.T)
-        keep = norms > TAU_GEOM
-        offs, norms = offs[keep], norms[keep]
-        order = np.argsort(norms)
-        for j in order[:8]:
+    for q, offs, norms, nearest8 in star.rings:
+        for j in nearest8:
             kappa0 = float(np.hypot(*nearest) / norms[j])
             if not 1e-6 <= kappa0 <= 1.0 + 1e-9:
                 continue
             theta0 = math.atan2(nearest[1], nearest[0]) - math.atan2(offs[j][1], offs[j][0])
             refined = _star_refine(me_neighbors, offs, norms, kappa0, theta0,
-                                   window=0.3 * kappa0 * md, tol=max(tol, 1e-6))
+                                   window=0.3 * kappa0 * star.mindist, tol=max(tol, 1e-6))
             if refined is None:
                 continue
             kappa, theta = refined
@@ -716,11 +725,6 @@ def _star_local_fits(pts, plan: Plan, tol: float):
         if not any(abs(kappa - k2) <= 1e-5 and dist(center, c2) <= 1e-5 for k2, c2 in unique):
             unique.append((kappa, center))
     return unique
-
-
-def _ring_representatives(plan: Plan) -> list[np.ndarray]:
-    info = symmetricity(Pattern(plan.pattern, normalized=True))
-    return [plan.pattern[orb[0]] for orb in info.orbit_partition]
 
 
 def _star_refine(observed, offs, norms, kappa0, theta0, window, tol):

@@ -1,4 +1,5 @@
-"""Property tests of the shared matcher and the orbit walk built on it."""
+"""Property tests of the geometry primitives, the shared matcher, the orbit
+walk built on it, and the near-gathering assignment."""
 
 import math
 
@@ -6,8 +7,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmdraw.geometry import match_points, rotate
+from swarmdraw.geometry import match_points, rotate, smallest_enclosing_circle
+from swarmdraw.protocol import Phase, build_plan, fit_isometry, robot_decision
 from swarmdraw.symmetry import Pattern, normalize, symmetricity
+
+from corpus import near_gathering, random_connected_pattern
+from test_geometry import _brute_force_sec
+from test_protocol import view_from_global
 
 TOL = 0.1
 
@@ -66,3 +72,59 @@ def test_symmetricity_orbits_are_rotation_cycles(m, phases, theta, shift):
     for orbit in orbits:
         turned = rotate(centered[orbit], w)
         assert np.abs(turned - centered[np.roll(orbit, -1)]).max() <= 1e-9
+
+
+coord = st.floats(-10.0, 10.0)
+
+
+@st.composite
+def cocircular_sets(draw):
+    """A subset of a regular k-gon, anywhere in the plane."""
+    k = draw(st.integers(3, 12))
+    subset = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+    radius = draw(st.floats(0.01, 10.0))
+    phase = draw(st.floats(0.0, 2.0 * math.pi))
+    center = np.array([draw(coord), draw(coord)])
+    ang = phase + 2.0 * math.pi * np.asarray(subset) / k
+    return center + radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+
+@st.composite
+def collinear_sets(draw):
+    """Distinct points on one line, anywhere in the plane."""
+    ts = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12, unique=True))
+    phi = draw(st.floats(0.0, math.pi))
+    origin = np.array([draw(coord), draw(coord)])
+    return origin + np.outer(ts, [math.cos(phi), math.sin(phi)])
+
+
+random_sets = st.lists(st.tuples(coord, coord), min_size=1, max_size=12).map(np.array)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.one_of(random_sets, cocircular_sets(), collinear_sets()))
+def test_sec_agrees_with_brute_force(pts):
+    circle = smallest_enclosing_circle(pts)
+    # A single point has no pair or triple for the brute force to try.
+    slow = _brute_force_sec(pts) or (pts[0][0], pts[0][1], 0.0)
+    assert abs(circle.radius - slow[2]) <= 1e-9
+    assert np.abs(np.subtract(circle.center, slow[:2])).max() <= 1e-9
+    assert np.hypot(*(pts - circle.center).T).max() <= circle.radius + 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(6, 20), seed=st.integers(0, 10 ** 6), data=st.data())
+def test_initial_assignment_is_frame_equivariant(n, seed, data):
+    plan = build_plan(random_connected_pattern(n, seed=n))
+    config = near_gathering(n, seed=seed)
+    thetas = data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n))
+    fixed = np.empty_like(config)
+    turned = np.empty_like(config)
+    for i, theta in enumerate(thetas):
+        base = robot_decision(view_from_global(config, i), plan)
+        dec = robot_decision(view_from_global(config, i, theta), plan)
+        assert base.phase is Phase.INITIAL and dec.phase is Phase.INITIAL
+        fixed[i] = config[i] + base.target
+        turned[i] = config[i] + rotate(dec.target, -theta)
+    assert np.abs(turned - fixed).max() <= 1e-9
+    assert fit_isometry(turned, plan.initial, 1e-7) is not None

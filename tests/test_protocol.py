@@ -313,6 +313,23 @@ def test_star_two_ring_ratio_preserved():
         assert r_big / r_small == pytest.approx(3.0 / 2.4, abs=1e-6)
 
 
+def test_star_run_recomputes_no_pattern_values(monkeypatch):
+    """Star fitting reads the pattern's orbits and mindist from the plan."""
+    from corpus import two_ring
+    import swarmdraw.protocol as protocol
+
+    plan = build_plan(two_ring(20, 3.0, 2.4))
+    calls = {"symmetricity": 0, "mindist": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(protocol, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(protocol, name, counted)
+    trace = run_fsync(plan.star.kappa0 * plan.pattern, plan, SimConfig(seed=2, max_rounds=50))
+    assert trace.verdict == "formed"
+    assert calls == {"symmetricity": 0, "mindist": 0}
+
+
 def test_star_rounds_bound_with_assignment():
     from corpus import ngon
 
