@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import mindist, unit_disc_connected
+from .geometry import mindist, pairwise_distances, unit_disc_connected
 from .symmetry import Pattern, normalize, symmetricity
 from .pathing import save_path
 from .protocol import DEFAULT_C, PlanError, build_plan
@@ -36,7 +36,7 @@ def load_pattern(filename) -> np.ndarray:
         raise ValueError("pattern file must hold a nonempty list of [x, y] points")
     if not np.all(np.isfinite(pts)):
         raise ValueError("pattern coordinates must be finite")
-    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    d = pairwise_distances(pts)
     np.fill_diagonal(d, np.inf)
     if len(pts) > 1 and d.min() <= 1e-9:
         raise ValueError("pattern coordinates must be distinct")
@@ -122,8 +122,7 @@ def cmd_simulate(args) -> int:
             print("error: initial configuration size differs from the pattern",
                   file=sys.stderr)
             return EXIT_INVALID
-        d = np.sqrt(((initial[:, None, :] - initial[None, :, :]) ** 2).sum(axis=2))
-        if d.max() > 1.0 + 1e-9:
+        if pairwise_distances(initial).max() > 1.0 + 1e-9:
             print("error: initial configuration is not a near-gathering "
                   "(diameter must be <= 1)", file=sys.stderr)
             return EXIT_INVALID

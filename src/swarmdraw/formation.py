@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
 
-from .geometry import TAU_GEOM, as_points, perp, rotation_matrix, unit
+from .geometry import TAU_GEOM, as_points, pairwise_distances, perp, rotation_matrix, unit
 
 # Hard cap on the grid resolution; beyond this the state machinery would be
 # astronomically large and something upstream chose parameters badly.
@@ -139,10 +139,20 @@ class GridSpec:
         """Number of admissible third-robot slots, floor((delta/eps - 1)/2)."""
         return self.i_max
 
-    @property
+    @cached_property
     def locations(self) -> int:
         """|L|: anchor plus all grid cells inside the hull."""
         return 1 + int(self.col_sizes.sum())
+
+    @cached_property
+    def axis_ids(self) -> tuple[int, ...]:
+        """Ids of the axis slots, columns 1..axis_count (ascending)."""
+        return tuple(1 + int(p) for p in self.col_prefix[1:])
+
+    @cached_property
+    def axis_column(self) -> dict[int, int]:
+        """Axis slot id -> its column."""
+        return {c: i for i, c in enumerate(self.axis_ids, start=1)}
 
     def cell_id(self, i: int, j: int) -> int:
         return 1 + int(self.col_prefix[i]) + j
@@ -248,11 +258,11 @@ class StateSpec:
         g = self.grid
         if not 1 <= self.third <= g.axis_count:
             raise FormationError(f"third-robot column {self.third} out of range")
-        excluded = {0, 1, g.axis_id(self.third)}
-        forbidden = {g.axis_id(t) for t in range(1, self.third)}
+        # Free cells exclude the anchor pair and the axis slots up to the third robot's.
+        col = g.axis_column
         seen = set()
         for c in self.free:
-            if c in excluded or c in forbidden or not 1 <= c < g.locations or c in seen:
+            if not 2 <= c < g.locations or col.get(c, self.third + 1) <= self.third or c in seen:
                 raise FormationError(f"invalid free cell id {c}")
             seen.add(c)
         object.__setattr__(self, "free", tuple(sorted(self.free)))
@@ -264,9 +274,13 @@ class StateSpec:
     def cell_ids(self) -> list[int]:
         return sorted([0, 1, self.grid.axis_id(self.third), *self.free])
 
+    @cached_property
+    def local(self) -> np.ndarray:
+        """Hull-local coordinates of the occupied cells, in cell-id order."""
+        return np.stack([self.grid.cell_local(c) for c in self.cell_ids()])
+
     def points(self, hull: DrawingHull) -> np.ndarray:
-        local = np.stack([self.grid.cell_local(c) for c in self.cell_ids()])
-        return hull.to_global(local)
+        return hull.to_global(self.local)
 
 
 @lru_cache(maxsize=65536)
@@ -283,15 +297,13 @@ def count_states(grid: GridSpec, size: int):
 
 def _available_rank(grid: GridSpec, block: int, cid: int) -> int:
     """Rank of a cell id within the block's available universe."""
-    axis = [grid.axis_id(t) for t in range(1, block + 1)]
-    return (cid - 2) - bisect_left(axis, cid)
+    return (cid - 2) - bisect_left(grid.axis_ids, cid, 0, block)
 
 
 def _available_id(grid: GridSpec, block: int, rank: int) -> int:
-    axis = [grid.axis_id(t) for t in range(1, block + 1)]
     cid = rank + 2
     while True:
-        skipped = bisect_left(axis, cid + 1)
+        skipped = bisect_left(grid.axis_ids, cid + 1, 0, block)
         cand = rank + 2 + skipped
         if cand == cid:
             return cid
@@ -346,18 +358,29 @@ def index_of_state(spec: StateSpec) -> int:
 
 def state_from_cells(grid: GridSpec, cell_ids) -> StateSpec:
     """Canonical StateSpec for an occupied cell-id set (or raise)."""
-    ids = sorted(set(int(c) for c in cell_ids))
-    if len(ids) != len(list(cell_ids)):
+    cells = [int(c) for c in cell_ids]
+    ids = sorted(set(cells))
+    if len(ids) != len(cells):
         raise FormationError("duplicate occupied cells")
     if 0 not in ids or 1 not in ids:
         raise FormationError("anchor and its epsilon partner must be occupied")
-    axis_ids = {grid.axis_id(i): i for i in range(1, grid.axis_count + 1)}
-    axis_present = sorted(axis_ids[c] for c in ids if c in axis_ids)
-    if not axis_present:
+    # Axis slot ids ascend with their column, so the first one present is the third robot's.
+    third = next((grid.axis_column[c] for c in ids if c in grid.axis_column), None)
+    if third is None:
         raise FormationError("no admissible third defining robot")
-    third = axis_present[0]
     free = tuple(c for c in ids if c not in (0, 1, grid.axis_id(third)))
     return StateSpec(grid, third, free)
+
+
+@lru_cache(maxsize=4096)
+def _decode(grid: GridSpec, cell_ids: tuple[int, ...]) -> tuple[StateSpec, int] | None:
+    """(state, index) of a sorted occupied cell-id tuple, or None if it is no state.
+    Cell ids are hull-local, so all members of a formation look up one key."""
+    try:
+        spec = state_from_cells(grid, cell_ids)
+    except FormationError:
+        return None
+    return spec, index_of_state(spec)
 
 
 # --- detection ----------------------------------------------------------------
@@ -390,8 +413,7 @@ def detect_formations(points, params: FormationParams) -> list[DetectedFormation
     eps, tol = params.epsilon, params.tol
     grid = params.grid()
 
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt((diff ** 2).sum(axis=2))
+    d = pairwise_distances(pts)
     pair_i, pair_j = np.nonzero(np.triu(np.abs(d - eps) <= tol, k=1))
 
     found: dict[tuple, DetectedFormation] = {}
@@ -434,18 +456,16 @@ def _try_candidate(pts, p_idx, q_idx, params, grid) -> DetectedFormation | None:
         return None
 
     cell_ids = _snap_cells(grid, x[member_idx], y[member_idx], eps, tol)
-    if cell_ids is None or len(set(cell_ids)) != len(cell_ids):
+    decoded = None if cell_ids is None else _decode(grid, tuple(sorted(cell_ids)))
+    if decoded is None:
         return None
-    try:
-        spec = state_from_cells(grid, cell_ids)
-    except FormationError:
-        return None
+    spec, index = decoded
     return DetectedFormation(
         hull=hull,
         member_indices=tuple(int(m) for m in member_idx),
         members=pts[member_idx],
         spec=spec,
-        state_index=index_of_state(spec),
+        state_index=index,
     )
 
 

@@ -103,9 +103,11 @@ def rotate(points, theta: float, center=None) -> np.ndarray:
 
 
 def pairwise_distances(points) -> np.ndarray:
+    """Distances between all pairs of one set, from per-axis differences."""
     pts = as_points(points)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=2))
+    dx = pts[:, 0, None] - pts[None, :, 0]
+    dy = pts[:, 1, None] - pts[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 @dataclass(frozen=True)

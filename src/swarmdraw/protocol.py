@@ -331,20 +331,22 @@ def _build_star_schedule(plan: Plan) -> None:
 
 # --- congruence fitting ----------------------------------------------------------
 
-def fit_isometry(points, template, tol: float):
+def fit_isometry(points, template, tol: float, template_center=None):
     """Rotation + translation mapping template onto points, or None.
 
     Centers both sets on their smallest enclosing circles, pairs an extremal
     point with every same-radius template point to get candidate rotations,
     and certifies a candidate by an injective nearest-neighbor matching; an
     exact minimum-cost assignment arbitrates when nearest neighbors collide.
+    template_center is the template's SEC centre when the caller holds it.
     """
     pts = as_points(points)
     tmpl = as_points(template)
     if len(pts) != len(tmpl):
         raise ValueError("point counts differ")
     ca = np.asarray(smallest_enclosing_circle(pts).center)
-    cb = np.asarray(smallest_enclosing_circle(tmpl).center)
+    cb = (np.asarray(smallest_enclosing_circle(tmpl).center) if template_center is None
+          else template_center)
     got = _fit_centered(pts - ca, tmpl - cb, tol)
     if got is None:
         return None
@@ -396,22 +398,29 @@ def _matches_snapshot(pts, plan: Plan, tol) -> bool:
 
 
 def _own_formation(pts, fparams) -> tuple[DetectedFormation | None, bool]:
-    """The unique valid formation containing the origin robot, if any."""
+    """The unique valid formation containing the origin robot, if any.
+
+    Detection reads only the view within 4δ + 4·tol, which is exact: a formation holding
+    the origin is anchored within δ + tol, the overlap check reads formations anchored
+    within 2δ of that anchor, and each depends only on points within δ + tol of its anchor.
+    """
     from .formation import _convex_overlap, wedge_polygon
 
-    dets = detect_formations(pts, fparams)
+    near = np.nonzero(np.hypot(*pts.T) <= 4 * (fparams.delta_diam + fparams.tol))[0]
+    dets = detect_formations(pts[near], fparams)
     mine = [d for d in dets if 0 in d.member_indices]
     if len(mine) != 1:
         return None, bool(mine)
-    poly = wedge_polygon(mine[0].hull)
+    det = mine[0]
+    poly = wedge_polygon(det.hull)
     for other in dets:
-        if other is mine[0]:
+        if other is det:
             continue
-        if np.hypot(*(other.hull.anchor - mine[0].hull.anchor)) > 2 * fparams.delta_diam:
+        if np.hypot(*(other.hull.anchor - det.hull.anchor)) > 2 * fparams.delta_diam:
             continue
         if _convex_overlap(poly, wedge_polygon(other.hull)):
             return None, True
-    return mine[0], False
+    return replace(det, member_indices=tuple(int(near[i]) for i in det.member_indices)), False
 
 
 def _find_intermediate(pts, plan: Plan, tol: float):

@@ -18,7 +18,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import TAU_GEOM, as_points, match_points, mindist, pairwise_distances, rotation_matrix
+from .geometry import (TAU_GEOM, as_points, match_points, mindist, pairwise_distances,
+                       rotation_matrix, smallest_enclosing_circle)
 from .symmetry import Pattern, normalize
 from .formation import check_validity
 from .protocol import (
@@ -139,8 +140,8 @@ def verify_pattern(config, pattern, tol: float = 1e-6):
     return _verify(pts, target, tol, want_error=True)
 
 
-def _verify(pts, target, tol, want_error=False):
-    fit = fit_isometry(pts, target, tol)
+def _verify(pts, target, tol, target_center=None, want_error=False):
+    fit = fit_isometry(pts, target, tol, target_center)
     if fit is None:
         return False, None, _greedy_error(pts, target) if want_error else math.inf
     theta, translation, _, err = fit
@@ -150,8 +151,6 @@ def _verify(pts, target, tol, want_error=False):
 
 def _greedy_error(pts, target) -> float:
     """Diagnostic lower bound on the alignment error of a failed match."""
-    from .geometry import smallest_enclosing_circle
-
     ca = np.asarray(smallest_enclosing_circle(pts).center)
     cb = np.asarray(smallest_enclosing_circle(target).center)
     a = pts - ca
@@ -303,12 +302,13 @@ def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
         tolerance = max(cfg.tolerance, min(drift_tolerance(plan, cfg.noise_mu, plan.hops + 2),
                                            0.45 * mindist(plan.pattern)))
 
+    pattern_center = np.asarray(smallest_enclosing_circle(plan.pattern).center)
     gt = _GroundTruth(plan, cfg.noise_mu)
     trace = Trace(pattern=plan.pattern,
                   path_vertices=plan.path.vertices if plan.path is not None else None)
 
     for rnd in range(cfg.max_rounds + 1):
-        formed, alignment, err = _verify(positions, plan.pattern, tolerance)
+        formed, alignment, err = _verify(positions, plan.pattern, tolerance, pattern_center)
         phases, events, targets = _compute_round(positions, plan, cfg, rnd, detect_tol,
                                                  snapshot_tol)
         trace.gt_phases.append(gt.roles_for(positions, rnd))

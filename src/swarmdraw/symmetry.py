@@ -19,6 +19,7 @@ from .geometry import (
     TAU_GEOM,
     as_points,
     match_points,
+    pairwise_distances,
     polar_angle,
     rotate,
     smallest_enclosing_circle,
@@ -33,7 +34,7 @@ class Pattern:
     def __post_init__(self):
         pts = as_points(self.points)
         if len(pts) >= 2:
-            d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+            d = pairwise_distances(pts)
             np.fill_diagonal(d, np.inf)
             if d.min() <= TAU_GEOM:
                 raise ValueError("pattern points must be distinct")

@@ -323,3 +323,10 @@ def test_state_from_cells_requires_defining_robots():
     with pytest.raises(FormationError):
         state_from_cells(grid, [0, 1, 3])  # cell (1, 1) is off-axis: no third robot
     assert state_from_cells(grid, [0, 1, 2]).third == 1  # cell (1, 0) is axis slot 1
+
+
+def test_state_from_cells_reads_its_input_once():
+    grid = grid_spec(0.1, 0.01, SPAN)
+    assert state_from_cells(grid, iter([0, 1, 2])) == state_from_cells(grid, [0, 1, 2])
+    spec = state_by_index(grid, 6, 23)
+    assert state_from_cells(grid, (c for c in spec.cell_ids())) == spec

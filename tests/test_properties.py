@@ -1,5 +1,6 @@
 """Property tests of the geometry primitives, the shared matcher, the orbit
-walk built on it, and the near-gathering assignment."""
+walk built on it, the near-gathering assignment and the grid-state
+enumeration."""
 
 import math
 
@@ -7,6 +8,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmdraw.formation import (
+    FormationError,
+    _decode,
+    count_states,
+    grid_spec,
+    index_of_state,
+    state_by_index,
+    state_from_cells,
+)
 from swarmdraw.geometry import match_points, rotate, smallest_enclosing_circle
 from swarmdraw.protocol import Phase, build_plan, fit_isometry, robot_decision
 from swarmdraw.symmetry import Pattern, normalize, symmetricity
@@ -128,3 +138,41 @@ def test_initial_assignment_is_frame_equivariant(n, seed, data):
         turned[i] = config[i] + rotate(dec.target, -theta)
     assert np.abs(turned - fixed).max() <= 1e-9
     assert fit_isometry(turned, plan.initial, 1e-7) is not None
+
+
+@st.composite
+def grids(draw):
+    """A random epsilon grid: diameter, delta/epsilon ratio and span."""
+    delta = draw(st.floats(0.02, 1.0 / 6))
+    ratio = draw(st.floats(3.05, 14.0))
+    span = draw(st.floats(0.2, math.pi / 3))
+    return grid_spec(delta, delta / ratio, span)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(grids(), st.data())
+def test_state_enumeration_is_a_bijection(grid, data):
+    size = data.draw(st.integers(3, min(grid.locations, 9)))
+    total = count_states(grid, size)
+    index = data.draw(st.one_of(st.just(1), st.just(total), st.integers(1, total)))
+    spec = state_by_index(grid, size, index)
+    assert spec.size == size
+    assert index_of_state(spec) == index
+    assert state_from_cells(grid, spec.cell_ids()) == spec
+    assert np.array_equal(spec.local, np.stack([grid.cell_local(c) for c in spec.cell_ids()]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(grids(), st.data())
+def test_memoised_decode_agrees_with_a_fresh_decode(grid, data):
+    # Most draws hold the anchor pair; some lack a defining robot, repeat one
+    # or name a cell past the grid.
+    ids = data.draw(st.lists(st.integers(2, grid.locations - 1), max_size=10, unique=True))
+    ids += data.draw(st.sampled_from([[0, 1], [0, 1], [0, 1], [1], [0, 1, 1],
+                                      [0, 1, grid.locations]]))
+    try:
+        spec = state_from_cells(grid, ids)
+        want = (spec, index_of_state(spec))
+    except FormationError:
+        want = None
+    assert _decode(grid, tuple(sorted(ids))) == want

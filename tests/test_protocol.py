@@ -1,15 +1,24 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from swarmdraw.geometry import dist, from_polar, mindist, rotate, rotation_matrix
+from swarmdraw.geometry import dist, from_polar, mindist, rotate, rotation_matrix, unit
 from swarmdraw.symmetry import Pattern, normalize, symmetricity
-from swarmdraw.formation import detect_formations
+from swarmdraw.formation import (
+    DrawingHull,
+    FormationParams,
+    _convex_overlap,
+    detect_formations,
+    state_by_index,
+    wedge_polygon,
+)
 from swarmdraw.protocol import (
     DEFAULT_C,
     LocalView,
     Phase,
+    _own_formation,
     build_plan,
     classify_phase,
     intermediate_targets,
@@ -144,6 +153,81 @@ def test_classify_initial_pattern_is_not_initial_phase():
     plan = build_plan(pts)
     view = view_from_global(plan.initial, 0)
     assert classify_phase(view, plan) is Phase.FORMATION
+
+
+def _own_formation_full_view(pts, fparams):
+    """Reference for _own_formation: detection over the whole view."""
+    dets = detect_formations(pts, fparams)
+    mine = [d for d in dets if 0 in d.member_indices]
+    if len(mine) != 1:
+        return None, bool(mine)
+    poly = wedge_polygon(mine[0].hull)
+    for other in dets:
+        if (other is not mine[0]
+                and np.hypot(*(other.hull.anchor - mine[0].hull.anchor)) <= 2 * fparams.delta_diam
+                and _convex_overlap(poly, wedge_polygon(other.hull))):
+            return None, True
+    return mine[0], False
+
+
+def _window_agrees(pts, fparams) -> tuple[bool, bool, bool]:
+    """Assert _own_formation equals the full-view reference on one view;
+    return (found, conflicted, whether the window left points out)."""
+    got, got_conflicted = _own_formation(pts, fparams)
+    want, want_conflicted = _own_formation_full_view(pts, fparams)
+    assert got_conflicted == want_conflicted
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.member_indices == want.member_indices
+        assert got.state_index == want.state_index
+        assert np.array_equal(got.hull.anchor, want.hull.anchor)
+        assert np.array_equal(got.hull.direction, want.hull.direction)
+    window = 4 * (fparams.delta_diam + fparams.tol)
+    return want is not None, want_conflicted, bool((np.hypot(*pts.T) > window).any())
+
+
+@pytest.mark.parametrize("pts, noisy", [
+    (random_connected_pattern(12, seed=5), False),
+    (symmetric_pattern(3, 4, seed=2004), False),
+    (symmetric_pattern(6, 3, seed=2008), False),   # six formations 2 diameters apart
+    (random_connected_pattern(10, seed=7), True),
+], ids=["random-12", "sym-3x4", "sym-6x3", "random-10-noisy"])
+def test_own_formation_window_matches_full_view(pts, noisy):
+    """Every robot's view in every round of a run, at the noiseless detection
+    tolerance and at the noisy cap 0.45*epsilon."""
+    plan = build_plan(pts)
+    eps = plan.params.epsilon
+    cfg = SimConfig(seed=4, max_rounds=plan.hops + 6,
+                    noise_mu=eps / (20 * plan.hops) if noisy else 0.0)
+    trace = run_fsync(plan.initial, plan, cfg)
+    assert trace.verdict == "formed"
+    seen = set()
+    for rec in trace.rounds:
+        for i in range(plan.n):
+            pts_i = make_local_view(rec.positions, i, rec.round, cfg).all_points
+            for tol in (plan.fparams.tol, 0.45 * eps):
+                found, _, cut = _window_agrees(pts_i, replace(plan.fparams, tol=tol))
+                seen.add((found, cut))
+    # Members were found, and views were cut by the window, both ways round.
+    assert {(True, True), (False, True)} <= seen
+
+
+def test_own_formation_window_keeps_overlap_conflicts():
+    """Two overlapping hulls far from the other robots of the view: the
+    conflict is seen from every member, and from a cut view."""
+    params = FormationParams(0.01, 0.1, math.pi / 3)
+    spec = state_by_index(params.grid(), 3, 2)
+    pts1 = spec.points(DrawingHull(np.zeros(2), np.array([1.0, 0.0]), math.pi / 3, 0.1))
+    pts2 = spec.points(DrawingHull(np.array([0.13, 0.12]), unit(np.array([-0.735, -0.678])),
+                                   math.pi / 3, 0.1))
+    far = np.array([[-0.5, 0.3], [0.6, -0.4], [0.1, 0.9]])
+    positions = np.vstack([pts1, pts2, far])
+    conflicts = 0
+    for i in range(len(positions)):
+        pts_i = np.vstack([positions[i], np.delete(positions, i, axis=0)]) - positions[i]
+        found, conflicted, _ = _window_agrees(pts_i, params)
+        conflicts += conflicted
+    assert conflicts == len(pts1) + len(pts2)
 
 
 # --- robot steps ---------------------------------------------------------------------

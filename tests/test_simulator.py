@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from swarmdraw import protocol
+from swarmdraw import protocol, simulator
 from swarmdraw.geometry import mindist, pairwise_distances, rotate
-from swarmdraw.protocol import Phase, build_plan, robot_decision
+from swarmdraw.protocol import Phase, build_plan, fit_isometry, robot_decision
 from swarmdraw.simulator import (
     SimConfig,
     _ROLE_TO_PHASE,
@@ -17,7 +17,7 @@ from swarmdraw.simulator import (
     verify_pattern,
 )
 
-from corpus import near_gathering, random_connected_pattern
+from corpus import near_gathering, ngon, random_connected_pattern
 
 
 @pytest.fixture(scope="module")
@@ -275,3 +275,35 @@ def test_run_builds_no_second_plan(monkeypatch):
     assert by_plan.verdict == by_points.verdict == "formed"
     assert by_plan.total_rounds == by_points.total_rounds
     assert np.array_equal(by_plan.rounds[-1].positions, by_points.rounds[-1].positions)
+
+
+@pytest.mark.parametrize("pts", [random_connected_pattern(10, seed=7), ngon(14, 2.0)],
+                         ids=["draw", "star"])
+def test_run_fits_the_pattern_sec_once(monkeypatch, pts):
+    """A run computes the pattern's SEC once for its termination check;
+    verdict, alignment and error equal a fit that recomputes it each round."""
+    plan = build_plan(pts)
+    initial = plan.initial if plan.branch == "draw" else plan.star.kappa0 * plan.pattern
+    pattern_secs = []
+    inner = protocol.smallest_enclosing_circle
+
+    def counting(points):
+        if np.array_equal(points, plan.pattern):
+            pattern_secs.append(1)
+        return inner(points)
+
+    for module in (protocol, simulator):
+        monkeypatch.setattr(module, "smallest_enclosing_circle", counting)
+    cfg = SimConfig(seed=2)
+    trace = run_fsync(initial, plan, cfg)
+    assert trace.verdict == "formed" and trace.total_rounds > 1
+    assert len(pattern_secs) == 1
+
+    monkeypatch.undo()
+    for rec in trace.rounds[:-1]:
+        assert fit_isometry(rec.positions, plan.pattern, cfg.tolerance) is None
+    theta, translation, _, err = fit_isometry(trace.rounds[-1].positions, plan.pattern,
+                                              cfg.tolerance)
+    assert trace.alignment == {"theta": float(theta), "tx": float(translation[0]),
+                               "ty": float(translation[1])}
+    assert trace.max_error == err
