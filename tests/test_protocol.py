@@ -189,7 +189,7 @@ def _window_agrees(pts, fparams) -> tuple[bool, bool, bool]:
 @pytest.mark.parametrize("pts, noisy", [
     (random_connected_pattern(12, seed=5), False),
     (symmetric_pattern(3, 4, seed=2004), False),
-    (symmetric_pattern(6, 3, seed=2008), False),   # six formations 2 diameters apart
+    (symmetric_pattern(6, 3, seed=2008), False),   # six formations anchored 2δ apart
     (random_connected_pattern(10, seed=7), True),
 ], ids=["random-12", "sym-3x4", "sym-6x3", "random-10-noisy"])
 def test_own_formation_window_matches_full_view(pts, noisy):
@@ -213,8 +213,8 @@ def test_own_formation_window_matches_full_view(pts, noisy):
 
 
 def test_own_formation_window_keeps_overlap_conflicts():
-    """Two overlapping hulls far from the other robots of the view: the
-    conflict is seen from every member, and from a cut view."""
+    """Two overlapping hulls, with other robots beyond the detection window:
+    every member of either formation sees the conflict."""
     params = FormationParams(0.01, 0.1, math.pi / 3)
     spec = state_by_index(params.grid(), 3, 2)
     pts1 = spec.points(DrawingHull(np.zeros(2), np.array([1.0, 0.0]), math.pi / 3, 0.1))
@@ -225,7 +225,8 @@ def test_own_formation_window_keeps_overlap_conflicts():
     conflicts = 0
     for i in range(len(positions)):
         pts_i = np.vstack([positions[i], np.delete(positions, i, axis=0)]) - positions[i]
-        found, conflicted, _ = _window_agrees(pts_i, params)
+        _, conflicted, cut = _window_agrees(pts_i, params)
+        assert cut
         conflicts += conflicted
     assert conflicts == len(pts1) + len(pts2)
 
