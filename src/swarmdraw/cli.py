@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import mindist, pairwise_distances, unit_disc_connected
-from .symmetry import Pattern, normalize, symmetricity
+from .symmetry import normalize, symmetricity
 from .pathing import save_path
 from .protocol import DEFAULT_C, PlanError, build_plan
 from .simulator import SimConfig, run_fsync
@@ -31,15 +31,15 @@ EXIT_ABORTED = 4
 def load_pattern(filename) -> np.ndarray:
     with open(filename, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError('pattern file must hold a JSON object {"points": [[x, y], ...]}')
     pts = np.asarray(data["points"], dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
         raise ValueError("pattern file must hold a nonempty list of [x, y] points")
     if not np.all(np.isfinite(pts)):
         raise ValueError("pattern coordinates must be finite")
-    d = pairwise_distances(pts)
-    np.fill_diagonal(d, np.inf)
-    if len(pts) > 1 and d.min() <= 1e-9:
-        raise ValueError("pattern coordinates must be distinct")
+    if len(pts) > 1:
+        mindist(pts)
     return pts
 
 
@@ -49,11 +49,11 @@ def cmd_analyze(args) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    pat = normalize(Pattern(pts))
-    info = symmetricity(pat)
-    n = pat.n
-    connected = unit_disc_connected(pat.points)
-    md = mindist(pat.points) if n > 1 else math.inf
+    pts = normalize(pts)
+    info = symmetricity(pts)
+    n = len(pts)
+    connected = unit_disc_connected(pts)
+    md = mindist(pts) if n > 1 else math.inf
     branch = "star" if 2 * info.sym >= n else "main"
     report = {
         "n": n,
@@ -68,7 +68,7 @@ def cmd_analyze(args) -> int:
         return EXIT_DISCONNECTED
     if branch == "main":
         try:
-            plan = build_plan(pat.points, args.params_c)
+            plan = build_plan(pts, args.params_c)
         except PlanError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID
@@ -126,7 +126,7 @@ def cmd_simulate(args) -> int:
             print("error: initial configuration is not a near-gathering "
                   "(diameter must be <= 1)", file=sys.stderr)
             return EXIT_INVALID
-        sym_init = symmetricity(normalize(Pattern(initial))).sym
+        sym_init = symmetricity(initial).sym
         if plan.params.s_p % sym_init != 0:
             print(f"error: initial symmetricity {sym_init} does not divide "
                   f"the pattern symmetricity {plan.params.s_p}", file=sys.stderr)
@@ -158,8 +158,11 @@ def cmd_render(args) -> int:
             for line in fh:
                 if line.strip():
                     records.append(json.loads(line))
-        if not records or "verdict" not in records[-1]:
+        if not records or not isinstance(records[-1], dict) or "verdict" not in records[-1]:
             raise ValueError("trace has no final record")
+        if not all(isinstance(rec, dict) and {"round", "positions"} <= rec.keys()
+                   for rec in records[:-1]):
+            raise ValueError("every round record needs 'round' and 'positions'")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

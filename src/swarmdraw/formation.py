@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .geometry import TAU_GEOM, as_points, pairwise_distances, perp, rotation_matrix, unit
+from .geometry import TAU_GEOM, as_points, pairwise_distances, perp, unit
 
 # Hard cap on the grid resolution; beyond this the state machinery would be
 # astronomically large and something upstream chose parameters badly.
@@ -70,14 +70,6 @@ class DrawingHull:
         d = self.direction
         basis = np.stack([d, perp(d)], axis=0)
         return pts @ basis + self.anchor
-
-    def contains(self, points, tol: float = TAU_GEOM) -> np.ndarray:
-        """Boolean mask of points inside the wedge, padded by tol."""
-        loc = self.local(points)
-        x, y = loc[:, 0], loc[:, 1]
-        r = np.hypot(x, y)
-        lateral = _lateral_distance(x, y, self.span)
-        return (r <= self.diameter + tol) & (lateral <= tol)
 
 
 def _lateral_distance(x, y, span) -> np.ndarray:
@@ -154,9 +146,6 @@ class GridSpec:
         """Axis slot id -> its column."""
         return {c: i for i, c in enumerate(self.axis_ids, start=1)}
 
-    def cell_id(self, i: int, j: int) -> int:
-        return 1 + int(self.col_prefix[i]) + j
-
     def axis_id(self, i: int) -> int:
         return 1 + int(self.col_prefix[i])
 
@@ -222,20 +211,6 @@ def _cell_inside(x: int, j: int, ratio: float, span: float) -> bool:
     if x * x + 4 * j * j > ratio * ratio:
         return False
     return math.atan2(2 * j, x) < span
-
-
-def epsilon_locations(hull: DrawingHull, epsilon: float) -> np.ndarray:
-    """Anchor plus all grid cells inside the hull, ordered by (i, j)."""
-    if epsilon >= hull.diameter:
-        raise FormationError("epsilon must be smaller than the hull diameter")
-    grid = grid_spec(hull.diameter, epsilon, hull.span)
-    if grid.locations > 1_000_000:
-        raise FormationError("too many locations to materialize")
-    local = [np.zeros(2)]
-    for i in range(grid.i_max + 1):
-        for j in range(int(grid.col_sizes[i])):
-            local.append(np.array([(1 + 2 * i) * epsilon, 2 * j * epsilon]))
-    return hull.to_global(np.stack(local))
 
 
 # --- canonical state enumeration ---------------------------------------------
@@ -390,7 +365,6 @@ class DetectedFormation:
     hull: DrawingHull
     member_indices: tuple[int, ...]
     members: np.ndarray
-    spec: StateSpec
     state_index: int
 
     @property
@@ -459,13 +433,11 @@ def _try_candidate(pts, p_idx, q_idx, params, grid) -> DetectedFormation | None:
     decoded = None if cell_ids is None else _decode(grid, tuple(sorted(cell_ids)))
     if decoded is None:
         return None
-    spec, index = decoded
     return DetectedFormation(
         hull=hull,
         member_indices=tuple(int(m) for m in member_idx),
         members=pts[member_idx],
-        spec=spec,
-        state_index=index,
+        state_index=decoded[1],
     )
 
 
@@ -538,14 +510,29 @@ def _quantize(coords: np.ndarray) -> np.ndarray:
     return np.round(coords / TAU_GEOM) * TAU_GEOM
 
 
+def assign_targets(detected: DetectedFormation, targets: np.ndarray) -> np.ndarray:
+    """Canonical member-to-target matching: row i is member i's target.
+
+    Members and targets are both sorted lexicographically in the hull frame,
+    so every member computes the same matching whatever its private frame.
+    """
+    hull = detected.hull
+    member_loc = _quantize(hull.local(detected.members))
+    target_loc = _quantize(hull.local(targets))
+    m_order = np.lexsort((member_loc[:, 1], member_loc[:, 0]))
+    t_order = np.lexsort((target_loc[:, 1], target_loc[:, 0]))
+    out = np.empty_like(detected.members)
+    out[m_order] = targets[t_order]
+    return out
+
+
 def plan_move(detected: DetectedFormation, move_vec, drop_points, next_spec: StateSpec) -> np.ndarray:
     """Per-robot targets realizing a formation move.
 
     The surviving robots form ``next_spec`` around the anchor shifted by
     ``move_vec`` (same direction); dropped robots land on ``drop_points``.
-    Robots are matched to targets by sorting both lexicographically in the
-    current hull frame, which keeps every displacement within
-    diameter + |move_vec| <= 1.
+    Robots are matched to targets by ``assign_targets`` in the current hull
+    frame, which keeps every displacement within diameter + |move_vec| <= 1.
     """
     hull = detected.hull
     move_vec = np.asarray(move_vec, dtype=float)
@@ -557,13 +544,7 @@ def plan_move(detected: DetectedFormation, move_vec, drop_points, next_spec: Sta
     if len(targets) != detected.size:
         raise FormationError(
             f"{detected.size} robots cannot fill {len(targets)} targets")
-
-    member_loc = _quantize(hull.local(detected.members))
-    target_loc = _quantize(hull.local(targets))
-    m_order = np.lexsort((member_loc[:, 1], member_loc[:, 0]))
-    t_order = np.lexsort((target_loc[:, 1], target_loc[:, 0]))
-    out = np.empty_like(detected.members)
-    out[m_order] = targets[t_order]
+    out = assign_targets(detected, targets)
     disp = np.hypot(*(out - detected.members).T)
     if np.any(disp > 1.0 + TAU_GEOM):
         raise AssertionError("planned displacement exceeds the viewing range")

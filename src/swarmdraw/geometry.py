@@ -115,9 +115,6 @@ class Circle:
     center: tuple[float, float]
     radius: float
 
-    def contains(self, p, tol: float = TAU_GEOM) -> bool:
-        return dist(self.center, p) <= self.radius + tol
-
 
 # --- smallest enclosing circle (Welzl-style randomized incremental) --------
 #

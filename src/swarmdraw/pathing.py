@@ -33,7 +33,7 @@ from .geometry import (
     unit,
 )
 from .formation import FormationParams, GridSpec, count_states
-from .symmetry import Pattern, component_indices, normalize, symmetricity
+from .symmetry import component_indices, normalize
 
 # Connector subdivision keeps strict slack under the 1 - delta hop bound.
 _CONNECTOR_FRACTION = 0.8
@@ -534,7 +534,7 @@ def build_drawing_path(pattern, params) -> DrawingPath:
     diameter = params.delta
     s = params.s_p
     delta = diameter  # path slack equals the hull diameter
-    pts = normalize(pattern if isinstance(pattern, Pattern) else Pattern(as_points(pattern))).points
+    pts = normalize(pattern)
     theta, _ = find_connected_triple_rotation(pts, s)
     canon = rotate(pts, theta)
     comp_idx = component_indices(canon, 1, s)

@@ -36,14 +36,13 @@ from .geometry import (
     unit,
     unit_disc_connected,
 )
-from .symmetry import Pattern, normalize, rotation_orbits, symmetricity
+from .symmetry import normalize, rotation_orbits, symmetricity
 from .formation import (
     DetectedFormation,
     DrawingHull,
     FormationParams,
     GridSpec,
-    check_validity,
-    count_states,
+    assign_targets,
     detect_formations,
     plan_move,
     state_by_index,
@@ -105,7 +104,6 @@ class Decision:
 class ScheduleRound:
     positions: np.ndarray
     roles: tuple[str, ...]
-    drops: tuple[tuple[float, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -149,8 +147,11 @@ _PLAN_CACHE: dict[tuple, Plan] = {}
 
 
 def build_plan(pattern, c: float = DEFAULT_C) -> Plan:
-    """Everything the protocol derives from the pattern (memoized)."""
-    pts = normalize(pattern if isinstance(pattern, Pattern) else Pattern(as_points(pattern))).points
+    """Everything the protocol derives from the pattern (memoized).
+
+    Raises ValueError when two pattern points coincide.
+    """
+    pts = normalize(pattern)
     key = (pts.round(12).tobytes(), float(c))
     cached = _PLAN_CACHE.get(key)
     if cached is not None:
@@ -164,7 +165,8 @@ def build_plan(pattern, c: float = DEFAULT_C) -> Plan:
 
 def _build_plan(pts: np.ndarray, c0: float) -> Plan:
     n = len(pts)
-    info = symmetricity(Pattern(pts, normalized=True))
+    md = mindist(pts) if n > 1 else 1.0
+    info = symmetricity(pts)
     s = info.sym
     if n > 1 and not unit_disc_connected(pts):
         raise PlanError("pattern must be connected in the unit disc graph")
@@ -184,12 +186,11 @@ def _build_plan(pts: np.ndarray, c0: float) -> Plan:
             keep = norms > TAU_GEOM
             rings.append((pts[orbit[0]], offs[keep], norms[keep], np.argsort(norms[keep])[:8]))
         star = StarPlan(d_max=d_max, kappa0=kappa0, rounds_bound=rounds_bound,
-                        mindist=mindist(pts) if n > 1 else 1.0, rings=tuple(rings))
+                        mindist=md, rings=tuple(rings))
         plan = Plan(pattern=pts, params=params, star=star)
         _build_star_schedule(plan)
         return plan
 
-    md = mindist(pts)
     base = min(1.0 / s, md, 1.0 / math.sqrt(n))
     delta = 0.1
     span = min(2.0 * math.pi / s, math.pi / 3)
@@ -279,16 +280,16 @@ def _build_draw_schedule(plan: Plan) -> list[ScheduleRound]:
         state_pts = state_by_index(plan.grid, size, idx).points(hull)
         drops_now = [path.pattern[i] for i in path.coverage[t]] if t < path.tail_start else []
         pos, roles = _replicate(dropped, state_pts, "formation", s, w)
-        rounds.append(ScheduleRound(pos, roles, tuple(map(tuple, drops_now))))
+        rounds.append(ScheduleRound(pos, roles))
         dropped.extend(drops_now)
 
     inter = intermediate_targets(plan)
     pos, roles = _replicate(dropped, inter, "intermediate", s, w)
-    rounds.append(ScheduleRound(pos, roles, ()))
+    rounds.append(ScheduleRound(pos, roles))
 
     final_drops = [plan.tail_points[i] for i in range(3)]
     pos, roles = _replicate(dropped + final_drops, np.zeros((0, 2)), "dropped", s, w)
-    rounds.append(ScheduleRound(pos, roles, tuple(map(tuple, final_drops))))
+    rounds.append(ScheduleRound(pos, roles))
     return rounds
 
 
@@ -457,11 +458,6 @@ def _find_intermediate(pts, plan: Plan, tol: float):
     return None
 
 
-def classify_phase(view: LocalView, plan: Plan, tol: float = TAU_GEOM) -> Phase:
-    """Which of the four protocol situations the viewing robot is in."""
-    return _classify(view.all_points, plan, tol)[0]
-
-
 def _classify(pts, plan: Plan, tol: float, snapshot_tol=None):
     """(phase, own formation, intermediate decode) for the origin robot."""
     if plan.branch != "draw":
@@ -521,7 +517,8 @@ def _formation_decision(view: LocalView, plan: Plan, det: DetectedFormation) -> 
     if vi == k_last:
         # Ending, first of two rounds: reshape into the epsilon/2-epsilon/3 triple.
         targets = _path_to_view(det.hull, v, intermediate_targets(plan))
-        return Decision(_my_assignment(det, targets), Phase.FORMATION, ("ending-reshape",))
+        me = det.member_indices.index(0)
+        return Decision(assign_targets(det, targets)[me], Phase.FORMATION, ("ending-reshape",))
     move_vec = path.vertices[vi + 1] - v
     drops = path.pattern[list(path.coverage[vi])] if vi < path.tail_start else np.zeros((0, 2))
     size_next, idx_next = path.labels[vi + 1]
@@ -532,21 +529,6 @@ def _formation_decision(view: LocalView, plan: Plan, det: DetectedFormation) -> 
                         next_spec)
     me = det.member_indices.index(0)
     return Decision(targets[me], Phase.FORMATION)
-
-
-def _my_assignment(det: DetectedFormation, targets: np.ndarray) -> np.ndarray:
-    """Canonical member-to-target matching, returning the origin robot's target."""
-    from .formation import _quantize
-
-    hull = det.hull
-    members_loc = _quantize(hull.local(det.members))
-    targets_loc = _quantize(hull.local(targets))
-    m_order = np.lexsort((members_loc[:, 1], members_loc[:, 0]))
-    t_order = np.lexsort((targets_loc[:, 1], targets_loc[:, 0]))
-    assigned = np.empty_like(det.members)
-    assigned[m_order] = targets[t_order]
-    me = det.member_indices.index(0)
-    return assigned[me]
 
 
 def _intermediate_decision(view: LocalView, plan: Plan, inter) -> Decision:
@@ -583,7 +565,7 @@ def assignment_target(points: np.ndarray, self_idx: int, slots: np.ndarray) -> n
     n = len(pts)
     o = np.asarray(smallest_enclosing_circle(pts).center)
     rel = pts - o
-    info = symmetricity(Pattern(rel, normalized=True))
+    info = symmetricity(rel)
     s = info.sym
     w = 2.0 * math.pi / s
     radii = np.hypot(*rel.T)

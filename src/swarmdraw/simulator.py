@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 
 from .geometry import (TAU_GEOM, as_points, match_points, mindist, pairwise_distances,
                        rotation_matrix, smallest_enclosing_circle)
-from .symmetry import Pattern, normalize
+from .symmetry import normalize
 from .formation import check_validity
 from .protocol import (
     Decision,
@@ -132,9 +132,12 @@ def make_local_view(positions, robot: int, rnd: int, cfg: SimConfig) -> LocalVie
 
 def verify_pattern(config, pattern, tol: float = 1e-6):
     """(formed, alignment, max_error): congruence of a configuration with the
-    pattern up to rotation and translation."""
+    pattern up to rotation and translation.  The pattern's points must be
+    distinct."""
     pts = as_points(config)
-    target = normalize(Pattern(as_points(pattern))).points
+    target = normalize(pattern)
+    if len(target) > 1:
+        mindist(target)
     if len(pts) != len(target):
         raise ValueError("configuration and pattern sizes differ")
     return _verify(pts, target, tol, want_error=True)
@@ -245,13 +248,6 @@ _ROLE_TO_PHASE = {
 }
 
 
-def ground_truth_phase(trace: Trace, robot: int, rnd: int) -> str | None:
-    """Omniscient phase label recorded during a run (None if unavailable)."""
-    if rnd >= len(trace.gt_phases) or trace.gt_phases[rnd] is None:
-        return None
-    return trace.gt_phases[rnd][robot]
-
-
 def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
     """Run the synchronous protocol until the plan's pattern is formed.
 
@@ -274,6 +270,8 @@ def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
         raise ValueError("noise_mu must be a nonnegative number")
     if cfg.max_rounds < 0:
         raise ValueError("max_rounds must be nonnegative")
+    if cfg.frame_mode not in ("random", "fixed"):
+        raise ValueError(f"frame_mode must be 'random' or 'fixed', got {cfg.frame_mode!r}")
     plan = plan if isinstance(plan, Plan) else build_plan(plan)
     positions = as_points(initial).copy()
     n = len(positions)

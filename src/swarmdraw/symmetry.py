@@ -19,30 +19,10 @@ from .geometry import (
     TAU_GEOM,
     as_points,
     match_points,
-    pairwise_distances,
     polar_angle,
     rotate,
     smallest_enclosing_circle,
 )
-
-
-@dataclass(frozen=True)
-class Pattern:
-    points: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        pts = as_points(self.points)
-        if len(pts) >= 2:
-            d = pairwise_distances(pts)
-            np.fill_diagonal(d, np.inf)
-            if d.min() <= TAU_GEOM:
-                raise ValueError("pattern points must be distinct")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -51,20 +31,11 @@ class SymmetryInfo:
     orbit_partition: list[list[int]] = field(default_factory=list)
 
 
-def normalize(pattern: Pattern | np.ndarray) -> Pattern:
-    """Translate so the smallest enclosing circle is centered at the origin."""
-    pts = pattern.points if isinstance(pattern, Pattern) else as_points(pattern)
-    sec = smallest_enclosing_circle(pts)
-    shifted = pts - np.asarray(sec.center)
-    return Pattern(shifted, normalized=True)
-
-
-def _require_normalized(pattern: Pattern) -> np.ndarray:
-    pts = pattern.points if isinstance(pattern, Pattern) else as_points(pattern)
-    sec = smallest_enclosing_circle(pts)
-    if math.hypot(*sec.center) > 1e-7:
-        raise ValueError("pattern must be normalized (SEC centered at origin)")
-    return pts
+def normalize(points) -> np.ndarray:
+    """The (n, 2) array of points translated so that their smallest enclosing
+    circle is centered at the origin."""
+    pts = as_points(points)
+    return pts - np.asarray(smallest_enclosing_circle(pts).center)
 
 
 def rotation_orbits(points, m: int, tol: float = TAU_GEOM) -> list[list[int]] | None:
@@ -100,9 +71,11 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def symmetricity(pattern: Pattern | np.ndarray) -> SymmetryInfo:
-    """Largest m admitting an m-regular partition, with its orbit partition."""
-    pts = _require_normalized(pattern if isinstance(pattern, Pattern) else Pattern(as_points(pattern)))
+def symmetricity(points) -> SymmetryInfo:
+    """Largest m admitting an m-regular partition of the (n, 2) array of
+    points about its smallest enclosing circle's center, with the orbit
+    partition as lists of row indices."""
+    pts = normalize(points)
     n = len(pts)
     radii = np.hypot(pts[:, 0], pts[:, 1])
     singletons = [[i] for i in range(n)]
@@ -157,17 +130,9 @@ def cone_index(p, s: int) -> int:
     return k + 1
 
 
-def component_indices(pattern: Pattern | np.ndarray, i: int, sym: int) -> np.ndarray:
-    """Indices of the pattern points lying in the i-th cone."""
-    pts = pattern.points if isinstance(pattern, Pattern) else as_points(pattern)
+def component_indices(points, i: int, sym: int) -> np.ndarray:
+    """Indices of the points lying in the i-th cone."""
+    pts = as_points(points)
     if not 1 <= i <= sym:
         raise ValueError(f"component index {i} out of range 1..{sym}")
     return np.array([j for j, p in enumerate(pts) if cone_index(p, sym) == i], dtype=int)
-
-
-def symmetric_component(pattern: Pattern | np.ndarray, i: int, sym: int | None = None) -> np.ndarray:
-    """Points of the i-th symmetric component."""
-    pts = pattern.points if isinstance(pattern, Pattern) else as_points(pattern)
-    if sym is None:
-        sym = symmetricity(Pattern(pts)).sym
-    return pts[component_indices(pts, i, sym)]

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from swarmdraw.geometry import mindist, rotate, unit_disc_connected
-from swarmdraw.symmetry import Pattern, normalize, symmetricity
+from swarmdraw.symmetry import normalize, symmetricity
 
 
 def random_connected_pattern(n: int, seed: int, min_sep: float = 0.16,
@@ -56,7 +56,7 @@ def symmetric_pattern(s: int, comp_size: int, seed: int) -> np.ndarray:
         else:
             raise AssertionError(f"could not grow symmetric component ({s}, {comp_size}, {seed})")
     pts = np.vstack([rotate(np.stack(comp), k * alpha) for k in range(s)])
-    info = symmetricity(normalize(Pattern(pts)))
+    info = symmetricity(pts)
     assert info.sym == s, f"constructed symmetricity {info.sym} != {s}"
     assert unit_disc_connected(pts)
     return pts

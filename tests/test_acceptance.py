@@ -16,7 +16,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from swarmdraw.geometry import TAU_GEOM, from_polar, mindist, rotate
-from swarmdraw.symmetry import Pattern, normalize, symmetricity
+from swarmdraw.symmetry import normalize, symmetricity
 from swarmdraw.formation import count_states, grid_spec
 from swarmdraw.pathing import check_compatibility, cone_boundary_distance, build_drawing_path
 from swarmdraw.protocol import build_plan
@@ -79,14 +79,14 @@ def test_criterion_2_symmetricity_oracle_equivalence():
         s = [1, 2, 3, 4, 6][i % 5]
         if s == 1:
             n = int(rng.integers(4, 37))
-            pts = normalize(Pattern(rng.uniform(-2, 2, (n, 2)))).points
+            pts = normalize(rng.uniform(-2, 2, (n, 2)))
         else:
             m = int(rng.integers(3, 1 + min(6, 36 // s)))
-            pts = normalize(Pattern(corpus.symmetric_pattern(s, m, seed=9000 + i))).points
+            pts = normalize(corpus.symmetric_pattern(s, m, seed=9000 + i))
         cases.append((s, pts))
     mismatches = 0
     for s, pts in cases:
-        got = symmetricity(Pattern(pts, normalized=True)).sym
+        got = symmetricity(pts).sym
         want = oracle_symmetricity(pts)
         if got != want or got != s:
             mismatches += 1

@@ -54,6 +54,13 @@ def test_analyze_duplicate_points(tmp_path):
     assert main(["analyze", f]) == 2
 
 
+def test_analyze_pattern_not_an_object(tmp_path, capsys):
+    f = tmp_path / "list.json"
+    f.write_text("[[0, 0], [1, 0]]")
+    assert main(["analyze", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_plan_export(pattern_file, tmp_path, capsys):
     out = tmp_path / "plan.json"
     assert main(["plan", pattern_file, "--out", str(out)]) == 0
@@ -96,6 +103,13 @@ def test_simulate_seed_invariance(pattern_file, capsys):
 def test_simulate_from_near_gathering(pattern_file, tmp_path, capsys):
     ng = write_pattern(tmp_path / "start.json", near_gathering(8, seed=2))
     assert main(["simulate", pattern_file, "--from", ng, "--max-rounds", "200"]) == 0
+
+
+def test_simulate_from_not_an_object(pattern_file, tmp_path, capsys):
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps(near_gathering(8, seed=2).tolist()))
+    assert main(["simulate", pattern_file, "--from", str(start)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_simulate_rejects_spread_start(pattern_file, tmp_path, capsys):
@@ -163,6 +177,13 @@ def test_render_deterministic_bytes(pattern_file, tmp_path, capsys):
 def test_render_unreadable_trace(tmp_path):
     missing = tmp_path / "nope.jsonl"
     assert main(["render", str(missing), "--out", str(tmp_path / "f")]) == 2
+
+
+def test_render_malformed_round_record(tmp_path, capsys):
+    trace = tmp_path / "bad.jsonl"
+    trace.write_text('{"round": 0}\n{"verdict": "formed"}\n')
+    assert main(["render", str(trace), "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_env_seed_default(pattern_file, tmp_path, monkeypatch, capsys):

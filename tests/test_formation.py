@@ -12,7 +12,6 @@ from swarmdraw.formation import (
     check_validity,
     count_states,
     detect_formations,
-    epsilon_locations,
     grid_spec,
     index_of_state,
     plan_move,
@@ -47,9 +46,15 @@ def scan_locations(hull, eps):
     return np.array(out)
 
 
+def grid_locations(hull, eps):
+    """The grid's anchor and cells, in id order, placed in the hull."""
+    grid = grid_spec(hull.diameter, eps, hull.span)
+    return hull.to_global(np.stack([grid.cell_local(c) for c in range(grid.locations)]))
+
+
 def test_epsilon_locations_match_scan():
     hull = make_hull()
-    got = epsilon_locations(hull, 0.04)
+    got = grid_locations(hull, 0.04)
     want = scan_locations(hull, 0.04)
     assert len(got) == len(want)
     got_s = sorted(map(tuple, np.round(got, 9)))
@@ -59,21 +64,21 @@ def test_epsilon_locations_match_scan():
 
 def test_epsilon_locations_half_diameter():
     hull = make_hull()
-    got = epsilon_locations(hull, 0.05)
+    got = grid_locations(hull, 0.05)
     assert len(got) == 2  # anchor plus the single cell at anchor + eps*d
 
 
 def test_epsilon_locations_rotated_hull_equivariant():
     base = make_hull()
     rot = make_hull(direction=(math.cos(0.5236), math.sin(0.5236)))
-    a = epsilon_locations(base, 0.02)
-    b = epsilon_locations(rot, 0.02)
+    a = grid_locations(base, 0.02)
+    b = grid_locations(rot, 0.02)
     assert np.allclose(rotate(a, 0.5236), b, atol=1e-9)
 
 
 def test_epsilon_locations_eps_too_large():
     with pytest.raises(FormationError):
-        epsilon_locations(make_hull(), 0.1)
+        FormationParams(0.1, 0.1, SPAN)
 
 
 def brute_force_axis_count(delta, eps):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from swarmdraw.geometry import dist, from_polar, mindist, rotate, unit_disc_connected
-from swarmdraw.symmetry import Pattern, cone_index, normalize
+from swarmdraw.symmetry import cone_index, normalize
 from swarmdraw.pathing import (
     DrawingPath,
     PathConstructionError,
@@ -103,7 +103,7 @@ def test_triple_rotation_sym1():
 def test_triple_rotation_two_armed_spiral():
     arm = np.array([[0.5 + 0.6 * t, 0.25 + 0.12 * t] for t in range(5)])
     pts = np.vstack([arm, rotate(arm, math.pi)])
-    pts = normalize(Pattern(pts)).points
+    pts = normalize(pts)
     theta, trip = find_connected_triple_rotation(pts, 2)
     rotated = rotate(pts, theta)
     tp = rotated[list(trip)]
@@ -117,7 +117,7 @@ def test_triple_rotation_hexagonal_rings():
     rings = []
     for r in (1.0, 1.8, 2.6):
         rings.append(np.stack([from_polar(r, k * math.pi / 3 + 0.2) for k in range(6)]))
-    pts = normalize(Pattern(np.vstack(rings))).points
+    pts = normalize(np.vstack(rings))
     theta, trip = find_connected_triple_rotation(pts, 6)
     rotated = rotate(pts, theta)
     tp = rotated[list(trip)]
@@ -148,7 +148,7 @@ def test_tail_chain_of_four():
 
 def test_tail_margin_respected():
     comp_pts = symmetric_pattern(4, 4, seed=5)
-    pts = normalize(Pattern(comp_pts)).points
+    pts = normalize(comp_pts)
     theta, _ = find_connected_triple_rotation(pts, 4)
     rotated = rotate(pts, theta)
     comp = rotated[[i for i, p in enumerate(rotated) if cone_index(p, 4) == 1]]

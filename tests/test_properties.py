@@ -19,7 +19,7 @@ from swarmdraw.formation import (
 )
 from swarmdraw.geometry import match_points, rotate, smallest_enclosing_circle
 from swarmdraw.protocol import Phase, build_plan, fit_isometry, robot_decision
-from swarmdraw.symmetry import Pattern, normalize, symmetricity
+from swarmdraw.symmetry import normalize, symmetricity
 
 from corpus import near_gathering, random_connected_pattern
 from test_geometry import _brute_force_sec
@@ -73,12 +73,12 @@ def test_symmetricity_orbits_are_rotation_cycles(m, phases, theta, shift):
     pts = np.vstack([rotate(np.stack(base), k * w) for k in range(m)])
     pts = rotate(pts, theta) + np.asarray(shift)
 
-    info = symmetricity(normalize(Pattern(pts)))
+    info = symmetricity(pts)
     assert info.sym == m
     orbits = info.orbit_partition
     assert sorted(i for orbit in orbits for i in orbit) == list(range(len(pts)))
     assert all(len(orbit) == m for orbit in orbits)
-    centered = normalize(Pattern(pts)).points
+    centered = normalize(pts)
     for orbit in orbits:
         turned = rotate(centered[orbit], w)
         assert np.abs(turned - centered[np.roll(orbit, -1)]).max() <= 1e-9

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from swarmdraw.geometry import dist, from_polar, mindist, rotate, rotation_matrix, unit
-from swarmdraw.symmetry import Pattern, normalize, symmetricity
+from swarmdraw.symmetry import normalize, symmetricity
 from swarmdraw.formation import (
     DrawingHull,
     FormationParams,
@@ -20,7 +20,6 @@ from swarmdraw.protocol import (
     Phase,
     _own_formation,
     build_plan,
-    classify_phase,
     intermediate_targets,
     robot_decision,
 )
@@ -54,7 +53,7 @@ def test_derive_params_span_choice():
 def test_derive_params_epsilon_formula():
     pts = random_connected_pattern(12, seed=5)
     params = build_plan(pts).params
-    base = min(1.0, mindist(normalize(Pattern(pts)).points), 1.0 / math.sqrt(12))
+    base = min(1.0, mindist(normalize(pts)), 1.0 / math.sqrt(12))
     assert params.epsilon == pytest.approx(params.c * base)
     assert params.epsilon < params.delta / 3
     assert params.delta == 0.1
@@ -86,7 +85,15 @@ def test_initial_pattern_anchor_sym1():
     anchor = from_polar(0.2, math.pi)
     assert min(dist(p, anchor) for p in initial) <= 1e-9
     assert len(initial) == 9
-    assert np.allclose(initial, plan.initial)
+    # All nine robots form one formation in state 1, anchored at polar
+    # (2 * delta, pi) and pointing along +x.
+    dets = detect_formations(initial, plan.fparams)
+    assert len(dets) == 1
+    (det,) = dets
+    assert det.size == 9
+    assert (det.size, det.state_index) == plan.path.labels[0] == (9, 1)
+    assert np.allclose(det.hull.anchor, from_polar(2 * plan.params.delta, math.pi), atol=1e-12)
+    assert np.allclose(det.hull.direction, [1.0, 0.0], atol=1e-12)
 
 
 def test_initial_pattern_sym4():
@@ -105,7 +112,7 @@ def test_initial_pattern_symmetricity_round_trip():
     for s, m, seed in [(2, 4, 11), (3, 3, 12), (4, 4, 13)]:
         pts = symmetric_pattern(s, m, seed=seed)
         plan = build_plan(pts)
-        info = symmetricity(normalize(Pattern(plan.initial)))
+        info = symmetricity(plan.initial)
         assert info.sym == s
 
 
@@ -117,7 +124,7 @@ def test_classify_dropped_robot():
     # A robot alone on a pattern coordinate with one far neighbor.
     positions = np.array([[0.0, 0.0], [0.9, 0.0]])
     view = view_from_global(positions, 0)
-    assert classify_phase(view, plan) is Phase.DROPPED
+    assert robot_decision(view, plan).phase is Phase.DROPPED
 
 
 def test_classify_formation_member():
@@ -129,7 +136,7 @@ def test_classify_formation_member():
                        plan.params.span, plan.params.delta)
     members = state_by_index(plan.grid, 5, 3).points(hull)
     view = view_from_global(members, 2, theta=0.7)
-    assert classify_phase(view, plan) is Phase.FORMATION
+    assert robot_decision(view, plan).phase is Phase.FORMATION
 
 
 def test_classify_intermediate_triple():
@@ -137,7 +144,7 @@ def test_classify_intermediate_triple():
     plan = build_plan(pts)
     shape = intermediate_targets(plan)
     view = view_from_global(shape, 1, theta=1.3)
-    assert classify_phase(view, plan) is Phase.INTERMEDIATE
+    assert robot_decision(view, plan).phase is Phase.INTERMEDIATE
 
 
 def test_classify_initial_near_gathering():
@@ -145,14 +152,14 @@ def test_classify_initial_near_gathering():
     plan = build_plan(pts)
     config = near_gathering(10, seed=3)
     view = view_from_global(config, 4)
-    assert classify_phase(view, plan) is Phase.INITIAL
+    assert robot_decision(view, plan).phase is Phase.INITIAL
 
 
 def test_classify_initial_pattern_is_not_initial_phase():
     pts = random_connected_pattern(10, seed=14)
     plan = build_plan(pts)
     view = view_from_global(plan.initial, 0)
-    assert classify_phase(view, plan) is Phase.FORMATION
+    assert robot_decision(view, plan).phase is Phase.FORMATION
 
 
 def _own_formation_full_view(pts, fparams):
@@ -355,7 +362,7 @@ def test_symmetric_near_gathering_assignment_respects_orbits():
     rng = np.random.default_rng(10)
     seeds = rng.uniform(-0.15, 0.15, (3, 2)) + np.array([0.25, 0.1])
     config = np.vstack([rotate(seeds, k * 2 * math.pi / 3) for k in range(3)])
-    info = symmetricity(normalize(Pattern(config)))
+    info = symmetricity(config)
     assert info.sym == 3
     cfg = SimConfig(seed=0, frame_mode="fixed")
     targets = np.empty_like(config)

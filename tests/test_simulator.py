@@ -11,7 +11,6 @@ from swarmdraw.simulator import (
     SimConfig,
     _ROLE_TO_PHASE,
     drift_tolerance,
-    ground_truth_phase,
     make_local_view,
     run_fsync,
     verify_pattern,
@@ -88,6 +87,13 @@ def test_fixed_frame_mode_matches_random(small_plan):
         assert np.abs(a.positions - b.positions).max() <= 1e-9
 
 
+@pytest.mark.parametrize("mode", ["Random", "rotated", ""])
+def test_unknown_frame_mode_rejected(small_plan, mode):
+    """A misspelt frame mode must not silently run every robot in a fixed frame."""
+    with pytest.raises(ValueError, match="frame_mode"):
+        run_fsync(small_plan.initial, small_plan, SimConfig(frame_mode=mode, max_rounds=1))
+
+
 def test_displacements_and_collisions(small_plan):
     trace = run_fsync(small_plan.initial, small_plan,
                       SimConfig(seed=0, max_rounds=small_plan.hops + 5))
@@ -119,7 +125,7 @@ def test_ground_truth_matches_classification(small_plan):
     assert not trace.diverged
     for r, rec in enumerate(trace.rounds):
         for i in range(len(rec.phases)):
-            gt = ground_truth_phase(trace, i, r)
+            gt = trace.gt_phases[r][i]
             assert gt is not None
             assert rec.phases[i] == _ROLE_TO_PHASE.get(gt, gt)
 
@@ -189,7 +195,7 @@ def test_noisy_run_is_not_misread_as_near_gathering(main_corpus):
         assert "initial-near-gathering" not in rec.phases, rec.round
     # The ground truth follows the drifted run instead of giving up on it.
     assert not trace.diverged
-    assert all(ground_truth_phase(trace, 0, r) is not None for r in range(len(trace.rounds)))
+    assert all(trace.gt_phases[r][0] is not None for r in range(len(trace.rounds)))
 
 
 def test_noisy_small_pattern_stays_formed(main_corpus):

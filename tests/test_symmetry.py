@@ -6,13 +6,13 @@ from scipy.spatial import cKDTree
 
 from swarmdraw.geometry import from_polar, rotate, smallest_enclosing_circle
 from swarmdraw.symmetry import (
-    Pattern,
     cone_index,
     component_indices,
     normalize,
-    symmetric_component,
     symmetricity,
 )
+from swarmdraw.protocol import build_plan
+from swarmdraw.simulator import SimConfig, run_fsync, verify_pattern
 
 from corpus import symmetric_pattern
 
@@ -33,39 +33,47 @@ def oracle_symmetricity(points: np.ndarray, tol: float = 1e-9) -> int:
 
 
 def test_normalize_pair():
-    pat = normalize(Pattern(np.array([[1.0, 0.0], [3.0, 0.0]])))
-    assert np.allclose(pat.points, [[-1, 0], [1, 0]])
+    assert np.allclose(normalize(np.array([[1.0, 0.0], [3.0, 0.0]])), [[-1, 0], [1, 0]])
 
 
 def test_normalize_idempotent_on_centered_square():
     square = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
-    assert np.allclose(normalize(Pattern(square)).points, square)
+    assert np.allclose(normalize(square), square)
 
 
 def test_normalize_centers_sec():
     rng = np.random.default_rng(0)
     for _ in range(10):
         pts = rng.uniform(-4, 4, (15, 2))
-        out = normalize(Pattern(pts)).points
+        out = normalize(pts)
         c = smallest_enclosing_circle(out)
         assert math.hypot(*c.center) < 1e-9
 
 
 def test_duplicate_points_rejected():
-    with pytest.raises(ValueError):
-        Pattern(np.array([[0.0, 0.0], [0.0, 0.0]]))
+    """Coincident pattern points are rejected where a pattern enters the package."""
+    pts = symmetric_pattern(2, 3, seed=5)
+    dup = np.vstack([pts, pts[:1]])
+    with pytest.raises(ValueError, match="duplicate"):
+        build_plan(dup)
+    plan = build_plan(pts)
+    start = np.vstack([plan.initial, [[5.0, 5.0]]])
+    with pytest.raises(ValueError, match="duplicate"):
+        run_fsync(start, dup, SimConfig(max_rounds=0))
+    with pytest.raises(ValueError, match="duplicate"):
+        verify_pattern(start, dup)
 
 
 def test_symmetricity_regular_square():
     square = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
-    info = symmetricity(Pattern(square, normalized=True))
+    info = symmetricity(square)
     assert info.sym == 4
     assert sorted(sum(info.orbit_partition, [])) == [0, 1, 2, 3]
 
 
 def test_symmetricity_center_point_breaks_symmetry():
     pts = np.array([[1, 0], [0, 1], [-1, 0], [0, -1], [0, 0]], dtype=float)
-    assert symmetricity(Pattern(pts, normalized=True)).sym == 1
+    assert symmetricity(pts).sym == 1
 
 
 def test_symmetricity_matches_oracle_on_constructed_patterns():
@@ -74,27 +82,27 @@ def test_symmetricity_matches_oracle_on_constructed_patterns():
         m = 3 + (i % 3)
         if s == 1:
             rng = np.random.default_rng(500 + i)
-            pts = normalize(Pattern(rng.uniform(-2, 2, (3 * m, 2)))).points
+            pts = normalize(rng.uniform(-2, 2, (3 * m, 2)))
         else:
-            pts = normalize(Pattern(symmetric_pattern(s, m, seed=600 + i))).points
+            pts = normalize(symmetric_pattern(s, m, seed=600 + i))
         cases.append((s, pts))
     assert len(cases) == 40
     for s, pts in cases:
-        info = symmetricity(Pattern(pts, normalized=True))
+        info = symmetricity(pts)
         assert info.sym == oracle_symmetricity(pts) == s
 
 
 def test_symmetricity_rotation_invariant():
-    pts = normalize(Pattern(symmetric_pattern(3, 4, seed=42))).points
+    pts = normalize(symmetric_pattern(3, 4, seed=42))
     rng = np.random.default_rng(7)
     for _ in range(100):
         rotated = rotate(pts, rng.uniform(0, 2 * math.pi))
-        assert symmetricity(Pattern(rotated, normalized=True)).sym == 3
+        assert symmetricity(rotated).sym == 3
 
 
 def test_symmetricity_witness_rotation():
-    pts = normalize(Pattern(symmetric_pattern(4, 3, seed=9))).points
-    s = symmetricity(Pattern(pts, normalized=True)).sym
+    pts = normalize(symmetric_pattern(4, 3, seed=9))
+    s = symmetricity(pts).sym
     tree = cKDTree(pts)
     dd, _ = tree.query(rotate(pts, 2 * math.pi / s))
     assert dd.max() <= 1e-9
@@ -124,18 +132,18 @@ def test_cone_boundary_point_belongs_to_lower_edge_cone():
 
 def test_symmetric_component_hexagon():
     hexagon = np.stack([from_polar(1.0, k * math.pi / 3 + 0.1) for k in range(6)])
-    comp = symmetric_component(hexagon, 1, sym=6)
+    comp = hexagon[component_indices(hexagon, 1, 6)]
     assert len(comp) == 1
 
 
 def test_symmetric_component_sym1_is_whole_pattern():
     rng = np.random.default_rng(11)
-    pts = normalize(Pattern(rng.uniform(-1, 1, (7, 2)))).points
-    assert len(symmetric_component(pts, 1, sym=1)) == 7
+    pts = normalize(rng.uniform(-1, 1, (7, 2)))
+    assert len(pts[component_indices(pts, 1, 1)]) == 7
 
 
 def test_components_partition_pattern():
-    pts = normalize(Pattern(symmetric_pattern(4, 4, seed=21))).points
+    pts = normalize(symmetric_pattern(4, 4, seed=21))
     seen = []
     for i in range(1, 5):
         idx = component_indices(pts, i, 4)
