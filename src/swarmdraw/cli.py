@@ -33,7 +33,10 @@ def load_pattern(filename) -> np.ndarray:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError('pattern file must hold a JSON object {"points": [[x, y], ...]}')
-    pts = np.asarray(data["points"], dtype=float)
+    try:
+        pts = np.asarray(data["points"], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"pattern points must be [x, y] numbers: {exc}") from exc
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
         raise ValueError("pattern file must hold a nonempty list of [x, y] points")
     if not np.all(np.isfinite(pts)):

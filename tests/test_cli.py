@@ -54,9 +54,11 @@ def test_analyze_duplicate_points(tmp_path):
     assert main(["analyze", f]) == 2
 
 
-def test_analyze_pattern_not_an_object(tmp_path, capsys):
-    f = tmp_path / "list.json"
-    f.write_text("[[0, 0], [1, 0]]")
+@pytest.mark.parametrize("text", ["[[0, 0], [1, 0]]", '{"points": [{"x": 0}, {"x": 1}]}'],
+                         ids=["top-level-list", "point-objects"])
+def test_analyze_pattern_not_an_object(tmp_path, capsys, text):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
     assert main(["analyze", str(f)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 

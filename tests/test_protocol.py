@@ -90,7 +90,6 @@ def test_initial_pattern_anchor_sym1():
     dets = detect_formations(initial, plan.fparams)
     assert len(dets) == 1
     (det,) = dets
-    assert det.size == 9
     assert (det.size, det.state_index) == plan.path.labels[0] == (9, 1)
     assert np.allclose(det.hull.anchor, from_polar(2 * plan.params.delta, math.pi), atol=1e-12)
     assert np.allclose(det.hull.direction, [1.0, 0.0], atol=1e-12)
