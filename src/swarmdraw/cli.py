@@ -28,19 +28,25 @@ EXIT_DISCONNECTED = 3
 EXIT_ABORTED = 4
 
 
+def point_list(value, what: str) -> np.ndarray:
+    """value as a nonempty (n, 2) array of finite coordinates, else ValueError."""
+    try:
+        pts = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must be [x, y] numbers: {exc}") from exc
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+        raise ValueError(f"{what} must be a nonempty list of [x, y] points")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(f"{what} coordinates must be finite")
+    return pts
+
+
 def load_pattern(filename) -> np.ndarray:
     with open(filename, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError('pattern file must hold a JSON object {"points": [[x, y], ...]}')
-    try:
-        pts = np.asarray(data["points"], dtype=float)
-    except TypeError as exc:
-        raise ValueError(f"pattern points must be [x, y] numbers: {exc}") from exc
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-        raise ValueError("pattern file must hold a nonempty list of [x, y] points")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("pattern coordinates must be finite")
+    pts = point_list(data["points"], "pattern points")
     if len(pts) > 1:
         mindist(pts)
     return pts
@@ -111,10 +117,7 @@ def cmd_simulate(args) -> int:
         return EXIT_INVALID
 
     if args.source == "initial-pattern":
-        if plan.branch == "draw":
-            initial = plan.initial
-        else:
-            initial = plan.star.kappa0 * plan.pattern
+        initial = plan.initial if plan.branch == "draw" else plan.star.kappa0 * plan.pattern
     else:
         try:
             initial = load_pattern(args.source)
@@ -163,16 +166,18 @@ def cmd_render(args) -> int:
                     records.append(json.loads(line))
         if not records or not isinstance(records[-1], dict) or "verdict" not in records[-1]:
             raise ValueError("trace has no final record")
-        if not all(isinstance(rec, dict) and {"round", "positions"} <= rec.keys()
-                   for rec in records[:-1]):
-            raise ValueError("every round record needs 'round' and 'positions'")
+        final = records[-1]
+        rounds = records[:-1]
+        for rec in rounds:
+            if not (isinstance(rec, dict) and {"round", "positions"} <= rec.keys()
+                    and type(rec["round"]) is int):
+                raise ValueError("every round record needs an integer 'round' and 'positions'")
+            rec["positions"] = point_list(rec["positions"], f"round {rec['round']} positions")
+        pattern, path_vertices = (point_list(final[key], key) if key in final
+                                  else np.zeros((0, 2)) for key in ("pattern", "path_vertices"))
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    final = records[-1]
-    rounds = records[:-1]
-    pattern = final.get("pattern", [])
-    path_vertices = final.get("path_vertices", [])
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -189,13 +194,11 @@ def cmd_render(args) -> int:
 def render_frame(record: dict, pattern, path_vertices) -> str:
     """One SVG frame: robots as dots, pattern coordinates as crosses, path
     vertices as open circles.  Output is deterministic for a fixed input."""
-    pts = [tuple(p) for p in record["positions"]]
-    everything = pts + [tuple(p) for p in pattern] + [tuple(p) for p in path_vertices]
-    xs = [p[0] for p in everything]
-    ys = [p[1] for p in everything]
+    pts = record["positions"]
+    everything = np.vstack([pts, pattern, path_vertices])
     pad = 0.6
-    x0, x1 = min(xs) - pad, max(xs) + pad
-    y0, y1 = min(ys) - pad, max(ys) + pad
+    x0, y0 = everything.min(axis=0) - pad
+    x1, y1 = everything.max(axis=0) + pad
     width = 640
     scale = width / (x1 - x0)
     height = max(int((y1 - y0) * scale), 64)
@@ -240,7 +243,11 @@ def main(argv=None) -> int:
         prog="swarmdraw",
         description="Pattern formation planner and simulator for oblivious "
                     "robots with viewing range 1")
-    default_seed = int(os.environ.get("SWARMDRAW_SEED", "0"))
+    try:
+        default_seed = int(os.environ.get("SWARMDRAW_SEED", "0"))
+    except ValueError as exc:
+        print(f"error: SWARMDRAW_SEED must be an integer: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="Report symmetricity, parameters, and branch")

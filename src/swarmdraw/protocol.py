@@ -63,6 +63,7 @@ class Phase(str, Enum):
     FORMATION = "in-drawing-formation"
     INTERMEDIATE = "in-intermediate-formation"
     DROPPED = "dropped"
+    STAR = "star"
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class LocalView:
 @dataclass(frozen=True)
 class Decision:
     target: np.ndarray          # movement target in the robot's frame
-    phase: Phase | str
+    phase: Phase
     events: tuple[str, ...] = ()
 
 
@@ -103,7 +104,7 @@ class Decision:
 @dataclass(frozen=True)
 class ScheduleRound:
     positions: np.ndarray
-    roles: tuple[str, ...]
+    roles: tuple[Phase, ...]
 
 
 @dataclass(frozen=True)
@@ -279,28 +280,28 @@ def _build_draw_schedule(plan: Plan) -> list[ScheduleRound]:
         hull = DrawingHull(path.vertices[t], np.array([1.0, 0.0]), params.span, params.delta)
         state_pts = state_by_index(plan.grid, size, idx).points(hull)
         drops_now = [path.pattern[i] for i in path.coverage[t]] if t < path.tail_start else []
-        pos, roles = _replicate(dropped, state_pts, "formation", s, w)
+        pos, roles = _replicate(dropped, state_pts, Phase.FORMATION, s, w)
         rounds.append(ScheduleRound(pos, roles))
         dropped.extend(drops_now)
 
     inter = intermediate_targets(plan)
-    pos, roles = _replicate(dropped, inter, "intermediate", s, w)
+    pos, roles = _replicate(dropped, inter, Phase.INTERMEDIATE, s, w)
     rounds.append(ScheduleRound(pos, roles))
 
     final_drops = [plan.tail_points[i] for i in range(3)]
-    pos, roles = _replicate(dropped + final_drops, np.zeros((0, 2)), "dropped", s, w)
+    pos, roles = _replicate(dropped + final_drops, np.zeros((0, 2)), Phase.DROPPED, s, w)
     rounds.append(ScheduleRound(pos, roles))
     return rounds
 
 
 def _replicate(dropped, active_pts, active_role, s, w):
     blocks = []
-    roles: list[str] = []
+    roles: list[Phase] = []
     for j in range(s):
         rot = rotation_matrix(j * w)
         if dropped:
             blocks.append(np.stack(dropped) @ rot.T)
-            roles += ["dropped"] * len(dropped)
+            roles += [Phase.DROPPED] * len(dropped)
         if len(active_pts):
             blocks.append(np.asarray(active_pts) @ rot.T)
             roles += [active_role] * len(active_pts)
@@ -314,8 +315,7 @@ def _index_snapshots(plan: Plan) -> None:
     for t, rec in enumerate(plan.schedule):
         pos = rec.positions
         if len(pos) and pairwise_distances(pos).max() <= 1.0 + TAU_GEOM:
-            center = np.asarray(smallest_enclosing_circle(pos).center)
-            centered = pos - center
+            centered = pos - pos.mean(axis=0)
             plan.snapshot_ids.append(t)
             plan.snapshot_radii.append(np.sort(np.hypot(*centered.T)))
             plan.snapshot_centered.append(centered)
@@ -326,28 +326,25 @@ def _build_star_schedule(plan: Plan) -> None:
     kappas = [star.kappa0]
     while kappas[-1] < 1.0 - 1e-12:
         kappas.append(min(kappas[-1] + 1.0 / star.d_max, 1.0))
-    plan.schedule = [ScheduleRound(k * plan.pattern, tuple(["star"] * plan.n))
+    plan.schedule = [ScheduleRound(k * plan.pattern, (Phase.STAR,) * plan.n)
                      for k in kappas]
 
 
 # --- congruence fitting ----------------------------------------------------------
 
-def fit_isometry(points, template, tol: float, template_center=None):
+def fit_isometry(points, template, tol: float):
     """Rotation + translation mapping template onto points, or None.
 
-    Centers both sets on their smallest enclosing circles, pairs an extremal
-    point with every same-radius template point to get candidate rotations,
-    and certifies a candidate by an injective nearest-neighbor matching; an
-    exact minimum-cost assignment arbitrates when nearest neighbors collide.
-    template_center is the template's SEC centre when the caller holds it.
+    Centers both sets on their centroids, pairs an extremal point with every
+    same-radius template point to get candidate rotations, and certifies a
+    candidate by an injective nearest-neighbor matching; an exact
+    minimum-cost assignment arbitrates when nearest neighbors collide.
     """
     pts = as_points(points)
     tmpl = as_points(template)
     if len(pts) != len(tmpl):
         raise ValueError("point counts differ")
-    ca = np.asarray(smallest_enclosing_circle(pts).center)
-    cb = (np.asarray(smallest_enclosing_circle(tmpl).center) if template_center is None
-          else template_center)
+    ca, cb = pts.mean(axis=0), tmpl.mean(axis=0)
     got = _fit_centered(pts - ca, tmpl - cb, tol)
     if got is None:
         return None
@@ -357,7 +354,9 @@ def fit_isometry(points, template, tol: float, template_center=None):
 
 
 def _fit_centered(a, b, tol):
-    """Rotation matching two SEC-centered point sets, or None."""
+    """Rotation matching two centroid-centered point sets, or None.  The centroid
+    moves by at most the largest point displacement, so a fit within tol
+    changes the radius of each point by at most 2*tol."""
     n = len(a)
     ra = np.hypot(*a.T)
     rb = np.hypot(*b.T)
@@ -384,8 +383,7 @@ def _matches_snapshot(pts, plan: Plan, tol) -> bool:
     tol is one tolerance for every snapshot, or a sequence holding one per
     entry of plan.snapshot_ids (see ``simulator.drift_tolerance``).
     """
-    center = np.asarray(smallest_enclosing_circle(pts).center)
-    centered = pts - center
+    centered = pts - pts.mean(axis=0)
     radii = np.sort(np.hypot(*centered.T))
     tols = itertools.repeat(tol) if np.isscalar(tol) else tol
     for sradii, scentered, tol_t in zip(plan.snapshot_radii, plan.snapshot_centered, tols):
@@ -643,7 +641,7 @@ def _star_decision(view: LocalView, plan: Plan, tol: float) -> Decision:
     star = plan.star
     n = plan.n
     if n == 1:
-        return Decision(np.zeros(2), "star")
+        return Decision(np.zeros(2), Phase.STAR)
     if len(pts) == n:
         fit = _star_full_fit(pts, plan, tol)
         if fit is None:
@@ -651,25 +649,28 @@ def _star_decision(view: LocalView, plan: Plan, tol: float) -> Decision:
             try:
                 target = assignment_target(pts, 0, star.kappa0 * plan.pattern)
             except AssignmentError as exc:
-                return Decision(np.zeros(2), "star", (f"assignment-failed: {exc}",))
-            return Decision(target, "star")
+                return Decision(np.zeros(2), Phase.INITIAL, (f"assignment-failed: {exc}",))
+            return Decision(target, Phase.INITIAL)
         kappa, center = fit
     else:
         fits = _star_local_fits(pts, plan, tol)
         if len(fits) != 1:
-            return Decision(np.zeros(2), "star",
+            return Decision(np.zeros(2), Phase.STAR,
                             ("ambiguous-scale" if fits else "no-scale-fit",))
         kappa, center = fits[0]
     kappa_next = min(kappa + 1.0 / star.d_max, 1.0) if star.d_max > 0 else 1.0
     if kappa_next <= kappa + 1e-12:
-        return Decision(np.zeros(2), "star")
+        return Decision(np.zeros(2), Phase.STAR)
     target = center * (1.0 - kappa_next / kappa)
-    return Decision(target, "star")
+    return Decision(target, Phase.STAR)
 
 
 def _star_full_fit(pts, plan: Plan, tol: float):
+    """(scale, center) of a full view that is a scaled copy of the pattern.  The
+    pattern's symmetricity is at least 2, so its centroid is its rotation
+    centre, the origin of plan.pattern about which d_max is taken."""
     star = plan.star
-    center = np.asarray(smallest_enclosing_circle(pts).center)
+    center = pts.mean(axis=0)
     rel = pts - center
     r_max = float(np.hypot(*rel.T).max())
     if r_max <= TAU_GEOM or star.d_max <= 0:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import (TAU_GEOM, as_points, match_points, mindist, pairwise_distances,
-                       rotation_matrix, smallest_enclosing_circle)
+                       rotation_matrix)
 from .symmetry import normalize
 from .formation import check_validity
 from .protocol import (
@@ -72,7 +72,7 @@ class Trace:
     max_error: float = math.inf
     alignment: dict | None = None
     diverged: bool = False
-    gt_phases: list[list[str] | None] = field(default_factory=list)
+    gt_phases: list[list[Phase] | None] = field(default_factory=list)
     pattern: np.ndarray | None = None
     path_vertices: np.ndarray | None = None
 
@@ -133,7 +133,9 @@ def make_local_view(positions, robot: int, rnd: int, cfg: SimConfig) -> LocalVie
 def verify_pattern(config, pattern, tol: float = 1e-6):
     """(formed, alignment, max_error): congruence of a configuration with the
     pattern up to rotation and translation.  The pattern's points must be
-    distinct."""
+    distinct and tol a positive finite number."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be a positive finite number")
     pts = as_points(config)
     target = normalize(pattern)
     if len(target) > 1:
@@ -143,8 +145,8 @@ def verify_pattern(config, pattern, tol: float = 1e-6):
     return _verify(pts, target, tol, want_error=True)
 
 
-def _verify(pts, target, tol, target_center=None, want_error=False):
-    fit = fit_isometry(pts, target, tol, target_center)
+def _verify(pts, target, tol, want_error=False):
+    fit = fit_isometry(pts, target, tol)
     if fit is None:
         return False, None, _greedy_error(pts, target) if want_error else math.inf
     theta, translation, _, err = fit
@@ -153,11 +155,11 @@ def _verify(pts, target, tol, target_center=None, want_error=False):
 
 
 def _greedy_error(pts, target) -> float:
-    """Diagnostic lower bound on the alignment error of a failed match."""
-    ca = np.asarray(smallest_enclosing_circle(pts).center)
-    cb = np.asarray(smallest_enclosing_circle(target).center)
-    a = pts - ca
-    b = target - cb
+    """Diagnostic error of a failed match, neither a lower nor an upper bound: the
+    smallest largest nearest-neighbour distance over the rotations aligning the
+    centroid-centred sets' farthest point with some template point."""
+    a = pts - pts.mean(axis=0)
+    b = target - target.mean(axis=0)
     best = math.inf
     ra = np.hypot(*a.T)
     ext = int(np.argmax(ra))
@@ -199,7 +201,7 @@ class _GroundTruth:
         self.transform: tuple[float, np.ndarray] | None = None
         self.diverged = False
 
-    def roles_for(self, positions, rnd: int) -> list[str] | None:
+    def roles_for(self, positions, rnd: int) -> list[Phase] | None:
         if self.diverged or not self.plan.schedule:
             return None
         if self.transform is None:
@@ -219,7 +221,7 @@ class _GroundTruth:
                     break
             if self.transform is None:
                 if rnd == 0:
-                    return ["initial"] * len(positions)
+                    return [Phase.INITIAL] * len(positions)
                 return None
         t = min(max(rnd - self.offset, 0), len(self.plan.schedule) - 1)
         rec = self.plan.schedule[t]
@@ -240,14 +242,6 @@ class _GroundTruth:
         return max(1e-6, drift_tolerance(self.plan, self.noise_mu, rnd))
 
 
-_ROLE_TO_PHASE = {
-    "formation": Phase.FORMATION.value,
-    "intermediate": Phase.INTERMEDIATE.value,
-    "dropped": Phase.DROPPED.value,
-    "star": "star",
-}
-
-
 def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
     """Run the synchronous protocol until the plan's pattern is formed.
 
@@ -266,6 +260,8 @@ def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
     cap keeping "formed" a one-to-one placement on the pattern.  The scaling
     branch has no noise model and rejects noise_mu > 0.
     """
+    if not 0.0 < cfg.tolerance < math.inf:
+        raise ValueError("tolerance must be a positive finite number")
     if not cfg.noise_mu >= 0.0:
         raise ValueError("noise_mu must be a nonnegative number")
     if cfg.max_rounds < 0:
@@ -300,13 +296,12 @@ def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
         tolerance = max(cfg.tolerance, min(drift_tolerance(plan, cfg.noise_mu, plan.hops + 2),
                                            0.45 * mindist(plan.pattern)))
 
-    pattern_center = np.asarray(smallest_enclosing_circle(plan.pattern).center)
     gt = _GroundTruth(plan, cfg.noise_mu)
     trace = Trace(pattern=plan.pattern,
                   path_vertices=plan.path.vertices if plan.path is not None else None)
 
     for rnd in range(cfg.max_rounds + 1):
-        formed, alignment, err = _verify(positions, plan.pattern, tolerance, pattern_center)
+        formed, alignment, err = _verify(positions, plan.pattern, tolerance)
         phases, events, targets = _compute_round(positions, plan, cfg, rnd, detect_tol,
                                                  snapshot_tol)
         trace.gt_phases.append(gt.roles_for(positions, rnd))
@@ -346,18 +341,13 @@ def _compute_round(positions, plan, cfg, rnd, detect_tol, snapshot_tol=None):
         view = make_local_view(positions, i, rnd, cfg)
         decision: Decision = robot_decision(view, plan, tol=detect_tol,
                                             snapshot_tol=snapshot_tol)
-        phase = decision.phase.value if isinstance(decision.phase, Phase) else str(decision.phase)
-        phases.append(phase)
-        for ev in decision.events:
-            events.append({"robot": i, "event": ev})
+        phases.append(decision.phase.value)
+        events.extend({"robot": i, "event": ev} for ev in decision.events)
         # Map the local-frame target back to the global frame.
         t_local = decision.target
         if cfg.frame_mode == "random":
-            rot = rotation_matrix(-_frame_angle(cfg.seed, i, rnd))
-            t_global = positions[i] + rot @ t_local
-        else:
-            t_global = positions[i] + t_local
-        targets[i] = t_global
+            t_local = rotation_matrix(-_frame_angle(cfg.seed, i, rnd)) @ t_local
+        targets[i] = positions[i] + t_local
     return phases, events, targets
 
 

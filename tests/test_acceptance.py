@@ -20,7 +20,7 @@ from swarmdraw.symmetry import normalize, symmetricity
 from swarmdraw.formation import count_states, grid_spec
 from swarmdraw.pathing import check_compatibility, cone_boundary_distance, build_drawing_path
 from swarmdraw.protocol import build_plan
-from swarmdraw.simulator import SimConfig, _ROLE_TO_PHASE, run_fsync, verify_pattern
+from swarmdraw.simulator import SimConfig, run_fsync, verify_pattern
 
 import corpus
 
@@ -180,7 +180,7 @@ def test_criterion_6_phase_distinction(corpus_runs):
                 continue
             for i, phase in enumerate(rec.phases):
                 total += 1
-                if phase == _ROLE_TO_PHASE.get(gt[i], gt[i]):
+                if phase == gt[i]:
                     agree += 1
     ok = total > 0 and agree == total and unavailable == 0
     assert report("criterion 6 (phase distinction)", ok,

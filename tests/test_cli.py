@@ -188,9 +188,31 @@ def test_render_malformed_round_record(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("record, final", [
+    ({"round": 0, "positions": [[1]]}, {}),
+    ({"round": 0, "positions": [[0, 0]]}, {"pattern": [[0]]}),
+    ({"round": "x", "positions": [[0, 0]]}, {}),
+    ({"round": 0, "positions": [[0, None]]}, {}),
+    ({"round": 0, "positions": [[0, 0]]}, {"path_vertices": [[0, 0, 0]]}),
+], ids=["short-position", "short-pattern-point", "round-not-int", "null-coordinate",
+        "long-path-vertex"])
+def test_render_malformed_trace_contents(tmp_path, capsys, record, final):
+    trace = tmp_path / "bad.jsonl"
+    trace.write_text(json.dumps(record) + "\n" + json.dumps({"verdict": "formed", **final}) + "\n")
+    assert main(["render", str(trace), "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list((tmp_path / "f").glob("*.svg"))
+
+
 def test_env_seed_default(pattern_file, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SWARMDRAW_SEED", "777")
     assert main(["simulate", pattern_file, "--max-rounds", "200"]) == 0
+
+
+def test_env_seed_not_an_integer(pattern_file, monkeypatch, capsys):
+    monkeypatch.setenv("SWARMDRAW_SEED", "abc")
+    assert main(["analyze", pattern_file]) == 2
+    assert capsys.readouterr().err.startswith("error: SWARMDRAW_SEED")
 
 
 def test_simulate_noise_above_bound_exit_code(pattern_file, capsys):

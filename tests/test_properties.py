@@ -1,6 +1,6 @@
 """Property tests of the geometry primitives, the shared matcher, the orbit
-walk built on it, the near-gathering assignment and the grid-state
-enumeration."""
+walk built on it, the congruence fit, the near-gathering assignment and the
+grid-state enumeration."""
 
 import math
 
@@ -21,7 +21,7 @@ from swarmdraw.geometry import match_points, rotate, smallest_enclosing_circle
 from swarmdraw.protocol import Phase, build_plan, fit_isometry, robot_decision
 from swarmdraw.symmetry import normalize, symmetricity
 
-from corpus import near_gathering, random_connected_pattern
+from corpus import main_corpus, near_gathering, random_connected_pattern, star_corpus
 from test_geometry import _brute_force_sec
 from test_protocol import view_from_global
 
@@ -120,6 +120,28 @@ def test_sec_agrees_with_brute_force(pts):
     assert abs(circle.radius - slow[2]) <= 1e-9
     assert np.abs(np.subtract(circle.center, slow[:2])).max() <= 1e-9
     assert np.hypot(*(pts - circle.center).T).max() <= circle.radius + 1e-9
+
+
+FIT_TOL = 1e-6
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(main_corpus()[:30] + star_corpus()), st.floats(-math.pi, math.pi),
+       st.tuples(coord, coord), st.data())
+def test_fit_isometry_recovers_a_jittered_rigid_motion(named, theta, shift, data):
+    # Every point is at most FIT_TOL / 4 off a rigid copy of the template, so a
+    # fit within FIT_TOL exists, symmetric templates included.
+    template = named[1]
+    n = len(template)
+    perm = np.asarray(data.draw(st.permutations(range(n))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pts = (rotate(template, theta) + np.asarray(shift))[perm] + jitter(rng, n, FIT_TOL / 4)
+    fit = fit_isometry(pts, template, FIT_TOL)
+    assert fit is not None
+    rot, translation, got, err = fit
+    placed = rotate(template, rot) + translation
+    assert np.hypot(*(pts - placed[got]).T).max() <= FIT_TOL
+    assert err <= FIT_TOL
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

@@ -1,15 +1,15 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from swarmdraw import protocol, simulator
+from swarmdraw import geometry, protocol
 from swarmdraw.geometry import mindist, pairwise_distances, rotate
 from swarmdraw.protocol import Phase, build_plan, fit_isometry, robot_decision
 from swarmdraw.simulator import (
     SimConfig,
-    _ROLE_TO_PHASE,
     drift_tolerance,
     make_local_view,
     run_fsync,
@@ -127,7 +127,20 @@ def test_ground_truth_matches_classification(small_plan):
         for i in range(len(rec.phases)):
             gt = trace.gt_phases[r][i]
             assert gt is not None
-            assert rec.phases[i] == _ROLE_TO_PHASE.get(gt, gt)
+            assert rec.phases[i] == gt
+
+
+@pytest.mark.parametrize("pts", [random_connected_pattern(10, seed=7), ngon(14, 2.0)],
+                         ids=["draw", "star"])
+def test_ground_truth_matches_a_near_gathering_run(pts):
+    """Round 0 of a near-gathering, before the ground truth locks onto the
+    schedule, reads as the initial phase the robots report."""
+    plan = build_plan(pts)
+    trace = run_fsync(near_gathering(plan.n, seed=5), plan, SimConfig(seed=2, max_rounds=60))
+    assert trace.verdict == "formed" and not trace.diverged
+    assert trace.rounds[0].phases == [Phase.INITIAL.value] * plan.n
+    for r, rec in enumerate(trace.rounds):
+        assert trace.gt_phases[r] == rec.phases, r
 
 
 def test_timeout_verdict(small_plan):
@@ -285,25 +298,28 @@ def test_run_builds_no_second_plan(monkeypatch):
 
 @pytest.mark.parametrize("pts", [random_connected_pattern(10, seed=7), ngon(14, 2.0)],
                          ids=["draw", "star"])
-def test_run_fits_the_pattern_sec_once(monkeypatch, pts):
-    """A run computes the pattern's SEC once for its termination check;
-    verdict, alignment and error equal a fit that recomputes it each round."""
+def test_run_makes_no_sec_call(monkeypatch, pts):
+    """Termination, ground truth and the robots' congruence tests centre on the
+    centroid: a drawing run from the initial cluster and a star run from the
+    scaled start compute no smallest enclosing circle.  Verdict, alignment and
+    error equal a fit of every round."""
     plan = build_plan(pts)
     initial = plan.initial if plan.branch == "draw" else plan.star.kappa0 * plan.pattern
-    pattern_secs = []
-    inner = protocol.smallest_enclosing_circle
+    calls = []
+    inner = geometry.smallest_enclosing_circle
 
     def counting(points):
-        if np.array_equal(points, plan.pattern):
-            pattern_secs.append(1)
+        calls.append(1)
         return inner(points)
 
-    for module in (protocol, simulator):
-        monkeypatch.setattr(module, "smallest_enclosing_circle", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("swarmdraw") and getattr(module, "smallest_enclosing_circle",
+                                                    None) is inner:
+            monkeypatch.setattr(module, "smallest_enclosing_circle", counting)
     cfg = SimConfig(seed=2)
     trace = run_fsync(initial, plan, cfg)
     assert trace.verdict == "formed" and trace.total_rounds > 1
-    assert len(pattern_secs) == 1
+    assert not calls
 
     monkeypatch.undo()
     for rec in trace.rounds[:-1]:
@@ -313,3 +329,11 @@ def test_run_fits_the_pattern_sec_once(monkeypatch, pts):
     assert trace.alignment == {"theta": float(theta), "tx": float(translation[0]),
                                "ty": float(translation[1])}
     assert trace.max_error == err
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, 0.0, math.nan, math.inf])
+def test_tolerance_must_be_positive_and_finite(small_plan, tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        run_fsync(small_plan.initial, small_plan, SimConfig(tolerance=tolerance))
+    with pytest.raises(ValueError, match="tol"):
+        verify_pattern(small_plan.pattern, small_plan.pattern, tol=tolerance)
