@@ -214,6 +214,30 @@ def _circumcircle(p, q, r):
     return (x, y, radius)
 
 
+def triple_sec_radii(tri) -> np.ndarray:
+    """Smallest-enclosing-circle radii of k triangles given as a (k, 3, 2) array.
+
+    A triangle that is not acute (collinear included) is enclosed by the
+    circle on its longest side; an acute one by its circumcircle, of radius
+    abc / (2 |cross|).  The cross product spans the two shorter sides, whose
+    angle is the largest and lies in [60, 90) degrees, so it stays well
+    conditioned.
+    """
+    tri = np.asarray(tri, dtype=float).reshape(-1, 3, 2)
+    e = np.roll(tri, -1, axis=1) - tri                  # e[:, i] = tri[i + 1] - tri[i]
+    sq = (e * e).sum(axis=2)
+    longest = sq.argmax(axis=1)
+    rows = np.arange(len(tri))
+    u = e[rows, (longest + 1) % 3]
+    v = e[rows, (longest + 2) % 3]
+    cross = np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    big = sq[rows, longest]
+    obtuse = (2.0 * big >= sq.sum(axis=1)) | (cross == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        circum = np.sqrt(sq.prod(axis=1)) / (2.0 * cross)
+    return np.where(obtuse, np.sqrt(big) / 2.0, circum)
+
+
 # --- point-set measurements -------------------------------------------------
 
 def mindist(points) -> float:

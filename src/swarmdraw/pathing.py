@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -30,6 +29,7 @@ from .geometry import (
     polar_angle,
     rotate,
     smallest_enclosing_circle,
+    triple_sec_radii,
     unit,
 )
 from .formation import FormationParams, GridSpec, count_states
@@ -222,6 +222,47 @@ def traverse_tree(tree: DrawingTree) -> np.ndarray:
 
 
 # --- connected triple and canonical rotation -----------------------------------
+#
+# Both triple scans rank triples by their smallest enclosing circle.  They rank
+# every triple with the batched closed form first and run the Welzl SEC, whose
+# radius and centre the plan keeps, only on a shortlist within _SEC_SLACK of the
+# cut.  The closed form agrees with Welzl to about 1e-15 on these triangles, far
+# below the slack, and real gaps between radii are far above it, so the
+# shortlist holds every triple that can win and the plans stay the same.
+_SEC_SLACK = 1e-9
+
+
+def _connected_triples(d: np.ndarray) -> np.ndarray:
+    """(b, a, c) for every point b and pair a < c of its unit-disc neighbours.
+
+    ``d`` is the distance matrix with an infinite diagonal.  Rows come in
+    ascending (b, a, c) order as a (k, 3) int array.
+    """
+    adj = d <= 1.0 + TAU_GEOM
+    rows = []
+    for b in range(len(d)):
+        nbrs = np.flatnonzero(adj[b])
+        i, j = np.triu_indices(len(nbrs), 1)
+        rows.append(np.column_stack([np.full(len(i), b), nbrs[i], nbrs[j]]))
+    return np.concatenate(rows)
+
+
+def _representatives(images: np.ndarray, angles: np.ndarray, idx: np.ndarray,
+                     ref: np.ndarray, s: int) -> np.ndarray:
+    """For each idx[t], its rotation image whose angle is closest to ref[t].
+
+    ``images[i, k]`` is the index of point i rotated by k*2*pi/s, or -1.  An
+    image counts within pi/s of the reference angle; -1 marks a point with a
+    missing image or no image in range.
+    """
+    js = images[idx]
+    off = np.abs((angles[js] - ref[:, None] + math.pi) % (2.0 * math.pi) - math.pi)
+    off = np.where(off < math.pi / s - 1e-12, off, math.inf)
+    off[(js < 0).any(axis=1)] = math.inf
+    rows = np.arange(len(js))
+    best = off.argmin(axis=1)
+    return np.where(np.isinf(off[rows, best]), -1, js[rows, best])
+
 
 def find_connected_triple_rotation(points, s: int) -> tuple[float, tuple[int, int, int]]:
     """A rotation placing a unit-disc-connected triple inside the first cone.
@@ -238,47 +279,32 @@ def find_connected_triple_rotation(points, s: int) -> tuple[float, tuple[int, in
         raise ValueError("need at least three points")
     d = pairwise_distances(pts)
     np.fill_diagonal(d, np.inf)
-    tree = cKDTree(pts)
     alpha = 2.0 * math.pi / s
     angles = np.array([polar_angle(p) for p in pts])
 
-    def rotated_index(i: int, k: int) -> int | None:
-        img = rotate(pts[i], k * alpha)
-        dd, j = tree.query(img)
-        return int(j) if dd <= TAU_GEOM else None
+    trips = _connected_triples(d)
+    if s > 1:
+        # images[i, k]: the point at pts[i] rotated by k*alpha, or -1.
+        rotated = np.concatenate([rotate(pts, k * alpha) for k in range(s)])
+        dd, j = cKDTree(pts).query(rotated)
+        images = np.where(dd <= TAU_GEOM, j, -1).reshape(s, n).T
+        b = trips[:, 0]
+        ra = _representatives(images, angles, trips[:, 1], angles[b], s)
+        rc = _representatives(images, angles, trips[:, 2], angles[b], s)
+        keep = (ra >= 0) & (rc >= 0) & (ra != b) & (rc != b) & (ra != rc)
+        trips = np.column_stack([b, ra, rc])[keep]
 
-    def best_representative(i: int, ref_angle: float) -> int | None:
-        # Rotation image of point i whose angle is closest to ref_angle.
-        best = None
-        for k in range(s):
-            j = rotated_index(i, k)
-            if j is None:
-                return None
-            off = (angles[j] - ref_angle + math.pi) % (2.0 * math.pi) - math.pi
-            if abs(off) < math.pi / s - 1e-12 and (best is None or abs(off) < best[0]):
-                best = (abs(off), j)
-        return best[1] if best else None
-
+    radii = triple_sec_radii(pts[trips])
+    small = radii < 0.98 + _SEC_SLACK
+    small &= radii <= radii.min(where=small, initial=math.inf) + _SEC_SLACK
     candidates = []
-    for b in range(n):
-        nbrs = np.nonzero(d[b] <= 1.0 + TAU_GEOM)[0]
-        if len(nbrs) < 2:
+    for trip in trips[small].tolist():
+        tpts = pts[trip]
+        sec = smallest_enclosing_circle(tpts)
+        if sec.radius >= 0.98:
             continue
-        for a, c in combinations(nbrs.tolist(), 2):
-            if s == 1:
-                trip = (b, a, c)
-            else:
-                ra = best_representative(a, angles[b])
-                rc = best_representative(c, angles[b])
-                if ra is None or rc is None or len({b, ra, rc}) != 3:
-                    continue
-                trip = (b, ra, rc)
-            tpts = pts[list(trip)]
-            sec = smallest_enclosing_circle(tpts)
-            if sec.radius >= 0.98:
-                continue
-            key = (round(sec.radius, 12), tuple(sorted(map(tuple, np.round(tpts, 9).tolist()))))
-            candidates.append((key, trip))
+        key = (round(sec.radius, 12), tuple(sorted(map(tuple, np.round(tpts, 9).tolist()))))
+        candidates.append((key, tuple(trip)))
     if not candidates:
         raise ValueError("no connected triple with a small enclosing circle exists")
     candidates.sort(key=lambda kv: kv[0])
@@ -300,8 +326,7 @@ class TailPieces:
     triple: tuple[int, ...]
 
 
-def build_tail(comp_points, s: int, delta: float, margin: float,
-               seed_triples=None) -> TailPieces:
+def build_tail(comp_points, s: int, delta: float, margin: float) -> TailPieces:
     """Find the path ending: z_end with exactly three coordinates in reach.
 
     z_end must see exactly three component coordinates strictly within
@@ -319,7 +344,7 @@ def build_tail(comp_points, s: int, delta: float, margin: float,
     h_out = 0.05                # everything else at least 1 + h_out away
     margin_z = margin + 0.6 * delta
 
-    z_end, triple = _search_z_end(comp, s, h_in, h_out, margin_z, seed_triples)
+    z_end, triple = _search_z_end(comp, s, h_in, h_out, margin_z)
 
     extras = []
     for i in sorted(triple, key=lambda t: tuple(np.round(comp[t], 9))):
@@ -355,23 +380,27 @@ def _corridor_recaptures(z_start, extras, z_end, p4, delta) -> bool:
     return bool((np.hypot(*(pts - p4).T) <= 1.0 - delta + TAU_GEOM).any())
 
 
-def _search_z_end(comp, s, h_in, h_out, margin_z, seed_triples):
-    m = len(comp)
+def _ending_seeds(comp) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The first 40 connected triples by smallest enclosing circle, as (sorted
+    indices, Welzl centre), each index set once."""
     d = pairwise_distances(comp)
     np.fill_diagonal(d, np.inf)
-
-    if seed_triples is None:
-        seed_triples = []
-        for b in range(m):
-            nbrs = np.nonzero(d[b] <= 1.0 + TAU_GEOM)[0]
-            for a, c in combinations(nbrs.tolist(), 2):
-                seed_triples.append((b, a, c))
+    trips = _connected_triples(d)
+    radii = triple_sec_radii(comp[trips])
+    if len(radii) > 40:
+        trips = trips[radii <= np.partition(radii, 39)[39] + _SEC_SLACK]
     scored = []
-    for trip in seed_triples:
-        sec = smallest_enclosing_circle(comp[list(trip)])
+    for trip in trips.tolist():
+        sec = smallest_enclosing_circle(comp[trip])
         scored.append((round(sec.radius, 12), tuple(sorted(trip)), np.asarray(sec.center)))
     scored.sort(key=lambda kv: (kv[0], kv[1]))
+    seeds: dict[tuple[int, ...], np.ndarray] = {}
+    for _, trip, center in scored[:40]:
+        seeds.setdefault(trip, center)
+    return list(seeds.items())
 
+
+def _search_z_end(comp, s, h_in, h_out, margin_z):
     def evaluate(z):
         if cone_boundary_distance(z, s) < margin_z:
             return None
@@ -382,11 +411,7 @@ def _search_z_end(comp, s, h_in, h_out, margin_z, seed_triples):
             return tuple(int(i) for i in inside)
         return None
 
-    seen = set()
-    for _, trip, center in scored[:40]:
-        if trip in seen:
-            continue
-        seen.add(trip)
+    for trip, center in _ending_seeds(comp):
         z0 = clamp_into_cone(center, s, margin_z)
         hit = evaluate(z0)
         if hit is not None:

@@ -20,7 +20,6 @@ from scipy.spatial import cKDTree
 
 from .geometry import (TAU_GEOM, as_points, match_points, mindist, pairwise_distances,
                        rotation_matrix)
-from .symmetry import normalize
 from .formation import check_validity
 from .protocol import (
     Decision,
@@ -132,12 +131,13 @@ def make_local_view(positions, robot: int, rnd: int, cfg: SimConfig) -> LocalVie
 
 def verify_pattern(config, pattern, tol: float = 1e-6):
     """(formed, alignment, max_error): congruence of a configuration with the
-    pattern up to rotation and translation.  The pattern's points must be
-    distinct and tol a positive finite number."""
+    pattern up to rotation and translation.  The alignment maps the pattern as
+    given onto the configuration.  The pattern's points must be distinct and
+    tol a positive finite number."""
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be a positive finite number")
     pts = as_points(config)
-    target = normalize(pattern)
+    target = as_points(pattern)
     if len(target) > 1:
         mindist(target)
     if len(pts) != len(target):

@@ -1,11 +1,17 @@
 import math
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from swarmdraw.geometry import dist, from_polar, mindist, rotate, unit_disc_connected
-from swarmdraw.symmetry import cone_index, normalize
+from swarmdraw import pathing, protocol
+from swarmdraw.geometry import (TAU_GEOM, dist, from_polar, mindist, pairwise_distances,
+                                polar_angle, rotate, smallest_enclosing_circle,
+                                unit_disc_connected)
+from swarmdraw.protocol import build_plan
+from swarmdraw.symmetry import component_indices, cone_index, normalize
 from swarmdraw.pathing import (
     DrawingPath,
     PathConstructionError,
@@ -21,7 +27,7 @@ from swarmdraw.pathing import (
 )
 from swarmdraw.formation import count_states, grid_spec
 
-from corpus import random_connected_pattern, symmetric_pattern
+from corpus import main_corpus, random_connected_pattern, symmetric_pattern, tail_corpus
 
 DELTA = 0.1
 
@@ -157,6 +163,112 @@ def test_tail_margin_respected():
     assert cone_boundary_distance(tail.z_end, 4) > margin
     if tail.z_start is not None:
         assert cone_boundary_distance(tail.z_start, 4) > margin
+
+
+# --- triple scans against the full Welzl reference ------------------------------------
+#
+# The reference scores every unit-disc-connected triple with the Welzl SEC under
+# the planner's ranking keys; the planner ranks by batched radii first and runs
+# Welzl only on a shortlist, and must pick the same triples bit for bit.
+
+def _reference_rotation(pts, s):
+    n = len(pts)
+    d = pairwise_distances(pts)
+    np.fill_diagonal(d, np.inf)
+    tree = cKDTree(pts)
+    alpha = 2.0 * math.pi / s
+    angles = np.array([polar_angle(p) for p in pts])
+
+    def representative(i, ref):
+        best = None
+        for k in range(s):
+            dd, j = tree.query(rotate(pts[i], k * alpha))
+            if dd > TAU_GEOM:
+                return None
+            off = (angles[j] - ref + math.pi) % (2.0 * math.pi) - math.pi
+            if abs(off) < math.pi / s - 1e-12 and (best is None or abs(off) < best[0]):
+                best = (abs(off), int(j))
+        return best[1] if best else None
+
+    candidates = []
+    for b in range(n):
+        for a, c in combinations(np.flatnonzero(d[b] <= 1.0 + TAU_GEOM).tolist(), 2):
+            if s > 1:
+                a, c = representative(a, angles[b]), representative(c, angles[b])
+                if a is None or c is None or len({b, a, c}) != 3:
+                    continue
+            tpts = pts[[b, a, c]]
+            radius = smallest_enclosing_circle(tpts).radius
+            if radius < 0.98:
+                key = (round(radius, 12), sorted(map(tuple, np.round(tpts, 9).tolist())))
+                candidates.append((key, (b, a, c)))
+    _, trip = min(candidates, key=lambda kv: kv[0])
+    offs = [(angles[i] - angles[trip[0]] + math.pi) % (2.0 * math.pi) - math.pi for i in trip]
+    return alpha / 2.0 - (angles[trip[0]] + (min(offs) + max(offs)) / 2.0), trip
+
+
+def _reference_ending_seeds(comp):
+    d = pairwise_distances(comp)
+    np.fill_diagonal(d, np.inf)
+    scored = []
+    for b in range(len(comp)):
+        for a, c in combinations(np.flatnonzero(d[b] <= 1.0 + TAU_GEOM).tolist(), 2):
+            sec = smallest_enclosing_circle(comp[[b, a, c]])
+            scored.append((round(sec.radius, 12), tuple(sorted((b, a, c))),
+                           np.asarray(sec.center)))
+    scored.sort(key=lambda kv: kv[:2])
+    seeds = {}
+    for _, trip, center in scored[:40]:
+        seeds.setdefault(trip, center)
+    return list(seeds.items())
+
+
+# s = 1 at n = 6..60, every symmetric shape (s = 2, 3, 4, 6) and tail-stress blobs.
+_MAIN = main_corpus()
+_SCAN_CASES = [_MAIN[i] for i in (0, 9, 29, 42, 49)] + _MAIN[50:] + tail_corpus()[::3]
+
+
+@pytest.mark.parametrize("named", _SCAN_CASES, ids=[name for name, _ in _SCAN_CASES])
+def test_triple_scans_match_the_full_welzl_reference(monkeypatch, named):
+    params = build_plan(named[1]).params
+    s = params.s_p
+    pts = normalize(named[1])
+    theta, trip = find_connected_triple_rotation(pts, s)
+    assert (theta, trip) == _reference_rotation(pts, s)
+
+    canon = rotate(pts, theta)
+    comp = canon[component_indices(canon, 1, s)]
+    seeds = pathing._ending_seeds(comp)
+    reference = _reference_ending_seeds(comp)
+    assert [t for t, _ in seeds] == [t for t, _ in reference]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(seeds, reference))
+
+    margin = max(params.epsilon, params.delta * max(math.sin(2.0 * math.pi / s), 0.0))
+    tail = build_tail(comp, s, params.delta, margin)
+    monkeypatch.setattr(pathing, "_ending_seeds", _reference_ending_seeds)
+    ref = build_tail(comp, s, params.delta, margin)
+    assert tail.triple == ref.triple
+    assert np.array_equal(tail.z_end, ref.z_end)
+    assert np.array_equal(tail.extras, ref.extras)
+    assert (tail.z_start is None and ref.z_start is None
+            or np.array_equal(tail.z_start, ref.z_start))
+
+
+def test_plan_runs_welzl_only_on_the_shortlists(monkeypatch):
+    """Planning an n = 100 pattern makes at most 200 SEC calls through pathing;
+    scoring every connected triple made 55,540."""
+    calls = []
+    inner = pathing.smallest_enclosing_circle
+
+    def counting(points):
+        calls.append(1)
+        return inner(points)
+
+    monkeypatch.setattr(pathing, "smallest_enclosing_circle", counting)
+    monkeypatch.setattr(protocol, "_PLAN_CACHE", {})
+    plan = build_plan(random_connected_pattern(100, seed=11))
+    assert plan.branch == "draw"
+    assert 0 < len(calls) <= 200
 
 
 # --- coverage, tail, labels ---------------------------------------------------------

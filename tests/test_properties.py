@@ -1,6 +1,6 @@
-"""Property tests of the geometry primitives, the shared matcher, the orbit
-walk built on it, the congruence fit, the near-gathering assignment and the
-grid-state enumeration."""
+"""Property tests of the geometry primitives, the batched triple radii, the
+shared matcher, the orbit walk built on it, the congruence fit, the
+near-gathering assignment and the grid-state enumeration."""
 
 import math
 
@@ -17,7 +17,8 @@ from swarmdraw.formation import (
     state_by_index,
     state_from_cells,
 )
-from swarmdraw.geometry import match_points, rotate, smallest_enclosing_circle
+from swarmdraw.geometry import (match_points, rotate, smallest_enclosing_circle,
+                                triple_sec_radii)
 from swarmdraw.protocol import Phase, build_plan, fit_isometry, robot_decision
 from swarmdraw.symmetry import normalize, symmetricity
 
@@ -120,6 +121,57 @@ def test_sec_agrees_with_brute_force(pts):
     assert abs(circle.radius - slow[2]) <= 1e-9
     assert np.abs(np.subtract(circle.center, slow[:2])).max() <= 1e-9
     assert np.hypot(*(pts - circle.center).T).max() <= circle.radius + 1e-9
+
+
+
+unit_floats = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def triangles(draw):
+    """One triangle of a drawn kind at a drawn scale, anywhere near the origin.
+
+    Returns (triangle, scale).  Collinear triangles sit on integer lattice
+    lines scaled by a power of two, so they are exactly collinear and may
+    repeat a point; near-right ones move the right-angle vertex by 1e-10 of
+    the scale along a leg, either way.
+    """
+    kind = draw(st.sampled_from(
+        ["random", "collinear", "right", "near-right", "isosceles", "equilateral"]))
+    scale = draw(st.floats(1e-3, 10.0))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    u = np.array([math.cos(phi), math.sin(phi)])
+    v = np.array([-u[1], u[0]])
+    offset = scale * np.array([draw(unit_floats), draw(unit_floats)])
+    if kind == "random":
+        tri = scale * np.array([[draw(unit_floats), draw(unit_floats)] for _ in range(3)])
+    elif kind == "collinear":
+        scale = 2.0 ** draw(st.integers(-10, 3))
+        lattice = st.integers(-8, 8)
+        base = np.array([draw(lattice), draw(lattice)], dtype=float)
+        step = np.array([draw(lattice), draw(lattice)], dtype=float)
+        tri = scale * (base + np.outer([draw(lattice) for _ in range(3)], step))
+        return tri, scale
+    elif kind in ("right", "near-right"):
+        legs = scale * np.array([draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 1.0))])
+        tri = np.stack([np.zeros(2), legs[0] * u, legs[1] * v])
+        if kind == "near-right":
+            tri[0] += draw(st.sampled_from([-1e-10, 1e-10])) * scale * u
+    elif kind == "isosceles":
+        half, height = scale * draw(st.floats(0.05, 1.0)), scale * draw(st.floats(0.05, 2.0))
+        tri = np.stack([-half * u, half * u, height * v])
+    else:
+        ang = phi + 2.0 * math.pi * np.arange(3) / 3.0
+        tri = scale * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    return tri + offset, scale
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(triangles(), min_size=1, max_size=6))
+def test_batched_triple_radii_agree_with_welzl(drawn):
+    radii = triple_sec_radii(np.stack([tri for tri, _ in drawn]))
+    for (tri, scale), radius in zip(drawn, radii):
+        assert abs(radius - smallest_enclosing_circle(tri).radius) <= 1e-12 * scale
 
 
 FIT_TOL = 1e-6

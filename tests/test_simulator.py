@@ -177,6 +177,22 @@ def test_verify_pattern_isometry_fuzz():
         assert ok and err <= 1e-8
 
 
+def test_verify_pattern_alignment_is_the_applied_motion():
+    """The alignment maps the pattern as given onto the configuration."""
+    p = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.7], [2.0, 0.3]])
+    rng = np.random.default_rng(8)
+    for pts in (p, rng.uniform(-3, 3, (12, 2))):
+        for theta, shift in ((0.3, (5.0, -2.0)), (-2.4, (-7.5, 0.25))):
+            ok, alignment, err = verify_pattern(rotate(pts, theta) + shift, pts)
+            assert ok and err <= 1e-12
+            assert abs(alignment["theta"] - theta) <= 1e-12
+            assert abs(alignment["tx"] - shift[0]) <= 1e-12
+            assert abs(alignment["ty"] - shift[1]) <= 1e-12
+    ok, alignment, err = verify_pattern(p, p)
+    assert ok and err == 0.0
+    assert alignment == {"theta": 0.0, "tx": 0.0, "ty": 0.0}
+
+
 def test_verify_pattern_size_mismatch():
     with pytest.raises(ValueError):
         verify_pattern(np.zeros((3, 2)), np.zeros((4, 2)) + np.arange(8).reshape(4, 2))
