@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
 # Absolute tolerance for distance / coincidence predicates.
@@ -265,6 +264,8 @@ def match_points(a, b, tol):
     if dd.max() <= tol and len(set(idx.tolist())) == len(a):
         return idx, float(dd.max())
     if dd.max() <= 10 * tol + 1e-9:
+        from scipy.optimize import linear_sum_assignment  # rarely needed; slow to import
+
         cost = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
         rows, cols = linear_sum_assignment(cost)
         err = float(cost[rows, cols].max())

@@ -18,9 +18,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (
     TAU_GEOM,
@@ -107,13 +107,23 @@ class ScheduleRound:
     roles: tuple[Phase, ...]
 
 
+class StarRing(NamedTuple):
+    """One orbit of a star pattern, seen from the orbit's first point q."""
+
+    q: np.ndarray
+    offs: np.ndarray            # nonzero pattern - q
+    norms: np.ndarray           # |offs|
+    nearest8: np.ndarray        # indices of the 8 smallest norms
+    sorted_norms: np.ndarray    # norms in ascending order
+
+
 @dataclass(frozen=True)
 class StarPlan:
     d_max: float
     kappa0: float
     rounds_bound: int
     mindist: float      # mindist(pattern); 1.0 for a single point
-    rings: tuple        # per orbit: (its first point q, nonzero pattern - q, norms, 8 nearest)
+    rings: tuple[StarRing, ...]     # one per orbit
 
 
 @dataclass
@@ -185,7 +195,8 @@ def _build_plan(pts: np.ndarray, c0: float) -> Plan:
             offs = pts - pts[orbit[0]]
             norms = np.hypot(*offs.T)
             keep = norms > TAU_GEOM
-            rings.append((pts[orbit[0]], offs[keep], norms[keep], np.argsort(norms[keep])[:8]))
+            rings.append(StarRing(pts[orbit[0]], offs[keep], norms[keep],
+                                  np.argsort(norms[keep])[:8], np.sort(norms[keep])))
         star = StarPlan(d_max=d_max, kappa0=kappa0, rounds_bound=rounds_bound,
                         mindist=md, rings=tuple(rings))
         plan = Plan(pattern=pts, params=params, star=star)
@@ -428,6 +439,10 @@ def _find_intermediate(pts, plan: Plan, tol: float):
     Returns (indices (r1, r2, r3), rotation theta mapping path frame to the
     view frame) or None.  The role distances epsilon/2 and epsilon/3 differ
     by epsilon/6, so the tolerance is capped well below that gap.
+
+    Only the view within 1.5*epsilon + 2*tol is read, which is exact: r1 is
+    the origin or lies at epsilon/2 or epsilon/3 (within tol) from it, and the
+    isolation check reads only points within epsilon + tol of r1.
     """
     eps = plan.params.epsilon
     tol = min(tol, eps / 16.0)
@@ -435,24 +450,28 @@ def _find_intermediate(pts, plan: Plan, tol: float):
     vk = plan.path.vertices[-1]
     u2 = targets[1] - vk
     u3 = targets[2] - vk
-    n = len(pts)
-    d = pairwise_distances(pts)
-    for r1 in range(n):
+    near = np.nonzero(np.hypot(*pts.T) <= 1.5 * eps + 2 * tol + TAU_GEOM)[0]
+    sub = pts[near]
+    d = pairwise_distances(sub)
+    first = ((np.arange(len(sub)) == 0) | (np.abs(d[0] - eps / 2.0) <= tol)
+             | (np.abs(d[0] - eps / 3.0) <= tol))
+    for r1 in np.nonzero(first)[0].tolist():
         near2 = np.nonzero(np.abs(d[r1] - eps / 2.0) <= tol)[0]
         near3 = np.nonzero(np.abs(d[r1] - eps / 3.0) <= tol)[0]
-        for r2 in near2:
-            for r3 in near3:
-                if len({r1, int(r2), int(r3)}) != 3 or 0 not in (r1, int(r2), int(r3)):
+        for r2 in near2.tolist():
+            for r3 in near3.tolist():
+                if len({r1, r2, r3}) != 3 or 0 not in (r1, r2, r3):
                     continue
-                others = np.array([i for i in range(n) if i not in (r1, r2, r3)], dtype=int)
-                if len(others) and (d[r1, others] <= eps + tol).any():
+                close = d[r1] <= eps + tol
+                close[[r1, r2, r3]] = False
+                if close.any():
                     continue
-                obs2 = pts[r2] - pts[r1]
+                obs2 = sub[r2] - sub[r1]
                 theta = math.atan2(obs2[1], obs2[0]) - math.atan2(u2[1], u2[0])
                 expect3 = rotate(u3, theta)
-                if dist(pts[r3] - pts[r1], expect3) > 2 * tol + 1e-12:
+                if dist(sub[r3] - sub[r1], expect3) > 2 * tol + 1e-12:
                     continue
-                return (r1, int(r2), int(r3)), theta
+                return (int(near[r1]), int(near[r2]), int(near[r3])), theta
     return None
 
 
@@ -690,27 +709,30 @@ def _star_local_fits(pts, plan: Plan, tol: float):
     and rotation are then refined by least squares over the whole matched
     neighborhood.  The refinement matters: a center estimated from a single
     baseline amplifies per-round float noise by ring-radius/baseline, which
-    would compound across the scaling rounds.
+    would compound across the scaling rounds.  Candidates that cannot pass
+    the first match by their distance profile alone are dropped before it.
     """
     me_neighbors = pts[1:]
     if len(me_neighbors) == 0:
         return []
     star = plan.star
+    tol = max(tol, 1e-6)
     obs_norms = np.hypot(*me_neighbors.T)
     nearest = me_neighbors[int(np.argmin(obs_norms))]
+    ang_nearest = math.atan2(nearest[1], nearest[0])
     fits = []
-    for q, offs, norms, nearest8 in star.rings:
-        for j in nearest8:
-            kappa0 = float(np.hypot(*nearest) / norms[j])
-            if not 1e-6 <= kappa0 <= 1.0 + 1e-9:
-                continue
-            theta0 = math.atan2(nearest[1], nearest[0]) - math.atan2(offs[j][1], offs[j][0])
-            refined = _star_refine(me_neighbors, offs, norms, kappa0, theta0,
-                                   window=0.3 * kappa0 * star.mindist, tol=max(tol, 1e-6))
+    for ring in star.rings:
+        kappa0s = np.hypot(*nearest) / ring.norms[ring.nearest8]
+        windows = np.maximum(0.3 * kappa0s * star.mindist, tol)
+        keep = _star_precheck(obs_norms, ring.sorted_norms, kappa0s, windows)
+        for j, kappa0, window in zip(ring.nearest8[keep], kappa0s[keep], windows[keep]):
+            theta0 = ang_nearest - math.atan2(ring.offs[j][1], ring.offs[j][0])
+            refined = _star_refine(me_neighbors, ring.offs, ring.norms, float(kappa0), theta0,
+                                   float(window), tol)
             if refined is None:
                 continue
             kappa, theta = refined
-            center = -kappa * (rotation_matrix(theta) @ q)
+            center = -kappa * (rotation_matrix(theta) @ ring.q)
             fits.append((kappa, center))
     unique = []
     for kappa, center in fits:
@@ -719,10 +741,31 @@ def _star_local_fits(pts, plan: Plan, tol: float):
     return unique
 
 
+def _star_precheck(obs_norms, sorted_norms, kappa0s, windows):
+    """Which coarse scales can pass the first ``_star_match`` at their window.
+
+    Two rotation-free necessary conditions, for all candidates at once.  The
+    match pairs the observed points injectively with offsets inside 1 + window
+    and must cover every offset inside 1 - window, so the observed count lies
+    between those two counts.  A matched pair is within the window, so each
+    observed norm is within it of some scaled pattern norm (up to rounding,
+    for which TAU_GEOM is ample).
+    """
+    enorms = kappa0s[:, None] * sorted_norms[None, :]
+    inside = (enorms <= 1.0 + windows[:, None]).sum(axis=1)
+    must = (enorms <= 1.0 - windows[:, None]).sum(axis=1)
+    n_obs = len(obs_norms)
+    keep = (1e-6 <= kappa0s) & (kappa0s <= 1.0 + 1e-9) & (must <= n_obs) & (n_obs <= inside)
+    near = enorms[:, None, :inside.max()]
+    gap = np.abs(obs_norms[None, :, None] - near) <= windows[:, None, None] + TAU_GEOM
+    return keep & gap.any(axis=2).all(axis=1)
+
+
 def _star_refine(observed, offs, norms, kappa0, theta0, window, tol):
-    """Match the neighborhood under a coarse (scale, rotation), refine both
-    by complex least squares, and re-verify.  Returns (kappa, theta) or None."""
-    match = _star_match(observed, offs, norms, kappa0, theta0, max(window, tol))
+    """Match the neighborhood under a coarse (scale, rotation) within the
+    window, refine both by complex least squares, and re-verify within tol.
+    Returns (kappa, theta) or None."""
+    match = _star_match(observed, offs, norms, kappa0, theta0, window)
     if match is None:
         return None
     o = offs[match][:, 0] + 1j * offs[match][:, 1]
@@ -738,18 +781,28 @@ def _star_refine(observed, offs, norms, kappa0, theta0, window, tol):
 
 def _star_match(observed, offs, norms, kappa, theta, window):
     """Injective observed-to-offset matching within the window, requiring
-    every offset strictly inside the viewing range to be observed."""
+    every offset strictly inside the viewing range to be observed.
+
+    Nearest neighbours come from the full (observed x candidate) distance
+    array.  Ties cannot change the outcome: within a window of at most
+    0.3*kappa*mindist every other expected point is at least
+    0.7*kappa*mindist away, and a match that fails fails for every tie-break.
+    """
     enorms = kappa * norms
     cand_idx = np.nonzero(enorms <= 1.0 + window)[0]
     if len(observed) > len(cand_idx):
         return None
     expected = kappa * rotate(offs[cand_idx], theta)
-    tree = cKDTree(expected)
-    dd, idx = tree.query(observed, k=1)
-    if dd.max() > window or len(set(idx.tolist())) != len(observed):
+    dx = observed[:, 0, None] - expected[None, :, 0]
+    dy = observed[:, 1, None] - expected[None, :, 1]
+    d2 = dx * dx + dy * dy
+    idx = d2.argmin(axis=1)
+    if math.sqrt(d2.min(axis=1).max()) > window:
         return None
-    matched = set(cand_idx[idx].tolist())
-    must = np.nonzero(enorms <= 1.0 - window)[0]
-    if not set(must.tolist()) <= matched:
+    if len(np.unique(idx)) != len(observed):
+        return None
+    matched = np.zeros(len(norms), dtype=bool)
+    matched[cand_idx[idx]] = True
+    if not matched[enorms <= 1.0 - window].all():
         return None
     return cand_idx[idx]

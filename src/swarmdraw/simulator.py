@@ -353,8 +353,9 @@ def _compute_round(positions, plan, cfg, rnd, detect_tol, snapshot_tol=None):
 
 def _commit(positions, targets, plan, cfg, rnd):
     disp = np.hypot(*(targets - positions).T)
-    if np.any(disp > 1.0 + 1e-7):
-        raise SimulationError(f"robot displacement {disp.max():.6f} exceeds the viewing range")
+    far = int(np.argmax(disp))
+    if disp[far] > 1.0 + 1e-7:
+        raise SimulationError(f"robot {far} displacement {disp[far]:.6f} exceeds the viewing range")
     new_positions = targets.copy()
     if cfg.noise_mu > 0.0:
         for i in range(len(new_positions)):
@@ -362,11 +363,15 @@ def _commit(positions, targets, plan, cfg, rnd):
                 new_positions[i] = new_positions[i] + _noise_vector(cfg.seed, i, rnd, cfg.noise_mu)
     d = pairwise_distances(new_positions)
     np.fill_diagonal(d, np.inf)
-    if d.min() <= TAU_GEOM:
-        raise SimulationError("two robots collided")
+    i, j = sorted(int(k) for k in np.unravel_index(int(np.argmin(d)), d.shape))
+    if d[i, j] <= TAU_GEOM:
+        raise SimulationError(f"robots {i} and {j} collided")
     if plan.branch == "draw":
         report = check_validity(new_positions, replace(plan.fparams, tol=max(
             plan.fparams.tol, TAU_GEOM if cfg.noise_mu == 0 else 3.0 * plan.hops * cfg.noise_mu)))
         if not report.ok:
-            raise SimulationError(f"overlapping formation hulls: {report.overlaps}")
+            pairs = "; ".join(f"robots {list(report.formations[a].member_indices)} and "
+                              f"{list(report.formations[b].member_indices)}"
+                              for a, b in report.overlaps)
+            raise SimulationError(f"overlapping formation hulls: {pairs}")
     return new_positions

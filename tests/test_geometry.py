@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swarmdraw
 from swarmdraw.geometry import (
     mindist,
     pairwise_distances,
@@ -137,3 +142,12 @@ def test_pairwise_distances_symmetry():
     d = pairwise_distances(pts)
     assert np.allclose(d, d.T)
     assert np.allclose(np.diag(d), 0.0)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """scipy.optimize is imported only when match_points' fallback runs."""
+    src = Path(swarmdraw.__file__).resolve().parents[1]
+    code = "import sys, swarmdraw, swarmdraw.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"

@@ -1,8 +1,10 @@
 """Property tests of the geometry primitives, the batched triple radii, the
 shared matcher, the orbit walk built on it, the congruence fit, the
-near-gathering assignment and the grid-state enumeration."""
+near-gathering assignment, the grid-state enumeration and the scaling
+branch's neighbourhood match."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,12 +21,13 @@ from swarmdraw.formation import (
 )
 from swarmdraw.geometry import (match_points, rotate, smallest_enclosing_circle,
                                 triple_sec_radii)
-from swarmdraw.protocol import Phase, build_plan, fit_isometry, robot_decision
+from swarmdraw.protocol import (Phase, _star_match, _star_precheck, build_plan, fit_isometry,
+                                robot_decision)
 from swarmdraw.symmetry import normalize, symmetricity
 
 from corpus import main_corpus, near_gathering, random_connected_pattern, star_corpus
 from test_geometry import _brute_force_sec
-from test_protocol import view_from_global
+from test_protocol import kdtree_star_match, least_squares_pose, view_from_global
 
 TOL = 0.1
 
@@ -250,3 +253,52 @@ def test_memoised_decode_agrees_with_a_fresh_decode(grid, data):
     except FormationError:
         want = None
     assert _decode(grid, tuple(sorted(ids))) == want
+
+
+@lru_cache(maxsize=None)
+def _star_plan(name):
+    return build_plan(dict(star_corpus())[name])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.sampled_from(["ngon-14x2", "ngon-32x5", "ngon-63x10", "ring2-20", "ring2-40",
+                        "ring2-66"]),
+       st.floats(0.0, 1.0), st.integers(0, 10 ** 6), st.floats(-math.pi, math.pi),
+       st.floats(0.0, 1.5), st.integers(0, 2 ** 32 - 1))
+def test_star_match_without_a_tree_equals_the_kdtree_match(name, grow, robot, theta, spread,
+                                                           seed):
+    """One robot's view of a scaled star pattern, in a random frame, with every
+    neighbour jittered by up to spread times the coarse window.  At every coarse
+    candidate, and at the least-squares pose of every match, the tree-free
+    _star_match returns what the KD-tree version returns, and the pre-check
+    keeps every candidate whose coarse match succeeds."""
+    plan = _star_plan(name)
+    star = plan.star
+    kappa = star.kappa0 + grow * (1.0 - star.kappa0)
+    view = view_from_global(kappa * plan.pattern, robot % plan.n, theta).neighbors
+    rng = np.random.default_rng(seed)
+    view = view + jitter(rng, len(view), spread * 0.3 * kappa * star.mindist)
+    obs_norms = np.hypot(*view.T)
+    nearest = view[int(np.argmin(obs_norms))]
+    matched = 0
+    for ring in star.rings:
+        kappa0s = np.hypot(*nearest) / ring.norms[ring.nearest8]
+        windows = np.maximum(0.3 * kappa0s * star.mindist, 1e-6)
+        keep = _star_precheck(obs_norms, ring.sorted_norms, kappa0s, windows)
+        for j, kappa0, window, kept in zip(ring.nearest8, kappa0s, windows, keep):
+            theta0 = (math.atan2(nearest[1], nearest[0])
+                      - math.atan2(ring.offs[j][1], ring.offs[j][0]))
+            poses = [(kappa0, theta0, window)]
+            for k, th, w in poses:
+                got = _star_match(view, ring.offs, ring.norms, k, th, w)
+                want = kdtree_star_match(view, ring.offs, ring.norms, k, th, w)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert np.array_equal(got, want)
+                    matched += 1
+                    if len(poses) == 1:
+                        assert kept or not 1e-6 <= kappa0 <= 1.0 + 1e-9
+                        k, th = least_squares_pose(view, ring.offs, want)
+                        poses += [(k, th, 1e-6), (k, th, window)]
+    if spread == 0.0:
+        assert matched

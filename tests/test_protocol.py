@@ -1,10 +1,13 @@
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from swarmdraw.geometry import dist, from_polar, mindist, rotate, rotation_matrix, unit
+from swarmdraw.geometry import (dist, from_polar, mindist, pairwise_distances, rotate,
+                                rotation_matrix, unit)
 from swarmdraw.symmetry import normalize, symmetricity
 from swarmdraw.formation import (
     DrawingHull,
@@ -18,14 +21,16 @@ from swarmdraw.protocol import (
     DEFAULT_C,
     LocalView,
     Phase,
+    _find_intermediate,
     _own_formation,
+    _star_local_fits,
     build_plan,
     intermediate_targets,
     robot_decision,
 )
 from swarmdraw.simulator import SimConfig, make_local_view, run_fsync
 
-from corpus import near_gathering, random_connected_pattern, symmetric_pattern
+from corpus import near_gathering, ngon, random_connected_pattern, symmetric_pattern, two_ring
 
 
 def view_from_global(positions, idx, theta=0.0):
@@ -192,29 +197,103 @@ def _window_agrees(pts, fparams) -> tuple[bool, bool, bool]:
     return want is not None, want_conflicted, bool((np.hypot(*pts.T) > window).any())
 
 
-@pytest.mark.parametrize("pts, noisy", [
-    (random_connected_pattern(12, seed=5), False),
-    (symmetric_pattern(3, 4, seed=2004), False),
-    (symmetric_pattern(6, 3, seed=2008), False),   # six formations anchored 2δ apart
-    (random_connected_pattern(10, seed=7), True),
-], ids=["random-12", "sym-3x4", "sym-6x3", "random-10-noisy"])
-def test_own_formation_window_matches_full_view(pts, noisy):
-    """Every robot's view in every round of a run, at the noiseless detection
-    tolerance and at the noisy cap 0.45*epsilon."""
+_WINDOW_CASES = {
+    "random-12": (random_connected_pattern(12, seed=5), False),
+    "sym-3x4": (symmetric_pattern(3, 4, seed=2004), False),
+    "sym-6x3": (symmetric_pattern(6, 3, seed=2008), False),   # six formations anchored 2δ apart
+    "random-10-noisy": (random_connected_pattern(10, seed=7), True),
+}
+
+
+@lru_cache(maxsize=None)
+def _run_views(case):
+    """(plan, every robot's view in every round) of a run from the initial cluster."""
+    pts, noisy = _WINDOW_CASES[case]
     plan = build_plan(pts)
     eps = plan.params.epsilon
     cfg = SimConfig(seed=4, max_rounds=plan.hops + 6,
                     noise_mu=eps / (20 * plan.hops) if noisy else 0.0)
     trace = run_fsync(plan.initial, plan, cfg)
     assert trace.verdict == "formed"
+    return plan, [make_local_view(rec.positions, i, rec.round, cfg).all_points
+                  for rec in trace.rounds for i in range(plan.n)]
+
+
+@pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
+def test_own_formation_window_matches_full_view(case):
+    """Every robot's view in every round of a run, at the noiseless detection
+    tolerance and at the noisy cap 0.45*epsilon."""
+    plan, views = _run_views(case)
+    eps = plan.params.epsilon
     seen = set()
-    for rec in trace.rounds:
-        for i in range(plan.n):
-            pts_i = make_local_view(rec.positions, i, rec.round, cfg).all_points
-            for tol in (plan.fparams.tol, 0.45 * eps):
-                found, _, cut = _window_agrees(pts_i, replace(plan.fparams, tol=tol))
-                seen.add((found, cut))
+    for pts_i in views:
+        for tol in (plan.fparams.tol, 0.45 * eps):
+            found, _, cut = _window_agrees(pts_i, replace(plan.fparams, tol=tol))
+            seen.add((found, cut))
     # Members were found, and views were cut by the window, both ways round.
+    assert {(True, True), (False, True)} <= seen
+
+
+def _find_intermediate_full_view(pts, plan, tol):
+    """Reference for _find_intermediate: every view point tried as r1."""
+    eps = plan.params.epsilon
+    tol = min(tol, eps / 16.0)
+    targets = intermediate_targets(plan)
+    vk = plan.path.vertices[-1]
+    u2 = targets[1] - vk
+    u3 = targets[2] - vk
+    n = len(pts)
+    d = pairwise_distances(pts)
+    for r1 in range(n):
+        near2 = np.nonzero(np.abs(d[r1] - eps / 2.0) <= tol)[0]
+        near3 = np.nonzero(np.abs(d[r1] - eps / 3.0) <= tol)[0]
+        for r2 in near2:
+            for r3 in near3:
+                if len({r1, int(r2), int(r3)}) != 3 or 0 not in (r1, int(r2), int(r3)):
+                    continue
+                others = np.array([i for i in range(n) if i not in (r1, r2, r3)], dtype=int)
+                if len(others) and (d[r1, others] <= eps + tol).any():
+                    continue
+                obs2 = pts[r2] - pts[r1]
+                theta = math.atan2(obs2[1], obs2[0]) - math.atan2(u2[1], u2[0])
+                expect3 = rotate(u3, theta)
+                if dist(pts[r3] - pts[r1], expect3) > 2 * tol + 1e-12:
+                    continue
+                return (r1, int(r2), int(r3)), theta
+    return None
+
+
+@pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
+def test_find_intermediate_window_matches_full_view(case):
+    """The windowed ending decode equals the full-view scan on every view of a
+    run, at the detection tolerance and at the noisy cap (clipped to epsilon/16).
+    The ending triple sees no other robot in these runs, so each view that
+    decodes one is also tried with robots added around it: six at 3*epsilon and
+    0.5, outside the window but not near the triple, and ten scattered within
+    4*epsilon."""
+    plan, views = _run_views(case)
+    eps = plan.params.epsilon
+    window = 1.5 * eps + 2 * min(0.45 * eps, eps / 16.0)
+    ring = np.array([from_polar(r, k * math.pi / 3 + 0.1)
+                     for r in (3 * eps, 0.5) for k in range(3)])
+    rng = np.random.default_rng(0)
+    seen = set()
+
+    def agree(pts_i, tol):
+        want = _find_intermediate_full_view(pts_i, plan, tol)
+        assert _find_intermediate(pts_i, plan, tol) == want
+        seen.add((want is not None, bool((np.hypot(*pts_i.T) > window).any())))
+        return want is not None
+
+    for pts_i in views:
+        for tol in (plan.fparams.tol, 0.45 * eps):
+            if agree(pts_i, tol):
+                # The added robots go right after the origin, ahead of the triple.
+                agree(np.vstack([pts_i[:1], ring, pts_i[1:]]), tol)
+                scatter = [from_polar(r, a) for r, a in zip(rng.uniform(0, 4 * eps, 10),
+                                                            rng.uniform(0, 2 * math.pi, 10))]
+                agree(np.vstack([pts_i[:1], scatter, pts_i[1:]]), tol)
+    # Triples were decoded, and views were cut by the window, both ways round.
     assert {(True, True), (False, True)} <= seen
 
 
@@ -438,3 +517,104 @@ def test_star_already_formed_stops_immediately():
     pts = ngon(14, 2.0)
     trace = run_fsync(pts, pts, SimConfig(seed=1, max_rounds=5))
     assert trace.verdict == "formed" and trace.total_rounds == 0
+
+
+def kdtree_star_match(observed, offs, norms, kappa, theta, window):
+    """Reference for _star_match: nearest neighbours from a KD-tree."""
+    enorms = kappa * norms
+    cand_idx = np.nonzero(enorms <= 1.0 + window)[0]
+    if len(observed) > len(cand_idx):
+        return None
+    expected = kappa * rotate(offs[cand_idx], theta)
+    dd, idx = cKDTree(expected).query(observed, k=1)
+    if dd.max() > window or len(set(idx.tolist())) != len(observed):
+        return None
+    matched = set(cand_idx[idx].tolist())
+    must = np.nonzero(enorms <= 1.0 - window)[0]
+    if not set(must.tolist()) <= matched:
+        return None
+    return cand_idx[idx]
+
+
+def least_squares_pose(observed, offs, match):
+    """(kappa, theta) of the complex least-squares fit of matched offsets."""
+    o = offs[match][:, 0] + 1j * offs[match][:, 1]
+    w = observed[:, 0] + 1j * observed[:, 1]
+    z = np.vdot(o, w) / np.vdot(o, o)
+    return abs(z), math.atan2(z.imag, z.real)
+
+
+def _refine_every_candidate(pts, plan, tol):
+    """Reference for _star_local_fits: refine every coarse candidate, with no
+    pre-check, and match with a KD-tree."""
+    me_neighbors = pts[1:]
+    if len(me_neighbors) == 0:
+        return []
+    star = plan.star
+    obs_norms = np.hypot(*me_neighbors.T)
+    nearest = me_neighbors[int(np.argmin(obs_norms))]
+    fits = []
+    for q, offs, norms, nearest8, _ in star.rings:
+        for j in nearest8:
+            kappa0 = float(np.hypot(*nearest) / norms[j])
+            if not 1e-6 <= kappa0 <= 1.0 + 1e-9:
+                continue
+            theta0 = math.atan2(nearest[1], nearest[0]) - math.atan2(offs[j][1], offs[j][0])
+            tol_r = max(tol, 1e-6)
+            match = kdtree_star_match(me_neighbors, offs, norms, kappa0, theta0,
+                                      max(0.3 * kappa0 * star.mindist, tol_r))
+            if match is None:
+                continue
+            kappa, theta = least_squares_pose(me_neighbors, offs, match)
+            if not 1e-6 <= kappa <= 1.0 + 1e-6:
+                continue
+            if kdtree_star_match(me_neighbors, offs, norms, kappa, theta, tol_r) is None:
+                continue
+            kappa, theta = float(kappa), float(theta)
+            fits.append((kappa, -kappa * (rotation_matrix(theta) @ q)))
+    unique = []
+    for kappa, center in fits:
+        if not any(abs(kappa - k2) <= 1e-5 and dist(center, c2) <= 1e-5 for k2, c2 in unique):
+            unique.append((kappa, center))
+    return unique
+
+
+@pytest.mark.parametrize("pts, seed", [(ngon(14, 2.0), 21), (two_ring(20, 3.0, 2.4), 8)],
+                         ids=["ngon-14x2", "ring2-20"])
+def test_star_local_fits_equal_refining_every_candidate(monkeypatch, pts, seed):
+    """Every local view of a scaled and a gathered run: the pre-checked,
+    tree-free fits equal the reference bit for bit, and the pre-check spares
+    more than half of the refinements."""
+    import swarmdraw.protocol as protocol
+
+    plan = build_plan(pts)
+    views = []
+
+    def record(view_pts, plan_, tol):
+        views.append((view_pts, tol))
+        return _star_local_fits(view_pts, plan_, tol)
+
+    monkeypatch.setattr(protocol, "_star_local_fits", record)
+    for initial in (plan.star.kappa0 * plan.pattern, near_gathering(plan.n, seed=seed)):
+        trace = run_fsync(initial, plan, SimConfig(seed=3, max_rounds=plan.star.rounds_bound))
+        assert trace.verdict == "formed"
+    monkeypatch.undo()
+
+    refinements = [0]
+    refine = protocol._star_refine
+
+    def counted(*args):
+        refinements[0] += 1
+        return refine(*args)
+
+    monkeypatch.setattr(protocol, "_star_refine", counted)
+    assert len(views) > 3 * plan.n
+    for view_pts, tol in views:
+        got = _star_local_fits(view_pts, plan, tol)
+        want = _refine_every_candidate(view_pts, plan, tol)
+        assert len(got) == len(want)
+        for (k1, c1), (k2, c2) in zip(got, want):
+            assert k1 == k2 and np.array_equal(c1, c2)
+    # The reference refines 8 candidates per orbit; 3.0 (n-gon) and 5.7
+    # (two-ring) per view survive the pre-check.
+    assert refinements[0] <= 0.4 * 8 * len(plan.star.rings) * len(views)

@@ -1,15 +1,19 @@
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from swarmdraw import geometry, protocol
-from swarmdraw.geometry import mindist, pairwise_distances, rotate
+from swarmdraw.formation import DrawingHull, FormationParams, state_by_index
+from swarmdraw.geometry import mindist, pairwise_distances, rotate, unit
 from swarmdraw.protocol import Phase, build_plan, fit_isometry, robot_decision
 from swarmdraw.simulator import (
     SimConfig,
+    SimulationError,
+    _commit,
     drift_tolerance,
     make_local_view,
     run_fsync,
@@ -103,6 +107,35 @@ def test_displacements_and_collisions(small_plan):
         d = np.sqrt(((b.positions[:, None] - b.positions[None, :]) ** 2).sum(-1))
         np.fill_diagonal(d, np.inf)
         assert d.min() > 1e-9
+
+
+def test_abort_names_the_robot_that_moves_too_far(small_plan):
+    targets = small_plan.initial.copy()
+    targets[3] += [0.8, 0.9]
+    with pytest.raises(SimulationError, match=r"^robot 3 displacement 1\.204159 "):
+        _commit(small_plan.initial, targets, small_plan, SimConfig(), 0)
+
+
+def test_abort_names_the_colliding_pair(small_plan):
+    targets = small_plan.initial.copy()
+    targets[5] = targets[2]
+    with pytest.raises(SimulationError, match=r"^robots 2 and 5 collided$"):
+        _commit(small_plan.initial, targets, small_plan, SimConfig(), 0)
+
+
+def test_abort_names_the_members_of_overlapping_formations(small_plan):
+    """Two overlapping hulls after three robots that belong to no formation:
+    the message names robot indices, not positions in the formation list."""
+    params = FormationParams(0.01, 0.1, math.pi / 3)
+    spec = state_by_index(params.grid(), 3, 2)
+    pts1 = spec.points(DrawingHull(np.zeros(2), np.array([1.0, 0.0]), math.pi / 3, 0.1))
+    pts2 = spec.points(DrawingHull(np.array([0.13, 0.12]), unit(np.array([-0.735, -0.678])),
+                                   math.pi / 3, 0.1))
+    far = np.array([[-0.5, 0.3], [0.6, -0.4], [0.1, 0.9]])
+    positions = np.vstack([far, pts1, pts2])
+    with pytest.raises(SimulationError,
+                       match=r"^overlapping formation hulls: robots \[3, 4, 5\] and \[6, 7, 8\]$"):
+        _commit(positions, positions.copy(), replace(small_plan, fparams=params), SimConfig(), 0)
 
 
 def test_dropped_robots_never_move(small_plan):
