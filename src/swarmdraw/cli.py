@@ -18,7 +18,7 @@ import numpy as np
 from .geometry import mindist, pairwise_distances, unit_disc_connected
 from .symmetry import normalize, symmetricity
 from .pathing import save_path
-from .protocol import DEFAULT_C, PlanError, build_plan
+from .protocol import DEFAULT_C, build_plan
 from .simulator import SimConfig, run_fsync
 
 EXIT_OK = 0
@@ -78,7 +78,7 @@ def cmd_analyze(args) -> int:
     if branch == "main":
         try:
             plan = build_plan(pts, args.params_c)
-        except PlanError as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID
         report["params"] = {

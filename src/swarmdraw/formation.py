@@ -1,4 +1,4 @@
-"""Drawing hulls, epsilon-grid states, detection, validity, and moves.
+"""Drawing hulls, epsilon-grid states, detection, and validity.
 
 A drawing hull is a wedge (anchor, unit direction, span, diameter) whose
 robots encode a counter value by their placement on an epsilon grid:
@@ -15,6 +15,7 @@ beyond robot 2, subsets within a block in colexicographic order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -364,7 +365,7 @@ def _decode(grid: GridSpec, cell_ids: tuple[int, ...]) -> tuple[StateSpec, int] 
 class DetectedFormation:
     hull: DrawingHull
     member_indices: tuple[int, ...]
-    members: np.ndarray
+    local: np.ndarray       # hull-local coordinates of the members, in member_indices order
     state_index: int
 
     @property
@@ -387,45 +388,37 @@ def detect_formations(points, params: FormationParams) -> list[DetectedFormation
     eps, tol = params.epsilon, params.tol
     grid = params.grid()
 
-    d = pairwise_distances(pts)
-    pair_i, pair_j = np.nonzero(np.triu(np.abs(d - eps) <= tol, k=1))
+    pair_i, pair_j = np.nonzero(np.abs(pairwise_distances(pts) - eps) <= tol)
+    upper = pair_i < pair_j
 
     found: dict[tuple, DetectedFormation] = {}
-    for a, b in zip(pair_i, pair_j):
-        for p_idx, q_idx in ((int(a), int(b)), (int(b), int(a))):
+    for a, b in zip(pair_i[upper].tolist(), pair_j[upper].tolist()):
+        for p_idx, q_idx in ((a, b), (b, a)):
             det = _try_candidate(pts, p_idx, q_idx, params, grid)
             if det is not None:
-                key = (round(det.hull.anchor[0], 8), round(det.hull.anchor[1], 8),
-                       round(det.hull.direction[0], 8), round(det.hull.direction[1], 8))
+                key = tuple(np.round(np.concatenate([det.hull.anchor, det.hull.direction]),
+                                     8).tolist())
                 found.setdefault(key, det)
     return [found[k] for k in sorted(found)]
 
 
 def _try_candidate(pts, p_idx, q_idx, params, grid) -> DetectedFormation | None:
-    eps, tol = params.epsilon, params.tol
-    p, q = pts[p_idx], pts[q_idx]
-    d_vec = unit(q - p)
-    hull = DrawingHull(p, d_vec, params.span, params.delta_diam)
+    eps, tol, delta = params.epsilon, params.tol, params.delta_diam
+    hull = DrawingHull(pts[p_idx], unit(pts[q_idx] - pts[p_idx]), params.span, delta)
     loc = hull.local(pts)
     x, y = loc[:, 0], loc[:, 1]
 
     # Third defining robot: collinear beyond q at distance 2*i*eps, i >= 1.
-    cols = np.abs(y) <= tol
-    beyond = (x >= 3 * eps - tol) & (x <= params.delta_diam + tol)
-    ok = cols & beyond
-    ok[p_idx] = ok[q_idx] = False
-    has_third = False
-    for s in np.nonzero(ok)[0]:
-        i = round((x[s] / eps - 1.0) / 2.0)
-        if i >= 1 and abs(x[s] - (1 + 2 * i) * eps) <= tol:
-            has_third = True
-            break
-    if not has_third:
+    i = np.rint((x / eps - 1.0) / 2.0)
+    third = ((np.abs(y) <= tol) & (x >= 3 * eps - tol) & (x <= delta + tol)
+             & (i >= 1) & (np.abs(x - (1 + 2 * i) * eps) <= tol))
+    third[[p_idx, q_idx]] = False
+    if not third.any():
         return None
 
     r = np.hypot(x, y)
     lateral = _lateral_distance(x, y, params.span)
-    member_idx = np.nonzero((r <= params.delta_diam + tol) & (lateral <= tol))[0]
+    member_idx = np.nonzero((r <= delta + tol) & (lateral <= tol))[0]
     if len(member_idx) < 3:
         return None
 
@@ -433,12 +426,8 @@ def _try_candidate(pts, p_idx, q_idx, params, grid) -> DetectedFormation | None:
     decoded = None if cell_ids is None else _decode(grid, tuple(sorted(cell_ids)))
     if decoded is None:
         return None
-    return DetectedFormation(
-        hull=hull,
-        member_indices=tuple(int(m) for m in member_idx),
-        members=pts[member_idx],
-        state_index=decoded[1],
-    )
+    return DetectedFormation(hull=hull, member_indices=tuple(member_idx.tolist()),
+                             local=loc[member_idx], state_index=decoded[1])
 
 
 def _snap_cells(grid: GridSpec, xs, ys, eps: float, tol: float) -> list[int] | None:
@@ -446,14 +435,14 @@ def _snap_cells(grid: GridSpec, xs, ys, eps: float, tol: float) -> list[int] | N
     anchor = np.hypot(xs, ys) <= tol
     i = np.rint((xs / eps - 1.0) / 2.0).astype(np.int64)
     j = np.rint(ys / (2.0 * eps)).astype(np.int64)
-    ok = (i >= 0) & (j >= 0) & (i <= grid.i_max)
-    ok &= j < grid.col_sizes[np.clip(i, 0, grid.i_max)]
+    col = np.minimum(np.maximum(i, 0), grid.i_max)
+    ok = (i >= 0) & (j >= 0) & (i <= grid.i_max) & (j < grid.col_sizes[col])
     ok &= np.hypot(xs - (1 + 2 * i) * eps, ys - 2 * j * eps) <= tol
-    if not np.all(ok | anchor):
+    if not (ok | anchor).all():
         return None
-    ids = 1 + grid.col_prefix[np.clip(i, 0, grid.i_max)] + j
+    ids = 1 + grid.col_prefix[col] + j
     ids[anchor] = 0
-    return [int(c) for c in ids]
+    return ids.tolist()
 
 
 # --- validity ------------------------------------------------------------------
@@ -468,16 +457,17 @@ class ValidityReport:
 def check_validity(points, params: FormationParams) -> ValidityReport:
     """A configuration is valid when all detected hulls are pairwise disjoint."""
     formations = detect_formations(points, params)
-    polys = [wedge_polygon(f.hull) for f in formations]
-    overlaps = []
-    for i in range(len(formations)):
-        for j in range(i + 1, len(formations)):
-            a, b = formations[i].hull.anchor, formations[j].hull.anchor
-            if np.hypot(*(a - b)) > 2 * params.delta_diam + TAU_GEOM:
-                continue
-            if _convex_overlap(polys[i], polys[j]):
-                overlaps.append((i, j))
-    return ValidityReport(not overlaps, tuple(overlaps), tuple(formations))
+    overlaps = tuple((i, j) for i, j in itertools.combinations(range(len(formations)), 2)
+                     if hulls_overlap(formations[i].hull, formations[j].hull))
+    return ValidityReport(not overlaps, overlaps, tuple(formations))
+
+
+def hulls_overlap(a: DrawingHull, b: DrawingHull) -> bool:
+    """Whether two hulls intersect (touching counts).  Hulls anchored more than
+    their two diameters plus TAU_GEOM apart are disjoint without a polygon test."""
+    if np.hypot(*(a.anchor - b.anchor)) > a.diameter + b.diameter + TAU_GEOM:
+        return False
+    return _convex_overlap(wedge_polygon(a), wedge_polygon(b))
 
 
 def wedge_polygon(hull: DrawingHull, segments: int = 48) -> np.ndarray:
@@ -501,51 +491,3 @@ def _convex_overlap(pa: np.ndarray, pb: np.ndarray) -> bool:
             if a1 < b0 - 1e-12 or b1 < a0 - 1e-12:
                 return False
     return True
-
-
-# --- coordinated movement -------------------------------------------------------
-
-def _quantize(coords: np.ndarray) -> np.ndarray:
-    """Snap coordinates to the tolerance grid so sort order is frame-stable."""
-    return np.round(coords / TAU_GEOM) * TAU_GEOM
-
-
-def assign_targets(detected: DetectedFormation, targets: np.ndarray) -> np.ndarray:
-    """Canonical member-to-target matching: row i is member i's target.
-
-    Members and targets are both sorted lexicographically in the hull frame,
-    so every member computes the same matching whatever its private frame.
-    """
-    hull = detected.hull
-    member_loc = _quantize(hull.local(detected.members))
-    target_loc = _quantize(hull.local(targets))
-    m_order = np.lexsort((member_loc[:, 1], member_loc[:, 0]))
-    t_order = np.lexsort((target_loc[:, 1], target_loc[:, 0]))
-    out = np.empty_like(detected.members)
-    out[m_order] = targets[t_order]
-    return out
-
-
-def plan_move(detected: DetectedFormation, move_vec, drop_points, next_spec: StateSpec) -> np.ndarray:
-    """Per-robot targets realizing a formation move.
-
-    The surviving robots form ``next_spec`` around the anchor shifted by
-    ``move_vec`` (same direction); dropped robots land on ``drop_points``.
-    Robots are matched to targets by ``assign_targets`` in the current hull
-    frame, which keeps every displacement within diameter + |move_vec| <= 1.
-    """
-    hull = detected.hull
-    move_vec = np.asarray(move_vec, dtype=float)
-    if np.hypot(*move_vec) > 1.0 - hull.diameter + TAU_GEOM:
-        raise FormationError("move longer than 1 - diameter")
-    drops = np.asarray(drop_points, dtype=float).reshape(-1, 2)
-    next_hull = DrawingHull(hull.anchor + move_vec, hull.direction, hull.span, hull.diameter)
-    targets = np.vstack([next_spec.points(next_hull), drops])
-    if len(targets) != detected.size:
-        raise FormationError(
-            f"{detected.size} robots cannot fill {len(targets)} targets")
-    out = assign_targets(detected, targets)
-    disp = np.hypot(*(out - detected.members).T)
-    if np.any(disp > 1.0 + TAU_GEOM):
-        raise AssertionError("planned displacement exceeds the viewing range")
-    return out

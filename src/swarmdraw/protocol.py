@@ -13,7 +13,6 @@ per round.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -40,11 +39,11 @@ from .symmetry import normalize, rotation_orbits, symmetricity
 from .formation import (
     DetectedFormation,
     DrawingHull,
+    FormationError,
     FormationParams,
     GridSpec,
-    assign_targets,
     detect_formations,
-    plan_move,
+    hulls_overlap,
     state_by_index,
 )
 from .pathing import DrawingPath, build_drawing_path, check_compatibility
@@ -136,9 +135,10 @@ class Plan:
     initial: np.ndarray | None = None
     schedule: list[ScheduleRound] = field(default_factory=list)
     snapshot_ids: list[int] = field(default_factory=list)
-    snapshot_radii: list[np.ndarray] = field(default_factory=list)
+    snapshot_radii: np.ndarray | None = None        # (snapshots, n) sorted centroid radii
     snapshot_centered: list[np.ndarray] = field(default_factory=list)
     tail_points: np.ndarray | None = None     # p1, p2, p3 in path frame
+    moves: list[np.ndarray] = field(default_factory=list)   # per path vertex, see _move_tables
     star: StarPlan | None = None
 
     @property
@@ -160,8 +160,11 @@ _PLAN_CACHE: dict[tuple, Plan] = {}
 def build_plan(pattern, c: float = DEFAULT_C) -> Plan:
     """Everything the protocol derives from the pattern (memoized).
 
-    Raises ValueError when two pattern points coincide.
+    Raises ValueError when two pattern points coincide or c is not a
+    positive finite number.
     """
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"c must be a positive finite number, got {c}")
     pts = normalize(pattern)
     key = (pts.round(12).tobytes(), float(c))
     cached = _PLAN_CACHE.get(key)
@@ -248,6 +251,7 @@ def _finish_draw_plan(plan: Plan) -> None:
     plan.initial = initial_positions(plan)
     plan.schedule = _build_draw_schedule(plan)
     _index_snapshots(plan)
+    plan.moves = _move_tables(plan)
 
 
 def intermediate_targets(plan: Plan) -> np.ndarray:
@@ -321,15 +325,46 @@ def _replicate(dropped, active_pts, active_role, s, w):
 
 def _index_snapshots(plan: Plan) -> None:
     plan.snapshot_ids = []
-    plan.snapshot_radii = []
     plan.snapshot_centered = []
     for t, rec in enumerate(plan.schedule):
         pos = rec.positions
         if len(pos) and pairwise_distances(pos).max() <= 1.0 + TAU_GEOM:
-            centered = pos - pos.mean(axis=0)
             plan.snapshot_ids.append(t)
-            plan.snapshot_radii.append(np.sort(np.hypot(*centered.T)))
-            plan.snapshot_centered.append(centered)
+            plan.snapshot_centered.append(pos - pos.mean(axis=0))
+    radii = [np.sort(np.hypot(*c.T)) for c in plan.snapshot_centered]
+    plan.snapshot_radii = np.reshape(radii, (len(radii), plan.n))
+
+
+def _canonical_order(local: np.ndarray) -> np.ndarray:
+    """Lexicographic order of hull-local points snapped to the TAU_GEOM grid,
+    so that every member of a formation orders the same way whatever its frame."""
+    snapped = np.round(local / TAU_GEOM) * TAU_GEOM
+    return np.lexsort((snapped[:, 1], snapped[:, 0]))
+
+
+def _move_tables(plan: Plan) -> list[np.ndarray]:
+    """Per path vertex, the targets of the formation standing there, in its
+    hull frame (anchor at the vertex, direction +x) and in ``_canonical_order``:
+    the next state's cells shifted by the move, then the drops; at the last
+    vertex, the ending triple.  The member of rank r in the same order takes
+    row r, which keeps every displacement within diameter + |move| <= 1.
+    """
+    path = plan.path
+    last = len(path.vertices) - 1
+    tables = []
+    for vi, v in enumerate(path.vertices):
+        if vi == last:
+            targets = intermediate_targets(plan) - v
+        else:
+            move = path.vertices[vi + 1] - v
+            if np.hypot(*move) > 1.0 - plan.params.delta + TAU_GEOM:
+                raise PlanError(f"path edge {vi} is longer than 1 - diameter")
+            size, idx = path.labels[vi + 1]
+            drops = (path.pattern[list(path.coverage[vi])] if vi < path.tail_start
+                     else np.zeros((0, 2)))
+            targets = np.vstack([state_by_index(plan.grid, size, idx).local + move, drops - v])
+        tables.append(targets[_canonical_order(targets)])
+    return tables
 
 
 def _build_star_schedule(plan: Plan) -> None:
@@ -395,42 +430,38 @@ def _matches_snapshot(pts, plan: Plan, tol) -> bool:
     entry of plan.snapshot_ids (see ``simulator.drift_tolerance``).
     """
     centered = pts - pts.mean(axis=0)
-    radii = np.sort(np.hypot(*centered.T))
-    tols = itertools.repeat(tol) if np.isscalar(tol) else tol
-    for sradii, scentered, tol_t in zip(plan.snapshot_radii, plan.snapshot_centered, tols):
-        if len(sradii) != len(radii):
-            continue
-        if not np.allclose(radii, sradii, atol=2 * tol_t + 1e-12, rtol=0):
-            continue
-        if _fit_centered(centered, scentered, tol_t) is not None:
+    for t in _screen_snapshots(np.sort(np.hypot(*centered.T)), plan, tol):
+        tol_t = tol if np.isscalar(tol) else tol[t]
+        if _fit_centered(centered, plan.snapshot_centered[t], tol_t) is not None:
             return True
     return False
+
+
+def _screen_snapshots(radii, plan: Plan, tol) -> np.ndarray:
+    """Positions in plan.snapshot_ids of the snapshots whose sorted radii all lie
+    within 2*tol of radii (n values), the first test of ``_fit_centered``, for
+    all at once."""
+    atol = 2 * np.asarray(tol, dtype=float).reshape(-1, 1) + 1e-12
+    return np.flatnonzero((np.abs(plan.snapshot_radii - radii) <= atol).all(axis=1))
 
 
 def _own_formation(pts, fparams) -> tuple[DetectedFormation | None, bool]:
     """The unique valid formation containing the origin robot, if any.
 
     Detection reads only the view within 4δ + 4·tol, which is exact: a formation holding
-    the origin is anchored within δ + tol, the overlap check reads formations anchored
-    within 2δ of that anchor, and each depends only on points within δ + tol of its anchor.
+    the origin is anchored within δ + tol, ``hulls_overlap`` reads formations anchored
+    within 2δ + TAU_GEOM of that anchor, and each depends only on points within δ + tol
+    of its anchor.
     """
-    from .formation import _convex_overlap, wedge_polygon
-
     near = np.nonzero(np.hypot(*pts.T) <= 4 * (fparams.delta_diam + fparams.tol))[0]
     dets = detect_formations(pts[near], fparams)
     mine = [d for d in dets if 0 in d.member_indices]
     if len(mine) != 1:
         return None, bool(mine)
     det = mine[0]
-    poly = wedge_polygon(det.hull)
-    for other in dets:
-        if other is det:
-            continue
-        if np.hypot(*(other.hull.anchor - det.hull.anchor)) > 2 * fparams.delta_diam:
-            continue
-        if _convex_overlap(poly, wedge_polygon(other.hull)):
-            return None, True
-    return replace(det, member_indices=tuple(int(near[i]) for i in det.member_indices)), False
+    if any(other is not det and hulls_overlap(det.hull, other.hull) for other in dets):
+        return None, True
+    return replace(det, member_indices=tuple(near[list(det.member_indices)].tolist())), False
 
 
 def _find_intermediate(pts, plan: Plan, tol: float):
@@ -518,34 +549,23 @@ def robot_decision(view: LocalView, plan: Plan, tol: float = TAU_GEOM,
     return Decision(np.zeros(2), Phase.DROPPED)
 
 
-def _path_to_view(hull: DrawingHull, anchor_vertex, q) -> np.ndarray:
-    """Map path-frame points to the view frame via the detected hull pose."""
-    rot = np.stack([hull.direction, np.array([-hull.direction[1], hull.direction[0]])], axis=0).T
-    return (np.atleast_2d(q) - anchor_vertex) @ rot.T + hull.anchor
-
-
 def _formation_decision(view: LocalView, plan: Plan, det: DetectedFormation) -> Decision:
-    path = plan.path
-    vi = path.vertex_of_label(det.size, det.state_index)
+    """Take the row of plan.moves at the formation's vertex that matches the
+    robot's rank among the members, and map it to the view by the hull pose."""
+    vi = plan.path.vertex_of_label(det.size, det.state_index)
     if vi is None:
         return Decision(np.zeros(2), Phase.FORMATION, ("unknown-state",))
-    k_last = len(path.vertices) - 1
-    v = path.vertices[vi]
-    if vi == k_last:
-        # Ending, first of two rounds: reshape into the epsilon/2-epsilon/3 triple.
-        targets = _path_to_view(det.hull, v, intermediate_targets(plan))
-        me = det.member_indices.index(0)
-        return Decision(assign_targets(det, targets)[me], Phase.FORMATION, ("ending-reshape",))
-    move_vec = path.vertices[vi + 1] - v
-    drops = path.pattern[list(path.coverage[vi])] if vi < path.tail_start else np.zeros((0, 2))
-    size_next, idx_next = path.labels[vi + 1]
-    next_spec = state_by_index(plan.grid, size_next, idx_next)
-    targets = plan_move(det,
-                        _path_to_view(det.hull, v, v + move_vec)[0] - det.hull.anchor,
-                        _path_to_view(det.hull, v, drops) if len(drops) else np.zeros((0, 2)),
-                        next_spec)
-    me = det.member_indices.index(0)
-    return Decision(targets[me], Phase.FORMATION)
+    table = plan.moves[vi]
+    if len(table) != det.size:
+        raise FormationError(f"{det.size} robots cannot fill {len(table)} targets")
+    rank = int(np.flatnonzero(_canonical_order(det.local) == det.member_indices.index(0))[0])
+    target = det.hull.to_global(table[rank])[0]
+    if math.hypot(*target) > 1.0 + TAU_GEOM:
+        raise AssertionError("planned displacement exceeds the viewing range")
+    # At the last vertex the move is the ending's first round: the reshape into
+    # the epsilon/2-epsilon/3 triple.
+    ending = vi == len(plan.path.vertices) - 1
+    return Decision(target, Phase.FORMATION, ("ending-reshape",) if ending else ())
 
 
 def _intermediate_decision(view: LocalView, plan: Plan, inter) -> Decision:

@@ -236,6 +236,14 @@ def test_simulate_star_noise_exit_code(tmp_path, capsys):
     assert "scaling branch has no noise model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["plan", "--out", "plan.json"], ["simulate"]])
+def test_params_c_zero_exit_code(pattern_file, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], pattern_file, *command[1:], "--params-c", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: c must be a positive finite number")
+    assert not (tmp_path / "plan.json").exists()
+
+
 def test_render_every_zero_rejected(tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     trace.write_text(json.dumps({"verdict": "timeout", "rounds": 0}) + "\n")

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -14,10 +16,20 @@ from swarmdraw.formation import (
     detect_formations,
     grid_spec,
     index_of_state,
-    plan_move,
     state_by_index,
     state_from_cells,
 )
+from swarmdraw.protocol import (
+    LocalView,
+    Phase,
+    PlanError,
+    _canonical_order,
+    _move_tables,
+    build_plan,
+    robot_decision,
+)
+
+from corpus import random_connected_pattern
 
 SPAN = math.pi / 3
 
@@ -271,54 +283,79 @@ def test_validity_of_initial_pattern_sym7():
     assert report.ok and len(report.formations) == 7
 
 
+# --- formation moves: the plan's per-vertex tables, read by robot_decision ---------
+
+@lru_cache(maxsize=None)
+def _move_plan():
+    """A drawing plan (symmetricity 1) and its first vertex that drops robots."""
+    plan = build_plan(random_connected_pattern(12, seed=5))
+    path = plan.path
+    assert plan.params.s_p == 1
+    vi = next(i for i in range(path.tail_start) if path.coverage[i])
+    return plan, vi
+
+
+def _formation_moves(plan, positions, seed=0):
+    """Global targets of every robot of positions in a drawing formation, each
+    decided from its own randomly rotated view: {robot: target}."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for i in range(len(positions)):
+        theta = float(rng.uniform(0, 2 * math.pi))
+        rel = np.delete(positions, i, axis=0) - positions[i]
+        view = LocalView(rotate(rel[np.hypot(*rel.T) <= 1.0 + 1e-9], theta))
+        dec = robot_decision(view, plan)
+        if dec.phase is Phase.FORMATION:
+            assert np.hypot(*dec.target) <= 1.0 + 1e-9
+            out[i] = positions[i] + rotate(dec.target, -theta)
+    return out
+
+
 def test_plan_move_identity():
-    params = FormationParams(0.01, 0.1, SPAN)
-    grid = params.grid()
-    spec = state_by_index(grid, 5, 4)
-    pts = spec.points(make_hull(anchor=(1.0, 2.0)))
-    det = detect_formations(pts, params)[0]
-    targets = plan_move(det, np.zeros(2), np.zeros((0, 2)), spec)
-    assert np.allclose(targets, det.members, atol=1e-12)
+    """A table holding the formation's own cells (no move, same state) keeps
+    every member in place, whatever its frame."""
+    plan, _ = _move_plan()
+    cells = state_by_index(plan.grid, *plan.path.labels[0]).local
+    stay = replace(plan, moves=[cells[_canonical_order(cells)]] + plan.moves[1:])
+    targets = _formation_moves(stay, plan.schedule[0].positions)
+    assert len(targets) == len(cells)
+    for i, t in targets.items():
+        assert np.allclose(t, plan.schedule[0].positions[i], atol=1e-12)
 
 
 def test_plan_move_drop_within_reach():
-    params = FormationParams(0.01, 0.1, SPAN)
-    grid = params.grid()
-    spec = state_by_index(grid, 5, 4)
-    pts = spec.points(make_hull())
-    det = detect_formations(pts, params)[0]
-    move = np.array([0.9, 0.0])
-    drop = np.array([[0.5, 0.2]])
-    nxt = state_by_index(grid, 4, 2)
-    targets = plan_move(det, move, drop, nxt)
-    disp = np.hypot(*(targets - det.members).T)
-    assert disp.max() <= 1.0 + 1e-9
-    assert any(np.allclose(t, drop[0]) for t in targets)
+    """Every member of a dropping formation moves at most 1 (checked in
+    _formation_moves), and the drops land on their pattern points."""
+    plan, vi = _move_plan()
+    path = plan.path
+    targets = np.array(list(_formation_moves(plan, plan.schedule[vi].positions).values()))
+    assert len(targets) == path.labels[vi][0]
+    for drop in path.pattern[list(path.coverage[vi])]:
+        assert np.hypot(*(targets - drop).T).min() <= 1e-9
 
 
 def test_plan_move_rejects_long_move():
-    params = FormationParams(0.01, 0.1, SPAN)
-    grid = params.grid()
-    spec = state_by_index(grid, 3, 1)
-    det = detect_formations(spec.points(make_hull()), params)[0]
-    with pytest.raises(FormationError):
-        plan_move(det, np.array([0.95, 0.0]), np.zeros((0, 2)), spec)
+    """A path edge longer than 1 - diameter is rejected when the tables are built."""
+    plan, _ = _move_plan()
+    vertices = plan.path.vertices.copy()
+    vertices[1] = vertices[0] + np.array([0.95, 0.0])
+    with pytest.raises(PlanError, match="longer than 1 - diameter"):
+        _move_tables(replace(plan, path=replace(plan.path, vertices=vertices)))
+    assert len(_move_tables(plan)) == len(plan.path.vertices)
 
 
 def test_plan_move_traversal_round_trip():
     """Moving and dropping then re-detecting yields the commanded next state."""
-    params = FormationParams(0.01, 0.1, SPAN)
-    grid = params.grid()
-    cur = state_by_index(grid, 6, 9)
-    pts = cur.points(make_hull(anchor=(0.3, -0.2)))
-    det = detect_formations(pts, params)[0]
-    nxt = state_by_index(grid, 5, 3)
-    drop = det.hull.anchor + np.array([0.4, 0.75])
-    targets = plan_move(det, np.array([0.6, 0.3]), drop.reshape(1, 2), nxt)
-    dets2 = detect_formations(targets, params)
-    assert len(dets2) == 1
-    assert dets2[0].size == 5 and dets2[0].state_index == 3
-    assert np.allclose(dets2[0].hull.anchor, det.hull.anchor + [0.6, 0.3], atol=1e-9)
+    plan, vi = _move_plan()
+    path = plan.path
+    positions = plan.schedule[vi].positions.copy()
+    for i, t in _formation_moves(plan, positions, seed=1).items():
+        positions[i] = t
+    dets = detect_formations(positions, plan.fparams)
+    assert len(dets) == 1
+    assert (dets[0].size, dets[0].state_index) == path.labels[vi + 1]
+    assert np.allclose(dets[0].hull.anchor, path.vertices[vi + 1], atol=1e-9)
+    assert np.allclose(dets[0].hull.direction, [1.0, 0.0], atol=1e-9)
 
 
 def test_state_from_cells_requires_defining_robots():

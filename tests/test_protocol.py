@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -6,23 +7,25 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from swarmdraw.geometry import (dist, from_polar, mindist, pairwise_distances, rotate,
-                                rotation_matrix, unit)
+from swarmdraw.geometry import (TAU_GEOM, dist, from_polar, mindist, pairwise_distances, perp,
+                                rotate, rotation_matrix, unit)
 from swarmdraw.symmetry import normalize, symmetricity
 from swarmdraw.formation import (
     DrawingHull,
     FormationParams,
-    _convex_overlap,
+    check_validity,
     detect_formations,
+    hulls_overlap,
     state_by_index,
-    wedge_polygon,
 )
 from swarmdraw.protocol import (
     DEFAULT_C,
     LocalView,
     Phase,
     _find_intermediate,
+    _matches_snapshot,
     _own_formation,
+    _screen_snapshots,
     _star_local_fits,
     build_plan,
     intermediate_targets,
@@ -69,6 +72,13 @@ def test_derive_params_star_branch():
 
     params = build_plan(ngon(14, 2.0)).params
     assert params.branch == "star" and params.s_p == 14
+
+
+@pytest.mark.parametrize("c", [0.0, -0.01, math.nan, math.inf])
+def test_build_plan_rejects_c_that_is_not_positive_and_finite(c):
+    for pts in (random_connected_pattern(8, seed=3), ngon(8, 0.6)):
+        with pytest.raises(ValueError, match="^c must be a positive finite number"):
+            build_plan(pts, c)
 
 
 def test_plan_capacity_invariants():
@@ -172,11 +182,8 @@ def _own_formation_full_view(pts, fparams):
     mine = [d for d in dets if 0 in d.member_indices]
     if len(mine) != 1:
         return None, bool(mine)
-    poly = wedge_polygon(mine[0].hull)
     for other in dets:
-        if (other is not mine[0]
-                and np.hypot(*(other.hull.anchor - mine[0].hull.anchor)) <= 2 * fparams.delta_diam
-                and _convex_overlap(poly, wedge_polygon(other.hull))):
+        if other is not mine[0] and hulls_overlap(mine[0].hull, other.hull):
             return None, True
     return mine[0], False
 
@@ -314,6 +321,142 @@ def test_own_formation_window_keeps_overlap_conflicts():
         assert cut
         conflicts += conflicted
     assert conflicts == len(pts1) + len(pts2)
+
+
+def test_own_formation_and_check_validity_share_the_overlap_cutoff():
+    """Two facing formations anchored 2*delta + 5e-10 apart: their padded hulls
+    touch, the commit check reports the overlap, and so does every member."""
+    params = FormationParams(0.01, 0.1, math.pi / 3)
+    spec = state_by_index(params.grid(), 3, 1)
+    pts1 = spec.points(DrawingHull(np.zeros(2), np.array([1.0, 0.0]), math.pi / 3, 0.1))
+    pts2 = spec.points(DrawingHull(np.array([0.2 + 5e-10, 0.0]), np.array([-1.0, 0.0]),
+                                   math.pi / 3, 0.1))
+    positions = np.vstack([pts1, pts2])
+    report = check_validity(positions, params)
+    assert len(report.formations) == 2 and report.overlaps == ((0, 1),)
+    for i in range(len(positions)):
+        assert _own_formation(positions - positions[i], params) == (None, True)
+
+
+# --- snapshot screen -----------------------------------------------------------------
+
+def _screen_reference(radii, plan, tol):
+    """Reference for _screen_snapshots: one allclose per snapshot."""
+    tols = itertools.repeat(tol) if np.isscalar(tol) else tol
+    return [t for t, (sradii, tol_t) in enumerate(zip(plan.snapshot_radii, tols))
+            if len(sradii) == len(radii)
+            and np.allclose(radii, sradii, atol=2 * tol_t + 1e-12, rtol=0)]
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["scalar-tol", "per-snapshot-tol"])
+def test_snapshot_screen_equals_allclose_loop(monkeypatch, noisy):
+    """Every full view that a run from a near-gathering matches against the
+    snapshots: the array screen keeps exactly the snapshots the per-snapshot
+    loop keeps, at the tolerance run_fsync passes (one value without noise,
+    one per snapshot under noise)."""
+    import swarmdraw.protocol as protocol
+
+    calls = []
+
+    def record(pts, plan_, tol):
+        calls.append((pts, tol))
+        return _matches_snapshot(pts, plan_, tol)
+
+    monkeypatch.setattr(protocol, "_matches_snapshot", record)
+    for name, pts in (("random-10", random_connected_pattern(10, seed=7)),
+                      ("sym-3x4", symmetric_pattern(3, 4, seed=2004))):
+        plan = build_plan(pts)
+        mu = plan.params.epsilon / (20 * plan.hops) if noisy else 0.0
+        start, kept = len(calls), set()
+        run_fsync(near_gathering(plan.n, seed=3), plan,
+                  SimConfig(seed=4, max_rounds=plan.hops + 4, noise_mu=mu))
+        for view_pts, tol in calls[start:]:
+            assert (np.isscalar(tol) and not noisy) or len(tol) == len(plan.snapshot_ids)
+            centered = view_pts - view_pts.mean(axis=0)
+            radii = np.sort(np.hypot(*centered.T))
+            got = _screen_snapshots(radii, plan, tol).tolist()
+            assert got == _screen_reference(radii, plan, tol)
+            kept.add(bool(got))
+        # Views the screen rejected outright, and views it kept snapshots for.
+        assert kept == {False, True}, name
+
+
+# --- formation moves from the plan's tables ------------------------------------------
+
+def _assignment_reference(view_pts, plan, det):
+    """Reference for the move tables: the whole formation's targets built in the
+    view frame, and members matched to targets by their lexicographic order in the
+    hull frame at TAU_GEOM resolution.  Returns the origin robot's target."""
+    path, hull = plan.path, det.hull
+    vi = path.vertex_of_label(det.size, det.state_index)
+    v = path.vertices[vi]
+    basis = np.stack([hull.direction, perp(hull.direction)], axis=0)
+
+    def to_view(q):
+        return (np.atleast_2d(q) - v) @ basis + hull.anchor
+
+    if vi == len(path.vertices) - 1:
+        targets = to_view(intermediate_targets(plan))
+    else:
+        move = to_view(path.vertices[vi + 1])[0] - hull.anchor
+        next_hull = DrawingHull(hull.anchor + move, hull.direction, hull.span, hull.diameter)
+        drops = path.pattern[list(path.coverage[vi])] if vi < path.tail_start else []
+        targets = np.vstack([state_by_index(plan.grid, *path.labels[vi + 1]).points(next_hull),
+                             to_view(drops) if len(drops) else np.zeros((0, 2))])
+    assert len(targets) == det.size
+
+    def order(points):
+        loc = np.round(hull.local(points) / TAU_GEOM) * TAU_GEOM
+        return np.lexsort((loc[:, 1], loc[:, 0]))
+
+    out = np.empty_like(targets)
+    out[order(view_pts[list(det.member_indices)])] = targets[order(targets)]
+    return out[det.member_indices.index(0)]
+
+
+def _disc_jitter(rng, n, radius):
+    """n offsets drawn uniformly from the disc of the given radius."""
+    r = radius * np.sqrt(rng.uniform(size=n))
+    phi = rng.uniform(0, 2 * math.pi, n)
+    return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
+
+
+def test_move_tables_equal_whole_formation_assignment(corpus_plans):
+    """On every corpus plan, at the first vertex, the first vertex that drops
+    robots, the first tail vertex and the last vertex (the ending reshape):
+    members' decisions in random frames equal the whole-formation assignment
+    within 1e-12.  Views are taken on the exact schedule at the noiseless
+    tolerance, and at a noisy tolerance tol = 0.1*epsilon with every robot
+    jittered by up to tol/4 over the hull's lever arm 1 + delta/epsilon (the
+    factor of run_fsync's detection guard), so members sit off their cells
+    by far more than the TAU_GEOM grid that orders them."""
+    rng = np.random.default_rng(0)
+    kinds = set()
+    for name, plan in corpus_plans:
+        path = plan.path
+        eps = plan.params.epsilon
+        last = len(path.vertices) - 1
+        drop = next((i for i in range(path.tail_start) if path.coverage[i]), 0)
+        for vi in sorted({0, drop, path.tail_start, last}):
+            rec = plan.schedule[vi]
+            members = np.nonzero([r is Phase.FORMATION for r in rec.roles])[0]
+            for i in rng.choice(members, size=min(len(members), 4), replace=False):
+                for tol in (TAU_GEOM, 0.1 * eps):
+                    positions = rec.positions
+                    if tol > TAU_GEOM:
+                        radius = tol / (4 * (1 + plan.params.delta / eps))
+                        positions = positions + _disc_jitter(rng, len(positions), radius)
+                    theta = float(rng.uniform(0, 2 * math.pi))
+                    view = view_from_global(positions, i, theta)
+                    dec = robot_decision(view, plan, tol=tol)
+                    assert dec.phase is Phase.FORMATION, (name, vi)
+                    det, _ = _own_formation(view.all_points, replace(plan.fparams, tol=tol))
+                    want = _assignment_reference(view.all_points, plan, det)
+                    assert np.abs(dec.target - want).max() <= 1e-12, (name, vi, tol)
+                    assert dec.events == (("ending-reshape",) if vi == last else ())
+                    kinds.add("ending" if vi == last else "drop" if path.coverage[vi]
+                              and vi < path.tail_start else "move")
+    assert kinds == {"move", "drop", "ending"}
 
 
 # --- robot steps ---------------------------------------------------------------------
