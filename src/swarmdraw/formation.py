@@ -24,7 +24,7 @@ from math import comb
 
 import numpy as np
 
-from .geometry import TAU_GEOM, as_points, pairwise_distances, perp, unit
+from .geometry import TAU_GEOM, as_points, perp
 
 # Hard cap on the grid resolution; beyond this the state machinery would be
 # astronomically large and something upstream chose parameters badly.
@@ -379,70 +379,79 @@ def detect_formations(points, params: FormationParams) -> list[DetectedFormation
     Seeks pairs at distance epsilon, a collinear third robot beyond the
     second (which disambiguates anchor from partner), reconstructs the hull,
     and keeps the candidate only if every robot inside the hull realizes a
-    legal grid state.
+    legal grid state.  All orientations of all pairs are tested in one pass.
     """
     pts = as_points(points)
-    n = len(pts)
-    if n < 3:
+    m = len(pts)
+    if m < 3:
         return []
-    eps, tol = params.epsilon, params.tol
-    grid = params.grid()
-
-    pair_i, pair_j = np.nonzero(np.abs(pairwise_distances(pts) - eps) <= tol)
-    upper = pair_i < pair_j
-
-    found: dict[tuple, DetectedFormation] = {}
-    for a, b in zip(pair_i[upper].tolist(), pair_j[upper].tolist()):
-        for p_idx, q_idx in ((a, b), (b, a)):
-            det = _try_candidate(pts, p_idx, q_idx, params, grid)
-            if det is not None:
-                key = tuple(np.round(np.concatenate([det.hull.anchor, det.hull.direction]),
-                                     8).tolist())
-                found.setdefault(key, det)
-    return [found[k] for k in sorted(found)]
-
-
-def _try_candidate(pts, p_idx, q_idx, params, grid) -> DetectedFormation | None:
     eps, tol, delta = params.epsilon, params.tol, params.delta_diam
-    hull = DrawingHull(pts[p_idx], unit(pts[q_idx] - pts[p_idx]), params.span, delta)
-    loc = hull.local(pts)
-    x, y = loc[:, 0], loc[:, 1]
+    z = pts[:, 0] + 1j * pts[:, 1]
+    a, b = (ends[:m * (m - 1) // 2] for ends in _pairs_by_column(1 << (m - 1).bit_length()))
+    close = np.flatnonzero(np.abs(np.abs(z[b] - z[a]) - eps) <= tol)
+    if not len(close):
+        return []
+    close = close[np.argsort(a[close], kind="stable")]      # pairs row by row
+    a, b = a[close], b[close]
+    # Orientations (a, b), (b, a) of each pair, in that order: anchor p, partner q.
+    p_idx = np.stack([a, b], axis=1).ravel()
+    q_idx = np.stack([b, a], axis=1).ravel()
+    rows = np.arange(len(p_idx))
+    rel = z[None, :] - z[p_idx, None]
+    u = rel[rows, q_idx] / np.abs(rel[rows, q_idx])     # unit directions p -> q
+    local = rel * u.conj()[:, None]
+    x, y = local.real, local.imag
 
     # Third defining robot: collinear beyond q at distance 2*i*eps, i >= 1.
     i = np.rint((x / eps - 1.0) / 2.0)
     third = ((np.abs(y) <= tol) & (x >= 3 * eps - tol) & (x <= delta + tol)
              & (i >= 1) & (np.abs(x - (1 + 2 * i) * eps) <= tol))
-    third[[p_idx, q_idx]] = False
-    if not third.any():
-        return None
+    third[rows, p_idx] = False
+    third[rows, q_idx] = False
+    live = np.flatnonzero(third.any(axis=1))
+    if not len(live):
+        return []
+    x, y = x[live], y[live]
+    members = (np.hypot(x, y) <= delta + tol) & (_lateral_distance(x, y, params.span) <= tol)
+    grid = params.grid()
+    cells, on_grid = _snap_cells(grid, x, y, eps, tol)
 
-    r = np.hypot(x, y)
-    lateral = _lateral_distance(x, y, params.span)
-    member_idx = np.nonzero((r <= delta + tol) & (lateral <= tol))[0]
-    if len(member_idx) < 3:
-        return None
+    found: dict[tuple, DetectedFormation] = {}
+    for row, c in enumerate(live.tolist()):
+        member_idx = np.flatnonzero(members[row])
+        if len(member_idx) < 3 or not on_grid[row, member_idx].all():
+            continue
+        decoded = _decode(grid, tuple(sorted(cells[row, member_idx].tolist())))
+        if decoded is None:
+            continue
+        hull = DrawingHull(pts[p_idx[c]], np.array([u[c].real, u[c].imag]), params.span, delta)
+        key = tuple(np.round(np.concatenate([hull.anchor, hull.direction]), 8).tolist())
+        found.setdefault(key, DetectedFormation(
+            hull=hull, member_indices=tuple(member_idx.tolist()),
+            local=np.stack([x[row, member_idx], y[row, member_idx]], axis=1),
+            state_index=decoded[1]))
+    return [found[k] for k in sorted(found)]
 
-    cell_ids = _snap_cells(grid, x[member_idx], y[member_idx], eps, tol)
-    decoded = None if cell_ids is None else _decode(grid, tuple(sorted(cell_ids)))
-    if decoded is None:
-        return None
-    return DetectedFormation(hull=hull, member_indices=tuple(member_idx.tolist()),
-                             local=loc[member_idx], state_index=decoded[1])
+
+@lru_cache(maxsize=None)
+def _pairs_by_column(cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, of cap points ordered by j, then i: the pairs
+    of the first m points are the first m(m - 1)/2."""
+    j, i = np.tril_indices(cap, -1)
+    return i, j
 
 
-def _snap_cells(grid: GridSpec, xs, ys, eps: float, tol: float) -> list[int] | None:
-    """Cell ids of points on the grid (None if any point is off-grid)."""
+def _snap_cells(grid: GridSpec, xs, ys, eps: float, tol: float):
+    """(cell ids, whether on the grid) of hull-local points, elementwise."""
     anchor = np.hypot(xs, ys) <= tol
     i = np.rint((xs / eps - 1.0) / 2.0).astype(np.int64)
     j = np.rint(ys / (2.0 * eps)).astype(np.int64)
     col = np.minimum(np.maximum(i, 0), grid.i_max)
     ok = (i >= 0) & (j >= 0) & (i <= grid.i_max) & (j < grid.col_sizes[col])
     ok &= np.hypot(xs - (1 + 2 * i) * eps, ys - 2 * j * eps) <= tol
-    if not (ok | anchor).all():
-        return None
     ids = 1 + grid.col_prefix[col] + j
     ids[anchor] = 0
-    return ids.tolist()
+    return ids, ok | anchor
 
 
 # --- validity ------------------------------------------------------------------

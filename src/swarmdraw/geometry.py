@@ -257,13 +257,14 @@ def match_points(a, b, tol):
 
     Returns (perm, max error), or (None, largest nearest-neighbor distance).
     Nearest neighbors decide when they are injective; when they collide, an
-    exact minimum-cost assignment arbitrates.
+    exact minimum-cost assignment arbitrates, if the largest nearest-neighbor
+    distance is within tol: no bijection has an error below it.
     """
     tree = cKDTree(b)
     dd, idx = tree.query(a, k=1)
     if dd.max() <= tol and len(set(idx.tolist())) == len(a):
         return idx, float(dd.max())
-    if dd.max() <= 10 * tol + 1e-9:
+    if dd.max() <= tol:
         from scipy.optimize import linear_sum_assignment  # rarely needed; slow to import
 
         cost = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))

@@ -513,8 +513,8 @@ def _classify(pts, plan: Plan, tol: float, snapshot_tol=None):
     if len(pts) == plan.n and len(pts) > 1:
         if snapshot_tol is None:
             snapshot_tol = max(tol, 1e-7)
-        if (pairwise_distances(pts).max() <= 1.0 + TAU_GEOM
-                and not _matches_snapshot(pts, plan, snapshot_tol)):
+        if (not _matches_snapshot(pts, plan, snapshot_tol)
+                and pairwise_distances(pts).max() <= 1.0 + TAU_GEOM):
             return Phase.INITIAL, None, None
     fparams = replace(plan.fparams, tol=tol) if tol != plan.fparams.tol else plan.fparams
     mine, conflicted = _own_formation(pts, fparams)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -97,12 +96,20 @@ class Trace:
             fh.write(json.dumps(final) + "\n")
 
 
-@lru_cache(maxsize=1 << 18)
-def _frame_angle(seed: int, robot: int, rnd: int) -> float:
-    gen = np.random.Generator(np.random.Philox(
-        key=np.array([seed % 2 ** 64, ((robot + 1) * 2 ** 32 + rnd) % 2 ** 64],
-                     dtype=np.uint64)))
-    return float(gen.uniform(0.0, 2.0 * math.pi))
+def _frame_angles(n: int, rnd: int, cfg: SimConfig) -> np.ndarray:
+    """The n robots' private frame angles of round rnd, in [0, 2*pi) (all 0 in
+    the fixed frame mode): the SplitMix64 finaliser of a counter keyed on
+    (seed, robot, round), its top 53 bits scaled to the circle."""
+    if cfg.frame_mode == "fixed":
+        return np.zeros(n)
+    with np.errstate(over="ignore"):
+        z = (np.uint64((cfg.seed * 0x9E3779B97F4A7C15) % 2 ** 64)
+             + ((np.arange(n, dtype=np.uint64) + np.uint64(1)) << np.uint64(32))
+             + np.uint64(rnd % 2 ** 32))
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * (2.0 * math.pi / 2.0 ** 53)
 
 
 def _noise_vector(seed: int, robot: int, rnd: int, mu: float) -> np.ndarray:
@@ -114,19 +121,21 @@ def _noise_vector(seed: int, robot: int, rnd: int, mu: float) -> np.ndarray:
     return np.array([r * math.cos(phi), r * math.sin(phi)])
 
 
-def make_local_view(positions, robot: int, rnd: int, cfg: SimConfig) -> LocalView:
-    """Neighbors within distance 1, in a per-(robot, round) rotated frame."""
+def make_local_views(positions, rnd: int, cfg: SimConfig) -> list[LocalView]:
+    """Every robot's neighbours within distance 1 in its per-(robot, round)
+    rotated frame, lex-sorted, from one pass over the round's differences."""
     pts = as_points(positions)
-    rel = pts - pts[robot]
-    d = np.hypot(*rel.T)
-    mask = (d <= 1.0 + TAU_GEOM)
-    mask[robot] = False
-    neighbors = rel[mask]
-    if cfg.frame_mode == "random":
-        rot = rotation_matrix(_frame_angle(cfg.seed, robot, rnd))
-        neighbors = neighbors @ rot.T
-    order = np.lexsort((neighbors[:, 1], neighbors[:, 0])) if len(neighbors) else []
-    return LocalView(neighbors[order] if len(neighbors) else neighbors.reshape(0, 2))
+    angles = _frame_angles(len(pts), rnd, cfg)[:, None]
+    cos, sin = np.cos(angles), np.sin(angles)
+    dx = pts[None, :, 0] - pts[:, None, 0]          # row i: positions relative to robot i
+    dy = pts[None, :, 1] - pts[:, None, 1]
+    mask = np.hypot(dx, dy) <= 1.0 + TAU_GEOM
+    np.fill_diagonal(mask, False)
+    x = (cos * dx - sin * dy)[mask]
+    y = (sin * dx + cos * dy)[mask]
+    order = np.lexsort((y, x, np.nonzero(mask)[0]))
+    local = np.stack([x[order], y[order]], axis=1)
+    return [LocalView(nb) for nb in np.split(local, np.cumsum(mask.sum(axis=1))[:-1])]
 
 
 def verify_pattern(config, pattern, tol: float = 1e-6):
@@ -333,21 +342,21 @@ def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
 
 
 def _compute_round(positions, plan, cfg, rnd, detect_tol, snapshot_tol=None):
-    n = len(positions)
+    views = make_local_views(positions, rnd, cfg)
+    angles = _frame_angles(len(views), rnd, cfg)
+    cos, sin = np.cos(angles), np.sin(angles)
     phases: list[str] = []
     events: list[dict] = []
-    targets = np.empty((n, 2))
-    for i in range(n):
-        view = make_local_view(positions, i, rnd, cfg)
+    local = np.empty((len(views), 2))
+    for i, view in enumerate(views):
         decision: Decision = robot_decision(view, plan, tol=detect_tol,
                                             snapshot_tol=snapshot_tol)
         phases.append(decision.phase.value)
         events.extend({"robot": i, "event": ev} for ev in decision.events)
-        # Map the local-frame target back to the global frame.
-        t_local = decision.target
-        if cfg.frame_mode == "random":
-            t_local = rotation_matrix(-_frame_angle(cfg.seed, i, rnd)) @ t_local
-        targets[i] = positions[i] + t_local
+        local[i] = decision.target
+    # Map the local-frame targets back to the global frame.
+    targets = positions + np.stack([cos * local[:, 0] + sin * local[:, 1],
+                                    cos * local[:, 1] - sin * local[:, 0]], axis=1)
     return phases, events, targets
 
 

@@ -6,8 +6,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from swarmdraw.geometry import rotate, unit
+from swarmdraw.geometry import pairwise_distances, rotate, unit
 from swarmdraw.formation import (
+    DetectedFormation,
     DrawingHull,
     FormationError,
     FormationParams,
@@ -18,6 +19,8 @@ from swarmdraw.formation import (
     index_of_state,
     state_by_index,
     state_from_cells,
+    _decode,
+    _lateral_distance,
 )
 from swarmdraw.protocol import (
     LocalView,
@@ -30,6 +33,7 @@ from swarmdraw.protocol import (
 )
 
 from corpus import random_connected_pattern
+from test_protocol import _WINDOW_CASES, _run_views
 
 SPAN = math.pi / 3
 
@@ -200,6 +204,83 @@ def test_state_index_frame_independent():
         assert dets[0].state_index == 23 and dets[0].size == 6
 
 
+def _detect_reference(points, params):
+    """Reference for detect_formations: a hull and a hull-local pass for each
+    orientation of every epsilon-pair, one candidate at a time."""
+    pts = np.asarray(points, dtype=float)
+    if len(pts) < 3:
+        return []
+    pair_i, pair_j = np.nonzero(np.abs(pairwise_distances(pts) - params.epsilon) <= params.tol)
+    found = {}
+    for a, b in zip(pair_i.tolist(), pair_j.tolist()):
+        if a > b:
+            continue
+        for p, q in ((a, b), (b, a)):
+            det = _candidate_reference(pts, p, q, params)
+            if det is not None:
+                key = tuple(np.round(np.concatenate([det.hull.anchor, det.hull.direction]),
+                                     8).tolist())
+                found.setdefault(key, det)
+    return [found[k] for k in sorted(found)]
+
+
+def _candidate_reference(pts, p, q, params):
+    eps, tol, delta = params.epsilon, params.tol, params.delta_diam
+    grid = params.grid()
+    hull = DrawingHull(pts[p], unit(pts[q] - pts[p]), params.span, delta)
+    loc = hull.local(pts)
+    x, y = loc[:, 0], loc[:, 1]
+    i = np.rint((x / eps - 1.0) / 2.0)
+    third = ((np.abs(y) <= tol) & (x >= 3 * eps - tol) & (x <= delta + tol)
+             & (i >= 1) & (np.abs(x - (1 + 2 * i) * eps) <= tol))
+    third[[p, q]] = False
+    if not third.any():
+        return None
+    members = np.nonzero((np.hypot(x, y) <= delta + tol)
+                         & (_lateral_distance(x, y, params.span) <= tol))[0]
+    if len(members) < 3:
+        return None
+    xs, ys = x[members], y[members]
+    at_anchor = np.hypot(xs, ys) <= tol
+    ci = np.rint((xs / eps - 1.0) / 2.0).astype(np.int64)
+    cj = np.rint(ys / (2.0 * eps)).astype(np.int64)
+    col = np.clip(ci, 0, grid.i_max)
+    ok = (ci >= 0) & (cj >= 0) & (ci <= grid.i_max) & (cj < grid.col_sizes[col])
+    ok &= np.hypot(xs - (1 + 2 * ci) * eps, ys - 2 * cj * eps) <= tol
+    if not (ok | at_anchor).all():
+        return None
+    cells = np.where(at_anchor, 0, 1 + grid.col_prefix[col] + cj)
+    decoded = _decode(grid, tuple(sorted(cells.tolist())))
+    if decoded is None:
+        return None
+    return DetectedFormation(hull, tuple(members.tolist()), loc[members], decoded[1])
+
+
+def _assert_detection_matches_reference(pts, params):
+    got = detect_formations(pts, params)
+    want = _detect_reference(pts, params)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.member_indices == w.member_indices
+        assert g.state_index == w.state_index
+        for a, b in ((g.hull.anchor, w.hull.anchor), (g.hull.direction, w.hull.direction),
+                     (g.local, w.local)):
+            assert np.allclose(a, b, atol=1e-12, rtol=0)
+    return got
+
+
+@pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
+def test_detection_equals_per_candidate_reference(case):
+    """Every robot's whole view in every round of a run, at the noiseless
+    detection tolerance and at the noisy cap 0.45*epsilon."""
+    plan, views = _run_views(case)
+    found = 0
+    for pts in views:
+        for tol in (plan.fparams.tol, 0.45 * plan.params.epsilon):
+            found += len(_assert_detection_matches_reference(pts, replace(plan.fparams, tol=tol)))
+    assert found
+
+
 def test_detect_synthesize_round_trip_random():
     params = FormationParams(0.01, 0.1, SPAN)
     grid = params.grid()
@@ -215,7 +296,7 @@ def test_detect_synthesize_round_trip_random():
         # Far decoys must not disturb the detection.
         decoys = anchor + np.stack([(1.5 + rng.uniform(0, 3)) * unit(rng.normal(size=2))
                                     for _ in range(5)])
-        dets = detect_formations(np.vstack([pts, decoys]), params)
+        dets = _assert_detection_matches_reference(np.vstack([pts, decoys]), params)
         assert len(dets) == 1
         det = dets[0]
         assert det.size == size and det.state_index == idx
@@ -235,7 +316,7 @@ def test_detect_two_disjoint_formations():
     h2 = make_hull(anchor=(0.7, 0.3), direction=unit(np.array([1.0, 1.0])))
     pts = np.vstack([state_by_index(grid, 4, 2).points(h1),
                      state_by_index(grid, 5, 7).points(h2)])
-    dets = detect_formations(pts, params)
+    dets = _assert_detection_matches_reference(pts, params)
     assert len(dets) == 2
     assert sorted(d.size for d in dets) == [4, 5]
 
@@ -246,7 +327,7 @@ def test_detect_rejects_off_grid_intruder():
     hull = make_hull()
     pts = state_by_index(grid, 4, 3).points(hull)
     intruder = hull.anchor + np.array([0.033, 0.004])  # inside hull, off grid
-    assert detect_formations(np.vstack([pts, [intruder]]), params) == []
+    assert _assert_detection_matches_reference(np.vstack([pts, [intruder]]), params) == []
 
 
 def test_validity_single_formation_with_drops():

@@ -302,3 +302,73 @@ def test_star_match_without_a_tree_equals_the_kdtree_match(name, grow, robot, th
                         poses += [(k, th, 1e-6), (k, th, window)]
     if spread == 0.0:
         assert matched
+
+
+def _match_points_wide_gate(a, b, tol):
+    """match_points as it was before its fallback gate was tightened: the exact
+    assignment ran whenever the largest nearest-neighbour distance was within
+    10*tol + 1e-9, not only within tol."""
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial import cKDTree
+
+    dd, idx = cKDTree(b).query(a, k=1)
+    if dd.max() <= tol and len(set(idx.tolist())) == len(a):
+        return idx, float(dd.max())
+    if dd.max() <= 10 * tol + 1e-9:
+        cost = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+        rows, cols = linear_sum_assignment(cost)
+        err = float(cost[rows, cols].max())
+        if err <= tol:
+            perm = np.empty(len(a), dtype=int)
+            perm[rows] = cols
+            return perm, err
+    return None, float(dd.max())
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(n=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1),
+       spread=st.floats(0.5, 4.0), shake=st.floats(0.2, 3.0))
+def test_match_points_gate_keeps_the_wide_gate_results(n, seed, spread, shake):
+    """Points spaced about a tolerance apart and jittered by about a tolerance,
+    so nearest neighbours collide and the largest one straddles tol."""
+    rng = np.random.default_rng(seed)
+    b = jitter(rng, n, spread * TOL)
+    a = b[rng.permutation(n)] + jitter(rng, n, shake * TOL)
+    got, got_err = match_points(a, b, TOL)
+    want, want_err = _match_points_wide_gate(a, b, TOL)
+    assert (got is None) == (want is None)
+    assert got_err == want_err
+    if want is not None:
+        assert np.array_equal(got, want)
+
+
+def _decision_views(plan):
+    """(view points, robot, role) of every formation and intermediate robot of
+    the plan's reference schedule."""
+    out = []
+    for rec in plan.schedule[:-1]:
+        for i, role in enumerate(rec.roles):
+            if role in (Phase.FORMATION, Phase.INTERMEDIATE):
+                out.append((rec.positions, i, role))
+    return out
+
+
+_EQUIVARIANCE_PATTERNS = [pts for name, pts in main_corpus()
+                          if name in ("random-6-0", "random-10-4", "random-14-8",
+                                      "random-25-36", "sym-3x4", "sym-6x3")]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(pattern=st.integers(0, len(_EQUIVARIANCE_PATTERNS) - 1), pick=st.integers(0, 10 ** 6),
+       phi=st.floats(-math.pi, math.pi))
+def test_robot_decision_is_rotation_equivariant(pattern, pick, phi):
+    """A formation or intermediate robot's view rotated by phi yields the same
+    phase and events, and the target rotated by phi."""
+    plan = build_plan(_EQUIVARIANCE_PATTERNS[pattern])
+    views = _decision_views(plan)
+    positions, i, role = views[pick % len(views)]
+    base = robot_decision(view_from_global(positions, i), plan)
+    turned = robot_decision(view_from_global(positions, i, phi), plan)
+    assert base.phase is role
+    assert turned.phase is base.phase and turned.events == base.events
+    assert np.abs(turned.target - rotate(base.target, phi)).max() <= 1e-9

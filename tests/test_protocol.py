@@ -31,7 +31,7 @@ from swarmdraw.protocol import (
     intermediate_targets,
     robot_decision,
 )
-from swarmdraw.simulator import SimConfig, make_local_view, run_fsync
+from swarmdraw.simulator import SimConfig, make_local_views, run_fsync
 
 from corpus import near_gathering, ngon, random_connected_pattern, symmetric_pattern, two_ring
 
@@ -222,8 +222,8 @@ def _run_views(case):
                     noise_mu=eps / (20 * plan.hops) if noisy else 0.0)
     trace = run_fsync(plan.initial, plan, cfg)
     assert trace.verdict == "formed"
-    return plan, [make_local_view(rec.positions, i, rec.round, cfg).all_points
-                  for rec in trace.rounds for i in range(plan.n)]
+    return plan, [view.all_points for rec in trace.rounds
+                  for view in make_local_views(rec.positions, rec.round, cfg)]
 
 
 @pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
@@ -509,8 +509,7 @@ def test_formation_step_matches_path_ground_truth():
     # first formation on the state of the second vertex.
     cfg = SimConfig(seed=0, frame_mode="fixed")
     targets = np.empty_like(plan.initial)
-    for i in range(len(plan.initial)):
-        view = make_local_view(plan.initial, i, 0, cfg)
+    for i, view in enumerate(make_local_views(plan.initial, 0, cfg)):
         targets[i] = plan.initial[i] + robot_decision(view, plan=plan).target
     dets = detect_formations(targets, plan.fparams)
     assert len(dets) == plan.params.s_p
@@ -551,7 +550,7 @@ def test_endgame_displacements_within_viewing_range(tail_corpus):
 def test_locality_view_excludes_far_robots():
     positions = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.5, 0.0]])
     cfg = SimConfig(seed=0, frame_mode="fixed")
-    view = make_local_view(positions, 0, 0, cfg)
+    view = make_local_views(positions, 0, cfg)[0]
     dists = np.hypot(*view.neighbors.T)
     assert len(view.neighbors) == 2  # 0.5 and exactly 1.0; 1.5 is out of range
     assert dists.max() <= 1.0 + 1e-9
@@ -563,8 +562,7 @@ def test_near_gathering_assignment_forms_initial_pattern():
     config = near_gathering(8, seed=9)
     cfg = SimConfig(seed=0, frame_mode="fixed")
     targets = np.empty_like(config)
-    for i in range(len(config)):
-        view = make_local_view(config, i, 0, cfg)
+    for i, view in enumerate(make_local_views(config, 0, cfg)):
         dec = robot_decision(view, plan=plan)
         assert dec.phase is Phase.INITIAL
         targets[i] = config[i] + dec.target
@@ -587,8 +585,7 @@ def test_symmetric_near_gathering_assignment_respects_orbits():
     assert info.sym == 3
     cfg = SimConfig(seed=0, frame_mode="fixed")
     targets = np.empty_like(config)
-    for i in range(len(config)):
-        view = make_local_view(config, i, 0, cfg)
+    for i, view in enumerate(make_local_views(config, 0, cfg)):
         targets[i] = config[i] + robot_decision(view, plan=plan).target
     from swarmdraw.protocol import fit_isometry
 

@@ -8,14 +8,15 @@ import pytest
 
 from swarmdraw import geometry, protocol
 from swarmdraw.formation import DrawingHull, FormationParams, state_by_index
-from swarmdraw.geometry import mindist, pairwise_distances, rotate, unit
+from swarmdraw.geometry import TAU_GEOM, mindist, pairwise_distances, rotate, unit
 from swarmdraw.protocol import Phase, build_plan, fit_isometry, robot_decision
 from swarmdraw.simulator import (
     SimConfig,
     SimulationError,
     _commit,
     drift_tolerance,
-    make_local_view,
+    _frame_angles,
+    make_local_views,
     run_fsync,
     verify_pattern,
 )
@@ -31,22 +32,73 @@ def small_plan():
 
 def test_view_isolated_robot():
     positions = np.array([[0.0, 0.0], [2.0, 2.0], [3.0, 0.0]])
-    view = make_local_view(positions, 0, 0, SimConfig(frame_mode="fixed"))
+    view = make_local_views(positions, 0, SimConfig(frame_mode="fixed"))[0]
     assert len(view.neighbors) == 0
 
 
 def test_view_includes_boundary_neighbor():
     positions = np.array([[0.0, 0.0], [1.0, 0.0]])
-    view = make_local_view(positions, 0, 0, SimConfig(frame_mode="fixed"))
+    view = make_local_views(positions, 0, SimConfig(frame_mode="fixed"))[0]
     assert len(view.neighbors) == 1
 
 
 def test_view_rotation_preserves_distances():
     positions = np.vstack([np.zeros(2), np.random.default_rng(0).uniform(-0.5, 0.5, (6, 2))])
-    views = [make_local_view(positions, 0, 0, SimConfig(seed=s)) for s in (1, 2)]
+    views = [make_local_views(positions, 0, SimConfig(seed=s))[0] for s in (1, 2)]
     d1 = np.sort(np.hypot(*views[0].neighbors.T))
     d2 = np.sort(np.hypot(*views[1].neighbors.T))
     assert np.allclose(d1, d2, atol=1e-12)
+
+
+def _views_reference(positions, rnd, cfg):
+    """Reference for make_local_views, from the definition: each robot's
+    neighbours within 1 + TAU_GEOM, rotated by its frame angle, lex-sorted."""
+    angles = _frame_angles(len(positions), rnd, cfg)
+    views = []
+    for i in range(len(positions)):
+        rel = np.delete(positions, i, axis=0) - positions[i]
+        local = rotate(rel[np.hypot(*rel.T) <= 1.0 + TAU_GEOM], angles[i])
+        views.append(local[np.lexsort((local[:, 1], local[:, 0]))])
+    return views
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_views_equal_per_robot_reference(seed):
+    """Random swarms holding a pair exactly 1 apart (and one just beyond), in
+    random and fixed frames."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 40))
+    positions = np.vstack([[[0.25, 0.5], [1.25, 0.5], [0.25, 1.5 + 2 * TAU_GEOM]],
+                           rng.uniform(-1.5, 1.5, (n, 2))])
+    for cfg in (SimConfig(seed=seed), SimConfig(seed=seed, frame_mode="fixed")):
+        rnd = int(rng.integers(0, 1000))
+        got = make_local_views(positions, rnd, cfg)
+        want = _views_reference(positions, rnd, cfg)
+        assert len(got) == len(positions)
+        for view, ref in zip(got, want):
+            assert view.neighbors.shape == ref.shape
+            assert np.allclose(view.neighbors, ref, atol=1e-12, rtol=0)
+        # The boundary neighbour is seen, the one 2*TAU_GEOM beyond is not.
+        assert np.isclose(np.hypot(*got[0].neighbors.T), 1.0, atol=1e-12).sum() == 1
+        assert len(make_local_views(positions[[0, 2]], rnd, cfg)[0].neighbors) == 0
+
+
+def test_frame_angles_are_a_counter_based_hash():
+    def angles_of(seed, n, rnd):
+        return _frame_angles(n, rnd, SimConfig(seed=seed))
+
+    angles = angles_of(7, 500, 3)
+    assert ((0.0 <= angles) & (angles < 2 * math.pi)).all()
+    assert np.array_equal(angles, angles_of(7, 500, 3))
+    # A robot's angle depends on its index, not on the swarm size.
+    assert np.array_equal(angles[:20], angles_of(7, 20, 3))
+    assert len(np.unique(angles)) == 500
+    for other in (angles_of(7, 500, 4), angles_of(8, 500, 3), angles_of(-7, 500, 3)):
+        assert (angles != other).all()
+    # Roughly uniform: each eighth of the circle holds about an eighth of them.
+    counts = np.bincount((angles_of(1, 8000, 0) / (math.pi / 4)).astype(int), minlength=8)
+    assert len(counts) == 8 and (np.abs(counts - 1000) < 150).all()
+    assert not _frame_angles(5, 3, SimConfig(frame_mode="fixed")).any()
 
 
 def test_run_already_formed(small_plan):
@@ -271,8 +323,7 @@ def test_noisy_small_pattern_stays_formed(main_corpus):
     assert trace.verdict == "formed"
     final = trace.rounds[-1].positions
     snapshot_tol = [drift_tolerance(plan, mu, t) for t in plan.snapshot_ids]
-    for i in range(plan.n):
-        view = make_local_view(final, i, trace.total_rounds + 1, cfg)
+    for view in make_local_views(final, trace.total_rounds + 1, cfg):
         decision = robot_decision(view, plan=plan, snapshot_tol=snapshot_tol)
         assert decision.phase is Phase.DROPPED
         assert not decision.target.any()
