@@ -59,18 +59,18 @@ class DrawingHull:
         object.__setattr__(self, "anchor", a)
         object.__setattr__(self, "direction", d / np.hypot(d[0], d[1]))
 
-    def local(self, points) -> np.ndarray:
-        """Coordinates relative to the anchor, x along direction."""
-        pts = as_points(points)
+    def local(self, points: np.ndarray) -> np.ndarray:
+        """Coordinates of an (n, 2) array relative to the anchor, x along
+        direction.  Callers pass checked arrays; nothing is re-validated."""
         d = self.direction
         basis = np.stack([d, perp(d)], axis=1)
-        return (pts - self.anchor) @ basis
+        return (points - self.anchor) @ basis
 
-    def to_global(self, local_points) -> np.ndarray:
-        pts = as_points(local_points)
+    def to_global(self, local_points: np.ndarray) -> np.ndarray:
+        """Inverse of ``local`` for an (n, 2) array of hull coordinates."""
         d = self.direction
         basis = np.stack([d, perp(d)], axis=0)
-        return pts @ basis + self.anchor
+        return local_points @ basis + self.anchor
 
 
 def _lateral_distance(x, y, span) -> np.ndarray:

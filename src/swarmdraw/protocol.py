@@ -35,7 +35,7 @@ from .geometry import (
     unit,
     unit_disc_connected,
 )
-from .symmetry import normalize, rotation_orbits, symmetricity
+from .symmetry import centered_symmetricity, normalize, rotation_orbits, symmetricity
 from .formation import (
     DetectedFormation,
     DrawingHull,
@@ -125,8 +125,31 @@ class StarPlan:
     rings: tuple[StarRing, ...]     # one per orbit
 
 
+class SlotOrbits(NamedTuple):
+    """The slots' orbits under the rotation by 2*pi/d, in ``_slot_key`` order."""
+
+    angles: np.ndarray              # polar angle of each orbit's lowest-index slot
+    by_k: tuple[tuple[int, ...] | None, ...]    # slot indices by step k; None if uneven
+
+
+@dataclass(frozen=True)
+class SlotTable:
+    """The slots of the one-round near-gathering assignment, with their
+    orbits for every divisor d of s_p (None where the rotation by 2*pi/d
+    does not map the slots onto themselves within 1e-7).  Built once per
+    plan by ``_slot_table``; ``assignment_target`` only reads it."""
+
+    points: np.ndarray
+    orbits: dict[int, SlotOrbits | None]
+
+
 @dataclass
 class Plan:
+    """Everything the protocol derives from the pattern.  ``slots`` holds the
+    targets of the near-gathering assignment (``initial`` on the drawing
+    branch, the shrunken pattern kappa0*pattern on the scaling branch) with
+    their orbits for every divisor of s_p."""
+
     pattern: np.ndarray             # canonical pattern (normalized, rotated)
     params: ProtocolParams
     path: DrawingPath | None = None
@@ -140,6 +163,7 @@ class Plan:
     tail_points: np.ndarray | None = None     # p1, p2, p3 in path frame
     moves: list[np.ndarray] = field(default_factory=list)   # per path vertex, see _move_tables
     star: StarPlan | None = None
+    slots: SlotTable | None = None
 
     @property
     def n(self) -> int:
@@ -202,7 +226,8 @@ def _build_plan(pts: np.ndarray, c0: float) -> Plan:
                                   np.argsort(norms[keep])[:8], np.sort(norms[keep])))
         star = StarPlan(d_max=d_max, kappa0=kappa0, rounds_bound=rounds_bound,
                         mindist=md, rings=tuple(rings))
-        plan = Plan(pattern=pts, params=params, star=star)
+        plan = Plan(pattern=pts, params=params, star=star,
+                    slots=_slot_table(kappa0 * pts, s))
         _build_star_schedule(plan)
         return plan
 
@@ -249,6 +274,7 @@ def _finish_draw_plan(plan: Plan) -> None:
     plan.tail_points = np.stack([p1, p2, p3])
 
     plan.initial = initial_positions(plan)
+    plan.slots = _slot_table(plan.initial, plan.params.s_p)
     plan.schedule = _build_draw_schedule(plan)
     _index_snapshots(plan)
     plan.moves = _move_tables(plan)
@@ -406,10 +432,11 @@ def _fit_centered(a, b, tol):
     n = len(a)
     ra = np.hypot(*a.T)
     rb = np.hypot(*b.T)
-    if not np.allclose(np.sort(ra), np.sort(rb), atol=2 * tol + 1e-12, rtol=0):
+    gap = float(np.abs(np.sort(ra) - np.sort(rb)).max())
+    if gap > 2 * tol + 1e-12:
         return None
     if n == 1 or ra.max() <= tol:
-        return 0.0, np.arange(n), float(np.abs(np.sort(ra) - np.sort(rb)).max())
+        return 0.0, np.arange(n), gap
 
     ext = int(np.lexsort((a[:, 1], a[:, 0], ra))[-1])
     ang_ext = math.atan2(a[ext, 1], a[ext, 0])
@@ -559,7 +586,7 @@ def _formation_decision(view: LocalView, plan: Plan, det: DetectedFormation) -> 
     if len(table) != det.size:
         raise FormationError(f"{det.size} robots cannot fill {len(table)} targets")
     rank = int(np.flatnonzero(_canonical_order(det.local) == det.member_indices.index(0))[0])
-    target = det.hull.to_global(table[rank])[0]
+    target = det.hull.to_global(table[rank:rank + 1])[0]
     if math.hypot(*target) > 1.0 + TAU_GEOM:
         raise AssertionError("planned displacement exceeds the viewing range")
     # At the last vertex the move is the ending's first round: the reshape into
@@ -589,24 +616,70 @@ class AssignmentError(RuntimeError):
     pass
 
 
-def assignment_target(points: np.ndarray, self_idx: int, slots: np.ndarray) -> np.ndarray:
+def _slot_table(slots: np.ndarray, s_p: int) -> SlotTable:
+    """The slot orbits ``assignment_target`` reads, for every divisor d of s_p:
+    the orbits of the rotation by 2*pi/d sorted by ``_slot_key``, each orbit's
+    first polar angle and its members by step k (the angle past the orbit's
+    smallest phase, in units of 2*pi/d)."""
+    angles = [polar_angle(p) for p in slots]
+    radii = [round(float(r), 9) for r in np.hypot(slots[:, 0], slots[:, 1])]
+    rounded = np.round(slots, 9)
+    # The rotation by 2*pi leaves every slot in place: the singletons, sorted
+    # by ``_slot_key`` in one stable lexsort (an angle below 2*pi is its phase).
+    order = np.lexsort((rounded[:, 1], rounded[:, 0], [round(a, 9) for a in angles], radii))
+    table: dict[int, SlotOrbits | None] = {
+        1: SlotOrbits(np.array(angles)[order], tuple((i,) for i in order.tolist()))}
+    rounded = list(map(tuple, rounded.tolist()))
+    for d in (d for d in range(2, s_p + 1) if s_p % d == 0):
+        orbits = rotation_orbits(slots, d, tol=1e-7)
+        if orbits is None:
+            table[d] = None
+            continue
+        w = 2.0 * math.pi / d
+        orbits.sort(key=lambda orbit: _slot_key(orbit, radii, angles, rounded, w))
+        by_k = []
+        for members in orbits:
+            base_phase = min(angles[m] % w for m in members)
+            steps = {round((angles[m] - base_phase) / w) % d: m for m in members}
+            by_k.append(tuple(steps[k] for k in sorted(steps))
+                        if len(steps) == len(members) else None)
+        table[d] = SlotOrbits(np.array([angles[orbit[0]] for orbit in orbits]), tuple(by_k))
+    return SlotTable(slots, table)
+
+
+def _slot_key(orbit, radii, angles, rounded, w):
+    """Radius, smallest phase modulo w, then the members' coordinates, all
+    rounded to 1e-9: an order of the slot orbits that no frame enters."""
+    return (radii[orbit[0]], round(min(angles[m] % w for m in orbit), 9),
+            tuple(sorted(rounded[m] for m in orbit)))
+
+
+_TURN = round(2 * math.pi, 9)
+
+
+def assignment_target(points: np.ndarray, self_idx: int, slots: SlotTable) -> np.ndarray:
     """Equivariant one-round assignment of mutually visible robots to slots.
 
-    Robots are grouped into orbits of the configuration's own symmetricity
-    and paired with slot orbits; every quantity is derived from angle
-    differences so all robots compute the same global outcome regardless of
-    their private frames.  Configurations whose orbits cannot be told apart
-    (identical signatures) are rejected.
+    Robots are grouped into orbits of the configuration's own symmetricity,
+    taken of the points centred on their one smallest enclosing circle, and
+    paired with the slot orbits that ``slots`` holds for it.  Every quantity
+    is derived from angle differences, so all robots compute the same global
+    outcome whatever their private frames: a robot at the center has no angle
+    and enters by its radius alone, and a difference that rounds to a full
+    turn counts as none.  Configurations whose orbits cannot be told apart
+    (identical signatures), or whose symmetricity does not divide the slots'
+    s_p, are rejected.
     """
     pts = as_points(points)
     n = len(pts)
     o = np.asarray(smallest_enclosing_circle(pts).center)
     rel = pts - o
-    info = symmetricity(rel)
+    info = centered_symmetricity(rel)
     s = info.sym
     w = 2.0 * math.pi / s
     radii = np.hypot(*rel.T)
-    ang = np.array([polar_angle(p) if r > TAU_GEOM else 0.0 for p, r in zip(rel, radii)])
+    off = radii > TAU_GEOM
+    ang = np.array([polar_angle(p) if r else 0.0 for p, r in zip(rel, off)])
 
     rr = [round(float(r), 9) for r in radii]
     orbits = info.orbit_partition
@@ -617,7 +690,8 @@ def assignment_target(points: np.ndarray, self_idx: int, slots: np.ndarray) -> n
         i = orbit[0]
         if orbits_at[rr[i]] == 1:
             return (rr[i], ())
-        rows = sorted((rr[j], round((ang[j] - ang[i]) % (2 * math.pi), 9)) for j in range(n))
+        rows = sorted((rr[j], round((ang[j] - ang[i]) % (2 * math.pi), 9) % _TURN if off[j]
+                       else 0.0) for j in range(n))
         return (rr[i], tuple(rows))
 
     sigs = [orbit_sig(orb) for orb in orbits]
@@ -626,24 +700,15 @@ def assignment_target(points: np.ndarray, self_idx: int, slots: np.ndarray) -> n
     order = sorted(range(len(orbits)), key=lambda i: sigs[i])
     orbits = [orbits[i] for i in order]
 
-    slot_orbits = rotation_orbits(slots, s, tol=1e-7)
-    if slot_orbits is None:
+    table = slots.orbits.get(s)
+    if table is None:
         raise AssignmentError("slot set lacks the required rotational symmetry")
-    if len(slot_orbits) != len(orbits):
+    if len(table.by_k) != len(orbits):
         raise AssignmentError("orbit counts of configuration and slots differ")
 
-    def slot_key(orbit):
-        members = slots[orbit]
-        r = float(np.hypot(*members[0]))
-        phases = sorted((polar_angle(p) % w) for p in members)
-        return (round(r, 9), round(phases[0], 9),
-                tuple(sorted(map(tuple, np.round(members, 9).tolist()))))
-
-    slot_orbits = sorted(slot_orbits, key=slot_key)
-
-    u = ang[orbits[0][0]]
-    psi1 = polar_angle(slots[slot_orbits[0][0]])
-    r_star = rotation_matrix(u - psi1)
+    ref = next((i for i, orb in enumerate(orbits) if off[orb[0]]), 0)
+    u = ang[orbits[ref][0]]
+    r_star = rotation_matrix(u - table.angles[ref])
 
     my_orbit = next(orb for orb in orbits if self_idx in orb)
     oi = orbits.index(my_orbit)
@@ -652,22 +717,15 @@ def assignment_target(points: np.ndarray, self_idx: int, slots: np.ndarray) -> n
         phi -= w
     k = round(((ang[self_idx] - u) % (2 * math.pi) - phi) / w) % s
 
-    members = slot_orbits[oi]
-    mang = [polar_angle(slots[m]) for m in members]
-    base_phase = min(a % w for a in mang)
-    by_k = {}
-    for m, a in zip(members, mang):
-        km = round((a - base_phase) / w) % s
-        by_k[km] = m
-    if len(by_k) != len(members):
+    members = table.by_k[oi]
+    if members is None:
         raise AssignmentError("slot orbit members are not evenly spaced")
-    slot = slots[by_k[k]]
-    return o + r_star @ slot
+    return o + r_star @ slots.points[members[k]]
 
 
 def _initial_decision(view: LocalView, plan: Plan) -> Decision:
     try:
-        target = assignment_target(view.all_points, 0, plan.initial)
+        target = assignment_target(view.all_points, 0, plan.slots)
     except AssignmentError as exc:
         return Decision(np.zeros(2), Phase.INITIAL, (f"assignment-failed: {exc}",))
     return Decision(target, Phase.INITIAL)
@@ -686,7 +744,7 @@ def _star_decision(view: LocalView, plan: Plan, tol: float) -> Decision:
         if fit is None:
             # Initial near-gathering: take a slot of the shrunken pattern.
             try:
-                target = assignment_target(pts, 0, star.kappa0 * plan.pattern)
+                target = assignment_target(pts, 0, plan.slots)
             except AssignmentError as exc:
                 return Decision(np.zeros(2), Phase.INITIAL, (f"assignment-failed: {exc}",))
             return Decision(target, Phase.INITIAL)
@@ -730,7 +788,8 @@ def _star_local_fits(pts, plan: Plan, tol: float):
     neighborhood.  The refinement matters: a center estimated from a single
     baseline amplifies per-round float noise by ring-radius/baseline, which
     would compound across the scaling rounds.  Candidates that cannot pass
-    the first match by their distance profile alone are dropped before it.
+    the first match, by their distance profile alone or by the distances at
+    their coarse pose, are dropped before it.
     """
     me_neighbors = pts[1:]
     if len(me_neighbors) == 0:
@@ -745,6 +804,9 @@ def _star_local_fits(pts, plan: Plan, tol: float):
         kappa0s = np.hypot(*nearest) / ring.norms[ring.nearest8]
         windows = np.maximum(0.3 * kappa0s * star.mindist, tol)
         keep = _star_precheck(obs_norms, ring.sorted_norms, kappa0s, windows)
+        if keep.any():
+            keep[keep] = _star_window_check(me_neighbors, ring, nearest, ring.nearest8[keep],
+                                            kappa0s[keep], windows[keep])
         for j, kappa0, window in zip(ring.nearest8[keep], kappa0s[keep], windows[keep]):
             theta0 = ang_nearest - math.atan2(ring.offs[j][1], ring.offs[j][0])
             refined = _star_refine(me_neighbors, ring.offs, ring.norms, float(kappa0), theta0,
@@ -779,6 +841,23 @@ def _star_precheck(obs_norms, sorted_norms, kappa0s, windows):
     near = enorms[:, None, :inside.max()]
     gap = np.abs(obs_norms[None, :, None] - near) <= windows[:, None, None] + TAU_GEOM
     return keep & gap.any(axis=2).all(axis=1)
+
+
+def _star_window_check(observed, ring: StarRing, nearest, js, kappa0s, windows):
+    """Which coarse poses pass the distance clause of the first ``_star_match``,
+    for all candidates at once: every observed point lies within its window of
+    some expected offset whose scaled norm is at most 1 + window.
+
+    The pose kappa0*exp(i*theta0) is nearest / offs[j] in complex form.  It
+    differs from the match's rotation by rounding only, for which TAU_GEOM is
+    ample, so no candidate that the match would accept is dropped.
+    """
+    offs = ring.offs[:, 0] + 1j * ring.offs[:, 1]
+    expected = (complex(*nearest) / offs[js])[:, None] * offs[None, :]
+    gaps = np.abs((observed[:, 0] + 1j * observed[:, 1])[None, :, None] - expected[:, None, :])
+    inside = kappa0s[:, None] * ring.norms[None, :] <= 1.0 + windows[:, None]
+    gaps = np.where(inside[:, None, :], gaps, np.inf)
+    return (gaps.min(axis=2) <= windows[:, None] + TAU_GEOM).all(axis=1)
 
 
 def _star_refine(observed, offs, norms, kappa0, theta0, window, tol):

@@ -74,8 +74,15 @@ def _divisors(n: int) -> list[int]:
 def symmetricity(points) -> SymmetryInfo:
     """Largest m admitting an m-regular partition of the (n, 2) array of
     points about its smallest enclosing circle's center, with the orbit
-    partition as lists of row indices."""
-    pts = normalize(points)
+    partition as lists of row indices: ``centered_symmetricity`` of the
+    normalized points."""
+    return centered_symmetricity(normalize(points))
+
+
+def centered_symmetricity(pts: np.ndarray) -> SymmetryInfo:
+    """``symmetricity`` of an (n, 2) array whose smallest enclosing circle is
+    already centered at the origin, about the origin: callers that have
+    centered the points skip a second enclosing circle."""
     n = len(pts)
     radii = np.hypot(pts[:, 0], pts[:, 1])
     singletons = [[i] for i in range(n)]

@@ -7,7 +7,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swarmdraw.formation import (
@@ -21,8 +22,8 @@ from swarmdraw.formation import (
 )
 from swarmdraw.geometry import (match_points, rotate, smallest_enclosing_circle,
                                 triple_sec_radii)
-from swarmdraw.protocol import (Phase, _star_match, _star_precheck, build_plan, fit_isometry,
-                                robot_decision)
+from swarmdraw.protocol import (AssignmentError, Phase, _star_match, _star_precheck,
+                                assignment_target, build_plan, fit_isometry, robot_decision)
 from swarmdraw.symmetry import normalize, symmetricity
 
 from corpus import main_corpus, near_gathering, random_connected_pattern, star_corpus
@@ -199,12 +200,7 @@ def test_fit_isometry_recovers_a_jittered_rigid_motion(named, theta, shift, data
     assert err <= FIT_TOL
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(n=st.integers(6, 20), seed=st.integers(0, 10 ** 6), data=st.data())
-def test_initial_assignment_is_frame_equivariant(n, seed, data):
-    plan = build_plan(random_connected_pattern(n, seed=n))
-    config = near_gathering(n, seed=seed)
-    thetas = data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n))
+def _assert_assignment_is_frame_equivariant(config, plan, thetas):
     fixed = np.empty_like(config)
     turned = np.empty_like(config)
     for i, theta in enumerate(thetas):
@@ -215,6 +211,53 @@ def test_initial_assignment_is_frame_equivariant(n, seed, data):
         turned[i] = config[i] + rotate(dec.target, -theta)
     assert np.abs(turned - fixed).max() <= 1e-9
     assert fit_isometry(turned, plan.initial, 1e-7) is not None
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(6, 20), seed=st.integers(0, 10 ** 6), data=st.data())
+def test_initial_assignment_is_frame_equivariant(n, seed, data):
+    plan = build_plan(random_connected_pattern(n, seed=n))
+    config = near_gathering(n, seed=seed)
+    thetas = data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n))
+    _assert_assignment_is_frame_equivariant(config, plan, thetas)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(n=st.integers(6, 20), seed=st.integers(0, 10 ** 6), data=st.data())
+def test_initial_assignment_with_a_robot_at_the_centre_is_frame_equivariant(n, seed, data):
+    """A robot at the smallest enclosing circle's centre has no angle of its
+    own; the reference direction comes from the first orbit off the centre."""
+    plan = build_plan(random_connected_pattern(n, seed=n))
+    others = near_gathering(n - 1, seed=seed)
+    centre = np.asarray(smallest_enclosing_circle(others).center)
+    assume(np.hypot(*(others - centre).T).min() > 0.01)
+    config = np.vstack([others, centre])
+    thetas = data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n))
+    _assert_assignment_is_frame_equivariant(config, plan, thetas)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(k=st.integers(2, 6),
+       rings=st.lists(st.tuples(st.floats(0.03, 0.12), st.floats(0.0, 2.0 * math.pi)),
+                      min_size=1, max_size=3),
+       theta=st.floats(-math.pi, math.pi),
+       shift=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)), data=st.data())
+def test_assignment_rejects_indistinguishable_orbits(k, rings, theta, shift, data):
+    """A robot at the centre of k-fold symmetric others: the centre makes the
+    symmetricity 1, yet the k robots of each ring look alike from every frame,
+    so no robot can tell which slot is its own.  Every robot, in any frame,
+    rejects the configuration."""
+    w = 2.0 * math.pi / k
+    radii = 0.02 + np.cumsum([gap for gap, _ in rings])
+    seeds = np.stack([r * np.array([math.cos(f), math.sin(f)])
+                      for r, (_, f) in zip(radii, rings)])
+    config = np.vstack([rotate(seeds, j * w) for j in range(k)] + [np.zeros((1, 2))])
+    config = rotate(config, theta) + np.asarray(shift)
+    slots = build_plan(random_connected_pattern(6, seed=6)).slots    # any slots
+    for i in range(len(config)):
+        view = view_from_global(config, i, data.draw(st.floats(-math.pi, math.pi)))
+        with pytest.raises(AssignmentError, match="^configuration orbits are indistinguishable$"):
+            assignment_target(view.all_points, 0, slots)
 
 
 @st.composite
