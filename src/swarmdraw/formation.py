@@ -30,8 +30,6 @@ from .geometry import TAU_GEOM, as_points, perp
 # astronomically large and something upstream chose parameters badly.
 MAX_RATIO = 1e5
 
-_GRID_CACHE: dict[tuple, "GridSpec"] = {}
-
 
 class FormationError(ValueError):
     """Raised for invalid hull/state parameters."""
@@ -89,25 +87,6 @@ def _lateral_distance(x, y, span) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class FormationParams:
-    epsilon: float
-    delta_diam: float
-    span: float
-    tol: float = TAU_GEOM
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < self.delta_diam:
-            raise FormationError("need 0 < epsilon < diameter")
-        if self.delta_diam > 1.0 / 6 + 1e-12:
-            raise FormationError("formation diameter must be <= 1/6")
-        if not 0.0 < self.span <= math.pi / 3 + 1e-12:
-            raise FormationError("span must lie in (0, pi/3]")
-
-    def grid(self) -> GridSpec:
-        return grid_spec(self.delta_diam, self.epsilon, self.span)
-
-
 # --- grid geometry -----------------------------------------------------------
 #
 # Cell ids: 0 is the anchor; grid cells (i, j) are numbered column-major,
@@ -125,12 +104,9 @@ class GridSpec:
 
     @property
     def i_max(self) -> int:
+        """Largest column index: the number of admissible third-robot slots,
+        floor((delta/eps - 1)/2)."""
         return len(self.col_sizes) - 1
-
-    @property
-    def axis_count(self) -> int:
-        """Number of admissible third-robot slots, floor((delta/eps - 1)/2)."""
-        return self.i_max
 
     @cached_property
     def locations(self) -> int:
@@ -139,7 +115,7 @@ class GridSpec:
 
     @cached_property
     def axis_ids(self) -> tuple[int, ...]:
-        """Ids of the axis slots, columns 1..axis_count (ascending)."""
+        """Ids of the axis slots, columns 1..i_max (ascending)."""
         return tuple(1 + int(p) for p in self.col_prefix[1:])
 
     @cached_property
@@ -150,31 +126,31 @@ class GridSpec:
     def axis_id(self, i: int) -> int:
         return 1 + int(self.col_prefix[i])
 
-    def cell_of_id(self, cid: int) -> tuple[int, int]:
-        if cid < 1 or cid >= self.locations:
-            raise FormationError(f"cell id {cid} out of range")
-        i = int(np.searchsorted(self.col_prefix, cid - 1, side="right")) - 1
-        return i, cid - 1 - int(self.col_prefix[i])
-
-    def cell_local(self, cid: int) -> np.ndarray:
-        """Local coordinates of a cell id (0 = anchor)."""
-        got = self._local_cache.get(cid)
-        if got is None:
-            if cid == 0:
-                got = np.zeros(2)
-            else:
-                i, j = self.cell_of_id(cid)
-                got = np.array([(1 + 2 * i) * self.epsilon, 2 * j * self.epsilon])
-            self._local_cache[cid] = got
-        return got
+    def cells_local(self, cell_ids) -> np.ndarray:
+        """Local coordinates of cell ids (0 = anchor), one row per id."""
+        ids = np.asarray(cell_ids, dtype=np.int64)
+        if len(ids) and (ids.min() < 0 or ids.max() >= self.locations):
+            raise FormationError(f"cell ids out of range 0..{self.locations - 1}")
+        i = np.searchsorted(self.col_prefix, ids - 1, side="right") - 1
+        j = ids - 1 - self.col_prefix[i]
+        out = np.stack([(1 + 2 * i) * self.epsilon, 2 * j * self.epsilon], axis=1)
+        out[ids == 0] = 0.0
+        return out
 
 
 def grid_spec(delta: float, epsilon: float, span: float) -> GridSpec:
-    key = (round(delta, 15), float(epsilon), round(span, 15))
-    cached = _GRID_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """The checked epsilon grid of a hull with diameter delta and the given span.
 
+    Requires 0 < epsilon < delta <= 1/6 and span in (0, pi/3].  A plan calls
+    it once for each epsilon it tries and passes the grid it keeps to
+    detection, the validity check and path validation.
+    """
+    if not 0.0 < epsilon < delta:
+        raise FormationError("need 0 < epsilon < diameter")
+    if delta > 1.0 / 6 + 1e-12:
+        raise FormationError("formation diameter must be <= 1/6")
+    if not 0.0 < span <= math.pi / 3 + 1e-12:
+        raise FormationError("span must lie in (0, pi/3]")
     ratio = (delta + TAU_GEOM) / epsilon
     if ratio > MAX_RATIO:
         raise FormationError(f"delta/epsilon ratio {ratio:.3g} exceeds {MAX_RATIO:.0e}")
@@ -200,10 +176,7 @@ def grid_spec(delta: float, epsilon: float, span: float) -> GridSpec:
         sizes[i] = j + 1
     prefix = np.zeros(i_max + 1, dtype=np.int64)
     np.cumsum(sizes[:-1], out=prefix[1:])
-    spec = GridSpec(delta, epsilon, span, sizes, prefix)
-    object.__setattr__(spec, "_local_cache", {})
-    _GRID_CACHE[key] = spec
-    return spec
+    return GridSpec(delta, epsilon, span, sizes, prefix)
 
 
 def _cell_inside(x: int, j: int, ratio: float, span: float) -> bool:
@@ -232,7 +205,7 @@ class StateSpec:
 
     def __post_init__(self):
         g = self.grid
-        if not 1 <= self.third <= g.axis_count:
+        if not 1 <= self.third <= g.i_max:
             raise FormationError(f"third-robot column {self.third} out of range")
         # Free cells exclude the anchor pair and the axis slots up to the third robot's.
         col = g.axis_column
@@ -253,7 +226,7 @@ class StateSpec:
     @cached_property
     def local(self) -> np.ndarray:
         """Hull-local coordinates of the occupied cells, in cell-id order."""
-        return np.stack([self.grid.cell_local(c) for c in self.cell_ids()])
+        return self.grid.cells_local(self.cell_ids())
 
     def points(self, hull: DrawingHull) -> np.ndarray:
         return hull.to_global(self.local)
@@ -264,7 +237,7 @@ def count_states(grid: GridSpec, size: int):
     """|A^size|: number of distinct placements of ``size`` robots."""
     if size < 3:
         raise FormationError("a drawing formation needs at least 3 robots")
-    m = grid.axis_count
+    m = grid.i_max
     if size == 3:
         return m
     k = grid.locations
@@ -311,7 +284,7 @@ def state_by_index(grid: GridSpec, size: int, index: int) -> StateSpec:
         return StateSpec(grid, index)
     k = grid.locations
     x = index - 1
-    for block in range(1, grid.axis_count + 1):
+    for block in range(1, grid.i_max + 1):
         here = comb(k - 2 - block, size - 3)
         if x < here:
             ranks = _colex_unrank(x, size - 3)
@@ -373,19 +346,20 @@ class DetectedFormation:
         return len(self.member_indices)
 
 
-def detect_formations(points, params: FormationParams) -> list[DetectedFormation]:
-    """All epsilon-granular drawing formations present in a point set.
+def detect_formations(points, grid: GridSpec, tol: float = TAU_GEOM) -> list[DetectedFormation]:
+    """All drawing formations on ``grid`` present in a point set, within tol.
 
     Seeks pairs at distance epsilon, a collinear third robot beyond the
-    second (which disambiguates anchor from partner), reconstructs the hull,
-    and keeps the candidate only if every robot inside the hull realizes a
-    legal grid state.  All orientations of all pairs are tested in one pass.
+    second (which disambiguates anchor from partner), reconstructs the hull
+    (diameter and span from the grid), and keeps the candidate only if every
+    robot inside the hull realizes a legal grid state.  All orientations of
+    all pairs are tested in one pass.
     """
     pts = as_points(points)
     m = len(pts)
     if m < 3:
         return []
-    eps, tol, delta = params.epsilon, params.tol, params.delta_diam
+    eps, delta = grid.epsilon, grid.delta
     z = pts[:, 0] + 1j * pts[:, 1]
     a, b = (ends[:m * (m - 1) // 2] for ends in _pairs_by_column(1 << (m - 1).bit_length()))
     close = np.flatnonzero(np.abs(np.abs(z[b] - z[a]) - eps) <= tol)
@@ -412,8 +386,7 @@ def detect_formations(points, params: FormationParams) -> list[DetectedFormation
     if not len(live):
         return []
     x, y = x[live], y[live]
-    members = (np.hypot(x, y) <= delta + tol) & (_lateral_distance(x, y, params.span) <= tol)
-    grid = params.grid()
+    members = (np.hypot(x, y) <= delta + tol) & (_lateral_distance(x, y, grid.span) <= tol)
     cells, on_grid = _snap_cells(grid, x, y, eps, tol)
 
     found: dict[tuple, DetectedFormation] = {}
@@ -424,7 +397,7 @@ def detect_formations(points, params: FormationParams) -> list[DetectedFormation
         decoded = _decode(grid, tuple(sorted(cells[row, member_idx].tolist())))
         if decoded is None:
             continue
-        hull = DrawingHull(pts[p_idx[c]], np.array([u[c].real, u[c].imag]), params.span, delta)
+        hull = DrawingHull(pts[p_idx[c]], np.array([u[c].real, u[c].imag]), grid.span, delta)
         key = tuple(np.round(np.concatenate([hull.anchor, hull.direction]), 8).tolist())
         found.setdefault(key, DetectedFormation(
             hull=hull, member_indices=tuple(member_idx.tolist()),
@@ -463,9 +436,10 @@ class ValidityReport:
     formations: tuple[DetectedFormation, ...]
 
 
-def check_validity(points, params: FormationParams) -> ValidityReport:
-    """A configuration is valid when all detected hulls are pairwise disjoint."""
-    formations = detect_formations(points, params)
+def check_validity(points, grid: GridSpec, tol: float) -> ValidityReport:
+    """A configuration is valid when all hulls detected on grid within tol
+    are pairwise disjoint."""
+    formations = detect_formations(points, grid, tol)
     overlaps = tuple((i, j) for i, j in itertools.combinations(range(len(formations)), 2)
                      if hulls_overlap(formations[i].hull, formations[j].hull))
     return ValidityReport(not overlaps, overlaps, tuple(formations))
@@ -476,10 +450,10 @@ def hulls_overlap(a: DrawingHull, b: DrawingHull) -> bool:
     their two diameters plus TAU_GEOM apart are disjoint without a polygon test."""
     if np.hypot(*(a.anchor - b.anchor)) > a.diameter + b.diameter + TAU_GEOM:
         return False
-    return _convex_overlap(wedge_polygon(a), wedge_polygon(b))
+    return _convex_overlap(_wedge_polygon(a), _wedge_polygon(b))
 
 
-def wedge_polygon(hull: DrawingHull, segments: int = 48) -> np.ndarray:
+def _wedge_polygon(hull: DrawingHull, segments: int = 48) -> np.ndarray:
     """Convex polygon circumscribing the wedge (arc slightly padded outward)."""
     step = hull.span / segments
     radius = hull.diameter / math.cos(step / 2.0)

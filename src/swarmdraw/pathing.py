@@ -32,7 +32,7 @@ from .geometry import (
     triple_sec_radii,
     unit,
 )
-from .formation import FormationParams, GridSpec, count_states
+from .formation import GridSpec, count_states
 from .symmetry import component_indices, normalize
 
 # Connector subdivision keeps strict slack under the 1 - delta hop bound.
@@ -60,7 +60,7 @@ def _ray_distance(p, angle: float) -> float:
     return dist(p, t * u)
 
 
-def clamp_into_cone(p, s: int, margin: float) -> np.ndarray:
+def _clamp_into_cone(p, s: int, margin: float) -> np.ndarray:
     """Nearest-in-spirit point of the first cone with the requested margin."""
     p = np.asarray(p, dtype=float)
     if s == 1 or cone_boundary_distance(p, s) >= margin:
@@ -145,7 +145,7 @@ def build_drawing_tree(comp_points, s: int, delta: float, diameter: float,
                 best = (key, int(pi), ti)
         assert best is not None
         _, pi, ti = best
-        target = clamp_into_cone(comp[pi], s, margin)
+        target = _clamp_into_cone(comp[pi], s, margin)
         if dist(target, comp[pi]) > reach:
             raise PathConstructionError(
                 f"coordinate {comp[pi]} cannot be covered inside the cone margin")
@@ -361,7 +361,7 @@ def build_tail(comp_points, s: int, delta: float, margin: float) -> TailPieces:
                 f"nearest fourth coordinate is {dist(p4, z_end):.2f} from the path end")
         for frac in (0.9, 0.7, 0.5, 0.3):
             cand = p4 + frac * (1.0 - delta) * unit(z_end - p4)
-            cand = clamp_into_cone(cand, s, margin * (1 + 1e-6) + 1e-9)
+            cand = _clamp_into_cone(cand, s, margin * (1 + 1e-6) + 1e-9)
             if dist(cand, p4) > 1.0 - delta:
                 continue
             if _corridor_recaptures(cand, extras_arr, z_end, p4, delta):
@@ -412,7 +412,7 @@ def _search_z_end(comp, s, h_in, h_out, margin_z):
         return None
 
     for trip, center in _ending_seeds(comp):
-        z0 = clamp_into_cone(center, s, margin_z)
+        z0 = _clamp_into_cone(center, s, margin_z)
         hit = evaluate(z0)
         if hit is not None:
             return z0, hit
@@ -427,7 +427,7 @@ def _search_z_end(comp, s, h_in, h_out, margin_z):
                  for a in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)]
         for u in dirs:
             for t in np.arange(0.05, 2.05, 0.05):
-                z = clamp_into_cone(z0 + t * u, s, margin_z)
+                z = _clamp_into_cone(z0 + t * u, s, margin_z)
                 hit = evaluate(z)
                 if hit is not None:
                     return z, hit
@@ -548,14 +548,16 @@ def path_state_label(coverage, tail_start: int, i: int) -> tuple[int, int]:
     return size, g + 1
 
 
-def build_drawing_path(pattern, params) -> DrawingPath:
+def build_drawing_path(pattern, params, grid: GridSpec) -> DrawingPath:
     """Deterministic drawing path for the first component of a pattern.
 
-    ``params`` must provide epsilon, delta (hull diameter), span, and s_p
-    (``ProtocolParams`` does).  The pattern is normalized and canonically
-    rotated so that a connected triple ends up inside the first cone.
+    ``params`` must provide epsilon, delta (hull diameter) and s_p
+    (``ProtocolParams`` does); ``grid`` is the hull grid they define, on
+    which the path's state labels must be encodable.  The pattern is
+    normalized and canonically rotated so that a connected triple ends up
+    inside the first cone.  Raises PathConstructionError naming the first
+    property the path cannot meet.
     """
-    eps = params.epsilon
     diameter = params.delta
     s = params.s_p
     delta = diameter  # path slack equals the hull diameter
@@ -567,7 +569,7 @@ def build_drawing_path(pattern, params) -> DrawingPath:
     if len(comp) != len(canon) // s:
         raise PathConstructionError("component size mismatch; pattern symmetricity is off")
 
-    margin_req = max(eps, diameter * max(math.sin(2.0 * math.pi / s), 0.0))
+    margin_req = _margin_req(params)
     margin_target = margin_req * (1 + 1e-6) + 1e-9
 
     tree = build_drawing_tree(comp, s, delta, diameter, margin_target)
@@ -610,7 +612,7 @@ def build_drawing_path(pattern, params) -> DrawingPath:
         tail_start=tail_start,
         labels=labels,
     )
-    _validate_path(path, params, margin_req)
+    _validate_path(path, params, grid)
     return path
 
 
@@ -622,85 +624,46 @@ def _dedupe(vertices: np.ndarray) -> np.ndarray:
     return np.stack(out)
 
 
-def _validate_path(path: DrawingPath, params, margin_req: float) -> None:
+def _margin_req(params) -> float:
+    """Clearance every vertex keeps from the cone boundary, so that the
+    rotated copies of the path and of its formations never interact."""
+    return max(params.epsilon, params.delta * max(math.sin(2.0 * math.pi / params.s_p), 0.0))
+
+
+def _validate_path(path: DrawingPath, params, grid: GridSpec) -> None:
+    """Raise PathConstructionError naming the first property the path breaks.
+
+    Every hop is at most 1 - delta, every vertex keeps the cone margin, and
+    the path starts at the formation anchor.  The compatibility properties
+    follow: epsilon is below the pattern's minimum spacing, every run of
+    vertices with empty coverage fits in the size-4 states (none when the
+    grid has fewer than 6 locations), and every label is a state of the grid.
+    The tail's labels are (3, 1..tail_len), so the last check also bounds the
+    tail length by the size-3 states.
+    """
     verts = path.vertices
     steps = np.hypot(*np.diff(verts, axis=0).T)
     if np.any(steps > 1.0 - path.delta + TAU_GEOM):
         raise PathConstructionError("consecutive vertices too far apart")
     s = params.s_p
-    if s > 1:
-        margins = [cone_boundary_distance(v, s) for v in verts]
-        if min(margins) <= margin_req:
-            raise PathConstructionError("path violates the cone boundary margin")
+    if s > 1 and min(cone_boundary_distance(v, s) for v in verts) <= _margin_req(params):
+        raise PathConstructionError("path violates the cone boundary margin")
     start = from_polar(2.0 * params.delta, math.pi / s)
     if dist(verts[0], start) > TAU_GEOM:
         raise PathConstructionError("path does not start at the formation anchor")
-    grid = grid_of(params)
+    if params.epsilon >= mindist(path.pattern):
+        raise PathConstructionError("epsilon is not below the pattern's minimum spacing")
+    run_limit = count_states(grid, 4) if grid.locations >= 6 else 0
+    run = 0
+    for c in path.coverage:
+        run = run + 1 if not c else 0
+        if run > run_limit:
+            raise PathConstructionError(
+                f"an empty-coverage run exceeds the {run_limit} states of size 4")
     for size, idx in path.labels:
         if size < 3 or idx > count_states(grid, size):
             raise PathConstructionError(
                 f"state ({size}, {idx}) is not encodable with this epsilon")
-
-
-def grid_of(params) -> GridSpec:
-    return FormationParams(params.epsilon, params.delta, params.span).grid()
-
-
-@dataclass(frozen=True)
-class CompatibilityReport:
-    ok: bool
-    params_ok: bool
-    runs_ok: bool
-    tail_len_ok: bool
-    tail_cov_ok: bool
-    max_run: int
-    run_limit: int
-    tail_len: int
-    tail_limit: int
-    margin_ok: bool
-
-
-def check_compatibility(params, path: DrawingPath) -> CompatibilityReport:
-    """The four compatibility properties plus the boundary-margin check."""
-    grid = grid_of(params)
-    pattern_mindist = mindist(path.pattern) if len(path.pattern) > 1 else math.inf
-    params_ok = params.epsilon < pattern_mindist and params.delta <= path.delta + TAU_GEOM
-
-    run_limit = count_states(grid, 4) if grid.locations >= 6 else 0
-    max_run = run = 0
-    for c in path.coverage:
-        run = run + 1 if not c else 0
-        max_run = max(max_run, run)
-    runs_ok = max_run <= run_limit
-
-    tail_limit = count_states(grid, 3)
-    tail_len = path.tail_len
-    tail_len_ok = tail_len <= tail_limit
-
-    tail_cov = sorted({i for c in path.coverage[path.tail_start:] for i in c})
-    vk = path.vertices[-1]
-    tail_cov_ok = (len(tail_cov) == 3
-                   and all(dist(path.pattern[i], vk) < 1.0 for i in tail_cov))
-
-    margin_req = max(params.epsilon,
-                     params.delta * max(math.sin(2.0 * math.pi / params.s_p), 0.0))
-    if params.s_p > 1:
-        margin_ok = min(cone_boundary_distance(v, params.s_p) for v in path.vertices) > margin_req
-    else:
-        margin_ok = True
-
-    return CompatibilityReport(
-        ok=params_ok and runs_ok and tail_len_ok and tail_cov_ok,
-        params_ok=params_ok,
-        runs_ok=runs_ok,
-        tail_len_ok=tail_len_ok,
-        tail_cov_ok=tail_cov_ok,
-        max_run=max_run,
-        run_limit=int(min(run_limit, 10 ** 9)),
-        tail_len=tail_len,
-        tail_limit=tail_limit,
-        margin_ok=margin_ok,
-    )
 
 
 def save_path(path: DrawingPath, filename) -> None:

@@ -40,13 +40,13 @@ from .formation import (
     DetectedFormation,
     DrawingHull,
     FormationError,
-    FormationParams,
     GridSpec,
     detect_formations,
+    grid_spec,
     hulls_overlap,
     state_by_index,
 )
-from .pathing import DrawingPath, build_drawing_path, check_compatibility
+from .pathing import DrawingPath, build_drawing_path
 
 DEFAULT_C = 0.01
 _MAX_HALVINGS = 20
@@ -153,8 +153,7 @@ class Plan:
     pattern: np.ndarray             # canonical pattern (normalized, rotated)
     params: ProtocolParams
     path: DrawingPath | None = None
-    grid: GridSpec | None = None
-    fparams: FormationParams | None = None
+    grid: GridSpec | None = None        # the hull grid of every drawing formation
     initial: np.ndarray | None = None
     schedule: list[ScheduleRound] = field(default_factory=list)
     snapshot_ids: list[int] = field(default_factory=list)
@@ -244,19 +243,14 @@ def _build_plan(pts: np.ndarray, c0: float) -> Plan:
         params = ProtocolParams(epsilon=eps, delta=delta, span=span,
                                 c=c, s_p=s, n=n, branch="draw")
         try:
-            fparams = FormationParams(eps, delta, span)
-            grid = fparams.grid()
+            grid = grid_spec(delta, eps, span)
             if grid.locations < n // s + 2:
                 raise PlanError("not enough grid locations for the component")
-            path = build_drawing_path(pts, params)
-            report = check_compatibility(params, path)
-            if not (report.ok and report.margin_ok):
-                raise PlanError(f"incompatible path: {report}")
+            path = build_drawing_path(pts, params, grid)
         except (PlanError, ValueError) as exc:
             last_err = exc
             continue
-        plan = Plan(pattern=path.pattern, params=params, path=path,
-                    grid=grid, fparams=fparams)
+        plan = Plan(pattern=path.pattern, params=params, path=path, grid=grid)
         _finish_draw_plan(plan)
         return plan
     raise PlanError(f"no workable epsilon found after {_MAX_HALVINGS} halvings: {last_err}")
@@ -273,7 +267,7 @@ def _finish_draw_plan(plan: Plan) -> None:
     p2, p3 = path.pattern[rest[0]], path.pattern[rest[1]]
     plan.tail_points = np.stack([p1, p2, p3])
 
-    plan.initial = initial_positions(plan)
+    plan.initial = _initial_positions(plan)
     plan.slots = _slot_table(plan.initial, plan.params.s_p)
     plan.schedule = _build_draw_schedule(plan)
     _index_snapshots(plan)
@@ -291,7 +285,7 @@ def intermediate_targets(plan: Plan) -> np.ndarray:
     return np.stack([t1, t2, t3])
 
 
-def initial_positions(plan: Plan) -> np.ndarray:
+def _initial_positions(plan: Plan) -> np.ndarray:
     """The initial cluster configuration: s rotated copies of the first
     formation in state 1, anchored at polar (2*diameter, pi/s)."""
     params = plan.params
@@ -383,8 +377,6 @@ def _move_tables(plan: Plan) -> list[np.ndarray]:
             targets = intermediate_targets(plan) - v
         else:
             move = path.vertices[vi + 1] - v
-            if np.hypot(*move) > 1.0 - plan.params.delta + TAU_GEOM:
-                raise PlanError(f"path edge {vi} is longer than 1 - diameter")
             size, idx = path.labels[vi + 1]
             drops = (path.pattern[list(path.coverage[vi])] if vi < path.tail_start
                      else np.zeros((0, 2)))
@@ -472,7 +464,7 @@ def _screen_snapshots(radii, plan: Plan, tol) -> np.ndarray:
     return np.flatnonzero((np.abs(plan.snapshot_radii - radii) <= atol).all(axis=1))
 
 
-def _own_formation(pts, fparams) -> tuple[DetectedFormation | None, bool]:
+def _own_formation(pts, grid: GridSpec, tol: float) -> tuple[DetectedFormation | None, bool]:
     """The unique valid formation containing the origin robot, if any.
 
     Detection reads only the view within 4δ + 4·tol, which is exact: a formation holding
@@ -480,8 +472,8 @@ def _own_formation(pts, fparams) -> tuple[DetectedFormation | None, bool]:
     within 2δ + TAU_GEOM of that anchor, and each depends only on points within δ + tol
     of its anchor.
     """
-    near = np.nonzero(np.hypot(*pts.T) <= 4 * (fparams.delta_diam + fparams.tol))[0]
-    dets = detect_formations(pts[near], fparams)
+    near = np.nonzero(np.hypot(*pts.T) <= 4 * (grid.delta + tol))[0]
+    dets = detect_formations(pts[near], grid, tol)
     mine = [d for d in dets if 0 in d.member_indices]
     if len(mine) != 1:
         return None, bool(mine)
@@ -543,8 +535,7 @@ def _classify(pts, plan: Plan, tol: float, snapshot_tol=None):
         if (not _matches_snapshot(pts, plan, snapshot_tol)
                 and pairwise_distances(pts).max() <= 1.0 + TAU_GEOM):
             return Phase.INITIAL, None, None
-    fparams = replace(plan.fparams, tol=tol) if tol != plan.fparams.tol else plan.fparams
-    mine, conflicted = _own_formation(pts, fparams)
+    mine, conflicted = _own_formation(pts, plan.grid, tol)
     if mine is not None:
         return Phase.FORMATION, mine, None
     if not conflicted:
@@ -788,8 +779,8 @@ def _star_local_fits(pts, plan: Plan, tol: float):
     neighborhood.  The refinement matters: a center estimated from a single
     baseline amplifies per-round float noise by ring-radius/baseline, which
     would compound across the scaling rounds.  Candidates that cannot pass
-    the first match, by their distance profile alone or by the distances at
-    their coarse pose, are dropped before it.
+    the first match, by their scale and count of offsets in range or by the
+    distances at their coarse pose, are dropped before it.
     """
     me_neighbors = pts[1:]
     if len(me_neighbors) == 0:
@@ -826,21 +817,18 @@ def _star_local_fits(pts, plan: Plan, tol: float):
 def _star_precheck(obs_norms, sorted_norms, kappa0s, windows):
     """Which coarse scales can pass the first ``_star_match`` at their window.
 
-    Two rotation-free necessary conditions, for all candidates at once.  The
-    match pairs the observed points injectively with offsets inside 1 + window
-    and must cover every offset inside 1 - window, so the observed count lies
-    between those two counts.  A matched pair is within the window, so each
-    observed norm is within it of some scaled pattern norm (up to rounding,
-    for which TAU_GEOM is ample).
+    Rotation-free necessary conditions, for all candidates at once: the scale
+    lies in the match's range, and since the match pairs the observed points
+    injectively with offsets inside 1 + window and must cover every offset
+    inside 1 - window, the observed count lies between those two counts.  No
+    norm test is needed: ``_star_window_check`` bounds |observed - expected|
+    by the window, and with it ||observed| - |expected||.
     """
     enorms = kappa0s[:, None] * sorted_norms[None, :]
     inside = (enorms <= 1.0 + windows[:, None]).sum(axis=1)
     must = (enorms <= 1.0 - windows[:, None]).sum(axis=1)
     n_obs = len(obs_norms)
-    keep = (1e-6 <= kappa0s) & (kappa0s <= 1.0 + 1e-9) & (must <= n_obs) & (n_obs <= inside)
-    near = enorms[:, None, :inside.max()]
-    gap = np.abs(obs_norms[None, :, None] - near) <= windows[:, None, None] + TAU_GEOM
-    return keep & gap.any(axis=2).all(axis=1)
+    return (1e-6 <= kappa0s) & (kappa0s <= 1.0 + 1e-9) & (must <= n_obs) & (n_obs <= inside)
 
 
 def _star_window_check(observed, ring: StarRing, nearest, js, kappa0s, windows):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -376,8 +376,8 @@ def _commit(positions, targets, plan, cfg, rnd):
     if d[i, j] <= TAU_GEOM:
         raise SimulationError(f"robots {i} and {j} collided")
     if plan.branch == "draw":
-        report = check_validity(new_positions, replace(plan.fparams, tol=max(
-            plan.fparams.tol, TAU_GEOM if cfg.noise_mu == 0 else 3.0 * plan.hops * cfg.noise_mu)))
+        report = check_validity(new_positions, plan.grid, max(
+            TAU_GEOM, 3.0 * plan.hops * cfg.noise_mu))
         if not report.ok:
             pairs = "; ".join(f"robots {list(report.formations[a].member_indices)} and "
                               f"{list(report.formations[b].member_indices)}"

@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 from swarmdraw.geometry import TAU_GEOM, from_polar, mindist, rotate
 from swarmdraw.symmetry import normalize, symmetricity
 from swarmdraw.formation import count_states, grid_spec
-from swarmdraw.pathing import check_compatibility, cone_boundary_distance, build_drawing_path
+from swarmdraw.pathing import cone_boundary_distance, build_drawing_path
 from swarmdraw.protocol import build_plan
 from swarmdraw.simulator import SimConfig, run_fsync, verify_pattern
 
@@ -103,12 +103,11 @@ def test_criterion_3_path_construction_soundness(corpus_plans):
     failures = []
     for name, plan in corpus_plans:
         params = plan.params
-        path = build_drawing_path(plan.pattern, params)
-        rep = check_compatibility(params, path)
+        # Building raises PathConstructionError on any failed path property.
+        path = build_drawing_path(plan.pattern, params, plan.grid)
         margin_req = max(params.epsilon,
                          params.delta * max(math.sin(2 * math.pi / params.s_p), 0.0))
         conditions = [
-            rep.ok, rep.margin_ok,
             np.allclose(path.vertices[0], from_polar(2 * params.delta, math.pi / params.s_p),
                         atol=1e-12),
             np.hypot(*np.diff(path.vertices, axis=0).T).max() <= 1 - path.delta + TAU_GEOM,

@@ -6,12 +6,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from swarmdraw.geometry import pairwise_distances, rotate, unit
+from swarmdraw.geometry import TAU_GEOM, pairwise_distances, rotate, unit
 from swarmdraw.formation import (
     DetectedFormation,
     DrawingHull,
     FormationError,
-    FormationParams,
     check_validity,
     count_states,
     detect_formations,
@@ -22,10 +21,10 @@ from swarmdraw.formation import (
     _decode,
     _lateral_distance,
 )
+from swarmdraw.pathing import PathConstructionError, _validate_path
 from swarmdraw.protocol import (
     LocalView,
     Phase,
-    PlanError,
     _canonical_order,
     _move_tables,
     build_plan,
@@ -65,7 +64,7 @@ def scan_locations(hull, eps):
 def grid_locations(hull, eps):
     """The grid's anchor and cells, in id order, placed in the hull."""
     grid = grid_spec(hull.diameter, eps, hull.span)
-    return hull.to_global(np.stack([grid.cell_local(c) for c in range(grid.locations)]))
+    return hull.to_global(grid.cells_local(range(grid.locations)))
 
 
 def test_epsilon_locations_match_scan():
@@ -92,9 +91,19 @@ def test_epsilon_locations_rotated_hull_equivariant():
     assert np.allclose(rotate(a, 0.5236), b, atol=1e-9)
 
 
-def test_epsilon_locations_eps_too_large():
-    with pytest.raises(FormationError):
-        FormationParams(0.1, 0.1, SPAN)
+@pytest.mark.parametrize("eps, delta, span, message", [
+    (0.1, 0.1, SPAN, "epsilon < diameter"),
+    (0.0, 0.1, SPAN, "epsilon < diameter"),
+    (-0.01, 0.1, SPAN, "epsilon < diameter"),
+    (0.01, 0.2, SPAN, "diameter must be <= 1/6"),
+    (0.01, 0.1, 0.0, "span must lie in"),
+    (0.01, 0.1, -0.5, "span must lie in"),
+    (0.01, 0.1, SPAN + 0.01, "span must lie in"),
+], ids=["eps-equals-delta", "eps-zero", "eps-negative", "delta-above-sixth", "span-zero",
+        "span-negative", "span-above-third-of-pi"])
+def test_grid_spec_rejects_invalid_parameters(eps, delta, span, message):
+    with pytest.raises(FormationError, match=message):
+        grid_spec(delta, eps, span)
 
 
 def brute_force_axis_count(delta, eps):
@@ -130,7 +139,7 @@ def test_count_states_three_robots_matches_formula_and_enumeration():
 def enumerate_states_brute(grid, size):
     """All distinct occupied-cell sets that form a legal state."""
     k = grid.locations
-    axis = {grid.axis_id(i) for i in range(1, grid.axis_count + 1)}
+    axis = {grid.axis_id(i) for i in range(1, grid.i_max + 1)}
     found = set()
     for cells in combinations(range(k), size):
         s = set(cells)
@@ -191,32 +200,33 @@ def test_state_out_of_range():
         state_by_index(grid, 3, 0)
     with pytest.raises(FormationError):
         state_by_index(grid, 3, count_states(grid, 3) + 1)
+    with pytest.raises(FormationError, match="cell ids out of range"):
+        grid.cells_local([0, grid.locations])
 
 
 def test_state_index_frame_independent():
     grid = grid_spec(0.1, 0.01, SPAN)
-    params = FormationParams(0.01, 0.1, SPAN)
     spec = state_by_index(grid, 6, 23)
     for theta, anchor in [(0.0, (0, 0)), (1.1, (3, -2)), (-2.6, (0.4, 0.9))]:
         hull = make_hull(anchor=anchor, direction=(math.cos(theta), math.sin(theta)))
-        dets = detect_formations(spec.points(hull), params)
+        dets = detect_formations(spec.points(hull), grid)
         assert len(dets) == 1
         assert dets[0].state_index == 23 and dets[0].size == 6
 
 
-def _detect_reference(points, params):
+def _detect_reference(points, grid, tol):
     """Reference for detect_formations: a hull and a hull-local pass for each
     orientation of every epsilon-pair, one candidate at a time."""
     pts = np.asarray(points, dtype=float)
     if len(pts) < 3:
         return []
-    pair_i, pair_j = np.nonzero(np.abs(pairwise_distances(pts) - params.epsilon) <= params.tol)
+    pair_i, pair_j = np.nonzero(np.abs(pairwise_distances(pts) - grid.epsilon) <= tol)
     found = {}
     for a, b in zip(pair_i.tolist(), pair_j.tolist()):
         if a > b:
             continue
         for p, q in ((a, b), (b, a)):
-            det = _candidate_reference(pts, p, q, params)
+            det = _candidate_reference(pts, p, q, grid, tol)
             if det is not None:
                 key = tuple(np.round(np.concatenate([det.hull.anchor, det.hull.direction]),
                                      8).tolist())
@@ -224,10 +234,9 @@ def _detect_reference(points, params):
     return [found[k] for k in sorted(found)]
 
 
-def _candidate_reference(pts, p, q, params):
-    eps, tol, delta = params.epsilon, params.tol, params.delta_diam
-    grid = params.grid()
-    hull = DrawingHull(pts[p], unit(pts[q] - pts[p]), params.span, delta)
+def _candidate_reference(pts, p, q, grid, tol):
+    eps, delta = grid.epsilon, grid.delta
+    hull = DrawingHull(pts[p], unit(pts[q] - pts[p]), grid.span, delta)
     loc = hull.local(pts)
     x, y = loc[:, 0], loc[:, 1]
     i = np.rint((x / eps - 1.0) / 2.0)
@@ -237,7 +246,7 @@ def _candidate_reference(pts, p, q, params):
     if not third.any():
         return None
     members = np.nonzero((np.hypot(x, y) <= delta + tol)
-                         & (_lateral_distance(x, y, params.span) <= tol))[0]
+                         & (_lateral_distance(x, y, grid.span) <= tol))[0]
     if len(members) < 3:
         return None
     xs, ys = x[members], y[members]
@@ -256,9 +265,9 @@ def _candidate_reference(pts, p, q, params):
     return DetectedFormation(hull, tuple(members.tolist()), loc[members], decoded[1])
 
 
-def _assert_detection_matches_reference(pts, params):
-    got = detect_formations(pts, params)
-    want = _detect_reference(pts, params)
+def _assert_detection_matches_reference(pts, grid, tol=TAU_GEOM):
+    got = detect_formations(pts, grid, tol)
+    want = _detect_reference(pts, grid, tol)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.member_indices == w.member_indices
@@ -276,14 +285,13 @@ def test_detection_equals_per_candidate_reference(case):
     plan, views = _run_views(case)
     found = 0
     for pts in views:
-        for tol in (plan.fparams.tol, 0.45 * plan.params.epsilon):
-            found += len(_assert_detection_matches_reference(pts, replace(plan.fparams, tol=tol)))
+        for tol in (TAU_GEOM, 0.45 * plan.params.epsilon):
+            found += len(_assert_detection_matches_reference(pts, plan.grid, tol))
     assert found
 
 
 def test_detect_synthesize_round_trip_random():
-    params = FormationParams(0.01, 0.1, SPAN)
-    grid = params.grid()
+    grid = grid_spec(0.1, 0.01, SPAN)
     rng = np.random.default_rng(1)
     for _ in range(500):
         size = int(rng.integers(3, 8))
@@ -296,7 +304,7 @@ def test_detect_synthesize_round_trip_random():
         # Far decoys must not disturb the detection.
         decoys = anchor + np.stack([(1.5 + rng.uniform(0, 3)) * unit(rng.normal(size=2))
                                     for _ in range(5)])
-        dets = _assert_detection_matches_reference(np.vstack([pts, decoys]), params)
+        dets = _assert_detection_matches_reference(np.vstack([pts, decoys]), grid)
         assert len(dets) == 1
         det = dets[0]
         assert det.size == size and det.state_index == idx
@@ -304,63 +312,59 @@ def test_detect_synthesize_round_trip_random():
 
 
 def test_detect_nothing_without_epsilon_pair():
-    params = FormationParams(0.01, 0.1, SPAN)
+    grid = grid_spec(0.1, 0.01, SPAN)
     pts = np.array([[0, 0], [0.5, 0], [0.2, 0.4]])
-    assert detect_formations(pts, params) == []
+    assert detect_formations(pts, grid) == []
 
 
 def test_detect_two_disjoint_formations():
-    params = FormationParams(0.01, 0.1, SPAN)
-    grid = params.grid()
+    grid = grid_spec(0.1, 0.01, SPAN)
     h1 = make_hull(anchor=(0, 0))
     h2 = make_hull(anchor=(0.7, 0.3), direction=unit(np.array([1.0, 1.0])))
     pts = np.vstack([state_by_index(grid, 4, 2).points(h1),
                      state_by_index(grid, 5, 7).points(h2)])
-    dets = _assert_detection_matches_reference(pts, params)
+    dets = _assert_detection_matches_reference(pts, grid)
     assert len(dets) == 2
     assert sorted(d.size for d in dets) == [4, 5]
 
 
 def test_detect_rejects_off_grid_intruder():
-    params = FormationParams(0.01, 0.1, SPAN)
-    grid = params.grid()
+    grid = grid_spec(0.1, 0.01, SPAN)
     hull = make_hull()
     pts = state_by_index(grid, 4, 3).points(hull)
     intruder = hull.anchor + np.array([0.033, 0.004])  # inside hull, off grid
-    assert _assert_detection_matches_reference(np.vstack([pts, [intruder]]), params) == []
+    assert _assert_detection_matches_reference(np.vstack([pts, [intruder]]), grid) == []
 
 
 def test_validity_single_formation_with_drops():
-    params = FormationParams(0.01, 0.1, SPAN)
-    grid = params.grid()
+    grid = grid_spec(0.1, 0.01, SPAN)
     pts = state_by_index(grid, 4, 1).points(make_hull(anchor=(0.2, 0.1)))
     drops = np.array([[1.2, 0.3], [0.9, -0.8], [-0.5, 0.6]])
-    report = check_validity(np.vstack([pts, drops]), params)
+    report = check_validity(np.vstack([pts, drops]), grid, TAU_GEOM)
     assert report.ok and len(report.formations) == 1
 
 
 def test_validity_overlapping_hulls_reported():
     # Both wedges contain the region around (0.07, 0.07) while every robot
     # stays outside the other hull, so both formations are detected.
-    params = FormationParams(0.01, 0.1, SPAN)
-    grid = params.grid()
+    grid = grid_spec(0.1, 0.01, SPAN)
     spec = state_by_index(grid, 3, 2)
     pts1 = spec.points(make_hull(anchor=(0.0, 0.0)))
     pts2 = spec.points(make_hull(anchor=(0.13, 0.12),
                                  direction=unit(np.array([-0.735, -0.678]))))
-    report = check_validity(np.vstack([pts1, pts2]), params)
+    report = check_validity(np.vstack([pts1, pts2]), grid, TAU_GEOM)
     assert len(report.formations) == 2
     assert not report.ok
     assert report.overlaps == ((0, 1),)
 
 
 def test_validity_of_initial_pattern_sym7():
-    pts = np.vstack([rotate(state_by_index(grid_spec(0.1, 0.005, 2 * math.pi / 7),
-                                           3, 1).points(
+    grid = grid_spec(0.1, 0.005, 2 * math.pi / 7)
+    pts = np.vstack([rotate(state_by_index(grid, 3, 1).points(
         DrawingHull(np.array([0.2 * math.cos(math.pi / 7), 0.2 * math.sin(math.pi / 7)]),
                     np.array([1.0, 0.0]), 2 * math.pi / 7, 0.1)),
         k * 2 * math.pi / 7) for k in range(7)])
-    report = check_validity(pts, FormationParams(0.005, 0.1, 2 * math.pi / 7))
+    report = check_validity(pts, grid, TAU_GEOM)
     assert report.ok and len(report.formations) == 7
 
 
@@ -416,12 +420,14 @@ def test_plan_move_drop_within_reach():
 
 
 def test_plan_move_rejects_long_move():
-    """A path edge longer than 1 - diameter is rejected when the tables are built."""
+    """A path edge longer than 1 - diameter fails path validation, so no move
+    table is built for it."""
     plan, _ = _move_plan()
     vertices = plan.path.vertices.copy()
     vertices[1] = vertices[0] + np.array([0.95, 0.0])
-    with pytest.raises(PlanError, match="longer than 1 - diameter"):
-        _move_tables(replace(plan, path=replace(plan.path, vertices=vertices)))
+    with pytest.raises(PathConstructionError, match="consecutive vertices too far apart"):
+        _validate_path(replace(plan.path, vertices=vertices), plan.params, plan.grid)
+    _validate_path(plan.path, plan.params, plan.grid)
     assert len(_move_tables(plan)) == len(plan.path.vertices)
 
 
@@ -432,7 +438,7 @@ def test_plan_move_traversal_round_trip():
     positions = plan.schedule[vi].positions.copy()
     for i, t in _formation_moves(plan, positions, seed=1).items():
         positions[i] = t
-    dets = detect_formations(positions, plan.fparams)
+    dets = detect_formations(positions, plan.grid)
     assert len(dets) == 1
     assert (dets[0].size, dets[0].state_index) == path.labels[vi + 1]
     assert np.allclose(dets[0].hull.anchor, path.vertices[vi + 1], atol=1e-9)

@@ -18,12 +18,12 @@ from swarmdraw.pathing import (
     build_drawing_path,
     build_drawing_tree,
     build_tail,
-    check_compatibility,
     cone_boundary_distance,
     coverage_and_tail,
     find_connected_triple_rotation,
     path_state_label,
     traverse_tree,
+    _validate_path,
 )
 from swarmdraw.formation import count_states, grid_spec
 
@@ -35,6 +35,14 @@ DELTA = 0.1
 def params_for(s_p, eps=0.002):
     return SimpleNamespace(epsilon=eps, delta=DELTA, span=min(2 * math.pi / s_p, math.pi / 3),
                            s_p=s_p)
+
+
+def grid_for(params):
+    return grid_spec(params.delta, params.epsilon, params.span)
+
+
+def drawing_path(pts, params):
+    return build_drawing_path(pts, params, grid_for(params))
 
 
 # --- drawing tree -------------------------------------------------------------
@@ -283,7 +291,7 @@ def test_coverage_picks_maximal_vertex():
 
 def test_coverage_counts_every_coordinate_once():
     pts = random_connected_pattern(10, seed=11)
-    path = build_drawing_path(pts, params_for(1))
+    path = drawing_path(pts, params_for(1))
     assert sum(len(c) for c in path.coverage) == len(path.comp)
 
 
@@ -322,38 +330,36 @@ def test_path_state_labels():
 def test_path_small_symmetric_component():
     pts = symmetric_pattern(2, 3, seed=1)
     params = params_for(2)
-    path = build_drawing_path(pts, params)
+    path = drawing_path(pts, params)
     assert len(path.comp) == 3
     assert path.tail_start <= 1  # with three coordinates almost all is tail
-    rep = check_compatibility(params, path)
-    assert rep.ok
+    _validate_path(path, params, grid_for(params))     # raises on a failed property
 
 
 def test_path_random_pattern_compatible():
     pts = random_connected_pattern(20, seed=23)
     params = params_for(1)
-    path = build_drawing_path(pts, params)
-    rep = check_compatibility(params, path)
-    assert rep.ok and rep.margin_ok
+    path = drawing_path(pts, params)
+    _validate_path(path, params, grid_for(params))     # raises on a failed property
 
 
 def test_path_starts_at_formation_anchor():
     pts = random_connected_pattern(8, seed=2)
-    path = build_drawing_path(pts, params_for(1))
+    path = drawing_path(pts, params_for(1))
     assert np.allclose(path.vertices[0], from_polar(2 * DELTA, math.pi), atol=1e-12)
 
 
 def test_path_hop_lengths_bounded():
     pts = random_connected_pattern(14, seed=4)
-    path = build_drawing_path(pts, params_for(1))
+    path = drawing_path(pts, params_for(1))
     steps = np.hypot(*np.diff(path.vertices, axis=0).T)
     assert steps.max() <= 1 - DELTA + 1e-9
 
 
 def test_path_deterministic():
     pts = random_connected_pattern(12, seed=9)
-    a = build_drawing_path(pts, params_for(1))
-    b = build_drawing_path(pts, params_for(1))
+    a = drawing_path(pts, params_for(1))
+    b = drawing_path(pts, params_for(1))
     assert np.array_equal(a.vertices, b.vertices)
     assert a.coverage == b.coverage and a.labels == b.labels
 
@@ -361,8 +367,8 @@ def test_path_deterministic():
 def test_path_labels_are_valid_states():
     pts = random_connected_pattern(16, seed=13)
     params = params_for(1)
-    path = build_drawing_path(pts, params)
-    grid = grid_spec(params.delta, params.epsilon, params.span)
+    path = drawing_path(pts, params)
+    grid = grid_for(params)
     for size, idx in path.labels:
         assert 1 <= idx <= count_states(grid, size)
 
@@ -370,7 +376,7 @@ def test_path_labels_are_valid_states():
 def test_path_rotated_copies_stay_in_their_cones():
     pts = symmetric_pattern(4, 4, seed=3)
     params = params_for(4)
-    path = build_drawing_path(pts, params)
+    path = drawing_path(pts, params)
     margin = max(params.epsilon, DELTA * math.sin(2 * math.pi / 4))
     for k in range(4):
         rotated = rotate(path.vertices, k * 2 * math.pi / 4)
@@ -384,33 +390,38 @@ def test_compatibility_fails_when_epsilon_hits_mindist():
     # while still fitting the hull grid; property (1) is strict.
     pts = np.vstack([random_connected_pattern(8, seed=31), [[0.02, 0.005]]])
     params = params_for(1, eps=0.001)
-    path = build_drawing_path(pts, params)
+    path = drawing_path(pts, params)
     md = mindist(path.pattern)
     assert md < DELTA / 3
     bad = SimpleNamespace(epsilon=md, delta=DELTA, span=math.pi / 3, s_p=1)
-    rep = check_compatibility(bad, path)
-    assert not rep.params_ok and not rep.ok
+    with pytest.raises(PathConstructionError, match="epsilon is not below the pattern's minimum"):
+        _validate_path(path, bad, grid_for(bad))
 
 
 def test_compatibility_fails_on_overlong_tail():
-    pts = random_connected_pattern(10, seed=37)
-    params = params_for(1)
-    path = build_drawing_path(pts, params)
-    # Pretend the tail started much earlier than the real coverage allows.
-    doctored = DrawingPath(path.pattern, path.comp, path.vertices, path.delta,
-                           path.coverage, tail_start=path.tail_start,
-                           labels=path.labels)
+    """A grid with one size-3 state has fewer than 6 locations, so it admits no
+    empty-coverage run, and no tail longer than one vertex."""
     coarse = SimpleNamespace(epsilon=0.032, delta=DELTA, span=math.pi / 3, s_p=1)
-    rep = check_compatibility(coarse, doctored)
-    assert count_states(grid_spec(DELTA, 0.032, math.pi / 3), 3) == 1
-    assert not rep.tail_len_ok or not rep.runs_ok
+    grid = grid_for(coarse)
+    assert count_states(grid, 3) == 1 and grid.locations < 6
+    path = drawing_path(random_connected_pattern(10, seed=37), params_for(1))
+    assert not all(path.coverage)
+    with pytest.raises(PathConstructionError, match="empty-coverage run exceeds the 0 states"):
+        _validate_path(path, coarse, grid)
+    # Two tail vertices and no empty coverage: the tail labels are (3, 1), (3, 2).
+    start = from_polar(2 * DELTA, math.pi)
+    pattern = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])
+    short = DrawingPath(pattern, (0, 1, 2), np.stack([start, start + [0.5, 0.0]]), DELTA,
+                        ((0,), (1, 2)), tail_start=0, labels=((3, 1), (3, 2)))
+    with pytest.raises(PathConstructionError, match=r"state \(3, 2\) is not encodable"):
+        _validate_path(short, coarse, grid)
 
 
 def test_path_serialization_round_trip(tmp_path):
     from swarmdraw.pathing import load_path, save_path
 
     pts = random_connected_pattern(9, seed=41)
-    path = build_drawing_path(pts, params_for(1))
+    path = drawing_path(pts, params_for(1))
     f = tmp_path / "plan.json"
     save_path(path, f)
     loaded = load_path(f)

@@ -279,7 +279,13 @@ def test_state_enumeration_is_a_bijection(grid, data):
     assert spec.size == size
     assert index_of_state(spec) == index
     assert state_from_cells(grid, spec.cell_ids()) == spec
-    assert np.array_equal(spec.local, np.stack([grid.cell_local(c) for c in spec.cell_ids()]))
+    # Cell ids number the columns' cells in order after the anchor (id 0).
+    cells = {0: (0.0, 0.0)}
+    for i, size in enumerate(grid.col_sizes.tolist()):
+        for j in range(size):
+            cells[1 + int(grid.col_prefix[i]) + j] = ((1 + 2 * i) * grid.epsilon,
+                                                      2 * j * grid.epsilon)
+    assert np.array_equal(spec.local, np.array([cells[c] for c in spec.cell_ids()]))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

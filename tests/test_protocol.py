@@ -1,23 +1,27 @@
+import hashlib
 import itertools
+import json
 import math
 import re
+import sys
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from swarmdraw import formation, protocol
 from swarmdraw.geometry import (TAU_GEOM, dist, from_polar, mindist, pairwise_distances, perp,
                                 polar_angle, rotate, rotation_matrix, smallest_enclosing_circle,
                                 unit)
 from swarmdraw.symmetry import normalize, rotation_orbits, symmetricity
 from swarmdraw.formation import (
     DrawingHull,
-    FormationParams,
     check_validity,
     detect_formations,
+    grid_spec,
     hulls_overlap,
     state_by_index,
 )
@@ -95,6 +99,52 @@ def test_plan_capacity_invariants():
     assert count_states(plan.grid, 3) >= plan.path.tail_len
 
 
+@pytest.mark.parametrize("pts, attempts", [(symmetric_pattern(3, 3, seed=2003), 2),
+                                           (random_connected_pattern(100, seed=11), 1)],
+                         ids=["sym-3x3", "random-100"])
+def test_plan_builds_one_grid_per_attempted_epsilon(pts, attempts, monkeypatch):
+    """Every epsilon the planner tries gets one grid, built by grid_spec and
+    passed on; sym-3x3 is rejected at its first epsilon and planned at the
+    second."""
+    calls = []
+    inner = formation.grid_spec
+
+    def counting(delta, epsilon, span):
+        calls.append(epsilon)
+        return inner(delta, epsilon, span)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("swarmdraw") and getattr(module, "grid_spec", None) is inner:
+            monkeypatch.setattr(module, "grid_spec", counting)
+    monkeypatch.setattr(protocol, "_PLAN_CACHE", {})
+    plan = build_plan(pts)
+    assert plan.branch == "draw"
+    assert len(calls) == len(set(calls)) == attempts
+    assert calls[-1] == plan.grid.epsilon == plan.params.epsilon
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype="<f8")
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_plans_equal_the_recorded_plans(corpus_plans):
+    """Epsilon, path vertices, labels and move tables of the drawing corpus
+    plans and an n = 100 plan, bit for bit: the epsilon exactly, the arrays by
+    SHA-256 digests of their float64 bytes (tests/plan_digests.json)."""
+    recorded = json.loads((Path(__file__).parent / "plan_digests.json").read_text())
+    plans = corpus_plans + [("random-100", build_plan(random_connected_pattern(100, seed=11)))]
+    assert sorted(name for name, _ in plans) == sorted(recorded)
+    for name, plan in plans:
+        got = [plan.params.epsilon, _digest(plan.path.vertices),
+               _digest(np.array(plan.path.labels, dtype=float)), _digest(*plan.moves)]
+        assert got == recorded[name], name
+
+
 # --- initial cluster pattern ---------------------------------------------------------
 
 def test_initial_pattern_anchor_sym1():
@@ -107,7 +157,7 @@ def test_initial_pattern_anchor_sym1():
     assert len(initial) == 9
     # All nine robots form one formation in state 1, anchored at polar
     # (2 * delta, pi) and pointing along +x.
-    dets = detect_formations(initial, plan.fparams)
+    dets = detect_formations(initial, plan.grid)
     assert len(dets) == 1
     (det,) = dets
     assert (det.size, det.state_index) == plan.path.labels[0] == (9, 1)
@@ -122,7 +172,7 @@ def test_initial_pattern_sym4():
     assert len(initial) == 12
     d = np.sqrt(((initial[:, None] - initial[None, :]) ** 2).sum(-1))
     assert d.max() <= 1.0 + 1e-9
-    dets = detect_formations(initial, plan.fparams)
+    dets = detect_formations(initial, plan.grid)
     assert len(dets) == 4
     assert all(d.size == 3 and d.state_index == 1 for d in dets)
 
@@ -181,9 +231,9 @@ def test_classify_initial_pattern_is_not_initial_phase():
     assert robot_decision(view, plan).phase is Phase.FORMATION
 
 
-def _own_formation_full_view(pts, fparams):
+def _own_formation_full_view(pts, grid, tol):
     """Reference for _own_formation: detection over the whole view."""
-    dets = detect_formations(pts, fparams)
+    dets = detect_formations(pts, grid, tol)
     mine = [d for d in dets if 0 in d.member_indices]
     if len(mine) != 1:
         return None, bool(mine)
@@ -193,11 +243,11 @@ def _own_formation_full_view(pts, fparams):
     return mine[0], False
 
 
-def _window_agrees(pts, fparams) -> tuple[bool, bool, bool]:
+def _window_agrees(pts, grid, tol=TAU_GEOM) -> tuple[bool, bool, bool]:
     """Assert _own_formation equals the full-view reference on one view;
     return (found, conflicted, whether the window left points out)."""
-    got, got_conflicted = _own_formation(pts, fparams)
-    want, want_conflicted = _own_formation_full_view(pts, fparams)
+    got, got_conflicted = _own_formation(pts, grid, tol)
+    want, want_conflicted = _own_formation_full_view(pts, grid, tol)
     assert got_conflicted == want_conflicted
     assert (got is None) == (want is None)
     if want is not None:
@@ -205,7 +255,7 @@ def _window_agrees(pts, fparams) -> tuple[bool, bool, bool]:
         assert got.state_index == want.state_index
         assert np.array_equal(got.hull.anchor, want.hull.anchor)
         assert np.array_equal(got.hull.direction, want.hull.direction)
-    window = 4 * (fparams.delta_diam + fparams.tol)
+    window = 4 * (grid.delta + tol)
     return want is not None, want_conflicted, bool((np.hypot(*pts.T) > window).any())
 
 
@@ -239,8 +289,8 @@ def test_own_formation_window_matches_full_view(case):
     eps = plan.params.epsilon
     seen = set()
     for pts_i in views:
-        for tol in (plan.fparams.tol, 0.45 * eps):
-            found, _, cut = _window_agrees(pts_i, replace(plan.fparams, tol=tol))
+        for tol in (TAU_GEOM, 0.45 * eps):
+            found, _, cut = _window_agrees(pts_i, plan.grid, tol)
             seen.add((found, cut))
     # Members were found, and views were cut by the window, both ways round.
     assert {(True, True), (False, True)} <= seen
@@ -298,7 +348,7 @@ def test_find_intermediate_window_matches_full_view(case):
         return want is not None
 
     for pts_i in views:
-        for tol in (plan.fparams.tol, 0.45 * eps):
+        for tol in (TAU_GEOM, 0.45 * eps):
             if agree(pts_i, tol):
                 # The added robots go right after the origin, ahead of the triple.
                 agree(np.vstack([pts_i[:1], ring, pts_i[1:]]), tol)
@@ -312,8 +362,8 @@ def test_find_intermediate_window_matches_full_view(case):
 def test_own_formation_window_keeps_overlap_conflicts():
     """Two overlapping hulls, with other robots beyond the detection window:
     every member of either formation sees the conflict."""
-    params = FormationParams(0.01, 0.1, math.pi / 3)
-    spec = state_by_index(params.grid(), 3, 2)
+    grid = grid_spec(0.1, 0.01, math.pi / 3)
+    spec = state_by_index(grid, 3, 2)
     pts1 = spec.points(DrawingHull(np.zeros(2), np.array([1.0, 0.0]), math.pi / 3, 0.1))
     pts2 = spec.points(DrawingHull(np.array([0.13, 0.12]), unit(np.array([-0.735, -0.678])),
                                    math.pi / 3, 0.1))
@@ -322,7 +372,7 @@ def test_own_formation_window_keeps_overlap_conflicts():
     conflicts = 0
     for i in range(len(positions)):
         pts_i = np.vstack([positions[i], np.delete(positions, i, axis=0)]) - positions[i]
-        _, conflicted, cut = _window_agrees(pts_i, params)
+        _, conflicted, cut = _window_agrees(pts_i, grid)
         assert cut
         conflicts += conflicted
     assert conflicts == len(pts1) + len(pts2)
@@ -331,16 +381,16 @@ def test_own_formation_window_keeps_overlap_conflicts():
 def test_own_formation_and_check_validity_share_the_overlap_cutoff():
     """Two facing formations anchored 2*delta + 5e-10 apart: their padded hulls
     touch, the commit check reports the overlap, and so does every member."""
-    params = FormationParams(0.01, 0.1, math.pi / 3)
-    spec = state_by_index(params.grid(), 3, 1)
+    grid = grid_spec(0.1, 0.01, math.pi / 3)
+    spec = state_by_index(grid, 3, 1)
     pts1 = spec.points(DrawingHull(np.zeros(2), np.array([1.0, 0.0]), math.pi / 3, 0.1))
     pts2 = spec.points(DrawingHull(np.array([0.2 + 5e-10, 0.0]), np.array([-1.0, 0.0]),
                                    math.pi / 3, 0.1))
     positions = np.vstack([pts1, pts2])
-    report = check_validity(positions, params)
+    report = check_validity(positions, grid, TAU_GEOM)
     assert len(report.formations) == 2 and report.overlaps == ((0, 1),)
     for i in range(len(positions)):
-        assert _own_formation(positions - positions[i], params) == (None, True)
+        assert _own_formation(positions - positions[i], grid, TAU_GEOM) == (None, True)
 
 
 # --- snapshot screen -----------------------------------------------------------------
@@ -455,7 +505,7 @@ def test_move_tables_equal_whole_formation_assignment(corpus_plans):
                     view = view_from_global(positions, i, theta)
                     dec = robot_decision(view, plan, tol=tol)
                     assert dec.phase is Phase.FORMATION, (name, vi)
-                    det, _ = _own_formation(view.all_points, replace(plan.fparams, tol=tol))
+                    det, _ = _own_formation(view.all_points, plan.grid, tol)
                     want = _move_reference(view.all_points, plan, det)
                     assert np.abs(dec.target - want).max() <= 1e-12, (name, vi, tol)
                     assert dec.events == (("ending-reshape",) if vi == last else ())
@@ -516,7 +566,7 @@ def test_formation_step_matches_path_ground_truth():
     targets = np.empty_like(plan.initial)
     for i, view in enumerate(make_local_views(plan.initial, 0, cfg)):
         targets[i] = plan.initial[i] + robot_decision(view, plan=plan).target
-    dets = detect_formations(targets, plan.fparams)
+    dets = detect_formations(targets, plan.grid)
     assert len(dets) == plan.params.s_p
     size1, idx1 = path.labels[1]
     det = min(dets, key=lambda d: dist(d.hull.anchor, path.vertices[1]))

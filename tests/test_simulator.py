@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from swarmdraw import geometry, protocol
-from swarmdraw.formation import DrawingHull, FormationParams, state_by_index
+from swarmdraw.formation import DrawingHull, grid_spec, state_by_index
 from swarmdraw.geometry import TAU_GEOM, mindist, pairwise_distances, rotate, unit
 from swarmdraw.protocol import Phase, build_plan, fit_isometry, robot_decision
 from swarmdraw.simulator import (
@@ -178,8 +178,8 @@ def test_abort_names_the_colliding_pair(small_plan):
 def test_abort_names_the_members_of_overlapping_formations(small_plan):
     """Two overlapping hulls after three robots that belong to no formation:
     the message names robot indices, not positions in the formation list."""
-    params = FormationParams(0.01, 0.1, math.pi / 3)
-    spec = state_by_index(params.grid(), 3, 2)
+    grid = grid_spec(0.1, 0.01, math.pi / 3)
+    spec = state_by_index(grid, 3, 2)
     pts1 = spec.points(DrawingHull(np.zeros(2), np.array([1.0, 0.0]), math.pi / 3, 0.1))
     pts2 = spec.points(DrawingHull(np.array([0.13, 0.12]), unit(np.array([-0.735, -0.678])),
                                    math.pi / 3, 0.1))
@@ -187,7 +187,7 @@ def test_abort_names_the_members_of_overlapping_formations(small_plan):
     positions = np.vstack([far, pts1, pts2])
     with pytest.raises(SimulationError,
                        match=r"^overlapping formation hulls: robots \[3, 4, 5\] and \[6, 7, 8\]$"):
-        _commit(positions, positions.copy(), replace(small_plan, fparams=params), SimConfig(), 0)
+        _commit(positions, positions.copy(), replace(small_plan, grid=grid), SimConfig(), 0)
 
 
 def test_dropped_robots_never_move(small_plan):
