@@ -368,8 +368,10 @@ def detect_formations(points, grid: GridSpec, tol: float = TAU_GEOM) -> list[Det
     close = close[np.argsort(a[close], kind="stable")]      # pairs row by row
     a, b = a[close], b[close]
     # Orientations (a, b), (b, a) of each pair, in that order: anchor p, partner q.
-    p_idx = np.stack([a, b], axis=1).ravel()
-    q_idx = np.stack([b, a], axis=1).ravel()
+    p_idx = np.empty(2 * len(a), dtype=a.dtype)
+    q_idx = np.empty_like(p_idx)
+    p_idx[0::2], p_idx[1::2] = a, b
+    q_idx[0::2], q_idx[1::2] = b, a
     rows = np.arange(len(p_idx))
     rel = z[None, :] - z[p_idx, None]
     u = rel[rows, q_idx] / np.abs(rel[rows, q_idx])     # unit directions p -> q
@@ -385,24 +387,28 @@ def detect_formations(points, grid: GridSpec, tol: float = TAU_GEOM) -> list[Det
     live = np.flatnonzero(third.any(axis=1))
     if not len(live):
         return []
-    x, y = x[live], y[live]
-    members = (np.hypot(x, y) <= delta + tol) & (_lateral_distance(x, y, grid.span) <= tol)
-    cells, on_grid = _snap_cells(grid, x, y, eps, tol)
+    # Members: the points of each live row within delta + tol of its anchor and
+    # inside the wedge, tested and snapped as one flat (row-major) array.
+    row, col = np.nonzero(np.hypot(x[live], y[live]) <= delta + tol)
+    xs, ys = x[live[row], col], y[live[row], col]
+    inside = _lateral_distance(xs, ys, grid.span) <= tol
+    row, col, xs, ys = row[inside], col[inside], xs[inside], ys[inside]
+    cells, on_grid = _snap_cells(grid, xs, ys, eps, tol)
+    bounds = np.searchsorted(row, np.arange(len(live) + 1)).tolist()
 
     found: dict[tuple, DetectedFormation] = {}
-    for row, c in enumerate(live.tolist()):
-        member_idx = np.flatnonzero(members[row])
-        if len(member_idx) < 3 or not on_grid[row, member_idx].all():
+    for r, c in enumerate(live.tolist()):
+        lo, hi = bounds[r], bounds[r + 1]
+        if hi - lo < 3 or not on_grid[lo:hi].all():
             continue
-        decoded = _decode(grid, tuple(sorted(cells[row, member_idx].tolist())))
+        decoded = _decode(grid, tuple(sorted(cells[lo:hi].tolist())))
         if decoded is None:
             continue
         hull = DrawingHull(pts[p_idx[c]], np.array([u[c].real, u[c].imag]), grid.span, delta)
         key = tuple(np.round(np.concatenate([hull.anchor, hull.direction]), 8).tolist())
         found.setdefault(key, DetectedFormation(
-            hull=hull, member_indices=tuple(member_idx.tolist()),
-            local=np.stack([x[row, member_idx], y[row, member_idx]], axis=1),
-            state_index=decoded[1]))
+            hull=hull, member_indices=tuple(col[lo:hi].tolist()),
+            local=np.column_stack([xs[lo:hi], ys[lo:hi]]), state_index=decoded[1]))
     return [found[k] for k in sorted(found)]
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 # Absolute tolerance for distance / coincidence predicates.
 TAU_GEOM = 1e-9
@@ -101,12 +100,17 @@ def rotate(points, theta: float, center=None) -> np.ndarray:
     return (pts - center) @ rot.T + center
 
 
+def _squared_distances(a, b) -> np.ndarray:
+    """(len(a), len(b)) squared distances, from per-axis differences."""
+    dx = a[:, 0, None] - b[None, :, 0]
+    dy = a[:, 1, None] - b[None, :, 1]
+    return dx * dx + dy * dy
+
+
 def pairwise_distances(points) -> np.ndarray:
-    """Distances between all pairs of one set, from per-axis differences."""
+    """Distances between all pairs of one set."""
     pts = as_points(points)
-    dx = pts[:, 0, None] - pts[None, :, 0]
-    dy = pts[:, 1, None] - pts[None, :, 1]
-    return np.sqrt(dx * dx + dy * dy)
+    return np.sqrt(_squared_distances(pts, pts))
 
 
 @dataclass(frozen=True)
@@ -252,22 +256,34 @@ def mindist(points) -> float:
     return m
 
 
+def nearest(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(distances, indices) of each point of a's nearest point in b.
+
+    One dense pass over the squared distances, made for sets of at most a few
+    hundred points; the distances equal a KD-tree query's bit for bit.
+    """
+    sq = _squared_distances(a, b)
+    idx = sq.argmin(axis=1)
+    return np.sqrt(sq[np.arange(len(a)), idx]), idx
+
+
 def match_points(a, b, tol):
     """Bijection i -> perm[i] with a[i] ~ b[perm[i]] within tol.
 
     Returns (perm, max error), or (None, largest nearest-neighbor distance).
-    Nearest neighbors decide when they are injective; when they collide, an
-    exact minimum-cost assignment arbitrates, if the largest nearest-neighbor
-    distance is within tol: no bijection has an error below it.
+    Nearest neighbors (``nearest``, NumPy only) decide when they are
+    injective.  When they collide, an exact minimum-cost assignment over the
+    same distances arbitrates, if the largest nearest-neighbor distance is
+    within tol: no bijection has an error below it.  Only this fallback
+    imports scipy (``scipy.optimize``), on first use.
     """
-    tree = cKDTree(b)
-    dd, idx = tree.query(a, k=1)
+    dd, idx = nearest(a, b)
     if dd.max() <= tol and len(set(idx.tolist())) == len(a):
         return idx, float(dd.max())
     if dd.max() <= tol:
         from scipy.optimize import linear_sum_assignment  # rarely needed; slow to import
 
-        cost = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+        cost = np.sqrt(_squared_distances(a, b))
         rows, cols = linear_sum_assignment(cost)
         err = float(cost[rows, cols].max())
         if err <= tol:

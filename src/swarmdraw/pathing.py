@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (
     TAU_GEOM,
@@ -25,6 +24,7 @@ from .geometry import (
     dist,
     from_polar,
     mindist,
+    nearest,
     pairwise_distances,
     polar_angle,
     rotate,
@@ -285,9 +285,10 @@ def find_connected_triple_rotation(points, s: int) -> tuple[float, tuple[int, in
     trips = _connected_triples(d)
     if s > 1:
         # images[i, k]: the point at pts[i] rotated by k*alpha, or -1.
-        rotated = np.concatenate([rotate(pts, k * alpha) for k in range(s)])
-        dd, j = cKDTree(pts).query(rotated)
-        images = np.where(dd <= TAU_GEOM, j, -1).reshape(s, n).T
+        images = np.empty((n, s), dtype=np.intp)
+        for k in range(s):
+            dd, j = nearest(rotate(pts, k * alpha), pts)
+            images[:, k] = np.where(dd <= TAU_GEOM, j, -1)
         b = trips[:, 0]
         ra = _representatives(images, angles, trips[:, 1], angles[b], s)
         rc = _representatives(images, angles, trips[:, 2], angles[b], s)

@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .geometry import (TAU_GEOM, as_points, match_points, mindist, pairwise_distances,
-                       rotation_matrix)
+from .geometry import (TAU_GEOM, as_points, match_points, mindist, nearest,
+                       pairwise_distances, rotation_matrix)
 from .formation import check_validity
 from .protocol import (
     Decision,
@@ -175,7 +174,7 @@ def _greedy_error(pts, target) -> float:
     for j in range(len(b)):
         theta = math.atan2(a[ext, 1], a[ext, 0]) - math.atan2(b[j, 1], b[j, 0])
         rb = b @ rotation_matrix(theta).T
-        dd, _ = cKDTree(rb).query(a, k=1)
+        dd, _ = nearest(a, rb)
         best = min(best, float(dd.max()))
     return best
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -151,3 +152,31 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "False"
+
+
+def test_import_and_noiseless_runs_load_no_scipy():
+    """Importing the package and CLI, a noiseless drawing run from the initial
+    cluster and a scaled star run load no scipy module at all."""
+    src = Path(swarmdraw.__file__).resolve().parents[1]
+    code = """
+import json, math, sys
+import numpy as np
+import swarmdraw, swarmdraw.cli
+from swarmdraw import SimConfig, build_plan, run_fsync
+from corpus import random_connected_pattern
+runs = []
+draw = build_plan(random_connected_pattern(8, seed=3))
+trace = run_fsync(draw.initial, draw, SimConfig(max_rounds=draw.hops + 4))
+runs.append([draw.branch, trace.verdict])
+ang = 2.0 * math.pi * np.arange(14) / 14
+star = build_plan(2.0 * np.column_stack([np.cos(ang), np.sin(ang)]))
+trace = run_fsync(star.star.kappa0 * star.pattern, star, SimConfig(max_rounds=10))
+runs.append([star.branch, trace.verdict])
+print(json.dumps([runs, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+    path = os.pathsep.join([str(src), str(Path(__file__).parent)])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    runs, loaded = json.loads(out.stdout)
+    assert runs == [["draw", "formed"], ["star", "formed"]]
+    assert loaded == []

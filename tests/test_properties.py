@@ -1,7 +1,7 @@
 """Property tests of the geometry primitives, the batched triple radii, the
-shared matcher, the orbit walk built on it, the congruence fit, the
-near-gathering assignment, the grid-state enumeration and the scaling
-branch's neighbourhood match."""
+nearest-neighbour pass, the shared matcher, the orbit walk built on it, the
+congruence fit, the near-gathering assignment, the grid-state enumeration and
+the scaling branch's neighbourhood match."""
 
 import math
 from functools import lru_cache
@@ -20,7 +20,7 @@ from swarmdraw.formation import (
     state_by_index,
     state_from_cells,
 )
-from swarmdraw.geometry import (match_points, rotate, smallest_enclosing_circle,
+from swarmdraw.geometry import (match_points, nearest, rotate, smallest_enclosing_circle,
                                 triple_sec_radii)
 from swarmdraw.protocol import (AssignmentError, Phase, _star_match, _star_precheck,
                                 assignment_target, build_plan, fit_isometry, robot_decision)
@@ -351,6 +351,34 @@ def test_star_match_without_a_tree_equals_the_kdtree_match(name, grow, robot, th
                         poses += [(k, th, 1e-6), (k, th, window)]
     if spread == 0.0:
         assert matched
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(n=st.integers(1, 120), k=st.integers(1, 120), log_scale=st.floats(-8.0, 1.0),
+       offset=st.sampled_from([0.0, 1.0, 100.0]), shape=st.sampled_from(["free", "jitter"]),
+       dup=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_nearest_equals_the_kdtree_query(n, k, log_scale, offset, shape, dup, seed):
+    """nearest's distances are the KD-tree query's bit for bit, and its indices
+    agree wherever the nearest point is unique.  Queries are either free points
+    or a jittered permutation of b (what match_points sees); b may repeat
+    points, so some nearest points tie."""
+    from scipy.spatial import cKDTree
+
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    b = rng.normal(size=(n, 2)) * scale + rng.normal(size=2) * offset
+    if shape == "jitter":
+        a = b[rng.permutation(n)] + rng.normal(size=(n, 2)) * scale * 1e-3
+    else:
+        a = rng.normal(size=(k, 2)) * scale + b.mean(axis=0)
+    b = np.concatenate([b, b[:dup]])
+    dd, idx = nearest(a, b)
+    want_dd, want_idx = cKDTree(b).query(a, k=1)
+    assert np.array_equal(dd, want_dd)
+    sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    unique = (sq == sq.min(axis=1, keepdims=True)).sum(axis=1) == 1
+    assert np.array_equal(idx[unique], want_idx[unique])
+    assert np.array_equal(sq[np.arange(len(a)), idx], sq.min(axis=1))
 
 
 def _match_points_wide_gate(a, b, tol):

@@ -8,7 +8,8 @@ import pytest
 
 from swarmdraw import geometry, protocol
 from swarmdraw.formation import DrawingHull, grid_spec, state_by_index
-from swarmdraw.geometry import TAU_GEOM, mindist, pairwise_distances, rotate, unit
+from swarmdraw.geometry import (TAU_GEOM, mindist, pairwise_distances, rotate,
+                                rotation_matrix, unit)
 from swarmdraw.protocol import Phase, build_plan, fit_isometry, robot_decision
 from swarmdraw.simulator import (
     SimConfig,
@@ -21,7 +22,7 @@ from swarmdraw.simulator import (
     verify_pattern,
 )
 
-from corpus import near_gathering, ngon, random_connected_pattern
+from corpus import main_corpus, near_gathering, ngon, random_connected_pattern, star_corpus
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +277,43 @@ def test_verify_pattern_alignment_is_the_applied_motion():
     ok, alignment, err = verify_pattern(p, p)
     assert ok and err == 0.0
     assert alignment == {"theta": 0.0, "tx": 0.0, "ty": 0.0}
+
+
+def _kdtree_greedy_error(pts, target) -> float:
+    """The failed-match diagnostic as it was computed with KD-tree queries."""
+    from scipy.spatial import cKDTree
+
+    a = pts - pts.mean(axis=0)
+    b = target - target.mean(axis=0)
+    best = math.inf
+    ra = np.hypot(*a.T)
+    ext = int(np.argmax(ra))
+    for j in range(len(b)):
+        theta = math.atan2(a[ext, 1], a[ext, 0]) - math.atan2(b[j, 1], b[j, 0])
+        rb = b @ rotation_matrix(theta).T
+        dd, _ = cKDTree(rb).query(a, k=1)
+        best = min(best, float(dd.max()))
+    return best
+
+
+@pytest.mark.parametrize("named", main_corpus()[::6] + star_corpus()[:4], ids=lambda c: c[0])
+def test_failed_fit_error_equals_the_kdtree_diagnostic(named):
+    """On corpus patterns moved rigidly and perturbed past the tolerance, the
+    error verify_pattern reports for the failed fit is the KD-tree value.  At
+    the larger scales, and with one robot moved next to another, nearest
+    neighbours are no longer one-to-one."""
+    _, pts = named
+    rng = np.random.default_rng(len(pts))
+    for scale in (1e-5, 1e-3, 0.05, 0.5, None):
+        moved = rotate(pts, rng.uniform(-math.pi, math.pi)) + rng.uniform(-5, 5, 2)
+        if scale is None:
+            bad = moved.copy()
+            bad[0] = bad[1] + 1e-3
+        else:
+            bad = moved + rng.uniform(-scale, scale, moved.shape)
+        ok, alignment, err = verify_pattern(bad, pts, tol=1e-6)
+        assert not ok and alignment is None
+        assert err == _kdtree_greedy_error(bad, pts)
 
 
 def test_verify_pattern_size_mismatch():
