@@ -352,53 +352,71 @@ def detect_formations(points, grid: GridSpec, tol: float = TAU_GEOM) -> list[Det
     Seeks pairs at distance epsilon, a collinear third robot beyond the
     second (which disambiguates anchor from partner), reconstructs the hull
     (diameter and span from the grid), and keeps the candidate only if every
-    robot inside the hull realizes a legal grid state.  All orientations of
-    all pairs are tested in one pass.
+    robot inside the hull realizes a legal grid state.  This is the
+    one-window call of ``detect_windows``.
     """
     pts = as_points(points)
-    m = len(pts)
-    if m < 3:
-        return []
+    return detect_windows(pts, [len(pts)], grid, tol)[0]
+
+
+def detect_windows(points, sizes, grid: GridSpec,
+                   tol: float = TAU_GEOM) -> list[list[DetectedFormation]]:
+    """``detect_formations`` of many point sets in one array pass.
+
+    ``points`` is the concatenation of the windows and ``sizes`` their
+    lengths; entry w of the result equals ``detect_formations`` of window w
+    alone, bit for bit, with member indices local to the window.  No stage
+    reads across windows: epsilon-pairs are formed within a window, and each
+    candidate orientation reads only its own window's points.
+    """
+    pts = as_points(points)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.ndim != 1 or (sizes < 0).any() or sizes.sum() != len(pts):
+        raise ValueError("window sizes must be nonnegative and sum to the number of points")
+    out: list[list[DetectedFormation]] = [[] for _ in range(len(sizes))]
     eps, delta = grid.epsilon, grid.delta
+    starts = np.cumsum(sizes) - sizes
+    win = np.repeat(np.arange(len(sizes)), sizes)
     z = pts[:, 0] + 1j * pts[:, 1]
-    a, b = (ends[:m * (m - 1) // 2] for ends in _pairs_by_column(1 << (m - 1).bit_length()))
+    a, b = _epsilon_pairs(pts, win, eps, tol)
     close = np.flatnonzero(np.abs(np.abs(z[b] - z[a]) - eps) <= tol)
     if not len(close):
-        return []
-    close = close[np.argsort(a[close], kind="stable")]      # pairs row by row
+        return out
+    close = close[np.lexsort((b[close], a[close]))]     # each window's pairs row by row
     a, b = a[close], b[close]
     # Orientations (a, b), (b, a) of each pair, in that order: anchor p, partner q.
     p_idx = np.empty(2 * len(a), dtype=a.dtype)
     q_idx = np.empty_like(p_idx)
     p_idx[0::2], p_idx[1::2] = a, b
     q_idx[0::2], q_idx[1::2] = b, a
-    rows = np.arange(len(p_idx))
-    rel = z[None, :] - z[p_idx, None]
-    u = rel[rows, q_idx] / np.abs(rel[rows, q_idx])     # unit directions p -> q
-    local = rel * u.conj()[:, None]
+    rel_q = z[q_idx] - z[p_idx]
+    u = rel_q / np.abs(rel_q)                           # unit directions p -> q
+    # Every orientation against every point of its window, as one flat array.
+    row_win = win[p_idx]
+    row, col = _ranges(starts[row_win], sizes[row_win])
+    local = (z[col] - z[p_idx][row]) * u.conj()[row]
     x, y = local.real, local.imag
 
     # Third defining robot: collinear beyond q at distance 2*i*eps, i >= 1.
     i = np.rint((x / eps - 1.0) / 2.0)
     third = ((np.abs(y) <= tol) & (x >= 3 * eps - tol) & (x <= delta + tol)
-             & (i >= 1) & (np.abs(x - (1 + 2 * i) * eps) <= tol))
-    third[rows, p_idx] = False
-    third[rows, q_idx] = False
-    live = np.flatnonzero(third.any(axis=1))
-    if not len(live):
-        return []
+             & (i >= 1) & (np.abs(x - (1 + 2 * i) * eps) <= tol)
+             & (col != p_idx[row]) & (col != q_idx[row]))
+    live = np.bincount(row[third], minlength=len(p_idx)) > 0
     # Members: the points of each live row within delta + tol of its anchor and
     # inside the wedge, tested and snapped as one flat (row-major) array.
-    row, col = np.nonzero(np.hypot(x[live], y[live]) <= delta + tol)
-    xs, ys = x[live[row], col], y[live[row], col]
-    inside = _lateral_distance(xs, ys, grid.span) <= tol
-    row, col, xs, ys = row[inside], col[inside], xs[inside], ys[inside]
+    keep = np.flatnonzero(live[row])
+    keep = keep[np.hypot(x[keep], y[keep]) <= delta + tol]
+    keep = keep[_lateral_distance(x[keep], y[keep], grid.span) <= tol]
+    row, col, xs, ys = row[keep], col[keep], x[keep], y[keep]
     cells, on_grid = _snap_cells(grid, xs, ys, eps, tol)
-    bounds = np.searchsorted(row, np.arange(len(live) + 1)).tolist()
+    member = (col - starts[win[col]]).tolist()
+    live = np.flatnonzero(live)
+    lows = np.searchsorted(row, live).tolist()
+    highs = np.searchsorted(row, live, side="right").tolist()
 
-    found: dict[tuple, DetectedFormation] = {}
-    for r, c in enumerate(live.tolist()):
-        lo, hi = bounds[r], bounds[r + 1]
+    found: dict[int, dict[tuple, DetectedFormation]] = {}
+    for c, lo, hi in zip(live.tolist(), lows, highs):
         if hi - lo < 3 or not on_grid[lo:hi].all():
             continue
         decoded = _decode(grid, tuple(sorted(cells[lo:hi].tolist())))
@@ -406,18 +424,41 @@ def detect_formations(points, grid: GridSpec, tol: float = TAU_GEOM) -> list[Det
             continue
         hull = DrawingHull(pts[p_idx[c]], np.array([u[c].real, u[c].imag]), grid.span, delta)
         key = tuple(np.round(np.concatenate([hull.anchor, hull.direction]), 8).tolist())
-        found.setdefault(key, DetectedFormation(
-            hull=hull, member_indices=tuple(col[lo:hi].tolist()),
+        found.setdefault(int(row_win[c]), {}).setdefault(key, DetectedFormation(
+            hull=hull, member_indices=tuple(member[lo:hi]),
             local=np.column_stack([xs[lo:hi], ys[lo:hi]]), state_index=decoded[1]))
-    return [found[k] for k in sorted(found)]
+    for w, dets in found.items():
+        out[w] = [dets[k] for k in sorted(dets)]
+    return out
 
 
-@lru_cache(maxsize=None)
-def _pairs_by_column(cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (i, j), i < j, of cap points ordered by j, then i: the pairs
-    of the first m points are the first m(m - 1)/2."""
-    j, i = np.tril_indices(cap, -1)
-    return i, j
+def _epsilon_pairs(pts, win, eps: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (a, b), a < b, of one window whose x-coordinates differ by
+    about eps + tol at most: a superset of the pairs at distance eps within tol,
+    from a sweep over the points sorted on (window, x).
+
+    Complex keys sort on the real part (the window) first, so no query leaves
+    its window.  The candidates hold every pair the distance test keeps: that
+    test passes only for a computed distance h <= (eps + tol)(1 + 2^-52), the
+    computed ``np.abs`` of a complex difference is never below the magnitude of
+    its real part, and the reach exceeds eps + tol by more than the rounding
+    of that real part and of x + reach.
+    """
+    order = np.lexsort((pts[:, 0], win))
+    x = pts[order, 0]
+    key = win[order] + 1j * x
+    reach = (eps + tol) * (1.0 + 1e-12) + 1e-15 * np.abs(x)
+    ends = np.searchsorted(key, key + 1j * reach, side="right")
+    after = np.arange(1, len(key) + 1)
+    first, second = _ranges(after, ends - after)        # each sorted point's partners after it
+    a, b = order[first], order[second]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _ranges(starts, counts) -> tuple[np.ndarray, np.ndarray]:
+    """(k, i) for every i in starts[k] .. starts[k] + counts[k] - 1, k ascending."""
+    k = np.repeat(np.arange(len(counts)), counts)
+    return k, np.arange(len(k)) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
 
 
 def _snap_cells(grid: GridSpec, xs, ys, eps: float, tol: float):

@@ -41,7 +41,7 @@ from .formation import (
     DrawingHull,
     FormationError,
     GridSpec,
-    detect_formations,
+    detect_windows,
     grid_spec,
     hulls_overlap,
     state_by_index,
@@ -464,23 +464,38 @@ def _screen_snapshots(radii, plan: Plan, tol) -> np.ndarray:
     return np.flatnonzero((np.abs(plan.snapshot_radii - radii) <= atol).all(axis=1))
 
 
-def _own_formation(pts, grid: GridSpec, tol: float) -> tuple[DetectedFormation | None, bool]:
-    """The unique valid formation containing the origin robot, if any.
+def _own_formations(views: list[np.ndarray], grid: GridSpec,
+                    tol: float) -> list[tuple[DetectedFormation | None, bool]]:
+    """For each view: the unique valid formation containing the origin robot, if
+    any, and whether the origin is in a conflicted one.  All views are searched in
+    one ``detect_windows`` call; each result reads its own view only.
 
     Detection reads only the view within 4δ + 4·tol, which is exact: a formation holding
     the origin is anchored within δ + tol, ``hulls_overlap`` reads formations anchored
     within 2δ + TAU_GEOM of that anchor, and each depends only on points within δ + tol
     of its anchor.
     """
-    near = np.nonzero(np.hypot(*pts.T) <= 4 * (grid.delta + tol))[0]
-    dets = detect_formations(pts[near], grid, tol)
-    mine = [d for d in dets if 0 in d.member_indices]
-    if len(mine) != 1:
-        return None, bool(mine)
-    det = mine[0]
-    if any(other is not det and hulls_overlap(det.hull, other.hull) for other in dets):
-        return None, True
-    return replace(det, member_indices=tuple(near[list(det.member_indices)].tolist())), False
+    if not views:
+        return []
+    pts = np.concatenate(views)
+    lengths = np.array([len(v) for v in views])
+    starts = np.cumsum(lengths) - lengths
+    near = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1]) <= 4 * (grid.delta + tol))
+    owner = np.repeat(np.arange(len(views)), lengths)[near]
+    sizes = np.bincount(owner, minlength=len(views))
+    out = []
+    for dets, idx in zip(detect_windows(pts[near], sizes, grid, tol),
+                         np.split(near - starts[owner], np.cumsum(sizes)[:-1])):
+        mine = [d for d in dets if 0 in d.member_indices]
+        if len(mine) != 1:
+            out.append((None, bool(mine)))
+        elif any(other is not mine[0] and hulls_overlap(mine[0].hull, other.hull)
+                 for other in dets):
+            out.append((None, True))
+        else:
+            out.append((replace(mine[0], member_indices=tuple(
+                idx[list(mine[0].member_indices)].tolist())), False))
+    return out
 
 
 def _find_intermediate(pts, plan: Plan, tol: float):
@@ -525,46 +540,57 @@ def _find_intermediate(pts, plan: Plan, tol: float):
     return None
 
 
-def _classify(pts, plan: Plan, tol: float, snapshot_tol=None):
-    """(phase, own formation, intermediate decode) for the origin robot."""
-    if plan.branch != "draw":
-        raise PlanError("phase classification applies to the drawing branch only")
-    if len(pts) == plan.n and len(pts) > 1:
-        if snapshot_tol is None:
-            snapshot_tol = max(tol, 1e-7)
-        if (not _matches_snapshot(pts, plan, snapshot_tol)
-                and pairwise_distances(pts).max() <= 1.0 + TAU_GEOM):
-            return Phase.INITIAL, None, None
-    mine, conflicted = _own_formation(pts, plan.grid, tol)
-    if mine is not None:
-        return Phase.FORMATION, mine, None
-    if not conflicted:
-        inter = _find_intermediate(pts, plan, tol)
-        if inter is not None:
-            return Phase.INTERMEDIATE, None, inter
-    return Phase.DROPPED, None, None
+def _is_initial(view: LocalView, plan: Plan, snapshot_tol) -> bool:
+    """Whether a full view of diameter at most 1 matches no reference snapshot."""
+    if len(view.neighbors) + 1 != plan.n or plan.n == 1:
+        return False
+    pts = view.all_points
+    return (not _matches_snapshot(pts, plan, snapshot_tol)
+            and pairwise_distances(pts).max() <= 1.0 + TAU_GEOM)
 
 
 # --- per-robot steps ----------------------------------------------------------------
 
 def robot_decision(view: LocalView, plan: Plan, tol: float = TAU_GEOM,
                    snapshot_tol=None) -> Decision:
-    """The robot's move (in its own frame) and phase for one round.
+    """The robot's move (in its own frame) and phase for one round: the one-view
+    call of ``robot_decisions``."""
+    return robot_decisions([view], plan, tol, snapshot_tol)[0]
+
+
+def robot_decisions(views: list[LocalView], plan: Plan, tol: float = TAU_GEOM,
+                    snapshot_tol=None) -> list[Decision]:
+    """Each robot's move (in its own frame) and phase for one round.
 
     tol is the detection tolerance.  snapshot_tol is the tolerance at which a
     full view is matched against the reference snapshots (one value, or one
     per entry of plan.snapshot_ids); by default max(tol, 1e-7).
+
+    Drawing-branch robots that are not in the initial near-gathering have
+    their formations detected in one array pass over all their views; every
+    decision is still a function of its own view and the plan alone.
     """
     if plan.branch == "star":
-        return _star_decision(view, plan, max(tol, 1e-7))
-    phase, mine, inter = _classify(view.all_points, plan, tol, snapshot_tol)
-    if phase is Phase.INITIAL:
-        return _initial_decision(view, plan)
-    if phase is Phase.FORMATION:
-        return _formation_decision(view, plan, mine)
-    if phase is Phase.INTERMEDIATE:
-        return _intermediate_decision(view, plan, inter)
-    return Decision(np.zeros(2), Phase.DROPPED)
+        return [_star_decision(view, plan, max(tol, 1e-7)) for view in views]
+    if snapshot_tol is None:
+        snapshot_tol = max(tol, 1e-7)
+    decisions: list[Decision | None] = [None] * len(views)
+    rest = []
+    for i, view in enumerate(views):
+        if _is_initial(view, plan, snapshot_tol):
+            decisions[i] = _initial_decision(view, plan)
+        else:
+            rest.append(i)
+    owns = _own_formations([views[i].all_points for i in rest], plan.grid, tol)
+    for i, (mine, conflicted) in zip(rest, owns):
+        view = views[i]
+        if mine is not None:
+            decisions[i] = _formation_decision(view, plan, mine)
+            continue
+        inter = None if conflicted else _find_intermediate(view.all_points, plan, tol)
+        decisions[i] = (Decision(np.zeros(2), Phase.DROPPED) if inter is None
+                        else _intermediate_decision(view, plan, inter))
+    return decisions
 
 
 def _formation_decision(view: LocalView, plan: Plan, det: DetectedFormation) -> Decision:

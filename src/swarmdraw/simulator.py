@@ -20,13 +20,12 @@ from .geometry import (TAU_GEOM, as_points, match_points, mindist, nearest,
                        pairwise_distances, rotation_matrix)
 from .formation import check_validity
 from .protocol import (
-    Decision,
     LocalView,
     Phase,
     Plan,
     build_plan,
     fit_isometry,
-    robot_decision,
+    robot_decisions,
 )
 
 
@@ -120,12 +119,19 @@ def _noise_vector(seed: int, robot: int, rnd: int, mu: float) -> np.ndarray:
     return np.array([r * math.cos(phi), r * math.sin(phi)])
 
 
-def make_local_views(positions, rnd: int, cfg: SimConfig) -> list[LocalView]:
+def _frame(n: int, rnd: int, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Cosines and sines of the n robots' frame angles of round rnd."""
+    angles = _frame_angles(n, rnd, cfg)
+    return np.cos(angles), np.sin(angles)
+
+
+def make_local_views(positions, rnd: int, cfg: SimConfig, frame=None) -> list[LocalView]:
     """Every robot's neighbours within distance 1 in its per-(robot, round)
-    rotated frame, lex-sorted, from one pass over the round's differences."""
+    rotated frame, lex-sorted, from one pass over the round's differences.
+    frame is the round's ``_frame``, if the caller already has it."""
     pts = as_points(positions)
-    angles = _frame_angles(len(pts), rnd, cfg)[:, None]
-    cos, sin = np.cos(angles), np.sin(angles)
+    cos, sin = _frame(len(pts), rnd, cfg) if frame is None else frame
+    cos, sin = cos[:, None], sin[:, None]
     dx = pts[None, :, 0] - pts[:, None, 0]          # row i: positions relative to robot i
     dy = pts[None, :, 1] - pts[:, None, 1]
     mask = np.hypot(dx, dy) <= 1.0 + TAU_GEOM
@@ -341,18 +347,13 @@ def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
 
 
 def _compute_round(positions, plan, cfg, rnd, detect_tol, snapshot_tol=None):
-    views = make_local_views(positions, rnd, cfg)
-    angles = _frame_angles(len(views), rnd, cfg)
-    cos, sin = np.cos(angles), np.sin(angles)
-    phases: list[str] = []
-    events: list[dict] = []
-    local = np.empty((len(views), 2))
-    for i, view in enumerate(views):
-        decision: Decision = robot_decision(view, plan, tol=detect_tol,
-                                            snapshot_tol=snapshot_tol)
-        phases.append(decision.phase.value)
-        events.extend({"robot": i, "event": ev} for ev in decision.events)
-        local[i] = decision.target
+    cos, sin = frame = _frame(len(positions), rnd, cfg)
+    decisions = robot_decisions(make_local_views(positions, rnd, cfg, frame), plan,
+                                tol=detect_tol, snapshot_tol=snapshot_tol)
+    phases = [decision.phase.value for decision in decisions]
+    events = [{"robot": i, "event": ev}
+              for i, decision in enumerate(decisions) for ev in decision.events]
+    local = np.array([decision.target for decision in decisions]).reshape(-1, 2)
     # Map the local-frame targets back to the global frame.
     targets = positions + np.stack([cos * local[:, 0] + sin * local[:, 1],
                                     cos * local[:, 1] - sin * local[:, 0]], axis=1)

@@ -20,6 +20,7 @@ from swarmdraw.formation import (
     state_from_cells,
     _decode,
     _lateral_distance,
+    _snap_cells,
 )
 from swarmdraw.pathing import PathConstructionError, _validate_path
 from swarmdraw.protocol import (
@@ -265,8 +266,68 @@ def _candidate_reference(pts, p, q, grid, tol):
     return DetectedFormation(hull, tuple(members.tolist()), loc[members], decoded[1])
 
 
+def _dense_detect(points, grid, tol):
+    """Reference for detect_windows: single-window detection with the dense
+    epsilon-pair search over all m(m - 1)/2 pairs, pairs row by row."""
+    pts = np.asarray(points, dtype=float)
+    m = len(pts)
+    if m < 3:
+        return []
+    eps, delta = grid.epsilon, grid.delta
+    z = pts[:, 0] + 1j * pts[:, 1]
+    b, a = np.tril_indices(m, -1)
+    close = np.flatnonzero(np.abs(np.abs(z[b] - z[a]) - eps) <= tol)
+    if not len(close):
+        return []
+    close = close[np.argsort(a[close], kind="stable")]
+    a, b = a[close], b[close]
+    p_idx = np.empty(2 * len(a), dtype=a.dtype)
+    q_idx = np.empty_like(p_idx)
+    p_idx[0::2], p_idx[1::2] = a, b
+    q_idx[0::2], q_idx[1::2] = b, a
+    rows = np.arange(len(p_idx))
+    rel = z[None, :] - z[p_idx, None]
+    u = rel[rows, q_idx] / np.abs(rel[rows, q_idx])
+    local = rel * u.conj()[:, None]
+    x, y = local.real, local.imag
+    i = np.rint((x / eps - 1.0) / 2.0)
+    third = ((np.abs(y) <= tol) & (x >= 3 * eps - tol) & (x <= delta + tol)
+             & (i >= 1) & (np.abs(x - (1 + 2 * i) * eps) <= tol))
+    third[rows, p_idx] = False
+    third[rows, q_idx] = False
+    found = {}
+    for c in np.flatnonzero(third.any(axis=1)).tolist():
+        col = np.flatnonzero(np.hypot(x[c], y[c]) <= delta + tol)
+        col = col[_lateral_distance(x[c, col], y[c, col], grid.span) <= tol]
+        xs, ys = x[c, col], y[c, col]
+        cells, on_grid = _snap_cells(grid, xs, ys, eps, tol)
+        if len(col) < 3 or not on_grid.all():
+            continue
+        decoded = _decode(grid, tuple(sorted(cells.tolist())))
+        if decoded is None:
+            continue
+        hull = DrawingHull(pts[p_idx[c]], np.array([u[c].real, u[c].imag]), grid.span, delta)
+        key = tuple(np.round(np.concatenate([hull.anchor, hull.direction]), 8).tolist())
+        found.setdefault(key, DetectedFormation(hull, tuple(col.tolist()),
+                                                np.column_stack([xs, ys]), decoded[1]))
+    return [found[k] for k in sorted(found)]
+
+
+def assert_bit_equal(got, want):
+    """Two detection results hold the same formations, bit for bit."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.member_indices == w.member_indices
+        assert g.state_index == w.state_index
+        assert (g.hull.span, g.hull.diameter) == (w.hull.span, w.hull.diameter)
+        for a, b in ((g.hull.anchor, w.hull.anchor), (g.hull.direction, w.hull.direction),
+                     (g.local, w.local)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _assert_detection_matches_reference(pts, grid, tol=TAU_GEOM):
     got = detect_formations(pts, grid, tol)
+    assert_bit_equal(got, _dense_detect(pts, grid, tol))
     want = _detect_reference(pts, grid, tol)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -281,7 +342,8 @@ def _assert_detection_matches_reference(pts, grid, tol=TAU_GEOM):
 @pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
 def test_detection_equals_per_candidate_reference(case):
     """Every robot's whole view in every round of a run, at the noiseless
-    detection tolerance and at the noisy cap 0.45*epsilon."""
+    detection tolerance and at the noisy cap 0.45*epsilon; the sweep's result
+    is also bit-equal to the dense single-window reference."""
     plan, views = _run_views(case)
     found = 0
     for pts in views:

@@ -1,7 +1,7 @@
 """Property tests of the geometry primitives, the batched triple radii, the
 nearest-neighbour pass, the shared matcher, the orbit walk built on it, the
 congruence fit, the near-gathering assignment, the grid-state enumeration and
-the scaling branch's neighbourhood match."""
+the scaling branch's neighbourhood match, and batched formation detection."""
 
 import math
 from functools import lru_cache
@@ -12,21 +12,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swarmdraw.formation import (
+    DrawingHull,
     FormationError,
     _decode,
     count_states,
+    detect_windows,
     grid_spec,
     index_of_state,
     state_by_index,
     state_from_cells,
 )
-from swarmdraw.geometry import (match_points, nearest, rotate, smallest_enclosing_circle,
-                                triple_sec_radii)
+from swarmdraw.geometry import (TAU_GEOM, match_points, nearest, rotate,
+                                smallest_enclosing_circle, triple_sec_radii, unit)
 from swarmdraw.protocol import (AssignmentError, Phase, _star_match, _star_precheck,
                                 assignment_target, build_plan, fit_isometry, robot_decision)
 from swarmdraw.symmetry import normalize, symmetricity
 
 from corpus import main_corpus, near_gathering, random_connected_pattern, star_corpus
+from test_formation import _dense_detect, assert_bit_equal
 from test_geometry import _brute_force_sec
 from test_protocol import kdtree_star_match, least_squares_pose, view_from_global
 
@@ -302,6 +305,93 @@ def test_memoised_decode_agrees_with_a_fresh_decode(grid, data):
     except FormationError:
         want = None
     assert _decode(grid, tuple(sorted(ids))) == want
+
+
+_WINDOW_KINDS = ("empty", "one", "pair", "pair", "state", "state", "boundary", "cloud")
+
+
+def _detection_window(kind, grid, tol, rng):
+    """A random detection window, in a random pose or along the x-axis: empty,
+    one point, two points at exactly epsilon - tol, epsilon or epsilon + tol, a
+    legal state (on its cells, off them by up to tol/4 or 2*tol, or with its
+    partner at exactly epsilon - tol or epsilon + tol), an anchor
+    with partners at epsilon +- tol and just beyond and a third robot on the
+    axis, or a loose cloud; all but the first three get up to ten more points
+    within 4*delta."""
+    eps, delta = grid.epsilon, grid.delta
+    anchor = rng.uniform(-1.0, 1.0, 2)
+    # Some pairs lie along the x-axis, where their distance is the sweep's x-gap.
+    direction = unit(rng.normal(size=2)) if rng.uniform() < 0.5 else np.array([1.0, 0.0])
+    if kind == "empty":
+        return np.zeros((0, 2))
+    if kind == "one":
+        return anchor[None, :]
+    if kind == "pair":
+        return np.array([anchor, anchor + (eps + rng.choice([-1, 0, 1]) * tol) * direction])
+    if kind == "state":
+        size = int(rng.integers(3, min(grid.locations, 8) + 1))
+        spec = state_by_index(grid, size, int(rng.integers(1, count_states(grid, size) + 1)))
+        pts = spec.points(DrawingHull(anchor, direction, grid.span, delta))
+        radius = rng.choice([0.0, tol / 4, 2 * tol, -1.0])
+        if radius >= 0.0:
+            pts = pts + jitter(rng, len(pts), radius)
+        else:   # the partner (cell 1) at exactly epsilon - tol or epsilon + tol
+            pts[1] = anchor + (eps + rng.choice([-1, 1]) * tol) * direction
+    elif kind == "boundary":
+        side = rotate(direction, float(rng.uniform(-grid.span, grid.span)))
+        pts = anchor + np.stack([0.0 * direction, (eps - tol) * direction,
+                                 (eps + tol) * side, np.nextafter(eps + tol, 1.0) * -side,
+                                 3 * eps * direction])
+    else:
+        pts = anchor + rng.uniform(-delta, delta, (int(rng.integers(3, 30)), 2))
+    extra = anchor + rng.uniform(-4 * delta, 4 * delta, (int(rng.integers(0, 11)), 2))
+    pts = np.vstack([pts, extra])
+    return pts[rng.permutation(len(pts))]
+
+
+def _detect_each(windows, grid, tol):
+    points = np.concatenate(windows) if windows else np.zeros((0, 2))
+    return detect_windows(points, [len(w) for w in windows], grid, tol)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(grids(), st.data())
+def test_window_detection_reads_its_own_window_only(grid, data):
+    """Every window's result in one batched call is bit-equal to the dense
+    single-window reference, and replacing, adding or removing other windows
+    never changes it."""
+    tol = data.draw(st.sampled_from([TAU_GEOM, 0.01 * grid.epsilon, 0.45 * grid.epsilon]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    count = min(data.draw(st.integers(0, 330)), 300)     # 300 windows about one time in ten
+    kinds = rng.choice(_WINDOW_KINDS, size=count)
+    windows = [_detection_window(kind, grid, tol, rng) for kind in kinds]
+    got = _detect_each(windows, grid, tol)
+    assert len(got) == count
+    for window, dets in zip(windows, got):
+        assert_bit_equal(dets, _dense_detect(window, grid, tol))
+
+    def fresh():
+        return _detection_window(rng.choice(_WINDOW_KINDS), grid, tol, rng)
+
+    k = data.draw(st.integers(0, count))
+    variants = [  # (windows, old index -> new index, or None where replaced)
+        ([w if i % 2 else fresh() for i, w in enumerate(windows)],
+         lambda i: i if i % 2 else None),
+        (windows[:k] + [fresh()] + windows[k:], lambda i: i + (i >= k)),
+        (windows[:k] + windows[k + 1:], lambda i: None if i == k else i - (i > k)),
+    ]
+    for other, where in variants:
+        again = _detect_each(other, grid, tol)
+        for i, dets in enumerate(got):
+            if where(i) is not None:
+                assert_bit_equal(again[where(i)], dets)
+
+
+def test_detect_windows_rejects_sizes_that_miss_points():
+    grid = grid_spec(0.1, 0.01, math.pi / 3)
+    for sizes in ([2], [4], [3, -1, 1], [[3]]):
+        with pytest.raises(ValueError, match="window sizes"):
+            detect_windows(np.zeros((3, 2)), sizes, grid)
 
 
 @lru_cache(maxsize=None)

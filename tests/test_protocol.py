@@ -32,13 +32,14 @@ from swarmdraw.protocol import (
     Phase,
     _find_intermediate,
     _matches_snapshot,
-    _own_formation,
+    _own_formations,
     _screen_snapshots,
     _star_local_fits,
     assignment_target,
     build_plan,
     intermediate_targets,
     robot_decision,
+    robot_decisions,
 )
 from swarmdraw.simulator import SimConfig, make_local_views, run_fsync
 
@@ -232,7 +233,7 @@ def test_classify_initial_pattern_is_not_initial_phase():
 
 
 def _own_formation_full_view(pts, grid, tol):
-    """Reference for _own_formation: detection over the whole view."""
+    """Reference for _own_formations on one view: detection over the whole view."""
     dets = detect_formations(pts, grid, tol)
     mine = [d for d in dets if 0 in d.member_indices]
     if len(mine) != 1:
@@ -244,9 +245,9 @@ def _own_formation_full_view(pts, grid, tol):
 
 
 def _window_agrees(pts, grid, tol=TAU_GEOM) -> tuple[bool, bool, bool]:
-    """Assert _own_formation equals the full-view reference on one view;
+    """Assert _own_formations equals the full-view reference on one view;
     return (found, conflicted, whether the window left points out)."""
-    got, got_conflicted = _own_formation(pts, grid, tol)
+    got, got_conflicted = _own_formations([pts], grid, tol)[0]
     want, want_conflicted = _own_formation_full_view(pts, grid, tol)
     assert got_conflicted == want_conflicted
     assert (got is None) == (want is None)
@@ -294,6 +295,24 @@ def test_own_formation_window_matches_full_view(case):
             seen.add((found, cut))
     # Members were found, and views were cut by the window, both ways round.
     assert {(True, True), (False, True)} <= seen
+
+
+@pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
+def test_robot_decisions_equal_one_view_at_a_time(case):
+    """All of a run's views, and a near-gathering's, decided in one call give each
+    robot the phase, events and target bytes of its own one-view call, at the
+    noiseless detection tolerance and at the noisy cap 0.45*epsilon."""
+    plan, views = _run_views(case)
+    gathering = make_local_views(near_gathering(plan.n, seed=1), 0, SimConfig(seed=4))
+    views = gathering[:3] + [LocalView(pts[1:]) for pts in views] + gathering[3:]
+    phases = set()
+    for tol in (TAU_GEOM, 0.45 * plan.params.epsilon):
+        for view, got in zip(views, robot_decisions(views, plan, tol), strict=True):
+            want = robot_decision(view, plan, tol)
+            assert (got.phase, got.events) == (want.phase, want.events)
+            assert got.target.tobytes() == want.target.tobytes()
+            phases.add(got.phase)
+    assert phases == set(Phase) - {Phase.STAR}
 
 
 def _find_intermediate_full_view(pts, plan, tol):
@@ -390,7 +409,7 @@ def test_own_formation_and_check_validity_share_the_overlap_cutoff():
     report = check_validity(positions, grid, TAU_GEOM)
     assert len(report.formations) == 2 and report.overlaps == ((0, 1),)
     for i in range(len(positions)):
-        assert _own_formation(positions - positions[i], grid, TAU_GEOM) == (None, True)
+        assert _own_formations([positions - positions[i]], grid, TAU_GEOM)[0] == (None, True)
 
 
 # --- snapshot screen -----------------------------------------------------------------
@@ -505,7 +524,7 @@ def test_move_tables_equal_whole_formation_assignment(corpus_plans):
                     view = view_from_global(positions, i, theta)
                     dec = robot_decision(view, plan, tol=tol)
                     assert dec.phase is Phase.FORMATION, (name, vi)
-                    det, _ = _own_formation(view.all_points, plan.grid, tol)
+                    det, _ = _own_formations([view.all_points], plan.grid, tol)[0]
                     want = _move_reference(view.all_points, plan, det)
                     assert np.abs(dec.target - want).max() <= 1e-12, (name, vi, tol)
                     assert dec.events == (("ending-reshape",) if vi == last else ())

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,3 +476,20 @@ def test_tolerance_must_be_positive_and_finite(small_plan, tolerance):
         run_fsync(small_plan.initial, small_plan, SimConfig(tolerance=tolerance))
     with pytest.raises(ValueError, match="tol"):
         verify_pattern(small_plan.pattern, small_plan.pattern, tol=tolerance)
+
+
+def test_drawing_pattern_of_150_robots_forms_from_the_initial_cluster():
+    """The bench's random drawing pattern generator at n = 150, a size no other
+    test runs: the run forms from plan.initial within hops + 2 rounds and
+    matches the pattern to the default tolerance."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    pattern = workloads._random_shape(150, 4000, np.random.default_rng(0))
+    plan = build_plan(pattern)
+    trace = run_fsync(plan.initial, plan, SimConfig(seed=0, max_rounds=plan.hops + 2))
+    assert trace.verdict == "formed" and not trace.diverged
+    assert trace.total_rounds <= plan.hops + 2
+    assert trace.max_error <= 1e-6
