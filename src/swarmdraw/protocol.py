@@ -27,6 +27,7 @@ from .geometry import (
     dist,
     match_points,
     mindist,
+    nearest,
     pairwise_distances,
     polar_angle,
     rotate,
@@ -74,21 +75,6 @@ class ProtocolParams:
     s_p: int
     n: int
     branch: str  # "draw" or "star"
-
-
-@dataclass(frozen=True)
-class LocalView:
-    """One robot's perception: its neighbors in its private frame.
-
-    The robot itself sits at the origin; neighbor order carries no
-    information (sorted by local coordinates).
-    """
-
-    neighbors: np.ndarray
-
-    @property
-    def all_points(self) -> np.ndarray:
-        return np.vstack([np.zeros((1, 2)), self.neighbors])
 
 
 @dataclass(frozen=True)
@@ -244,6 +230,12 @@ def _build_plan(pts: np.ndarray, c0: float) -> Plan:
                                 c=c, s_p=s, n=n, branch="draw")
         try:
             grid = grid_spec(delta, eps, span)
+        except FormationError as exc:
+            # Only the delta/epsilon ratio can fail here, and halving epsilon
+            # again would only double it: report the last path error instead.
+            last_err = last_err or exc
+            break
+        try:
             if grid.locations < n // s + 2:
                 raise PlanError("not enough grid locations for the component")
             path = build_drawing_path(pts, params, grid)
@@ -253,7 +245,7 @@ def _build_plan(pts: np.ndarray, c0: float) -> Plan:
         plan = Plan(pattern=path.pattern, params=params, path=path, grid=grid)
         _finish_draw_plan(plan)
         return plan
-    raise PlanError(f"no workable epsilon found after {_MAX_HALVINGS} halvings: {last_err}")
+    raise PlanError(f"no workable epsilon found after {halving} halvings: {last_err}")
 
 
 def _finish_draw_plan(plan: Plan) -> None:
@@ -540,27 +532,30 @@ def _find_intermediate(pts, plan: Plan, tol: float):
     return None
 
 
-def _is_initial(view: LocalView, plan: Plan, snapshot_tol) -> bool:
+def _is_initial(view: np.ndarray, plan: Plan, snapshot_tol) -> bool:
     """Whether a full view of diameter at most 1 matches no reference snapshot."""
-    if len(view.neighbors) + 1 != plan.n or plan.n == 1:
+    if len(view) != plan.n or plan.n == 1:
         return False
-    pts = view.all_points
-    return (not _matches_snapshot(pts, plan, snapshot_tol)
-            and pairwise_distances(pts).max() <= 1.0 + TAU_GEOM)
+    return (not _matches_snapshot(view, plan, snapshot_tol)
+            and pairwise_distances(view).max() <= 1.0 + TAU_GEOM)
 
 
 # --- per-robot steps ----------------------------------------------------------------
 
-def robot_decision(view: LocalView, plan: Plan, tol: float = TAU_GEOM,
+def robot_decision(view: np.ndarray, plan: Plan, tol: float = TAU_GEOM,
                    snapshot_tol=None) -> Decision:
     """The robot's move (in its own frame) and phase for one round: the one-view
     call of ``robot_decisions``."""
     return robot_decisions([view], plan, tol, snapshot_tol)[0]
 
 
-def robot_decisions(views: list[LocalView], plan: Plan, tol: float = TAU_GEOM,
+def robot_decisions(views: list[np.ndarray], plan: Plan, tol: float = TAU_GEOM,
                     snapshot_tol=None) -> list[Decision]:
     """Each robot's move (in its own frame) and phase for one round.
+
+    Each view is a (k+1, 2) array in the robot's private frame: the robot
+    itself at row 0, at the origin, then the k neighbours it sees, in an order
+    that carries no information (``make_local_views`` sorts them).
 
     tol is the detection tolerance.  snapshot_tol is the tolerance at which a
     full view is matched against the reference snapshots (one value, or one
@@ -581,19 +576,19 @@ def robot_decisions(views: list[LocalView], plan: Plan, tol: float = TAU_GEOM,
             decisions[i] = _initial_decision(view, plan)
         else:
             rest.append(i)
-    owns = _own_formations([views[i].all_points for i in rest], plan.grid, tol)
+    owns = _own_formations([views[i] for i in rest], plan.grid, tol)
     for i, (mine, conflicted) in zip(rest, owns):
         view = views[i]
         if mine is not None:
             decisions[i] = _formation_decision(view, plan, mine)
             continue
-        inter = None if conflicted else _find_intermediate(view.all_points, plan, tol)
+        inter = None if conflicted else _find_intermediate(view, plan, tol)
         decisions[i] = (Decision(np.zeros(2), Phase.DROPPED) if inter is None
                         else _intermediate_decision(view, plan, inter))
     return decisions
 
 
-def _formation_decision(view: LocalView, plan: Plan, det: DetectedFormation) -> Decision:
+def _formation_decision(view: np.ndarray, plan: Plan, det: DetectedFormation) -> Decision:
     """Take the row of plan.moves at the formation's vertex that matches the
     robot's rank among the members, and map it to the view by the hull pose."""
     vi = plan.path.vertex_of_label(det.size, det.state_index)
@@ -612,12 +607,11 @@ def _formation_decision(view: LocalView, plan: Plan, det: DetectedFormation) -> 
     return Decision(target, Phase.FORMATION, ("ending-reshape",) if ending else ())
 
 
-def _intermediate_decision(view: LocalView, plan: Plan, inter) -> Decision:
+def _intermediate_decision(view: np.ndarray, plan: Plan, inter) -> Decision:
     (r1, r2, r3), theta = inter
-    pts = view.all_points
     vk = plan.path.vertices[-1]
     rot = rotation_matrix(theta)
-    finals = (plan.tail_points - vk) @ rot.T + pts[r1]
+    finals = (plan.tail_points - vk) @ rot.T + view[r1]
     for role, idx in zip(range(3), (r1, r2, r3)):
         if idx == 0:
             target = finals[role]
@@ -740,9 +734,9 @@ def assignment_target(points: np.ndarray, self_idx: int, slots: SlotTable) -> np
     return o + r_star @ slots.points[members[k]]
 
 
-def _initial_decision(view: LocalView, plan: Plan) -> Decision:
+def _initial_decision(view: np.ndarray, plan: Plan) -> Decision:
     try:
-        target = assignment_target(view.all_points, 0, plan.slots)
+        target = assignment_target(view, 0, plan.slots)
     except AssignmentError as exc:
         return Decision(np.zeros(2), Phase.INITIAL, (f"assignment-failed: {exc}",))
     return Decision(target, Phase.INITIAL)
@@ -750,8 +744,7 @@ def _initial_decision(view: LocalView, plan: Plan) -> Decision:
 
 # --- scaling branch for symmetricity >= n/2 ---------------------------------------------
 
-def _star_decision(view: LocalView, plan: Plan, tol: float) -> Decision:
-    pts = view.all_points
+def _star_decision(pts: np.ndarray, plan: Plan, tol: float) -> Decision:
     star = plan.star
     n = plan.n
     if n == 1:
@@ -896,21 +889,17 @@ def _star_match(observed, offs, norms, kappa, theta, window):
     """Injective observed-to-offset matching within the window, requiring
     every offset strictly inside the viewing range to be observed.
 
-    Nearest neighbours come from the full (observed x candidate) distance
-    array.  Ties cannot change the outcome: within a window of at most
-    0.3*kappa*mindist every other expected point is at least
-    0.7*kappa*mindist away, and a match that fails fails for every tie-break.
+    Nearest neighbours come from one ``nearest`` pass.  Ties cannot change
+    the outcome: within a window of at most 0.3*kappa*mindist every other
+    expected point is at least 0.7*kappa*mindist away, and a match that fails
+    fails for every tie-break.
     """
     enorms = kappa * norms
     cand_idx = np.nonzero(enorms <= 1.0 + window)[0]
     if len(observed) > len(cand_idx):
         return None
-    expected = kappa * rotate(offs[cand_idx], theta)
-    dx = observed[:, 0, None] - expected[None, :, 0]
-    dy = observed[:, 1, None] - expected[None, :, 1]
-    d2 = dx * dx + dy * dy
-    idx = d2.argmin(axis=1)
-    if math.sqrt(d2.min(axis=1).max()) > window:
+    dd, idx = nearest(observed, kappa * rotate(offs[cand_idx], theta))
+    if dd.max() > window:
         return None
     if len(np.unique(idx)) != len(observed):
         return None

@@ -20,7 +20,6 @@ from .geometry import (TAU_GEOM, as_points, match_points, mindist, nearest,
                        pairwise_distances, rotation_matrix)
 from .formation import check_validity
 from .protocol import (
-    LocalView,
     Phase,
     Plan,
     build_plan,
@@ -125,22 +124,27 @@ def _frame(n: int, rnd: int, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angles), np.sin(angles)
 
 
-def make_local_views(positions, rnd: int, cfg: SimConfig, frame=None) -> list[LocalView]:
-    """Every robot's neighbours within distance 1 in its per-(robot, round)
-    rotated frame, lex-sorted, from one pass over the round's differences.
-    frame is the round's ``_frame``, if the caller already has it."""
+def make_local_views(positions, rnd: int, cfg: SimConfig, frame=None) -> list[np.ndarray]:
+    """Every robot's view: a (k+1, 2) array in its per-(robot, round) rotated
+    frame, the robot itself at row 0 as exact +0.0, then its k neighbours
+    within distance 1, lex-sorted.  All views are slices of one array from one
+    pass over the round's differences.  frame is the round's ``_frame``, if
+    the caller already has it."""
     pts = as_points(positions)
     cos, sin = _frame(len(pts), rnd, cfg) if frame is None else frame
     cos, sin = cos[:, None], sin[:, None]
     dx = pts[None, :, 0] - pts[:, None, 0]          # row i: positions relative to robot i
     dy = pts[None, :, 1] - pts[:, None, 1]
-    mask = np.hypot(dx, dy) <= 1.0 + TAU_GEOM
-    np.fill_diagonal(mask, False)
+    mask = np.hypot(dx, dy) <= 1.0 + TAU_GEOM       # the diagonal is the robot itself
     x = (cos * dx - sin * dy)[mask]
     y = (sin * dx + cos * dy)[mask]
-    order = np.lexsort((y, x, np.nonzero(mask)[0]))
+    row, col = np.nonzero(mask)
+    order = np.lexsort((y, x, row != col, row))
     local = np.stack([x[order], y[order]], axis=1)
-    return [LocalView(nb) for nb in np.split(local, np.cumsum(mask.sum(axis=1))[:-1])]
+    counts = mask.sum(axis=1)
+    first = np.cumsum(counts) - counts
+    local[first] = 0.0                              # cos * 0.0 may be -0.0
+    return np.split(local, first[1:])
 
 
 def verify_pattern(config, pattern, tol: float = 1e-6):

@@ -138,8 +138,11 @@ def cone_index(p, s: int) -> int:
 
 
 def component_indices(points, i: int, sym: int) -> np.ndarray:
-    """Indices of the points lying in the i-th cone."""
+    """Indices of the points lying in the i-th cone.  With sym = 1 the one
+    cone is the whole plane, the centre included."""
     pts = as_points(points)
     if not 1 <= i <= sym:
         raise ValueError(f"component index {i} out of range 1..{sym}")
+    if sym == 1:
+        return np.arange(len(pts))
     return np.array([j for j, p in enumerate(pts) if cone_index(p, sym) == i], dtype=int)

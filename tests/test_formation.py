@@ -24,7 +24,6 @@ from swarmdraw.formation import (
 )
 from swarmdraw.pathing import PathConstructionError, _validate_path
 from swarmdraw.protocol import (
-    LocalView,
     Phase,
     _canonical_order,
     _move_tables,
@@ -450,7 +449,8 @@ def _formation_moves(plan, positions, seed=0):
     for i in range(len(positions)):
         theta = float(rng.uniform(0, 2 * math.pi))
         rel = np.delete(positions, i, axis=0) - positions[i]
-        view = LocalView(rotate(rel[np.hypot(*rel.T) <= 1.0 + 1e-9], theta))
+        local = rotate(rel[np.hypot(*rel.T) <= 1.0 + 1e-9], theta)
+        view = np.vstack([np.zeros((1, 2)), local])
         dec = robot_decision(view, plan)
         if dec.phase is Phase.FORMATION:
             assert np.hypot(*dec.target) <= 1.0 + 1e-9

@@ -260,7 +260,7 @@ def test_assignment_rejects_indistinguishable_orbits(k, rings, theta, shift, dat
     for i in range(len(config)):
         view = view_from_global(config, i, data.draw(st.floats(-math.pi, math.pi)))
         with pytest.raises(AssignmentError, match="^configuration orbits are indistinguishable$"):
-            assignment_target(view.all_points, 0, slots)
+            assignment_target(view, 0, slots)
 
 
 @st.composite
@@ -414,7 +414,7 @@ def test_star_match_without_a_tree_equals_the_kdtree_match(name, grow, robot, th
     plan = _star_plan(name)
     star = plan.star
     kappa = star.kappa0 + grow * (1.0 - star.kappa0)
-    view = view_from_global(kappa * plan.pattern, robot % plan.n, theta).neighbors
+    view = view_from_global(kappa * plan.pattern, robot % plan.n, theta)[1:]
     rng = np.random.default_rng(seed)
     view = view + jitter(rng, len(view), spread * 0.3 * kappa * star.mindist)
     obs_norms = np.hypot(*view.T)

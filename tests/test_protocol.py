@@ -28,8 +28,8 @@ from swarmdraw.formation import (
 from swarmdraw.protocol import (
     DEFAULT_C,
     AssignmentError,
-    LocalView,
     Phase,
+    PlanError,
     _find_intermediate,
     _matches_snapshot,
     _own_formations,
@@ -47,12 +47,13 @@ from corpus import near_gathering, ngon, random_connected_pattern, symmetric_pat
 
 
 def view_from_global(positions, idx, theta=0.0):
-    """Hand-built local view: neighbors relative to robot idx, rotated."""
+    """Hand-built local view: robot idx at row 0, then its neighbors relative
+    to it, rotated and lex-sorted."""
     rel = np.delete(positions, idx, axis=0) - positions[idx]
     keep = rel[np.hypot(*rel.T) <= 1.0 + 1e-9]
     local = rotate(keep, theta)
     order = np.lexsort((local[:, 1], local[:, 0]))
-    return LocalView(local[order])
+    return np.vstack([np.zeros((1, 2)), local[order]])
 
 
 # --- parameter derivation ---------------------------------------------------------
@@ -122,6 +123,32 @@ def test_plan_builds_one_grid_per_attempted_epsilon(pts, attempts, monkeypatch):
     assert plan.branch == "draw"
     assert len(calls) == len(set(calls)) == attempts
     assert calls[-1] == plan.grid.epsilon == plan.params.epsilon
+
+
+@pytest.mark.parametrize("pts", [np.array([[0.0, 0.0], [0.4, 0.0], [0.8, 0.0]]),
+                                 np.array([[0.3 * k, 0.0] for k in range(5)]),
+                                 np.vstack([ngon(5, 0.5), np.zeros((1, 2))])],
+                         ids=["line-3", "line-5", "pentagon-and-centre"])
+def test_patterns_with_a_point_at_the_centre_form(pts):
+    """A pattern point at the centre of the smallest enclosing circle lies in
+    the one component of a symmetricity-1 pattern: the plan builds, and runs
+    form from its initial cluster and from near-gatherings."""
+    plan = build_plan(pts)
+    assert plan.branch == "draw"
+    for seed in range(4):
+        for start in (plan.initial, near_gathering(plan.n, seed)):
+            trace = run_fsync(start, plan, SimConfig(seed=seed, max_rounds=plan.hops + 5))
+            assert trace.verdict == "formed", seed
+            assert trace.total_rounds <= plan.hops + 3, seed
+
+
+def test_failed_plan_reports_the_last_path_error():
+    """Halving epsilon past the grid's delta/epsilon limit only raises the
+    ratio, so the planner stops there and reports why the paths failed."""
+    pts = np.array([[0.0, 0.0], [0.05, 0.0], [0.05, 0.06], [0.0, 0.07]])
+    with pytest.raises(PlanError, match="no path ending found with exactly three "
+                                        "coordinates in reach$"):
+        build_plan(pts)
 
 
 def _digest(*arrays) -> str:
@@ -278,7 +305,7 @@ def _run_views(case):
                     noise_mu=eps / (20 * plan.hops) if noisy else 0.0)
     trace = run_fsync(plan.initial, plan, cfg)
     assert trace.verdict == "formed"
-    return plan, [view.all_points for rec in trace.rounds
+    return plan, [view for rec in trace.rounds
                   for view in make_local_views(rec.positions, rec.round, cfg)]
 
 
@@ -304,7 +331,7 @@ def test_robot_decisions_equal_one_view_at_a_time(case):
     noiseless detection tolerance and at the noisy cap 0.45*epsilon."""
     plan, views = _run_views(case)
     gathering = make_local_views(near_gathering(plan.n, seed=1), 0, SimConfig(seed=4))
-    views = gathering[:3] + [LocalView(pts[1:]) for pts in views] + gathering[3:]
+    views = gathering[:3] + views + gathering[3:]
     phases = set()
     for tol in (TAU_GEOM, 0.45 * plan.params.epsilon):
         for view, got in zip(views, robot_decisions(views, plan, tol), strict=True):
@@ -524,8 +551,8 @@ def test_move_tables_equal_whole_formation_assignment(corpus_plans):
                     view = view_from_global(positions, i, theta)
                     dec = robot_decision(view, plan, tol=tol)
                     assert dec.phase is Phase.FORMATION, (name, vi)
-                    det, _ = _own_formations([view.all_points], plan.grid, tol)[0]
-                    want = _move_reference(view.all_points, plan, det)
+                    det, _ = _own_formations([view], plan.grid, tol)[0]
+                    want = _move_reference(view, plan, det)
                     assert np.abs(dec.target - want).max() <= 1e-12, (name, vi, tol)
                     assert dec.events == (("ending-reshape",) if vi == last else ())
                     kinds.add("ending" if vi == last else "drop" if path.coverage[vi]
@@ -625,8 +652,8 @@ def test_locality_view_excludes_far_robots():
     positions = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.5, 0.0]])
     cfg = SimConfig(seed=0, frame_mode="fixed")
     view = make_local_views(positions, 0, cfg)[0]
-    dists = np.hypot(*view.neighbors.T)
-    assert len(view.neighbors) == 2  # 0.5 and exactly 1.0; 1.5 is out of range
+    dists = np.hypot(*view[1:].T)
+    assert len(view[1:]) == 2  # 0.5 and exactly 1.0; 1.5 is out of range
     assert dists.max() <= 1.0 + 1e-9
 
 
@@ -668,6 +695,25 @@ def test_symmetric_near_gathering_assignment_respects_orbits():
     d = np.sqrt(((targets[:, None] - targets[None, :]) ** 2).sum(-1))
     np.fill_diagonal(d, np.inf)
     assert d.min() > 1e-6
+
+
+@pytest.mark.parametrize("s, m, seed", [(3, 3, 19), (6, 2, 4)], ids=["sym-3x3", "sym-6x2"])
+def test_symmetric_near_gatherings_form(s, m, seed):
+    """Whole runs from three s-fold symmetric near-gatherings, built as in
+    test_symmetric_near_gathering_assignment_respects_orbits, at two frame
+    seeds: the drawing branch (sym-3x3) forms within hops + 3 rounds, the
+    scaling branch (sym-6x2) within 3."""
+    plan = build_plan(symmetric_pattern(s, m, seed=seed))
+    bound = plan.hops + 3 if plan.branch == "draw" else 3
+    rng = np.random.default_rng(10)
+    for start in range(3):
+        seeds = rng.uniform(-0.15, 0.15, (m, 2)) + np.array([0.25, 0.1])
+        config = np.vstack([rotate(seeds, k * 2 * math.pi / s) for k in range(s)])
+        assert symmetricity(config).sym == s
+        for frame_seed in (0, 1):
+            trace = run_fsync(config, plan, SimConfig(seed=frame_seed, max_rounds=bound + 2))
+            assert trace.verdict == "formed", (start, frame_seed)
+            assert trace.total_rounds <= bound, (start, frame_seed)
 
 
 def _assignment_reference(points, self_idx, slots):
@@ -775,7 +821,7 @@ def test_assignment_target_equals_reference(main_corpus, tail_corpus, star_corpu
     def check(config, plan, robots):
         for i in robots:
             view = view_from_global(config, i, float(rng.uniform(0, 2 * math.pi)))
-            outcomes[_assignment_agrees(view.all_points, 0, plan)] += 1
+            outcomes[_assignment_agrees(view, 0, plan)] += 1
 
     for seed, (name, pts) in enumerate(star_corpus):
         plan = build_plan(pts)

@@ -35,20 +35,20 @@ def small_plan():
 def test_view_isolated_robot():
     positions = np.array([[0.0, 0.0], [2.0, 2.0], [3.0, 0.0]])
     view = make_local_views(positions, 0, SimConfig(frame_mode="fixed"))[0]
-    assert len(view.neighbors) == 0
+    assert len(view) == 1
 
 
 def test_view_includes_boundary_neighbor():
     positions = np.array([[0.0, 0.0], [1.0, 0.0]])
     view = make_local_views(positions, 0, SimConfig(frame_mode="fixed"))[0]
-    assert len(view.neighbors) == 1
+    assert len(view) == 2
 
 
 def test_view_rotation_preserves_distances():
     positions = np.vstack([np.zeros(2), np.random.default_rng(0).uniform(-0.5, 0.5, (6, 2))])
     views = [make_local_views(positions, 0, SimConfig(seed=s))[0] for s in (1, 2)]
-    d1 = np.sort(np.hypot(*views[0].neighbors.T))
-    d2 = np.sort(np.hypot(*views[1].neighbors.T))
+    d1 = np.sort(np.hypot(*views[0][1:].T))
+    d2 = np.sort(np.hypot(*views[1][1:].T))
     assert np.allclose(d1, d2, atol=1e-12)
 
 
@@ -67,7 +67,8 @@ def _views_reference(positions, rnd, cfg):
 @pytest.mark.parametrize("seed", range(6))
 def test_views_equal_per_robot_reference(seed):
     """Random swarms holding a pair exactly 1 apart (and one just beyond), in
-    random and fixed frames."""
+    random and fixed frames.  Row 0 of every view is the robot itself, stored
+    as +0.0 bytes whatever the frame."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(0, 40))
     positions = np.vstack([[[0.25, 0.5], [1.25, 0.5], [0.25, 1.5 + 2 * TAU_GEOM]],
@@ -78,11 +79,12 @@ def test_views_equal_per_robot_reference(seed):
         want = _views_reference(positions, rnd, cfg)
         assert len(got) == len(positions)
         for view, ref in zip(got, want):
-            assert view.neighbors.shape == ref.shape
-            assert np.allclose(view.neighbors, ref, atol=1e-12, rtol=0)
+            assert view[0].tobytes() == np.zeros(2).tobytes()
+            assert view[1:].shape == ref.shape
+            assert np.allclose(view[1:], ref, atol=1e-12, rtol=0)
         # The boundary neighbour is seen, the one 2*TAU_GEOM beyond is not.
-        assert np.isclose(np.hypot(*got[0].neighbors.T), 1.0, atol=1e-12).sum() == 1
-        assert len(make_local_views(positions[[0, 2]], rnd, cfg)[0].neighbors) == 0
+        assert np.isclose(np.hypot(*got[0][1:].T), 1.0, atol=1e-12).sum() == 1
+        assert len(make_local_views(positions[[0, 2]], rnd, cfg)[0]) == 1
 
 
 def test_frame_angles_are_a_counter_based_hash():
