@@ -27,7 +27,6 @@ from .geometry import (
     dist,
     match_points,
     mindist,
-    nearest,
     pairwise_distances,
     polar_angle,
     rotate,
@@ -96,10 +95,8 @@ class StarRing(NamedTuple):
     """One orbit of a star pattern, seen from the orbit's first point q."""
 
     q: np.ndarray
-    offs: np.ndarray            # nonzero pattern - q
-    norms: np.ndarray           # |offs|
-    nearest8: np.ndarray        # indices of the 8 smallest norms
-    sorted_norms: np.ndarray    # norms in ascending order
+    offs: np.ndarray            # nonzero pattern - q, in ascending order of norm
+    norms: np.ndarray           # |offs|, ascending
 
 
 @dataclass(frozen=True)
@@ -207,8 +204,8 @@ def _build_plan(pts: np.ndarray, c0: float) -> Plan:
             offs = pts - pts[orbit[0]]
             norms = np.hypot(*offs.T)
             keep = norms > TAU_GEOM
-            rings.append(StarRing(pts[orbit[0]], offs[keep], norms[keep],
-                                  np.argsort(norms[keep])[:8], np.sort(norms[keep])))
+            order = np.argsort(norms[keep])
+            rings.append(StarRing(pts[orbit[0]], offs[keep][order], norms[keep][order]))
         star = StarPlan(d_max=d_max, kappa0=kappa0, rounds_bound=rounds_bound,
                         mindist=md, rings=tuple(rings))
         plan = Plan(pattern=pts, params=params, star=star,
@@ -562,11 +559,13 @@ def robot_decisions(views: list[np.ndarray], plan: Plan, tol: float = TAU_GEOM,
     per entry of plan.snapshot_ids); by default max(tol, 1e-7).
 
     Drawing-branch robots that are not in the initial near-gathering have
-    their formations detected in one array pass over all their views; every
+    their formations detected in one array pass over all their views;
+    scaling-branch robots that see part of the swarm have their star fits
+    found in one array pass per block of views (``_star_local_fits``).  Every
     decision is still a function of its own view and the plan alone.
     """
     if plan.branch == "star":
-        return [_star_decision(view, plan, max(tol, 1e-7)) for view in views]
+        return _star_decisions(views, plan, max(tol, 1e-7))
     if snapshot_tol is None:
         snapshot_tol = max(tol, 1e-7)
     decisions: list[Decision | None] = [None] * len(views)
@@ -682,7 +681,6 @@ def assignment_target(points: np.ndarray, self_idx: int, slots: SlotTable) -> np
     s_p, are rejected.
     """
     pts = as_points(points)
-    n = len(pts)
     o = np.asarray(smallest_enclosing_circle(pts).center)
     rel = pts - o
     info = centered_symmetricity(rel)
@@ -696,16 +694,15 @@ def assignment_target(points: np.ndarray, self_idx: int, slots: SlotTable) -> np
     orbits = info.orbit_partition
     orbits_at = Counter(rr[orb[0]] for orb in orbits)
 
-    def orbit_sig(orbit):
-        # Signatures compare the radius first, so rows only break radius ties.
-        i = orbit[0]
-        if orbits_at[rr[i]] == 1:
-            return (rr[i], ())
-        rows = sorted((rr[j], round((ang[j] - ang[i]) % (2 * math.pi), 9) % _TURN if off[j]
-                       else 0.0) for j in range(n))
-        return (rr[i], tuple(rows))
-
-    sigs = [orbit_sig(orb) for orb in orbits]
+    # Signatures compare the radius first, so rows only break radius ties.  The
+    # rows of all orbits that share their radius come from one array of angle
+    # differences.  They round by np.round, which differs from Python's round
+    # of a float at decimal ties.
+    tied = [orb[0] for orb in orbits if orbits_at[rr[orb[0]]] > 1]
+    turns = np.round(np.mod(ang - ang[tied, None], 2 * math.pi), 9) % _TURN
+    rows = dict(zip(tied, (tuple(sorted(zip(rr, row)))
+                           for row in np.where(off, turns, 0.0).tolist())))
+    sigs = [(rr[orb[0]], rows.get(orb[0], ())) for orb in orbits]
     if len(set(sigs)) != len(sigs):
         raise AssignmentError("configuration orbits are indistinguishable")
     order = sorted(range(len(orbits)), key=lambda i: sigs[i])
@@ -744,12 +741,23 @@ def _initial_decision(view: np.ndarray, plan: Plan) -> Decision:
 
 # --- scaling branch for symmetricity >= n/2 ---------------------------------------------
 
-def _star_decision(pts: np.ndarray, plan: Plan, tol: float) -> Decision:
+_STAR_BLOCK = 128   # local views per array pass of ``_star_local_fits``; bounds its temporaries
+
+
+def _star_decisions(views: list[np.ndarray], plan: Plan, tol: float) -> list[Decision]:
+    """Each robot's scaling-branch decision: the local views' fits come from one
+    ``_star_local_fits`` call, full views are fitted one at a time."""
+    if plan.n == 1:
+        return [Decision(np.zeros(2), Phase.STAR) for _ in views]
+    local = iter(_star_local_fits([v for v in views if len(v) != plan.n], plan.star, tol))
+    return [_star_decision(view, plan, tol, None if len(view) == plan.n else next(local))
+            for view in views]
+
+
+def _star_decision(pts: np.ndarray, plan: Plan, tol: float, fits: list | None) -> Decision:
+    """The move of a robot with its local view's fits, or with a full view (fits None)."""
     star = plan.star
-    n = plan.n
-    if n == 1:
-        return Decision(np.zeros(2), Phase.STAR)
-    if len(pts) == n:
+    if fits is None:
         fit = _star_full_fit(pts, plan, tol)
         if fit is None:
             # Initial near-gathering: take a slot of the shrunken pattern.
@@ -759,11 +767,10 @@ def _star_decision(pts: np.ndarray, plan: Plan, tol: float) -> Decision:
                 return Decision(np.zeros(2), Phase.INITIAL, (f"assignment-failed: {exc}",))
             return Decision(target, Phase.INITIAL)
         kappa, center = fit
+    elif len(fits) != 1:
+        return Decision(np.zeros(2), Phase.STAR,
+                        ("ambiguous-scale" if fits else "no-scale-fit",))
     else:
-        fits = _star_local_fits(pts, plan, tol)
-        if len(fits) != 1:
-            return Decision(np.zeros(2), Phase.STAR,
-                            ("ambiguous-scale" if fits else "no-scale-fit",))
         kappa, center = fits[0]
     kappa_next = min(kappa + 1.0 / star.d_max, 1.0) if star.d_max > 0 else 1.0
     if kappa_next <= kappa + 1e-12:
@@ -790,121 +797,194 @@ def _star_full_fit(pts, plan: Plan, tol: float):
     return kappa, center
 
 
-def _star_local_fits(pts, plan: Plan, tol: float):
-    """Candidate (scale, center) fits of the local view against the pattern.
+def _star_local_fits(views: list[np.ndarray], star: StarPlan, tol: float) -> list[list]:
+    """Each local view's candidate (scale, center) fits against the pattern.
 
-    A coarse fit seeds each candidate from the nearest neighbor; the scale
-    and rotation are then refined by least squares over the whole matched
-    neighborhood.  The refinement matters: a center estimated from a single
-    baseline amplifies per-round float noise by ring-radius/baseline, which
-    would compound across the scaling rounds.  Candidates that cannot pass
-    the first match, by their scale and count of offsets in range or by the
-    distances at their coarse pose, are dropped before it.
+    A coarse fit seeds each candidate from the view's nearest neighbor; the
+    scale and rotation are then refined by least squares over the whole
+    matched neighborhood and verified again within tol.  The refinement
+    matters: a center estimated from a single baseline amplifies per-round
+    float noise by ring-radius/baseline, which would compound across the
+    scaling rounds.  Candidates that cannot pass the first match, by their
+    scale and count of offsets in range or by the distances at their coarse
+    pose, are dropped before it.
+
+    The views are taken _STAR_BLOCK at a time, and each stage is one array
+    pass per ring over the block's candidates.  Every row of a pass reads its
+    own view only, so each view's fits are those of its one-view call.
     """
-    me_neighbors = pts[1:]
-    if len(me_neighbors) == 0:
-        return []
-    star = plan.star
     tol = max(tol, 1e-6)
-    obs_norms = np.hypot(*me_neighbors.T)
-    nearest = me_neighbors[int(np.argmin(obs_norms))]
-    ang_nearest = math.atan2(nearest[1], nearest[0])
     fits = []
+    for b in range(0, len(views), _STAR_BLOCK):
+        fits += _star_block_fits(views[b:b + _STAR_BLOCK], star, tol)
+    return fits
+
+
+def _star_block_fits(views: list[np.ndarray], star: StarPlan, tol: float) -> list[list]:
+    """``_star_local_fits`` of one block of views."""
+    fits: list[list] = [[] for _ in views]
+    seen = [i for i, view in enumerate(views) if len(view) > 1]     # with a neighbour
+    if not seen:
+        return fits
+    counts = np.array([len(views[i]) - 1 for i in seen])
+    starts = np.cumsum(counts) - counts
+    obs = np.concatenate([views[i][1:] for i in seen])
+    obs_c = obs[:, 0] + 1j * obs[:, 1]
+    # Each view's nearest neighbour, at the first index of its smallest norm.
+    norms = np.hypot(obs[:, 0], obs[:, 1])
+    first = np.lexsort((norms, np.repeat(np.arange(len(seen)), counts)))[starts]
+    nearest = obs[first]
+    nearest_norms = np.hypot(nearest[:, 0], nearest[:, 1])[:, None]
+    ang = [math.atan2(y, x) for x, y in nearest.tolist()]
     for ring in star.rings:
-        kappa0s = np.hypot(*nearest) / ring.norms[ring.nearest8]
+        offs = ring.offs[:, 0] + 1j * ring.offs[:, 1]
+        kappa0s = nearest_norms / ring.norms[:8]
         windows = np.maximum(0.3 * kappa0s * star.mindist, tol)
-        keep = _star_precheck(obs_norms, ring.sorted_norms, kappa0s, windows)
-        if keep.any():
-            keep[keep] = _star_window_check(me_neighbors, ring, nearest, ring.nearest8[keep],
-                                            kappa0s[keep], windows[keep])
-        for j, kappa0, window in zip(ring.nearest8[keep], kappa0s[keep], windows[keep]):
-            theta0 = ang_nearest - math.atan2(ring.offs[j][1], ring.offs[j][0])
-            refined = _star_refine(me_neighbors, ring.offs, ring.norms, float(kappa0), theta0,
-                                   float(window), tol)
-            if refined is None:
-                continue
-            kappa, theta = refined
-            center = -kappa * (rotation_matrix(theta) @ ring.q)
-            fits.append((kappa, center))
-    unique = []
-    for kappa, center in fits:
-        if not any(abs(kappa - k2) <= 1e-5 and dist(center, c2) <= 1e-5 for k2, c2 in unique):
-            unique.append((kappa, center))
-    return unique
+        keep, inside = _star_precheck(counts[:, None], ring.norms, kappa0s, windows)
+        v, j = np.nonzero(keep)
+        if len(v):
+            passed = _star_window_check(obs_c[_runs(starts[v], counts[v])], counts[v],
+                                        obs_c[first[v]] / offs[j], offs, inside[v, j],
+                                        windows[v, j])
+            v, j = v[passed], j[passed]
+        if not len(v):
+            continue
+        rows = _runs(starts[v], counts[v])
+        theta0s = [ang[a] - math.atan2(ring.offs[b, 1], ring.offs[b, 0])
+                   for a, b in zip(v.tolist(), j.tolist())]
+        matched, idx = _star_match(obs[rows], counts[v], ring.offs, ring.norms,
+                                   kappa0s[v, j], theta0s, windows[v, j])
+        # The least-squares pose of each match, by one vdot per match so that
+        # every sum adds in the order of its one-view call.
+        ends = np.cumsum(counts[v]).tolist()
+        refined = []
+        for c in np.flatnonzero(matched).tolist():
+            part = slice(ends[c] - counts[v[c]], ends[c])
+            o = offs[idx[part]]
+            z = np.vdot(o, obs_c[rows[part]]) / np.vdot(o, o)
+            if 1e-6 <= abs(z) <= 1.0 + 1e-6:
+                refined.append((v[c], abs(z), math.atan2(z.imag, z.real)))
+        if not refined:
+            continue
+        rv = np.array([a for a, _, _ in refined])
+        verified, _ = _star_match(obs[_runs(starts[rv], counts[rv])], counts[rv], ring.offs,
+                                  ring.norms, [k for _, k, _ in refined],
+                                  [t for _, _, t in refined], np.full(len(rv), tol))
+        for (a, kappa, theta), ok in zip(refined, verified.tolist()):
+            if ok:
+                kappa, theta = float(kappa), float(theta)
+                fits[seen[a]].append((kappa, -kappa * (rotation_matrix(theta) @ ring.q)))
+    for i, found in enumerate(fits):
+        unique = []
+        for kappa, center in found:
+            if not any(abs(kappa - k2) <= 1e-5 and dist(center, c2) <= 1e-5
+                       for k2, c2 in unique):
+                unique.append((kappa, center))
+        fits[i] = unique
+    return fits
 
 
-def _star_precheck(obs_norms, sorted_norms, kappa0s, windows):
-    """Which coarse scales can pass the first ``_star_match`` at their window.
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices start, ..., start + length - 1 of every run, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) - np.repeat(ends - lengths - starts, lengths)
+
+
+def _star_precheck(n_obs, norms, kappa0s, windows):
+    """Which coarse scales can pass the first ``_star_match`` at their window,
+    and how many offsets each has in range.
 
     Rotation-free necessary conditions, for all candidates at once: the scale
-    lies in the match's range, and since the match pairs the observed points
-    injectively with offsets inside 1 + window and must cover every offset
-    inside 1 - window, the observed count lies between those two counts.  No
-    norm test is needed: ``_star_window_check`` bounds |observed - expected|
-    by the window, and with it ||observed| - |expected||.
+    lies in the match's range, and since the match pairs the n_obs observed
+    points injectively with offsets inside 1 + window and must cover every
+    offset inside 1 - window, n_obs lies between those two counts.  No norm
+    test is needed: ``_star_window_check`` bounds |observed - expected| by the
+    window, and with it ||observed| - |expected||.  norms is ascending, so the
+    offsets in range are its first ``inside``.
     """
-    enorms = kappa0s[:, None] * sorted_norms[None, :]
-    inside = (enorms <= 1.0 + windows[:, None]).sum(axis=1)
-    must = (enorms <= 1.0 - windows[:, None]).sum(axis=1)
-    n_obs = len(obs_norms)
-    return (1e-6 <= kappa0s) & (kappa0s <= 1.0 + 1e-9) & (must <= n_obs) & (n_obs <= inside)
+    enorms = kappa0s[..., None] * norms
+    inside = (enorms <= 1.0 + windows[..., None]).sum(axis=-1)
+    must = (enorms <= 1.0 - windows[..., None]).sum(axis=-1)
+    keep = (1e-6 <= kappa0s) & (kappa0s <= 1.0 + 1e-9) & (must <= n_obs) & (n_obs <= inside)
+    return keep, inside
 
 
-def _star_window_check(observed, ring: StarRing, nearest, js, kappa0s, windows):
+def _star_window_check(observed, lengths, poses, offs, inside, windows):
     """Which coarse poses pass the distance clause of the first ``_star_match``,
-    for all candidates at once: every observed point lies within its window of
-    some expected offset whose scaled norm is at most 1 + window.
+    for all candidates at once: each of candidate c's observed points (the
+    next lengths[c] entries of observed, in complex form) lies within its
+    window of one of the first inside[c] offsets under the pose.
 
     The pose kappa0*exp(i*theta0) is nearest / offs[j] in complex form.  It
     differs from the match's rotation by rounding only, for which TAU_GEOM is
     ample, so no candidate that the match would accept is dropped.
     """
-    offs = ring.offs[:, 0] + 1j * ring.offs[:, 1]
-    expected = (complex(*nearest) / offs[js])[:, None] * offs[None, :]
-    gaps = np.abs((observed[:, 0] + 1j * observed[:, 1])[None, :, None] - expected[:, None, :])
-    inside = kappa0s[:, None] * ring.norms[None, :] <= 1.0 + windows[:, None]
-    gaps = np.where(inside[:, None, :], gaps, np.inf)
-    return (gaps.min(axis=2) <= windows[:, None] + TAU_GEOM).all(axis=1)
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    width = int(inside.max())
+    expected = poses[:, None] * offs[None, :width]
+
+    def near(rows):
+        own = run[rows]
+        dx = expected.real[own]
+        dx -= observed.real[rows, None]
+        dy = expected.imag[own]
+        dy -= observed.imag[rows, None]
+        gaps = np.hypot(dx, dy, out=dx)
+        gaps[np.arange(width) >= inside[own, None]] = np.inf
+        return gaps.min(axis=1) <= windows[own] + TAU_GEOM
+
+    # Each candidate's farthest point first: under a wrong pose it lies farthest
+    # from its place, so it drops most candidates at one row each.
+    ok = near(np.lexsort((-np.abs(observed), run))[np.cumsum(lengths) - lengths])
+    rows = np.flatnonzero(ok[run])
+    ok[run[rows[~near(rows)]]] = False
+    return ok
 
 
-def _star_refine(observed, offs, norms, kappa0, theta0, window, tol):
-    """Match the neighborhood under a coarse (scale, rotation) within the
-    window, refine both by complex least squares, and re-verify within tol.
-    Returns (kappa, theta) or None."""
-    match = _star_match(observed, offs, norms, kappa0, theta0, window)
-    if match is None:
-        return None
-    o = offs[match][:, 0] + 1j * offs[match][:, 1]
-    w = observed[:, 0] + 1j * observed[:, 1]
-    z = np.vdot(o, w) / np.vdot(o, o)
-    kappa, theta = abs(z), math.atan2(z.imag, z.real)
-    if not 1e-6 <= kappa <= 1.0 + 1e-6:
-        return None
-    if _star_match(observed, offs, norms, kappa, theta, tol) is None:
-        return None
-    return float(kappa), float(theta)
+def _star_match(observed, lengths, offs, norms, kappas, thetas, windows):
+    """Injective observed-to-offset matchings within the window, each requiring
+    every offset strictly inside the viewing range to be observed, for all
+    candidates at once.
 
+    Candidate c matches the next lengths[c] rows of observed against
+    kappas[c] * rotate(offs, thetas[c]), restricted to the offsets whose scaled
+    norm is at most 1 + windows[c]: a prefix of offs, which is in ascending
+    order of norm.  Returns whether each candidate matched and, for every
+    observed row, the index of its nearest offset.
 
-def _star_match(observed, offs, norms, kappa, theta, window):
-    """Injective observed-to-offset matching within the window, requiring
-    every offset strictly inside the viewing range to be observed.
-
-    Nearest neighbours come from one ``nearest`` pass.  Ties cannot change
+    Nearest neighbours are taken as ``nearest`` takes them.  Ties cannot change
     the outcome: within a window of at most 0.3*kappa*mindist every other
     expected point is at least 0.7*kappa*mindist away, and a match that fails
     fails for every tie-break.
     """
-    enorms = kappa * norms
-    cand_idx = np.nonzero(enorms <= 1.0 + window)[0]
-    if len(observed) > len(cand_idx):
-        return None
-    dd, idx = nearest(observed, kappa * rotate(offs[cand_idx], theta))
-    if dd.max() > window:
-        return None
-    if len(np.unique(idx)) != len(observed):
-        return None
-    matched = np.zeros(len(norms), dtype=bool)
-    matched[cand_idx[idx]] = True
-    if not matched[enorms <= 1.0 - window].all():
-        return None
-    return cand_idx[idx]
+    kappas = np.asarray(kappas)
+    windows = np.asarray(windows)
+    enorms = kappas[:, None] * norms
+    inside = (enorms <= 1.0 + windows[:, None]).sum(axis=1)
+    must = (enorms <= 1.0 - windows[:, None]).sum(axis=1)
+    width = max(int(inside.max()), 1)
+    rot = np.stack([rotation_matrix(theta).T for theta in thetas])
+    expected = np.matmul(offs[:width], rot)
+    # A one-row product takes another BLAS path, which rounds differently; a
+    # candidate with one offset in range gets the rows ``rotate`` gives it.
+    single = inside == 1
+    expected[single, :1] = np.matmul(offs[:1], rot[single])
+    expected *= kappas[:, None, None]
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    # Squared distances as ``nearest`` takes them (a difference's sign does not
+    # reach its square), in two arrays of one row per observed point.
+    sq = expected[run, :, 0]
+    sq -= observed[:, 0, None]
+    sq *= sq
+    dy = expected[run, :, 1]
+    dy -= observed[:, 1, None]
+    dy *= dy
+    sq += dy
+    sq[np.arange(width) >= inside[run, None]] = np.inf
+    idx = sq.argmin(axis=1)
+    near = np.sqrt(sq[np.arange(len(run)), idx]) <= windows[run]
+    ok = (lengths <= inside) & np.logical_and.reduceat(near, np.cumsum(lengths) - lengths)
+    key = np.sort(run * width + idx)
+    ok[key[1:][key[1:] == key[:-1]] // width] = False
+    ok &= np.bincount(run, weights=idx < must[run], minlength=len(lengths)) == must
+    return ok, idx

@@ -1,16 +1,19 @@
 """Property tests of the geometry primitives, the batched triple radii, the
 nearest-neighbour pass, the shared matcher, the orbit walk built on it, the
 congruence fit, the near-gathering assignment, the grid-state enumeration and
-the scaling branch's neighbourhood match, and batched formation detection."""
+the scaling branch's neighbourhood match and its batched fits, and batched
+formation detection."""
 
 import math
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from swarmdraw import protocol
 from swarmdraw.formation import (
     DrawingHull,
     FormationError,
@@ -24,8 +27,9 @@ from swarmdraw.formation import (
 )
 from swarmdraw.geometry import (TAU_GEOM, match_points, nearest, rotate,
                                 smallest_enclosing_circle, triple_sec_radii, unit)
-from swarmdraw.protocol import (AssignmentError, Phase, _star_match, _star_precheck,
-                                assignment_target, build_plan, fit_isometry, robot_decision)
+from swarmdraw.protocol import (AssignmentError, Phase, _star_local_fits, _star_match,
+                                _star_precheck, assignment_target, build_plan, fit_isometry,
+                                robot_decision)
 from swarmdraw.symmetry import normalize, symmetricity
 
 from corpus import main_corpus, near_gathering, random_connected_pattern, star_corpus
@@ -399,48 +403,138 @@ def _star_plan(name):
     return build_plan(dict(star_corpus())[name])
 
 
+_STAR_NAMES = ["ngon-14x2", "ngon-32x5", "ngon-63x10", "ring2-20", "ring2-40", "ring2-66"]
+
+
+def _star_view(plan, kappa, robot, theta, spread, rng, reach=1.0):
+    """One robot's neighbours within reach in the pattern scaled by kappa, in a
+    random frame, each jittered by up to spread times the coarse window."""
+    # view_from_global cuts at 1: cut the pattern shrunk by reach, then grow it back.
+    view = reach * view_from_global(kappa / reach * plan.pattern, robot % plan.n, theta)[1:]
+    return view + jitter(rng, len(view), spread * 0.3 * kappa * plan.star.mindist)
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(st.sampled_from(["ngon-14x2", "ngon-32x5", "ngon-63x10", "ring2-20", "ring2-40",
-                        "ring2-66"]),
+@given(st.sampled_from(_STAR_NAMES),
        st.floats(0.0, 1.0), st.integers(0, 10 ** 6), st.floats(-math.pi, math.pi),
-       st.floats(0.0, 1.5), st.integers(0, 2 ** 32 - 1))
+       st.floats(0.0, 1.5), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.0, 1.5]))
 def test_star_match_without_a_tree_equals_the_kdtree_match(name, grow, robot, theta, spread,
-                                                           seed):
+                                                           seed, beyond):
     """One robot's view of a scaled star pattern, in a random frame, with every
-    neighbour jittered by up to spread times the coarse window.  At every coarse
+    neighbour jittered by up to spread times the coarse window, and reaching
+    past the viewing range by beyond coarse windows.  At every coarse
     candidate, and at the least-squares pose of every match, the tree-free
-    _star_match returns what the KD-tree version returns, and the pre-check
-    keeps every candidate whose coarse match succeeds."""
+    _star_match returns what the KD-tree version returns, called with that
+    one candidate and beside a candidate with every offset in range; and the
+    pre-check keeps every candidate whose coarse match succeeds."""
     plan = _star_plan(name)
     star = plan.star
     kappa = star.kappa0 + grow * (1.0 - star.kappa0)
-    view = view_from_global(kappa * plan.pattern, robot % plan.n, theta)[1:]
-    rng = np.random.default_rng(seed)
-    view = view + jitter(rng, len(view), spread * 0.3 * kappa * star.mindist)
+    view = _star_view(plan, kappa, robot, theta, spread, np.random.default_rng(seed),
+                      1.0 + beyond * 0.3 * kappa * star.mindist)
     obs_norms = np.hypot(*view.T)
     nearest = view[int(np.argmin(obs_norms))]
     matched = 0
     for ring in star.rings:
-        kappa0s = np.hypot(*nearest) / ring.norms[ring.nearest8]
+        kappa0s = np.hypot(*nearest) / ring.norms[:8]
         windows = np.maximum(0.3 * kappa0s * star.mindist, 1e-6)
-        keep = _star_precheck(obs_norms, ring.sorted_norms, kappa0s, windows)
-        for j, kappa0, window, kept in zip(ring.nearest8, kappa0s, windows, keep):
+        keep, _ = _star_precheck(len(view), ring.norms, kappa0s, windows)
+        for j, (kappa0, window, kept) in enumerate(zip(kappa0s, windows, keep)):
             theta0 = (math.atan2(nearest[1], nearest[0])
                       - math.atan2(ring.offs[j][1], ring.offs[j][0]))
             poses = [(kappa0, theta0, window)]
             for k, th, w in poses:
-                got = _star_match(view, ring.offs, ring.norms, k, th, w)
+                ok, idx = _star_match(view, np.array([len(view)]), ring.offs, ring.norms,
+                                      [k], [th], [w])
+                both, idx2 = _star_match(np.vstack([view, view]), np.array([len(view)] * 2),
+                                         ring.offs, ring.norms, [k, 1e-3], [th, 0.0], [w, w])
                 want = kdtree_star_match(view, ring.offs, ring.norms, k, th, w)
-                assert (got is None) == (want is None)
+                assert ok[0] == both[0] == (want is not None)
+                assert np.array_equal(idx2[:len(view)], idx)
                 if want is not None:
-                    assert np.array_equal(got, want)
+                    assert np.array_equal(idx, want)
                     matched += 1
                     if len(poses) == 1:
                         assert kept or not 1e-6 <= kappa0 <= 1.0 + 1e-9
                         k, th = least_squares_pose(view, ring.offs, want)
                         poses += [(k, th, 1e-6), (k, th, window)]
-    if spread == 0.0:
+    if spread == 0.0 and beyond == 0.0:
         assert matched
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.floats(-math.pi, math.pi), st.integers(0, 2 ** 32 - 1))
+def test_star_match_at_its_exact_window_ignores_the_batch(theta, seed):
+    """A candidate with one offset in range, whose observed point lies exactly
+    its window away from where ``rotate`` puts that offset, matches both alone
+    and beside a candidate with three offsets in range: the other candidate
+    does not change its roundings."""
+    offs = np.array([[0.3, 0.2], [3.0, -0.4], [4.0, 1.0]])
+    norms = np.hypot(*offs.T)
+    expected = 0.5 * rotate(offs[:1], theta)
+    observed = expected + jitter(np.random.default_rng(seed), 1, 1e-3)
+    window = float(nearest(observed, expected)[0][0])
+    other = 0.2 * rotate(offs, 1.0)
+    ok, _ = _star_match(observed, np.array([1]), offs, norms, [0.5], [theta], [window])
+    assert ok.tolist() == [True]
+    ok, _ = _star_match(np.vstack([observed, other]), np.array([1, 3]), offs, norms,
+                        [0.5, 0.2], [theta, 1.0], [window, 0.01])
+    assert ok.tolist() == [True, True]
+
+
+def _random_star_view(plan, rng):
+    """A view for the batched fits: a jittered star view, sometimes reaching
+    past the viewing range by up to 1.5 coarse windows, sometimes cut to a
+    random subset of its neighbours (down to none)."""
+    star = plan.star
+    kappa = star.kappa0 + rng.uniform() * (1.0 - star.kappa0)
+    reach = 1.0 + rng.choice([0.0, 0.0, 1.5]) * rng.uniform() * 0.3 * kappa * star.mindist
+    spread = rng.choice([0.0, 0.0, 0.1, 1.0, 1.5]) * rng.uniform()
+    neighbours = _star_view(plan, kappa, int(rng.integers(plan.n)),
+                            rng.uniform(-math.pi, math.pi), spread, rng, reach)
+    if rng.uniform() < 0.2:
+        neighbours = neighbours[rng.permutation(len(neighbours))[:rng.integers(len(neighbours))]]
+    return np.vstack([np.zeros((1, 2)), neighbours])
+
+
+def _assert_same_fits(got, want):
+    assert len(got) == len(want)
+    for (k1, c1), (k2, c2) in zip(got, want):
+        assert k1 == k2 and c1.tobytes() == c2.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from(_STAR_NAMES), st.data())
+def test_star_fits_read_their_own_view_only(name, data):
+    """Every view's star fits in one batched call are bit-equal to its one-view
+    call, and replacing, adding or removing other views, or moving the block
+    boundaries, never changes them."""
+    plan = _star_plan(name)
+    star = plan.star
+    tol = data.draw(st.sampled_from([1e-7, 1e-6, 1e-4]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    count = min(data.draw(st.integers(0, 330)), 300)     # 300 views about one time in ten
+    views = [_random_star_view(plan, rng) for _ in range(count)]
+    got = _star_local_fits(views, star, tol)
+    assert len(got) == count
+    for view, fits in zip(views, got):
+        _assert_same_fits(fits, _star_local_fits([view], star, tol)[0])
+
+    k = data.draw(st.integers(0, count))
+    variants = [  # (views, old index -> new index, or None where replaced)
+        ([v if i % 2 else _random_star_view(plan, rng) for i, v in enumerate(views)],
+         lambda i: i if i % 2 else None),
+        (views[:k] + [_random_star_view(plan, rng)] + views[k:], lambda i: i + (i >= k)),
+        (views[:k] + views[k + 1:], lambda i: None if i == k else i - (i > k)),
+    ]
+    for other, where in variants:
+        again = _star_local_fits(other, star, tol)
+        for i, fits in enumerate(got):
+            if where(i) is not None:
+                _assert_same_fits(again[where(i)], fits)
+    with mock.patch.object(protocol, "_STAR_BLOCK", data.draw(st.integers(1, 130))):
+        for fits, again in zip(got, _star_local_fits(views, star, tol), strict=True):
+            _assert_same_fits(again, fits)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

@@ -324,22 +324,43 @@ def test_own_formation_window_matches_full_view(case):
     assert {(True, True), (False, True)} <= seen
 
 
-@pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
+_STAR_CASES = {"ngon-14x2": (ngon(14, 2.0), 21), "ring2-20": (two_ring(20, 3.0, 2.4), 8)}
+
+
+@lru_cache(maxsize=None)
+def _star_run_views(case):
+    """(plan, every robot's view in every round) of a star run from the scaled
+    start and of one from a near-gathering."""
+    pts, seed = _STAR_CASES[case]
+    plan = build_plan(pts)
+    cfg = SimConfig(seed=3, max_rounds=plan.star.rounds_bound)
+    views = []
+    for initial in (plan.star.kappa0 * plan.pattern, near_gathering(plan.n, seed=seed)):
+        trace = run_fsync(initial, plan, cfg)
+        assert trace.verdict == "formed"
+        views += [view for rec in trace.rounds
+                  for view in make_local_views(rec.positions, rec.round, cfg)]
+    return plan, views
+
+
+@pytest.mark.parametrize("case", sorted(_WINDOW_CASES) + sorted(_STAR_CASES))
 def test_robot_decisions_equal_one_view_at_a_time(case):
     """All of a run's views, and a near-gathering's, decided in one call give each
-    robot the phase, events and target bytes of its own one-view call, at the
-    noiseless detection tolerance and at the noisy cap 0.45*epsilon."""
-    plan, views = _run_views(case)
+    robot the phase, events and target bytes of its own one-view call: on the
+    drawing branch at the noiseless detection tolerance and at the noisy cap
+    0.45*epsilon, on the scaling branch at two fitting tolerances."""
+    star = case in _STAR_CASES
+    plan, views = _star_run_views(case) if star else _run_views(case)
     gathering = make_local_views(near_gathering(plan.n, seed=1), 0, SimConfig(seed=4))
     views = gathering[:3] + views + gathering[3:]
     phases = set()
-    for tol in (TAU_GEOM, 0.45 * plan.params.epsilon):
+    for tol in (TAU_GEOM, 1e-5) if star else (TAU_GEOM, 0.45 * plan.params.epsilon):
         for view, got in zip(views, robot_decisions(views, plan, tol), strict=True):
             want = robot_decision(view, plan, tol)
             assert (got.phase, got.events) == (want.phase, want.events)
             assert got.target.tobytes() == want.target.tobytes()
             phases.add(got.phase)
-    assert phases == set(Phase) - {Phase.STAR}
+    assert phases == ({Phase.STAR, Phase.INITIAL} if star else set(Phase) - {Phase.STAR})
 
 
 def _find_intermediate_full_view(pts, plan, tol):
@@ -978,8 +999,8 @@ def _refine_every_candidate(pts, plan, tol):
     obs_norms = np.hypot(*me_neighbors.T)
     nearest = me_neighbors[int(np.argmin(obs_norms))]
     fits = []
-    for q, offs, norms, nearest8, _ in star.rings:
-        for j in nearest8:
+    for q, offs, norms in star.rings:
+        for j in range(len(norms[:8])):
             kappa0 = float(np.hypot(*nearest) / norms[j])
             if not 1e-6 <= kappa0 <= 1.0 + 1e-9:
                 continue
@@ -1003,38 +1024,27 @@ def _refine_every_candidate(pts, plan, tol):
     return unique
 
 
-@pytest.mark.parametrize("pts, seed", [(ngon(14, 2.0), 21), (two_ring(20, 3.0, 2.4), 8)],
-                         ids=["ngon-14x2", "ring2-20"])
-def test_star_local_fits_equal_refining_every_candidate(monkeypatch, pts, seed):
-    """Every local view of a scaled and a gathered run: the pre-checked,
-    tree-free fits equal the reference bit for bit, and the pre-checks leave
-    about one refinement per view."""
+@pytest.mark.parametrize("case", sorted(_STAR_CASES))
+def test_star_local_fits_equal_refining_every_candidate(monkeypatch, case):
+    """Every local view of a scaled and a gathered run, fitted in one batched
+    call: the pre-checked, tree-free fits equal the reference bit for bit, and
+    the pre-checks leave about one first match per view."""
     import swarmdraw.protocol as protocol
 
-    plan = build_plan(pts)
-    views = []
-
-    def record(view_pts, plan_, tol):
-        views.append((view_pts, tol))
-        return _star_local_fits(view_pts, plan_, tol)
-
-    monkeypatch.setattr(protocol, "_star_local_fits", record)
-    for initial in (plan.star.kappa0 * plan.pattern, near_gathering(plan.n, seed=seed)):
-        trace = run_fsync(initial, plan, SimConfig(seed=3, max_rounds=plan.star.rounds_bound))
-        assert trace.verdict == "formed"
-    monkeypatch.undo()
-
-    refinements = [0]
-    refine = protocol._star_refine
+    plan, views = _star_run_views(case)
+    views = [view for view in views if len(view) != plan.n]
+    matches = [0]
+    window_check = protocol._star_window_check
 
     def counted(*args):
-        refinements[0] += 1
-        return refine(*args)
+        passed = window_check(*args)
+        matches[0] += int(passed.sum())
+        return passed
 
-    monkeypatch.setattr(protocol, "_star_refine", counted)
+    monkeypatch.setattr(protocol, "_star_window_check", counted)
     assert len(views) > 3 * plan.n
-    for view_pts, tol in views:
-        got = _star_local_fits(view_pts, plan, tol)
+    tol = 1e-7      # the fitting tolerance of a noiseless run
+    for view_pts, got in zip(views, _star_local_fits(views, plan.star, tol), strict=True):
         want = _refine_every_candidate(view_pts, plan, tol)
         assert len(got) == len(want)
         for (k1, c1), (k2, c2) in zip(got, want):
@@ -1042,4 +1052,4 @@ def test_star_local_fits_equal_refining_every_candidate(monkeypatch, pts, seed):
     # The reference refines 8 candidates per orbit.  After the distance-profile
     # pre-check 3.0 (n-gon) and 5.7 (two-ring) per view were left; the window
     # check at the coarse pose leaves exactly one per view on both.
-    assert refinements[0] <= 1.2 * len(views)
+    assert matches[0] <= 1.2 * len(views)
