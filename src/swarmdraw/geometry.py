@@ -267,6 +267,26 @@ def nearest(a, b) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(sq[np.arange(len(a)), idx]), idx
 
 
+def nearest_in_sets(a, sets, owner, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """``nearest`` of each point a[i] in its own set: the first sizes[k] points
+    of sets[k], k = owner[i], where sets is an (m, w, 2) array.
+
+    The squared distances equal ``nearest``'s bit for bit (a difference's sign
+    does not reach its square); they are formed in place, in two (len(a), w)
+    arrays.  A point whose set is empty gets distance inf.
+    """
+    sq = sets[owner, :, 0]
+    sq -= a[:, 0, None]
+    sq *= sq
+    dy = sets[owner, :, 1]
+    dy -= a[:, 1, None]
+    dy *= dy
+    sq += dy
+    sq[np.arange(sets.shape[1]) >= sizes[owner, None]] = np.inf
+    idx = sq.argmin(axis=1)
+    return np.sqrt(sq[np.arange(len(a)), idx]), idx
+
+
 def match_points(a, b, tol):
     """Bijection i -> perm[i] with a[i] ~ b[perm[i]] within tol.
 

@@ -27,6 +27,7 @@ from .geometry import (
     dist,
     match_points,
     mindist,
+    nearest_in_sets,
     pairwise_distances,
     polar_angle,
     rotate,
@@ -741,9 +742,6 @@ def _initial_decision(view: np.ndarray, plan: Plan) -> Decision:
 
 # --- scaling branch for symmetricity >= n/2 ---------------------------------------------
 
-_STAR_BLOCK = 128   # local views per array pass of ``_star_local_fits``; bounds its temporaries
-
-
 def _star_decisions(views: list[np.ndarray], plan: Plan, tol: float) -> list[Decision]:
     """Each robot's scaling-branch decision: the local views' fits come from one
     ``_star_local_fits`` call, full views are fitted one at a time."""
@@ -809,19 +807,11 @@ def _star_local_fits(views: list[np.ndarray], star: StarPlan, tol: float) -> lis
     scale and count of offsets in range or by the distances at their coarse
     pose, are dropped before it.
 
-    The views are taken _STAR_BLOCK at a time, and each stage is one array
-    pass per ring over the block's candidates.  Every row of a pass reads its
-    own view only, so each view's fits are those of its one-view call.
+    Each stage is one array pass per ring over all the views' candidates.
+    Every row of a pass reads its own view only, so each view's fits are those
+    of its one-view call.
     """
     tol = max(tol, 1e-6)
-    fits = []
-    for b in range(0, len(views), _STAR_BLOCK):
-        fits += _star_block_fits(views[b:b + _STAR_BLOCK], star, tol)
-    return fits
-
-
-def _star_block_fits(views: list[np.ndarray], star: StarPlan, tol: float) -> list[list]:
-    """``_star_local_fits`` of one block of views."""
     fits: list[list] = [[] for _ in views]
     seen = [i for i, view in enumerate(views) if len(view) > 1]     # with a neighbour
     if not seen:
@@ -843,7 +833,7 @@ def _star_block_fits(views: list[np.ndarray], star: StarPlan, tol: float) -> lis
         keep, inside = _star_precheck(counts[:, None], ring.norms, kappa0s, windows)
         v, j = np.nonzero(keep)
         if len(v):
-            passed = _star_window_check(obs_c[_runs(starts[v], counts[v])], counts[v],
+            passed = _star_window_check(obs[_runs(starts[v], counts[v])], counts[v],
                                         obs_c[first[v]] / offs[j], offs, inside[v, j],
                                         windows[v, j])
             v, j = v[passed], j[passed]
@@ -912,30 +902,25 @@ def _star_precheck(n_obs, norms, kappa0s, windows):
 def _star_window_check(observed, lengths, poses, offs, inside, windows):
     """Which coarse poses pass the distance clause of the first ``_star_match``,
     for all candidates at once: each of candidate c's observed points (the
-    next lengths[c] entries of observed, in complex form) lies within its
-    window of one of the first inside[c] offsets under the pose.
+    next lengths[c] rows of observed) lies within its window of one of the
+    first inside[c] offsets (complex) under the pose.
 
     The pose kappa0*exp(i*theta0) is nearest / offs[j] in complex form.  It
     differs from the match's rotation by rounding only, for which TAU_GEOM is
     ample, so no candidate that the match would accept is dropped.
     """
     run = np.repeat(np.arange(len(lengths)), lengths)
-    width = int(inside.max())
-    expected = poses[:, None] * offs[None, :width]
+    expected = (poses[:, None] * offs[None, :int(inside.max())]).view(float)
+    expected = expected.reshape(len(poses), -1, 2)
 
     def near(rows):
-        own = run[rows]
-        dx = expected.real[own]
-        dx -= observed.real[rows, None]
-        dy = expected.imag[own]
-        dy -= observed.imag[rows, None]
-        gaps = np.hypot(dx, dy, out=dx)
-        gaps[np.arange(width) >= inside[own, None]] = np.inf
-        return gaps.min(axis=1) <= windows[own] + TAU_GEOM
+        gaps, _ = nearest_in_sets(observed[rows], expected, run[rows], inside)
+        return gaps <= windows[run[rows]] + TAU_GEOM
 
     # Each candidate's farthest point first: under a wrong pose it lies farthest
     # from its place, so it drops most candidates at one row each.
-    ok = near(np.lexsort((-np.abs(observed), run))[np.cumsum(lengths) - lengths])
+    far = -np.hypot(observed[:, 0], observed[:, 1])
+    ok = near(np.lexsort((far, run))[np.cumsum(lengths) - lengths])
     rows = np.flatnonzero(ok[run])
     ok[run[rows[~near(rows)]]] = False
     return ok
@@ -952,10 +937,20 @@ def _star_match(observed, lengths, offs, norms, kappas, thetas, windows):
     order of norm.  Returns whether each candidate matched and, for every
     observed row, the index of its nearest offset.
 
-    Nearest neighbours are taken as ``nearest`` takes them.  Ties cannot change
-    the outcome: within a window of at most 0.3*kappa*mindist every other
-    expected point is at least 0.7*kappa*mindist away, and a match that fails
-    fails for every tie-break.
+    Nearest neighbours come from ``nearest_in_sets``.  Ties cannot change the
+    outcome: within a window of at most 0.3*kappa*mindist every other expected
+    point is at least 0.7*kappa*mindist away, and a match that fails fails for
+    every tie-break.
+
+    The expected points come from one stacked matmul, whose width is the
+    largest ``inside`` of all the candidates.  A candidate's fits equal its
+    one-view call only because the BLAS rounds each row of that product as
+    ``rotate`` rounds it, whatever the width, which NumPy's OpenBLAS 0.3.31
+    (Haswell kernels) does for two rows or more; a one-row product takes
+    another kernel, so a candidate with one offset in range gets its own.
+    Under another BLAS, whether a view matches at its exact window could
+    depend on the other views of the round; the property tests of
+    ``_star_local_fits`` check it on the machine that runs them.
     """
     kappas = np.asarray(kappas)
     windows = np.asarray(windows)
@@ -971,18 +966,8 @@ def _star_match(observed, lengths, offs, norms, kappas, thetas, windows):
     expected[single, :1] = np.matmul(offs[:1], rot[single])
     expected *= kappas[:, None, None]
     run = np.repeat(np.arange(len(lengths)), lengths)
-    # Squared distances as ``nearest`` takes them (a difference's sign does not
-    # reach its square), in two arrays of one row per observed point.
-    sq = expected[run, :, 0]
-    sq -= observed[:, 0, None]
-    sq *= sq
-    dy = expected[run, :, 1]
-    dy -= observed[:, 1, None]
-    dy *= dy
-    sq += dy
-    sq[np.arange(width) >= inside[run, None]] = np.inf
-    idx = sq.argmin(axis=1)
-    near = np.sqrt(sq[np.arange(len(run)), idx]) <= windows[run]
+    gaps, idx = nearest_in_sets(observed, expected, run, inside)
+    near = gaps <= windows[run]
     ok = (lengths <= inside) & np.logical_and.reduceat(near, np.cumsum(lengths) - lengths)
     key = np.sort(run * width + idx)
     ok[key[1:][key[1:] == key[:-1]] // width] = False
