@@ -21,6 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -361,31 +362,55 @@ def detect_formations(points, grid: GridSpec, tol: float = TAU_GEOM) -> list[Det
 
 def detect_windows(points, sizes, grid: GridSpec,
                    tol: float = TAU_GEOM) -> list[list[DetectedFormation]]:
-    """``detect_formations`` of many point sets in one array pass.
+    """``detect_formations`` of many point sets: ``detect_arrays``, listed per window."""
+    det = detect_arrays(points, sizes, grid, tol)
+    out: list[list[DetectedFormation]] = [[] for _ in sizes]
+    for f, w in enumerate(det.window.tolist()):
+        part = slice(det.bounds[f], det.bounds[f + 1])
+        out[w].append(DetectedFormation(
+            DrawingHull(det.anchor[f], det.heading[f], grid.span, grid.delta),
+            tuple(det.members[part].tolist()), det.local[part], int(det.state[f])))
+    return out
+
+
+class Detections(NamedTuple):
+    """Formation f of window window[f] is anchored at anchor[f], heads to its
+    partner along heading[f] (as ``DrawingHull`` takes it), is in state
+    state[f], and has members members[bounds[f]:bounds[f + 1]] (local to the
+    window) at hull coordinates local[...].  Ordered by window, then pose."""
+
+    window: np.ndarray
+    anchor: np.ndarray
+    heading: np.ndarray
+    state: np.ndarray
+    bounds: np.ndarray
+    members: np.ndarray
+    local: np.ndarray
+
+
+def detect_arrays(points, sizes, grid: GridSpec, tol: float = TAU_GEOM) -> Detections:
+    """The formations of many point sets in one array pass.
 
     ``points`` is the concatenation of the windows and ``sizes`` their
-    lengths; entry w of the result equals ``detect_formations`` of window w
-    alone, bit for bit, with member indices local to the window.  No stage
-    reads across windows: epsilon-pairs are formed within a window, and each
-    candidate orientation reads only its own window's points.
+    lengths; window w's formations equal ``detect_formations`` of window w
+    alone, bit for bit.  No stage reads across windows: epsilon-pairs are
+    formed within a window, and each candidate orientation reads only its own
+    window's points.
     """
     pts = as_points(points)
     sizes = np.asarray(sizes, dtype=np.int64)
     if sizes.ndim != 1 or (sizes < 0).any() or sizes.sum() != len(pts):
         raise ValueError("window sizes must be nonnegative and sum to the number of points")
-    out: list[list[DetectedFormation]] = [[] for _ in range(len(sizes))]
     eps, delta = grid.epsilon, grid.delta
     starts = np.cumsum(sizes) - sizes
     win = np.repeat(np.arange(len(sizes)), sizes)
     z = pts[:, 0] + 1j * pts[:, 1]
     a, b = _epsilon_pairs(pts, win, eps, tol)
     close = np.flatnonzero(np.abs(np.abs(z[b] - z[a]) - eps) <= tol)
-    if not len(close):
-        return out
     close = close[np.lexsort((b[close], a[close]))]     # each window's pairs row by row
     a, b = a[close], b[close]
     # Orientations (a, b), (b, a) of each pair, in that order: anchor p, partner q.
-    p_idx = np.empty(2 * len(a), dtype=a.dtype)
+    p_idx = np.empty(2 * len(a), dtype=np.int64)
     q_idx = np.empty_like(p_idx)
     p_idx[0::2], p_idx[1::2] = a, b
     q_idx[0::2], q_idx[1::2] = b, a
@@ -410,26 +435,29 @@ def detect_windows(points, sizes, grid: GridSpec,
     keep = keep[_lateral_distance(x[keep], y[keep], grid.span) <= tol]
     row, col, xs, ys = row[keep], col[keep], x[keep], y[keep]
     cells, on_grid = _snap_cells(grid, xs, ys, eps, tol)
-    member = (col - starts[win[col]]).tolist()
     live = np.flatnonzero(live)
-    lows = np.searchsorted(row, live).tolist()
-    highs = np.searchsorted(row, live, side="right").tolist()
-
-    found: dict[int, dict[tuple, DetectedFormation]] = {}
-    for c, lo, hi in zip(live.tolist(), lows, highs):
-        if hi - lo < 3 or not on_grid[lo:hi].all():
-            continue
-        decoded = _decode(grid, tuple(sorted(cells[lo:hi].tolist())))
-        if decoded is None:
-            continue
-        hull = DrawingHull(pts[p_idx[c]], np.array([u[c].real, u[c].imag]), grid.span, delta)
-        key = tuple(np.round(np.concatenate([hull.anchor, hull.direction]), 8).tolist())
-        found.setdefault(int(row_win[c]), {}).setdefault(key, DetectedFormation(
-            hull=hull, member_indices=tuple(member[lo:hi]),
-            local=np.column_stack([xs[lo:hi], ys[lo:hi]]), state_index=decoded[1]))
-    for w, dets in found.items():
-        out[w] = [dets[k] for k in sorted(dets)]
-    return out
+    lows = np.searchsorted(row, live)
+    counts = np.searchsorted(row, live, side="right") - lows
+    off_grid = np.concatenate([[0], np.cumsum(~on_grid)])
+    ok = (counts >= 3) & (off_grid[lows + counts] == off_grid[lows])
+    decoded = [(c, _decode(grid, tuple(sorted(cells[lo:lo + k].tolist()))))
+               for c, lo, k in zip(live[ok].tolist(), lows[ok].tolist(), counts[ok].tolist())]
+    rows, state = np.array([(c, d[1]) for c, d in decoded if d], dtype=np.int64).reshape(-1, 2).T
+    heading = np.column_stack([u.real[rows], u.imag[rows]])
+    anchor = pts[p_idx[rows]]
+    # One formation per window and pose (anchor, normalised direction) rounded
+    # to 1e-8: the first row holding it.
+    key = np.column_stack([row_win[rows], anchor, heading / np.hypot(*heading.T)[:, None]])
+    order = np.lexsort(np.round(key, 8).T[::-1])
+    key = np.round(key, 8)[order]
+    order = order[np.concatenate([[True], (key[1:] != key[:-1]).any(axis=1)])[:len(order)]]
+    found = np.searchsorted(live, rows[order])
+    _, members = _ranges(lows[found], counts[found])
+    return Detections(row_win[rows[order]], anchor[order], heading[order],
+                      state[order],
+                      np.concatenate([[0], np.cumsum(counts[found])]),
+                      col[members] - starts[win[col[members]]],
+                      np.column_stack([xs[members], ys[members]]))
 
 
 def _epsilon_pairs(pts, win, eps: float, tol: float) -> tuple[np.ndarray, np.ndarray]:

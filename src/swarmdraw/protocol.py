@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -38,11 +38,10 @@ from .geometry import (
 )
 from .symmetry import centered_symmetricity, normalize, rotation_orbits, symmetricity
 from .formation import (
-    DetectedFormation,
     DrawingHull,
     FormationError,
     GridSpec,
-    detect_windows,
+    detect_arrays,
     grid_spec,
     hulls_overlap,
     state_by_index,
@@ -142,8 +141,9 @@ class Plan:
     schedule: list[ScheduleRound] = field(default_factory=list)
     snapshot_ids: list[int] = field(default_factory=list)
     snapshot_radii: np.ndarray | None = None        # (snapshots, n) sorted centroid radii
-    snapshot_centered: list[np.ndarray] = field(default_factory=list)
+    snapshot_centered: np.ndarray | None = None     # (snapshots, n, 2) centroid-centred
     tail_points: np.ndarray | None = None     # p1, p2, p3 in path frame
+    ending: np.ndarray | None = None    # intermediate_targets, in path frame
     moves: list[np.ndarray] = field(default_factory=list)   # per path vertex, see _move_tables
     star: StarPlan | None = None
     slots: SlotTable | None = None
@@ -256,6 +256,7 @@ def _finish_draw_plan(plan: Plan) -> None:
     rest = sorted(triple[1:], key=lambda i: tuple(np.round(path.pattern[i], 9)))
     p2, p3 = path.pattern[rest[0]], path.pattern[rest[1]]
     plan.tail_points = np.stack([p1, p2, p3])
+    plan.ending = intermediate_targets(plan)
 
     plan.initial = _initial_positions(plan)
     plan.slots = _slot_table(plan.initial, plan.params.s_p)
@@ -309,8 +310,7 @@ def _build_draw_schedule(plan: Plan) -> list[ScheduleRound]:
         rounds.append(ScheduleRound(pos, roles))
         dropped.extend(drops_now)
 
-    inter = intermediate_targets(plan)
-    pos, roles = _replicate(dropped, inter, Phase.INTERMEDIATE, s, w)
+    pos, roles = _replicate(dropped, plan.ending, Phase.INTERMEDIATE, s, w)
     rounds.append(ScheduleRound(pos, roles))
 
     final_drops = [plan.tail_points[i] for i in range(3)]
@@ -334,22 +334,19 @@ def _replicate(dropped, active_pts, active_role, s, w):
 
 
 def _index_snapshots(plan: Plan) -> None:
-    plan.snapshot_ids = []
-    plan.snapshot_centered = []
-    for t, rec in enumerate(plan.schedule):
-        pos = rec.positions
-        if len(pos) and pairwise_distances(pos).max() <= 1.0 + TAU_GEOM:
-            plan.snapshot_ids.append(t)
-            plan.snapshot_centered.append(pos - pos.mean(axis=0))
-    radii = [np.sort(np.hypot(*c.T)) for c in plan.snapshot_centered]
-    plan.snapshot_radii = np.reshape(radii, (len(radii), plan.n))
+    plan.snapshot_ids = [t for t, rec in enumerate(plan.schedule) if len(rec.positions)
+                         and pairwise_distances(rec.positions).max() <= 1.0 + TAU_GEOM]
+    pos = np.reshape([plan.schedule[t].positions for t in plan.snapshot_ids], (-1, plan.n, 2))
+    plan.snapshot_centered = pos - pos.mean(axis=1, keepdims=True)
+    plan.snapshot_radii = np.sort(np.hypot(plan.snapshot_centered[..., 0],
+                                           plan.snapshot_centered[..., 1]), axis=1)
 
 
-def _canonical_order(local: np.ndarray) -> np.ndarray:
-    """Lexicographic order of hull-local points snapped to the TAU_GEOM grid,
-    so that every member of a formation orders the same way whatever its frame."""
+def _canonical_order(local: np.ndarray, group=()) -> np.ndarray:
+    """Lexicographic order of hull-local points snapped to the TAU_GEOM grid, so
+    that every member of a formation orders the same way whatever its frame."""
     snapped = np.round(local / TAU_GEOM) * TAU_GEOM
-    return np.lexsort((snapped[:, 1], snapped[:, 0]))
+    return np.lexsort((snapped[:, 1], snapped[:, 0], *group))
 
 
 def _move_tables(plan: Plan) -> list[np.ndarray]:
@@ -364,7 +361,7 @@ def _move_tables(plan: Plan) -> list[np.ndarray]:
     tables = []
     for vi, v in enumerate(path.vertices):
         if vi == last:
-            targets = intermediate_targets(plan) - v
+            targets = plan.ending - v
         else:
             move = path.vertices[vi + 1] - v
             size, idx = path.labels[vi + 1]
@@ -387,13 +384,8 @@ def _build_star_schedule(plan: Plan) -> None:
 # --- congruence fitting ----------------------------------------------------------
 
 def fit_isometry(points, template, tol: float):
-    """Rotation + translation mapping template onto points, or None.
-
-    Centers both sets on their centroids, pairs an extremal point with every
-    same-radius template point to get candidate rotations, and certifies a
-    candidate by an injective nearest-neighbor matching; an exact
-    minimum-cost assignment arbitrates when nearest neighbors collide.
-    """
+    """Rotation + translation mapping template onto points, or None: both sets
+    are centered on their centroids and fitted by ``_fit_centered``."""
     pts = as_points(points)
     tmpl = as_points(template)
     if len(pts) != len(tmpl):
@@ -408,84 +400,159 @@ def fit_isometry(points, template, tol: float):
 
 
 def _fit_centered(a, b, tol):
-    """Rotation matching two centroid-centered point sets, or None.  The centroid
-    moves by at most the largest point displacement, so a fit within tol
-    changes the radius of each point by at most 2*tol."""
-    n = len(a)
-    ra = np.hypot(*a.T)
-    rb = np.hypot(*b.T)
-    gap = float(np.abs(np.sort(ra) - np.sort(rb)).max())
-    if gap > 2 * tol + 1e-12:
-        return None
-    if n == 1 or ra.max() <= tol:
-        return 0.0, np.arange(n), gap
+    """The one-pair call of ``_centered_fits``: (theta, perm, err) or None."""
+    return _centered_fits(a[None], b[None], np.sort(np.hypot(*b.T))[None], np.array([tol]))[0]
 
-    ext = int(np.lexsort((a[:, 1], a[:, 0], ra))[-1])
-    ang_ext = math.atan2(a[ext, 1], a[ext, 0])
-    for j in np.nonzero(np.abs(rb - ra[ext]) <= 2 * tol + 1e-12)[0]:
-        theta = ang_ext - math.atan2(b[j, 1], b[j, 0])
-        perm, err = match_points(a, rotate(b, theta), tol)
-        if perm is not None:
-            return theta, perm, err
-    return None
+
+def _screen_pairs(ras, b_radii, tol):
+    """(gap, kept) of every set v and template t, one template at a time: the
+    largest difference of the sorted radii ras[v] and b_radii[v, t], and whether
+    it is within 2*tol[v, t], the most a fit within tol moves a centroid radius."""
+    gap = np.stack([np.abs(ras - r).max(axis=1) for r in b_radii.transpose(1, 0, 2)], axis=-1)
+    return gap, gap <= 2 * tol + 1e-12
+
+
+def _centered_fits(a, b, b_radii, tol) -> list:
+    """The first fit of each centroid-centered set a[v] ((sets, n, 2)) to its
+    templates b[v, t] in turn (b, sorted radii b_radii and tol may omit the set
+    axis): None, or (theta, perm, err) of ``match_points`` within tol[v, t].
+
+    A pair kept by ``_screen_pairs`` fits at once if the set lies within tol of
+    its centroid; else its candidate rotations align the set's farthest point
+    (ties broken by x, then y) with each template point of that radius within
+    2*tol.  Wave w fits the w-th candidate of every unmatched set, so a set
+    tries what it would alone and reads its own points only: rotations by one
+    stacked matmul, nearest neighbours by ``nearest_in_sets``, 2**15 at most.
+    """
+    sets, n = a.shape[:2]
+    b, b_radii, tol = (np.broadcast_to(x, (sets,) + x.shape[-k:])
+                       for x, k in ((b, 3), (b_radii, 2), (tol, 1)))
+    ra = np.hypot(a[..., 0], a[..., 1])
+    gap, kept = _screen_pairs(np.sort(ra, axis=1), b_radii, tol)
+    v, t = np.nonzero(kept)                 # the pairs, by set, then template
+    fits = [None] * sets
+    if not len(v):
+        return fits
+    ext = np.lexsort((a[..., 1], a[..., 0], ra), axis=-1)[:, -1]
+    ang = [math.atan2(y, x) for x, y in a[np.arange(sets), ext].tolist()]
+    # Candidates: pair p and template point j; a pair that fits at once has j = 0 only.
+    once = (ra.max(axis=1)[v] <= tol[v, t]) | (n == 1)
+    near = (np.abs(np.hypot(b[v, t, :, 0], b[v, t, :, 1]) - ra[v, ext[v], None])
+            <= 2 * tol[v, t, None] + 1e-12)
+    near[once] = np.arange(n) == 0
+    p, j = np.nonzero(near)
+    owner = v[p]
+    rank = np.arange(len(p)) - np.searchsorted(owner, owner)
+    todo, matched = np.lexsort((owner, rank)), np.zeros(sets, dtype=bool)
+    chunk = max(2 ** 15 // (n * n), 1)
+    while len(todo):
+        cut = np.searchsorted(rank[todo], rank[todo[0]], side="right")
+        w, todo = todo[:cut], todo[cut:]
+        for q in w[once[p[w]]].tolist():
+            fits[owner[q]] = (0.0, np.arange(n), float(gap[owner[q], t[p[q]]]))
+        w = w[~once[p[w]]]
+        for k in range(0, len(w), chunk):
+            c = w[k:k + chunk]
+            cv, ct = owner[c], t[p[c]]
+            thetas = [ang[i] - math.atan2(y, x)
+                      for i, (x, y) in zip(cv.tolist(), b[cv, ct, j[c]].tolist())]
+            rotated = np.matmul(b[cv, ct], np.stack([rotation_matrix(th).T for th in thetas]))
+            dd, idx = (x.reshape(-1, n) for x in nearest_in_sets(
+                a[cv].reshape(-1, 2), rotated, np.repeat(np.arange(len(c)), n), np.full(len(c), n)))
+            srt = np.sort(idx, axis=1)
+            for q in np.flatnonzero(dd.max(axis=1) <= tol[cv, ct]).tolist():
+                perm, err = ((idx[q], float(dd[q].max())) if (srt[q, 1:] != srt[q, :-1]).all()
+                             else match_points(a[cv[q]], rotated[q], tol[cv[q], ct[q]]))
+                if perm is not None:
+                    fits[cv[q]] = (thetas[q], perm, err)
+        matched[[o for o, fit in enumerate(fits) if fit is not None]] = True
+        todo = todo[~matched[owner[todo]]]
+    return fits
 
 
 # --- phase classification ---------------------------------------------------------
 
-def _matches_snapshot(pts, plan: Plan, tol) -> bool:
-    """Whether pts is congruent to a reference snapshot.
-
-    tol is one tolerance for every snapshot, or a sequence holding one per
-    entry of plan.snapshot_ids (see ``simulator.drift_tolerance``).
-    """
-    centered = pts - pts.mean(axis=0)
-    for t in _screen_snapshots(np.sort(np.hypot(*centered.T)), plan, tol):
-        tol_t = tol if np.isscalar(tol) else tol[t]
-        if _fit_centered(centered, plan.snapshot_centered[t], tol_t) is not None:
-            return True
-    return False
-
-
-def _screen_snapshots(radii, plan: Plan, tol) -> np.ndarray:
-    """Positions in plan.snapshot_ids of the snapshots whose sorted radii all lie
-    within 2*tol of radii (n values), the first test of ``_fit_centered``, for
-    all at once."""
-    atol = 2 * np.asarray(tol, dtype=float).reshape(-1, 1) + 1e-12
-    return np.flatnonzero((np.abs(plan.snapshot_radii - radii) <= atol).all(axis=1))
-
-
-def _own_formations(views: list[np.ndarray], grid: GridSpec,
-                    tol: float) -> list[tuple[DetectedFormation | None, bool]]:
-    """For each view: the unique valid formation containing the origin robot, if
-    any, and whether the origin is in a conflicted one.  All views are searched in
-    one ``detect_windows`` call; each result reads its own view only.
-
-    Detection reads only the view within 4δ + 4·tol, which is exact: a formation holding
-    the origin is anchored within δ + tol, ``hulls_overlap`` reads formations anchored
-    within 2δ + TAU_GEOM of that anchor, and each depends only on points within δ + tol
-    of its anchor.
-    """
-    if not views:
+def _initial_views(views: list[np.ndarray], plan: Plan, snapshot_tol) -> list[int]:
+    """Indices of the full views of diameter at most 1 fitting no snapshot (the
+    initial near-gathering) at snapshot_tol, one value or one per snapshot."""
+    full = [i for i, view in enumerate(views) if len(view) == plan.n > 1]
+    if not full:
         return []
-    pts = np.concatenate(views)
-    lengths = np.array([len(v) for v in views])
-    starts = np.cumsum(lengths) - lengths
+    a = np.stack([views[i] for i in full])
+    a -= a.mean(axis=1, keepdims=True)
+    tol = np.broadcast_to(np.asarray(snapshot_tol, dtype=float), (len(plan.snapshot_ids),))
+    fits = _centered_fits(a, plan.snapshot_centered, plan.snapshot_radii, tol)
+    return [i for i, fit in zip(full, fits)
+            if fit is None and pairwise_distances(views[i]).max() <= 1.0 + TAU_GEOM]
+
+
+def _own_formations(views: list[np.ndarray], grid: GridSpec, tol: float):
+    """(det, own, conflicted): ``detect_arrays`` over each view's points within
+    4δ + 4·tol of the robot; the index in det of each robot's one formation
+    (holding the window's point 0) if none overlaps it, else -1; and whether it
+    is in several or overlapping ones.  Exact: a formation holding the robot is
+    anchored within δ + tol, ``hulls_overlap`` reads formations anchored within
+    2δ + TAU_GEOM of that, and each reads points within δ + tol of its anchor."""
+    pts = np.concatenate([np.zeros((0, 2))] + views)
     near = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1]) <= 4 * (grid.delta + tol))
-    owner = np.repeat(np.arange(len(views)), lengths)[near]
-    sizes = np.bincount(owner, minlength=len(views))
-    out = []
-    for dets, idx in zip(detect_windows(pts[near], sizes, grid, tol),
-                         np.split(near - starts[owner], np.cumsum(sizes)[:-1])):
-        mine = [d for d in dets if 0 in d.member_indices]
-        if len(mine) != 1:
-            out.append((None, bool(mine)))
-        elif any(other is not mine[0] and hulls_overlap(mine[0].hull, other.hull)
-                 for other in dets):
-            out.append((None, True))
-        else:
-            out.append((replace(mine[0], member_indices=tuple(
-                idx[list(mine[0].member_indices)].tolist())), False))
+    owner = np.repeat(np.arange(len(views)), [len(v) for v in views])
+    det = detect_arrays(pts[near], np.bincount(owner[near], minlength=len(views)), grid, tol)
+    mine = np.repeat(np.arange(len(det.window)), np.diff(det.bounds))[det.members == 0]
+    count = np.bincount(det.window[mine], minlength=len(views))
+    own = np.full(len(views), -1)
+    own[det.window[mine]] = np.where(count[det.window[mine]] == 1, mine, -1)
+    conflicted = count > 1
+    # The polygon test, for the window's formations anchored within 2δ + TAU_GEOM.
+    robots = np.flatnonzero(own >= 0)
+    lo, hi = np.searchsorted(det.window, robots), np.searchsorted(det.window, robots, "right")
+    robot, other = np.repeat(robots, hi - lo), _runs(lo, hi - lo)
+    gap = det.anchor[own[robot]] - det.anchor[other]
+    close = (other != own[robot]) & (np.hypot(gap[:, 0], gap[:, 1]) <= 2 * grid.delta + TAU_GEOM)
+    for r, o in zip(robot[close].tolist(), other[close].tolist()):
+        if own[r] >= 0 and hulls_overlap(*(DrawingHull(det.anchor[f], det.heading[f], grid.span,
+                                                       grid.delta) for f in (own[r], o))):
+            own[r], conflicted[r] = -1, True
+    return det, own, conflicted
+
+
+def _formation_moves(views: list[np.ndarray], plan: Plan, tol: float) -> list:
+    """Each robot's formation Decision (dropped if conflicted), or None: its
+    rank's row of plan.moves at its vertex, ranked by one ragged
+    ``_canonical_order``, mapped by row @ basis + anchor in one stacked matmul."""
+    det, own, conflicted = _own_formations(views, plan.grid, tol)
+    out = [Decision(np.zeros(2), Phase.DROPPED) if c else None for c in conflicted.tolist()]
+    robots = np.flatnonzero(own >= 0)
+    f = own[robots]
+    sizes = np.diff(det.bounds)[f]
+    rows = _runs(det.bounds[f], sizes)
+    order = _canonical_order(det.local[rows], (np.repeat(np.arange(len(f)), sizes),))
+    ranks = np.argsort(order)[det.members[rows] == 0] - (np.cumsum(sizes) - sizes)
+    verts = [plan.path.vertex_of_label(*sv) for sv in zip(sizes.tolist(), det.state[f].tolist())]
+    known = [k for k, vi in enumerate(verts) if vi is not None]
+    if any(len(plan.moves[verts[k]]) != sizes[k] for k in known):
+        raise FormationError("a formation's size differs from its move table")
+    d = det.heading[f[known]] / np.hypot(*det.heading[f[known]].T)[:, None]
+    basis = np.stack([d, np.column_stack([-d[:, 1], d[:, 0]])], axis=1)
+    table_rows = np.array([plan.moves[verts[k]][ranks[k]] for k in known]).reshape(-1, 1, 2)
+    targets = iter(np.matmul(table_rows, basis)[:, 0] + det.anchor[f[known]])
+    # At the last vertex the move reshapes the formation into the ending triple.
+    for r, vi in zip(robots.tolist(), verts):
+        out[r] = (Decision(np.zeros(2), Phase.FORMATION, ("unknown-state",)) if vi is None
+                  else Decision(next(targets), Phase.FORMATION,
+                                ("ending-reshape",) if vi == len(plan.path.vertices) - 1 else ()))
+        if math.hypot(*out[r].target) > 1.0 + TAU_GEOM:
+            raise AssertionError("planned displacement exceeds the viewing range")
     return out
+
+
+def _ending_screen(views: list[np.ndarray], plan: Plan, tol: float) -> np.ndarray:
+    """Which views have a point within min(tol, epsilon/16) + TAU_GEOM of distance
+    epsilon/2 or epsilon/3, as every ending triple holding the robot has."""
+    eps = plan.params.epsilon
+    r = np.hypot(*np.concatenate(views).T) if views else np.zeros(0)
+    hit = np.minimum(np.abs(r - eps / 2.0), np.abs(r - eps / 3.0)) <= min(tol, eps / 16.0) + TAU_GEOM
+    owner = np.repeat(np.arange(len(views)), [len(v) for v in views])
+    return np.bincount(owner, weights=hit, minlength=len(views)) > 0
 
 
 def _find_intermediate(pts, plan: Plan, tol: float):
@@ -501,10 +568,9 @@ def _find_intermediate(pts, plan: Plan, tol: float):
     """
     eps = plan.params.epsilon
     tol = min(tol, eps / 16.0)
-    targets = intermediate_targets(plan)
     vk = plan.path.vertices[-1]
-    u2 = targets[1] - vk
-    u3 = targets[2] - vk
+    u2 = plan.ending[1] - vk
+    u3 = plan.ending[2] - vk
     near = np.nonzero(np.hypot(*pts.T) <= 1.5 * eps + 2 * tol + TAU_GEOM)[0]
     sub = pts[near]
     d = pairwise_distances(sub)
@@ -530,14 +596,6 @@ def _find_intermediate(pts, plan: Plan, tol: float):
     return None
 
 
-def _is_initial(view: np.ndarray, plan: Plan, snapshot_tol) -> bool:
-    """Whether a full view of diameter at most 1 matches no reference snapshot."""
-    if len(view) != plan.n or plan.n == 1:
-        return False
-    return (not _matches_snapshot(view, plan, snapshot_tol)
-            and pairwise_distances(view).max() <= 1.0 + TAU_GEOM)
-
-
 # --- per-robot steps ----------------------------------------------------------------
 
 def robot_decision(view: np.ndarray, plan: Plan, tol: float = TAU_GEOM,
@@ -559,52 +617,28 @@ def robot_decisions(views: list[np.ndarray], plan: Plan, tol: float = TAU_GEOM,
     full view is matched against the reference snapshots (one value, or one
     per entry of plan.snapshot_ids); by default max(tol, 1e-7).
 
-    Drawing-branch robots that are not in the initial near-gathering have
-    their formations detected in one array pass over all their views;
-    scaling-branch robots that see part of the swarm have their star fits
-    found in one array pass per block of views (``_star_local_fits``).  Every
-    decision is still a function of its own view and the plan alone.
+    A drawing round takes three array passes: full views are classified
+    (``_initial_views``), the rest get formation moves (``_formation_moves``),
+    and the others are screened (``_ending_screen``) for the ending triple that
+    ``_find_intermediate`` decodes.  Star fits of local views are batched too
+    (``_star_local_fits``).  Each decision reads its own view and the plan only.
     """
     if plan.branch == "star":
         return _star_decisions(views, plan, max(tol, 1e-7))
     if snapshot_tol is None:
         snapshot_tol = max(tol, 1e-7)
     decisions: list[Decision | None] = [None] * len(views)
-    rest = []
-    for i, view in enumerate(views):
-        if _is_initial(view, plan, snapshot_tol):
-            decisions[i] = _initial_decision(view, plan)
-        else:
-            rest.append(i)
-    owns = _own_formations([views[i] for i in rest], plan.grid, tol)
-    for i, (mine, conflicted) in zip(rest, owns):
-        view = views[i]
-        if mine is not None:
-            decisions[i] = _formation_decision(view, plan, mine)
-            continue
-        inter = None if conflicted else _find_intermediate(view, plan, tol)
+    for i in _initial_views(views, plan, snapshot_tol):
+        decisions[i] = _initial_decision(views[i], plan)
+    rest = [i for i, decision in enumerate(decisions) if decision is None]
+    for i, move in zip(rest, _formation_moves([views[i] for i in rest], plan, tol)):
+        decisions[i] = move
+    free = [i for i, decision in enumerate(decisions) if decision is None]
+    for i, seen in zip(free, _ending_screen([views[i] for i in free], plan, tol)):
+        inter = _find_intermediate(views[i], plan, tol) if seen else None
         decisions[i] = (Decision(np.zeros(2), Phase.DROPPED) if inter is None
-                        else _intermediate_decision(view, plan, inter))
+                        else _intermediate_decision(views[i], plan, inter))
     return decisions
-
-
-def _formation_decision(view: np.ndarray, plan: Plan, det: DetectedFormation) -> Decision:
-    """Take the row of plan.moves at the formation's vertex that matches the
-    robot's rank among the members, and map it to the view by the hull pose."""
-    vi = plan.path.vertex_of_label(det.size, det.state_index)
-    if vi is None:
-        return Decision(np.zeros(2), Phase.FORMATION, ("unknown-state",))
-    table = plan.moves[vi]
-    if len(table) != det.size:
-        raise FormationError(f"{det.size} robots cannot fill {len(table)} targets")
-    rank = int(np.flatnonzero(_canonical_order(det.local) == det.member_indices.index(0))[0])
-    target = det.hull.to_global(table[rank:rank + 1])[0]
-    if math.hypot(*target) > 1.0 + TAU_GEOM:
-        raise AssertionError("planned displacement exceeds the viewing range")
-    # At the last vertex the move is the ending's first round: the reshape into
-    # the epsilon/2-epsilon/3 triple.
-    ending = vi == len(plan.path.vertices) - 1
-    return Decision(target, Phase.FORMATION, ("ending-reshape",) if ending else ())
 
 
 def _intermediate_decision(view: np.ndarray, plan: Plan, inter) -> Decision:
@@ -743,33 +777,27 @@ def _initial_decision(view: np.ndarray, plan: Plan) -> Decision:
 # --- scaling branch for symmetricity >= n/2 ---------------------------------------------
 
 def _star_decisions(views: list[np.ndarray], plan: Plan, tol: float) -> list[Decision]:
-    """Each robot's scaling-branch decision: the local views' fits come from one
-    ``_star_local_fits`` call, full views are fitted one at a time."""
+    """Each robot's scaling-branch decision: the full views' fits come from one
+    ``_star_full_fits`` call, the local views' from one ``_star_local_fits`` call."""
     if plan.n == 1:
         return [Decision(np.zeros(2), Phase.STAR) for _ in views]
-    local = iter(_star_local_fits([v for v in views if len(v) != plan.n], plan.star, tol))
-    return [_star_decision(view, plan, tol, None if len(view) == plan.n else next(local))
-            for view in views]
+    full = [len(view) == plan.n for view in views]
+    fits = iter(_star_full_fits([v for v, f in zip(views, full) if f], plan, tol))
+    local = iter(_star_local_fits([v for v, f in zip(views, full) if not f], plan.star, tol))
+    return [_star_decision(view, plan, next(fits) if f else next(local), f)
+            for view, f in zip(views, full)]
 
 
-def _star_decision(pts: np.ndarray, plan: Plan, tol: float, fits: list | None) -> Decision:
-    """The move of a robot with its local view's fits, or with a full view (fits None)."""
+def _star_decision(pts: np.ndarray, plan: Plan, fits, full: bool) -> Decision:
+    """The move of a robot with its full view's fit or its local view's fits."""
     star = plan.star
-    if fits is None:
-        fit = _star_full_fit(pts, plan, tol)
-        if fit is None:
-            # Initial near-gathering: take a slot of the shrunken pattern.
-            try:
-                target = assignment_target(pts, 0, plan.slots)
-            except AssignmentError as exc:
-                return Decision(np.zeros(2), Phase.INITIAL, (f"assignment-failed: {exc}",))
-            return Decision(target, Phase.INITIAL)
-        kappa, center = fit
-    elif len(fits) != 1:
+    if full and fits is None:
+        # Initial near-gathering: take a slot of the shrunken pattern.
+        return _initial_decision(pts, plan)
+    if not full and len(fits) != 1:
         return Decision(np.zeros(2), Phase.STAR,
                         ("ambiguous-scale" if fits else "no-scale-fit",))
-    else:
-        kappa, center = fits[0]
+    kappa, center = fits if full else fits[0]
     kappa_next = min(kappa + 1.0 / star.d_max, 1.0) if star.d_max > 0 else 1.0
     if kappa_next <= kappa + 1e-12:
         return Decision(np.zeros(2), Phase.STAR)
@@ -777,22 +805,26 @@ def _star_decision(pts: np.ndarray, plan: Plan, tol: float, fits: list | None) -
     return Decision(target, Phase.STAR)
 
 
-def _star_full_fit(pts, plan: Plan, tol: float):
-    """(scale, center) of a full view that is a scaled copy of the pattern.  The
-    pattern's symmetricity is at least 2, so its centroid is its rotation
-    centre, the origin of plan.pattern about which d_max is taken."""
-    star = plan.star
-    center = pts.mean(axis=0)
-    rel = pts - center
-    r_max = float(np.hypot(*rel.T).max())
-    if r_max <= TAU_GEOM or star.d_max <= 0:
-        return None
-    kappa = r_max / star.d_max
-    if kappa > 1.0 + 1e-9:
-        return None
-    if _fit_centered(rel, kappa * plan.pattern, max(tol, 1e-9 + kappa * 1e-9)) is None:
-        return None
-    return kappa, center
+def _star_full_fits(views: list[np.ndarray], plan: Plan, tol: float) -> list:
+    """(scale, center) of each full view that is a scaled copy of the pattern,
+    or None, in one ``_centered_fits`` call.  The pattern's symmetricity is at
+    least 2, so its centroid is the origin of plan.pattern, as d_max takes it."""
+    fits: list = [None] * len(views)
+    if not views:
+        return fits
+    pts = np.stack(views)
+    center = pts.mean(axis=1)
+    rel = pts - center[:, None]
+    r_max = np.hypot(rel[..., 0], rel[..., 1]).max(axis=1)
+    kappa = r_max / plan.star.d_max
+    ok = np.flatnonzero((r_max > TAU_GEOM) & (kappa <= 1.0 + 1e-9))
+    tmpl = kappa[ok, None, None, None] * plan.pattern
+    for i, fit in zip(ok.tolist(), _centered_fits(
+            rel[ok], tmpl, np.sort(np.hypot(tmpl[..., 0], tmpl[..., 1]), axis=-1),
+            np.maximum(tol, 1e-9 + kappa[ok, None] * 1e-9))):
+        if fit is not None:
+            fits[i] = (float(kappa[i]), center[i])
+    return fits
 
 
 def _star_local_fits(views: list[np.ndarray], star: StarPlan, tol: float) -> list[list]:
@@ -877,7 +909,7 @@ def _star_local_fits(views: list[np.ndarray], star: StarPlan, tol: float) -> lis
 def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The indices start, ..., start + length - 1 of every run, concatenated."""
     ends = np.cumsum(lengths)
-    return np.arange(ends[-1]) - np.repeat(ends - lengths - starts, lengths)
+    return np.arange(lengths.sum()) - np.repeat(ends - lengths - starts, lengths)
 
 
 def _star_precheck(n_obs, norms, kappa0s, windows):

@@ -1,8 +1,8 @@
 """Property tests of the geometry primitives, the batched triple radii, the
 nearest-neighbour pass, the shared matcher, the orbit walk built on it, the
 congruence fit, the near-gathering assignment, the grid-state enumeration and
-the scaling branch's neighbourhood match and its batched fits, and batched
-formation detection."""
+the scaling branch's neighbourhood match and its batched fits, batched
+formation detection, and the batched drawing-branch decisions."""
 
 import math
 from functools import lru_cache
@@ -27,13 +27,14 @@ from swarmdraw.geometry import (TAU_GEOM, match_points, nearest, nearest_in_sets
                                 smallest_enclosing_circle, triple_sec_radii, unit)
 from swarmdraw.protocol import (AssignmentError, Phase, _star_local_fits, _star_match,
                                 _star_precheck, assignment_target, build_plan, fit_isometry,
-                                robot_decision)
+                                robot_decision, robot_decisions)
 from swarmdraw.symmetry import normalize, symmetricity
 
 from corpus import main_corpus, near_gathering, random_connected_pattern, star_corpus
 from test_formation import _dense_detect, assert_bit_equal
 from test_geometry import _brute_force_sec
-from test_protocol import kdtree_star_match, least_squares_pose, view_from_global
+from test_protocol import (kdtree_star_match, least_squares_pose, noisy_tolerances,
+                           view_from_global)
 
 TOL = 0.1
 
@@ -529,6 +530,81 @@ def test_star_fits_read_their_own_view_only(name, data):
         for i, fits in enumerate(got):
             if where(i) is not None:
                 _assert_same_fits(again[where(i)], fits)
+
+
+@lru_cache(maxsize=None)
+def _draw_plan(name):
+    return build_plan(dict(main_corpus())[name])
+
+
+_DRAW_NAMES = ["random-6-0", "random-10-4", "random-14-8", "sym-3x4", "sym-6x3"]
+
+
+def _random_draw_view(plan, rng, tol):
+    """A drawing-branch view: a robot's view of a reference round that it sees
+    whole (a snapshot) or cut by the viewing range, of such a round with every
+    robot jittered by up to tol over the hull's lever arm 1 + delta/epsilon, of
+    an ending robot, of a member of two formations whose hulls overlap, or of a
+    near-gathering."""
+    kind = rng.choice(["full", "cut", "jittered", "ending", "conflict", "gathering"])
+    robots = None
+    if kind == "gathering":
+        positions = near_gathering(plan.n, seed=int(rng.integers(100)))
+    elif kind == "conflict":
+        # Two facing three-robot formations anchored 2*delta apart: their hulls touch.
+        spec, delta, span = state_by_index(plan.grid, 3, 1), plan.params.delta, plan.params.span
+        positions = np.vstack([
+            spec.points(DrawingHull(np.zeros(2), np.array([1.0, 0.0]), span, delta)),
+            spec.points(DrawingHull(np.array([2 * delta, 0.0]), np.array([-1.0, 0.0]), span, delta))])
+    else:
+        rounds = (plan.snapshot_ids if kind == "full" else [len(plan.schedule) - 2]
+                  if kind == "ending" else range(len(plan.schedule)))
+        rec = plan.schedule[int(rng.choice(rounds))]
+        positions = rec.positions
+        if kind == "ending":
+            robots = [i for i, role in enumerate(rec.roles) if role is Phase.INTERMEDIATE]
+        if kind == "jittered":
+            lever = 1 + plan.params.delta / plan.params.epsilon
+            positions = positions + jitter(rng, len(positions), tol / (4 * lever))
+    robot = int(rng.choice(robots if robots else len(positions)))
+    return view_from_global(positions, robot, rng.uniform(0, 2 * math.pi))
+
+
+def _assert_same_decision(got, want):
+    assert (got.phase, got.events) == (want.phase, want.events)
+    assert got.target.tobytes() == want.target.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from(_DRAW_NAMES), st.booleans(), st.data())
+def test_drawing_decisions_read_their_own_view_only(name, noisy, data):
+    """Every view's drawing-branch decision in one robot_decisions call equals
+    its one-view call byte for byte, and replacing, adding or removing other
+    views never changes it: at the noiseless tolerances and at those run_fsync
+    passes under noise (the D(t) list as snapshot tolerance)."""
+    plan = _draw_plan(name)
+    tol, snapshot_tol = (noisy_tolerances(plan, plan.params.epsilon / (20 * plan.hops))
+                         if noisy else (TAU_GEOM, None))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    count = data.draw(st.integers(0, 40))
+    views = [_random_draw_view(plan, rng, tol) for _ in range(count)]
+    got = robot_decisions(views, plan, tol, snapshot_tol)
+    assert len(got) == count
+    for view, decision in zip(views, got):
+        _assert_same_decision(decision, robot_decision(view, plan, tol, snapshot_tol))
+
+    k = data.draw(st.integers(0, count))
+    variants = [  # (views, old index -> new index, or None where replaced)
+        ([v if i % 2 else _random_draw_view(plan, rng, tol) for i, v in enumerate(views)],
+         lambda i: i if i % 2 else None),
+        (views[:k] + [_random_draw_view(plan, rng, tol)] + views[k:], lambda i: i + (i >= k)),
+        (views[:k] + views[k + 1:], lambda i: None if i == k else i - (i > k)),
+    ]
+    for other, where in variants:
+        again = robot_decisions(other, plan, tol, snapshot_tol)
+        for i, decision in enumerate(got):
+            if where(i) is not None:
+                _assert_same_decision(again[where(i)], decision)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

@@ -13,9 +13,9 @@ import pytest
 from scipy.spatial import cKDTree
 
 from swarmdraw import formation, protocol
-from swarmdraw.geometry import (TAU_GEOM, dist, from_polar, mindist, pairwise_distances, perp,
-                                polar_angle, rotate, rotation_matrix, smallest_enclosing_circle,
-                                unit)
+from swarmdraw.geometry import (TAU_GEOM, dist, from_polar, match_points, mindist,
+                                pairwise_distances, perp, polar_angle, rotate, rotation_matrix,
+                                smallest_enclosing_circle, unit)
 from swarmdraw.symmetry import normalize, rotation_orbits, symmetricity
 from swarmdraw.formation import (
     DrawingHull,
@@ -30,10 +30,11 @@ from swarmdraw.protocol import (
     AssignmentError,
     Phase,
     PlanError,
+    _ending_screen,
     _find_intermediate,
-    _matches_snapshot,
+    _initial_views,
     _own_formations,
-    _screen_snapshots,
+    _screen_pairs,
     _star_local_fits,
     assignment_target,
     build_plan,
@@ -41,7 +42,7 @@ from swarmdraw.protocol import (
     robot_decision,
     robot_decisions,
 )
-from swarmdraw.simulator import SimConfig, make_local_views, run_fsync
+from swarmdraw.simulator import SimConfig, drift_tolerance, make_local_views, run_fsync
 
 from corpus import near_gathering, ngon, random_connected_pattern, symmetric_pattern, two_ring
 
@@ -274,16 +275,20 @@ def _own_formation_full_view(pts, grid, tol):
 def _window_agrees(pts, grid, tol=TAU_GEOM) -> tuple[bool, bool, bool]:
     """Assert _own_formations equals the full-view reference on one view;
     return (found, conflicted, whether the window left points out)."""
-    got, got_conflicted = _own_formations([pts], grid, tol)[0]
+    det, own, conflicted = _own_formations([pts], grid, tol)
     want, want_conflicted = _own_formation_full_view(pts, grid, tol)
-    assert got_conflicted == want_conflicted
-    assert (got is None) == (want is None)
-    if want is not None:
-        assert got.member_indices == want.member_indices
-        assert got.state_index == want.state_index
-        assert np.array_equal(got.hull.anchor, want.hull.anchor)
-        assert np.array_equal(got.hull.direction, want.hull.direction)
+    assert conflicted[0] == want_conflicted
+    assert (own[0] < 0) == (want is None)
     window = 4 * (grid.delta + tol)
+    if want is not None:
+        f = own[0]
+        near = np.flatnonzero(np.hypot(*pts.T) <= window)
+        members = det.members[det.bounds[f]:det.bounds[f + 1]]
+        assert tuple(near[members].tolist()) == want.member_indices
+        assert det.state[f] == want.state_index
+        assert np.array_equal(det.anchor[f], want.hull.anchor)
+        direction = det.heading[f] / np.hypot(*det.heading[f])
+        assert np.array_equal(direction, want.hull.direction)
     return want is not None, want_conflicted, bool((np.hypot(*pts.T) > window).any())
 
 
@@ -343,20 +348,34 @@ def _star_run_views(case):
     return plan, views
 
 
+def noisy_tolerances(plan, mu):
+    """The detection tolerance and the per-snapshot D(t) list that run_fsync
+    passes to robot_decisions under movement noise mu."""
+    eps = plan.params.epsilon
+    tol = min(0.45 * eps, max(3.0 * plan.hops * mu, 2.0 * mu * (1.0 + plan.params.delta / eps)))
+    return tol, [max(tol, drift_tolerance(plan, mu, t)) for t in plan.snapshot_ids]
+
+
 @pytest.mark.parametrize("case", sorted(_WINDOW_CASES) + sorted(_STAR_CASES))
 def test_robot_decisions_equal_one_view_at_a_time(case):
     """All of a run's views, and a near-gathering's, decided in one call give each
     robot the phase, events and target bytes of its own one-view call: on the
-    drawing branch at the noiseless detection tolerance and at the noisy cap
-    0.45*epsilon, on the scaling branch at two fitting tolerances."""
+    drawing branch at the noiseless detection tolerance, at the noisy cap
+    0.45*epsilon, and at the noisy tolerances of run_fsync with the D(t) list
+    as snapshot tolerance; on the scaling branch at two fitting tolerances."""
     star = case in _STAR_CASES
     plan, views = _star_run_views(case) if star else _run_views(case)
     gathering = make_local_views(near_gathering(plan.n, seed=1), 0, SimConfig(seed=4))
     views = gathering[:3] + views + gathering[3:]
     phases = set()
-    for tol in (TAU_GEOM, 1e-5) if star else (TAU_GEOM, 0.45 * plan.params.epsilon):
-        for view, got in zip(views, robot_decisions(views, plan, tol), strict=True):
-            want = robot_decision(view, plan, tol)
+    if star:
+        tols = [(TAU_GEOM, None), (1e-5, None)]
+    else:
+        tols = [(TAU_GEOM, None), (0.45 * plan.params.epsilon, None),
+                noisy_tolerances(plan, plan.params.epsilon / (20 * plan.hops))]
+    for tol, snapshot_tol in tols:
+        for view, got in zip(views, robot_decisions(views, plan, tol, snapshot_tol), strict=True):
+            want = robot_decision(view, plan, tol, snapshot_tol)
             assert (got.phase, got.events) == (want.phase, want.events)
             assert got.target.tobytes() == want.target.tobytes()
             phases.add(got.phase)
@@ -367,7 +386,7 @@ def _find_intermediate_full_view(pts, plan, tol):
     """Reference for _find_intermediate: every view point tried as r1."""
     eps = plan.params.epsilon
     tol = min(tol, eps / 16.0)
-    targets = intermediate_targets(plan)
+    targets = plan.ending
     vk = plan.path.vertices[-1]
     u2 = targets[1] - vk
     u3 = targets[2] - vk
@@ -395,11 +414,11 @@ def _find_intermediate_full_view(pts, plan, tol):
 @pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
 def test_find_intermediate_window_matches_full_view(case):
     """The windowed ending decode equals the full-view scan on every view of a
-    run, at the detection tolerance and at the noisy cap (clipped to epsilon/16).
-    The ending triple sees no other robot in these runs, so each view that
-    decodes one is also tried with robots added around it: six at 3*epsilon and
-    0.5, outside the window but not near the triple, and ten scattered within
-    4*epsilon."""
+    run, at the detection tolerance and at the noisy cap (clipped to epsilon/16),
+    and the ending screen keeps every view that decodes a triple.  The ending
+    triple sees no other robot in these runs, so each view that decodes one is
+    also tried with robots added around it: six at 3*epsilon and 0.5, outside
+    the window but not near the triple, and ten scattered within 4*epsilon."""
     plan, views = _run_views(case)
     eps = plan.params.epsilon
     window = 1.5 * eps + 2 * min(0.45 * eps, eps / 16.0)
@@ -411,6 +430,7 @@ def test_find_intermediate_window_matches_full_view(case):
     def agree(pts_i, tol):
         want = _find_intermediate_full_view(pts_i, plan, tol)
         assert _find_intermediate(pts_i, plan, tol) == want
+        assert want is None or _ending_screen([pts_i], plan, tol).tolist() == [True]
         seen.add((want is not None, bool((np.hypot(*pts_i.T) > window).any())))
         return want is not None
 
@@ -457,50 +477,116 @@ def test_own_formation_and_check_validity_share_the_overlap_cutoff():
     report = check_validity(positions, grid, TAU_GEOM)
     assert len(report.formations) == 2 and report.overlaps == ((0, 1),)
     for i in range(len(positions)):
-        assert _own_formations([positions - positions[i]], grid, TAU_GEOM)[0] == (None, True)
+        _, own, conflicted = _own_formations([positions - positions[i]], grid, TAU_GEOM)
+        assert (own[0], conflicted[0]) == (-1, True)
 
 
 # --- snapshot screen -----------------------------------------------------------------
 
 def _screen_reference(radii, plan, tol):
-    """Reference for _screen_snapshots: one allclose per snapshot."""
+    """Reference for the snapshot screen of _centered_fits: one allclose per snapshot."""
     tols = itertools.repeat(tol) if np.isscalar(tol) else tol
     return [t for t, (sradii, tol_t) in enumerate(zip(plan.snapshot_radii, tols))
             if len(sradii) == len(radii)
             and np.allclose(radii, sradii, atol=2 * tol_t + 1e-12, rtol=0)]
 
 
+def _classified_rounds(monkeypatch, plan, mu):
+    """(views, snapshot tolerance) of every round that a run from a
+    near-gathering classifies, at noise mu."""
+    calls = []
+    real = protocol._initial_views
+
+    def record(views, plan_, tol):
+        calls.append((views, tol))
+        return real(views, plan_, tol)
+
+    monkeypatch.setattr(protocol, "_initial_views", record)
+    run_fsync(near_gathering(plan.n, seed=3), plan,
+              SimConfig(seed=4, max_rounds=plan.hops + 4, noise_mu=mu))
+    monkeypatch.setattr(protocol, "_initial_views", real)
+    return calls
+
+
 @pytest.mark.parametrize("noisy", [False, True], ids=["scalar-tol", "per-snapshot-tol"])
 def test_snapshot_screen_equals_allclose_loop(monkeypatch, noisy):
-    """Every full view that a run from a near-gathering matches against the
-    snapshots: the array screen keeps exactly the snapshots the per-snapshot
-    loop keeps, at the tolerance run_fsync passes (one value without noise,
-    one per snapshot under noise)."""
-    import swarmdraw.protocol as protocol
-
-    calls = []
-
-    def record(pts, plan_, tol):
-        calls.append((pts, tol))
-        return _matches_snapshot(pts, plan_, tol)
-
-    monkeypatch.setattr(protocol, "_matches_snapshot", record)
+    """Every full view that a run from a near-gathering classifies: the screen
+    keeps exactly the snapshots the per-snapshot loop keeps, at the tolerance
+    run_fsync passes (one value without noise, one per snapshot under noise)."""
     for name, pts in (("random-10", random_connected_pattern(10, seed=7)),
                       ("sym-3x4", symmetric_pattern(3, 4, seed=2004))):
         plan = build_plan(pts)
+        count = len(plan.snapshot_ids)
         mu = plan.params.epsilon / (20 * plan.hops) if noisy else 0.0
-        start, kept = len(calls), set()
-        run_fsync(near_gathering(plan.n, seed=3), plan,
-                  SimConfig(seed=4, max_rounds=plan.hops + 4, noise_mu=mu))
-        for view_pts, tol in calls[start:]:
-            assert (np.isscalar(tol) and not noisy) or len(tol) == len(plan.snapshot_ids)
-            centered = view_pts - view_pts.mean(axis=0)
-            radii = np.sort(np.hypot(*centered.T))
-            got = _screen_snapshots(radii, plan, tol).tolist()
-            assert got == _screen_reference(radii, plan, tol)
-            kept.add(bool(got))
+        kept = set()
+        for views, tol in _classified_rounds(monkeypatch, plan, mu):
+            assert (np.isscalar(tol) and not noisy) or len(tol) == count
+            tols = np.broadcast_to(np.asarray(tol, dtype=float), (count,))
+            for view_pts in views:
+                if len(view_pts) != plan.n:
+                    continue
+                centered = view_pts - view_pts.mean(axis=0)
+                radii = np.sort(np.hypot(*centered.T))
+                _, screened = _screen_pairs(radii[None], plan.snapshot_radii[None], tols[None])
+                got = np.flatnonzero(screened[0]).tolist()
+                assert got == _screen_reference(radii, plan, tol)
+                kept.add(bool(got))
         # Views the screen rejected outright, and views it kept snapshots for.
         assert kept == {False, True}, name
+
+
+def _sequential_fits(view, plan, tol):
+    """Reference for the full-view fits of _initial_views: snapshots and
+    candidate rotations tried one at a time, up to the first fit.  Returns
+    (matched, candidates tried)."""
+    a = view - view.mean(axis=0)
+    ra = np.hypot(*a.T)
+    tried = 0
+    for t, b in enumerate(plan.snapshot_centered):
+        tol_t = tol if np.isscalar(tol) else tol[t]
+        rb = np.hypot(*b.T)
+        if np.abs(np.sort(ra) - np.sort(rb)).max() > 2 * tol_t + 1e-12:
+            continue
+        if ra.max() <= tol_t:
+            return True, tried
+        ext = int(np.lexsort((a[:, 1], a[:, 0], ra))[-1])
+        for j in np.nonzero(np.abs(rb - ra[ext]) <= 2 * tol_t + 1e-12)[0]:
+            tried += 1
+            theta = math.atan2(a[ext, 1], a[ext, 0]) - math.atan2(b[j, 1], b[j, 0])
+            if match_points(a, rotate(b, theta), tol_t)[0] is not None:
+                return True, tried
+    return False, tried
+
+
+def test_staged_fits_try_no_more_candidates_than_the_sequential_loop(monkeypatch):
+    """A noisy run from a near-gathering, whose D(t) tolerances let many
+    (view, snapshot, rotation) candidates through the screen: the staged fits
+    of every round classify each full view as the sequential loop does, and
+    fit no more candidates (one rotation matrix each) than it tries."""
+    plan = build_plan(random_connected_pattern(10, seed=7))
+    rounds = _classified_rounds(monkeypatch, plan, plan.params.epsilon / (20 * plan.hops))
+    staged = [0]
+    real = protocol.rotation_matrix
+
+    def counted(theta):
+        staged[0] += 1
+        return real(theta)
+
+    sequential = 0
+    for views, tol in rounds:
+        want = []
+        for i, view in enumerate(views):
+            if len(view) != plan.n:
+                continue
+            matched, tried = _sequential_fits(view, plan, tol)
+            sequential += tried
+            if not matched and pairwise_distances(view).max() <= 1.0 + TAU_GEOM:
+                want.append(i)
+        monkeypatch.setattr(protocol, "rotation_matrix", counted)
+        assert _initial_views(views, plan, tol) == want
+        monkeypatch.setattr(protocol, "rotation_matrix", real)
+    assert sequential > 3 * plan.n
+    assert staged[0] <= sequential
 
 
 # --- formation moves from the plan's tables ------------------------------------------
@@ -572,7 +658,8 @@ def test_move_tables_equal_whole_formation_assignment(corpus_plans):
                     view = view_from_global(positions, i, theta)
                     dec = robot_decision(view, plan, tol=tol)
                     assert dec.phase is Phase.FORMATION, (name, vi)
-                    det, _ = _own_formations([view], plan.grid, tol)[0]
+                    det = next(d for d in detect_formations(view, plan.grid, tol)
+                               if 0 in d.member_indices)
                     want = _move_reference(view, plan, det)
                     assert np.abs(dec.target - want).max() <= 1e-12, (name, vi, tol)
                     assert dec.events == (("ending-reshape",) if vi == last else ())
@@ -910,6 +997,23 @@ def test_star_run_recomputes_no_pattern_values(monkeypatch):
     trace = run_fsync(plan.star.kappa0 * plan.pattern, plan, SimConfig(seed=2, max_rounds=50))
     assert trace.verdict == "formed"
     assert calls == {"symmetricity": 0, "mindist": 0}
+
+
+def test_drawing_run_recomputes_no_pattern_values(monkeypatch):
+    """Drawing runs, from the initial cluster and from a near-gathering, read
+    the ending triple from the plan: they make no intermediate_targets call."""
+    plan = build_plan(random_connected_pattern(10, seed=14))
+    calls = [0]
+
+    def counted(*args, _real=protocol.intermediate_targets):
+        calls[0] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(protocol, "intermediate_targets", counted)
+    for start in (plan.initial, near_gathering(plan.n, seed=3)):
+        trace = run_fsync(start, plan, SimConfig(seed=2, max_rounds=plan.hops + 4))
+        assert trace.verdict == "formed"
+    assert calls == [0]
 
 
 def test_gathered_runs_take_one_enclosing_circle_per_assignment(monkeypatch):
