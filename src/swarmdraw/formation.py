@@ -1,4 +1,4 @@
-"""Drawing hulls, epsilon-grid states, detection, and validity.
+"""Drawing hulls, epsilon-grid states, detection, and hull overlap.
 
 A drawing hull is a wedge (anchor, unit direction, span, diameter) whose
 robots encode a counter value by their placement on an epsilon grid:
@@ -15,7 +15,6 @@ beyond robot 2, subsets within a block in colexicographic order.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -144,7 +143,7 @@ def grid_spec(delta: float, epsilon: float, span: float) -> GridSpec:
 
     Requires 0 < epsilon < delta <= 1/6 and span in (0, pi/3].  A plan calls
     it once for each epsilon it tries and passes the grid it keeps to
-    detection, the validity check and path validation.
+    detection, the hull-overlap check and path validation.
     """
     if not 0.0 < epsilon < delta:
         raise FormationError("need 0 < epsilon < diameter")
@@ -335,44 +334,6 @@ def _decode(grid: GridSpec, cell_ids: tuple[int, ...]) -> tuple[StateSpec, int] 
 
 # --- detection ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DetectedFormation:
-    hull: DrawingHull
-    member_indices: tuple[int, ...]
-    local: np.ndarray       # hull-local coordinates of the members, in member_indices order
-    state_index: int
-
-    @property
-    def size(self) -> int:
-        return len(self.member_indices)
-
-
-def detect_formations(points, grid: GridSpec, tol: float = TAU_GEOM) -> list[DetectedFormation]:
-    """All drawing formations on ``grid`` present in a point set, within tol.
-
-    Seeks pairs at distance epsilon, a collinear third robot beyond the
-    second (which disambiguates anchor from partner), reconstructs the hull
-    (diameter and span from the grid), and keeps the candidate only if every
-    robot inside the hull realizes a legal grid state.  This is the
-    one-window call of ``detect_windows``.
-    """
-    pts = as_points(points)
-    return detect_windows(pts, [len(pts)], grid, tol)[0]
-
-
-def detect_windows(points, sizes, grid: GridSpec,
-                   tol: float = TAU_GEOM) -> list[list[DetectedFormation]]:
-    """``detect_formations`` of many point sets: ``detect_arrays``, listed per window."""
-    det = detect_arrays(points, sizes, grid, tol)
-    out: list[list[DetectedFormation]] = [[] for _ in sizes]
-    for f, w in enumerate(det.window.tolist()):
-        part = slice(det.bounds[f], det.bounds[f + 1])
-        out[w].append(DetectedFormation(
-            DrawingHull(det.anchor[f], det.heading[f], grid.span, grid.delta),
-            tuple(det.members[part].tolist()), det.local[part], int(det.state[f])))
-    return out
-
-
 class Detections(NamedTuple):
     """Formation f of window window[f] is anchored at anchor[f], heads to its
     partner along heading[f] (as ``DrawingHull`` takes it), is in state
@@ -389,13 +350,15 @@ class Detections(NamedTuple):
 
 
 def detect_arrays(points, sizes, grid: GridSpec, tol: float = TAU_GEOM) -> Detections:
-    """The formations of many point sets in one array pass.
+    """The drawing formations on ``grid`` within tol of many point sets, in one
+    array pass: epsilon-pairs with a collinear third robot beyond the partner
+    (which tells anchor from partner), kept when every robot in the hull
+    realizes a legal grid state.
 
     ``points`` is the concatenation of the windows and ``sizes`` their
-    lengths; window w's formations equal ``detect_formations`` of window w
-    alone, bit for bit.  No stage reads across windows: epsilon-pairs are
-    formed within a window, and each candidate orientation reads only its own
-    window's points.
+    lengths; window w's formations equal those of window w alone, bit for
+    bit.  No stage reads across windows: epsilon-pairs are formed within a
+    window, and each candidate orientation reads only its own window's points.
     """
     pts = as_points(points)
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -502,30 +465,19 @@ def _snap_cells(grid: GridSpec, xs, ys, eps: float, tol: float):
     return ids, ok | anchor
 
 
-# --- validity ------------------------------------------------------------------
+# --- hull overlap --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidityReport:
-    ok: bool
-    overlaps: tuple[tuple[int, int], ...]
-    formations: tuple[DetectedFormation, ...]
-
-
-def check_validity(points, grid: GridSpec, tol: float) -> ValidityReport:
-    """A configuration is valid when all hulls detected on grid within tol
-    are pairwise disjoint."""
-    formations = detect_formations(points, grid, tol)
-    overlaps = tuple((i, j) for i, j in itertools.combinations(range(len(formations)), 2)
-                     if hulls_overlap(formations[i].hull, formations[j].hull))
-    return ValidityReport(not overlaps, overlaps, tuple(formations))
-
-
-def hulls_overlap(a: DrawingHull, b: DrawingHull) -> bool:
-    """Whether two hulls intersect (touching counts).  Hulls anchored more than
-    their two diameters plus TAU_GEOM apart are disjoint without a polygon test."""
-    if np.hypot(*(a.anchor - b.anchor)) > a.diameter + b.diameter + TAU_GEOM:
-        return False
-    return _convex_overlap(_wedge_polygon(a), _wedge_polygon(b))
+def overlapping(det: Detections, f, g, grid: GridSpec) -> np.ndarray:
+    """Whether the hulls of formations f[k] and g[k] of det intersect (touching
+    counts), for every k.  A configuration is valid when no two of its hulls
+    do.  Hulls anchored more than 2δ + TAU_GEOM apart are disjoint without a
+    polygon test."""
+    gap = det.anchor[f] - det.anchor[g]
+    out = np.hypot(gap[:, 0], gap[:, 1]) <= 2 * grid.delta + TAU_GEOM
+    for k in np.flatnonzero(out).tolist():
+        out[k] = _convex_overlap(*(_wedge_polygon(DrawingHull(
+            det.anchor[h], det.heading[h], grid.span, grid.delta)) for h in (f[k], g[k])))
+    return out
 
 
 def _wedge_polygon(hull: DrawingHull, segments: int = 48) -> np.ndarray:

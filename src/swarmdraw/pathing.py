@@ -105,13 +105,10 @@ def build_drawing_tree(comp_points, s: int, delta: float, diameter: float,
 
     nodes = [root]
     parent: list[int | None] = [None]
-    children: list[list[int]] = [[]]
 
     def add_node(pos, par):
         nodes.append(np.asarray(pos, dtype=float))
         parent.append(par)
-        children.append([])
-        children[par].append(len(nodes) - 1)
         return len(nodes) - 1
 
     max_radius = float(np.hypot(comp[:, 0], comp[:, 1]).max()) + 1.0
@@ -160,20 +157,20 @@ def build_drawing_tree(comp_points, s: int, delta: float, diameter: float,
             cur = add_node(pos, cur)
         mask = covered_mask()
 
-    return _prune(nodes, parent, children, comp, reach)
+    return _prune(nodes, parent, comp, reach)
 
 
-def _prune(nodes, parent, children, comp, reach) -> DrawingTree:
+def _prune(nodes, parent, comp, reach) -> DrawingTree:
     n = len(nodes)
     node_arr = np.stack(nodes)
     d = np.sqrt(((node_arr[:, None, :] - comp[None, :, :]) ** 2).sum(axis=2))
-    covers = d.min(axis=1) <= reach + TAU_GEOM if len(comp) else np.zeros(n, bool)
-    keep = covers.copy()
-    order = sorted(range(n), key=lambda i: -_depth(parent, i))
-    for i in order:
-        if keep[i] and parent[i] is not None:
-            keep[parent[i]] = True
+    keep = d.min(axis=1) <= reach + TAU_GEOM if len(comp) else np.zeros(n, bool)
     keep[0] = True
+    # Nodes are appended after their parent, so a reverse pass marks every
+    # kept node's ancestors.
+    for i in range(n - 1, 0, -1):
+        if keep[i]:
+            keep[parent[i]] = True
     remap = {}
     new_nodes, new_parent, new_children = [], [], []
     for i in range(n):
@@ -186,14 +183,6 @@ def _prune(nodes, parent, children, comp, reach) -> DrawingTree:
         if parent[i] is not None:
             new_children[remap[parent[i]]].append(remap[i])
     return DrawingTree(new_nodes, new_parent, new_children)
-
-
-def _depth(parent, i) -> int:
-    d = 0
-    while parent[i] is not None:
-        i = parent[i]
-        d += 1
-    return d
 
 
 def traverse_tree(tree: DrawingTree) -> np.ndarray:

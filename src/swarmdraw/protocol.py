@@ -41,9 +41,10 @@ from .formation import (
     DrawingHull,
     FormationError,
     GridSpec,
+    _ranges,
     detect_arrays,
     grid_spec,
-    hulls_overlap,
+    overlapping,
     state_by_index,
 )
 from .pathing import DrawingPath, build_drawing_path
@@ -385,23 +386,21 @@ def _build_star_schedule(plan: Plan) -> None:
 
 def fit_isometry(points, template, tol: float):
     """Rotation + translation mapping template onto points, or None: both sets
-    are centered on their centroids and fitted by ``_fit_centered``."""
+    are centered on their centroids and fitted by the one-pair call of
+    ``_centered_fits``."""
     pts = as_points(points)
     tmpl = as_points(template)
     if len(pts) != len(tmpl):
         raise ValueError("point counts differ")
     ca, cb = pts.mean(axis=0), tmpl.mean(axis=0)
-    got = _fit_centered(pts - ca, tmpl - cb, tol)
+    b = tmpl - cb
+    got = _centered_fits((pts - ca)[None], b[None], np.sort(np.hypot(*b.T))[None],
+                         np.array([tol]))[0]
     if got is None:
         return None
     theta, perm, err = got
     translation = ca - rotate(cb.reshape(1, 2), theta)[0]
     return theta, translation, perm, err
-
-
-def _fit_centered(a, b, tol):
-    """The one-pair call of ``_centered_fits``: (theta, perm, err) or None."""
-    return _centered_fits(a[None], b[None], np.sort(np.hypot(*b.T))[None], np.array([tol]))[0]
 
 
 def _screen_pairs(ras, b_radii, tol):
@@ -491,8 +490,9 @@ def _own_formations(views: list[np.ndarray], grid: GridSpec, tol: float):
     4δ + 4·tol of the robot; the index in det of each robot's one formation
     (holding the window's point 0) if none overlaps it, else -1; and whether it
     is in several or overlapping ones.  Exact: a formation holding the robot is
-    anchored within δ + tol, ``hulls_overlap`` reads formations anchored within
-    2δ + TAU_GEOM of that, and each reads points within δ + tol of its anchor."""
+    anchored within δ + tol, ``overlapping`` tests it against the other
+    formations of its window but reads only those within its anchor cutoff,
+    and each formation reads points within δ + tol of its anchor."""
     pts = np.concatenate([np.zeros((0, 2))] + views)
     near = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1]) <= 4 * (grid.delta + tol))
     owner = np.repeat(np.arange(len(views)), [len(v) for v in views])
@@ -502,16 +502,14 @@ def _own_formations(views: list[np.ndarray], grid: GridSpec, tol: float):
     own = np.full(len(views), -1)
     own[det.window[mine]] = np.where(count[det.window[mine]] == 1, mine, -1)
     conflicted = count > 1
-    # The polygon test, for the window's formations anchored within 2δ + TAU_GEOM.
+    # Each robot's formation against the other formations of its window.
     robots = np.flatnonzero(own >= 0)
     lo, hi = np.searchsorted(det.window, robots), np.searchsorted(det.window, robots, "right")
-    robot, other = np.repeat(robots, hi - lo), _runs(lo, hi - lo)
-    gap = det.anchor[own[robot]] - det.anchor[other]
-    close = (other != own[robot]) & (np.hypot(gap[:, 0], gap[:, 1]) <= 2 * grid.delta + TAU_GEOM)
-    for r, o in zip(robot[close].tolist(), other[close].tolist()):
-        if own[r] >= 0 and hulls_overlap(*(DrawingHull(det.anchor[f], det.heading[f], grid.span,
-                                                       grid.delta) for f in (own[r], o))):
-            own[r], conflicted[r] = -1, True
+    robot, other = np.repeat(robots, hi - lo), _ranges(lo, hi - lo)[1]
+    pair = other != own[robot]
+    robot, other = robot[pair], other[pair]
+    hit = robot[overlapping(det, own[robot], other, grid)]
+    own[hit], conflicted[hit] = -1, True
     return det, own, conflicted
 
 
@@ -524,7 +522,7 @@ def _formation_moves(views: list[np.ndarray], plan: Plan, tol: float) -> list:
     robots = np.flatnonzero(own >= 0)
     f = own[robots]
     sizes = np.diff(det.bounds)[f]
-    rows = _runs(det.bounds[f], sizes)
+    rows = _ranges(det.bounds[f], sizes)[1]
     order = _canonical_order(det.local[rows], (np.repeat(np.arange(len(f)), sizes),))
     ranks = np.argsort(order)[det.members[rows] == 0] - (np.cumsum(sizes) - sizes)
     verts = [plan.path.vertex_of_label(*sv) for sv in zip(sizes.tolist(), det.state[f].tolist())]
@@ -865,13 +863,13 @@ def _star_local_fits(views: list[np.ndarray], star: StarPlan, tol: float) -> lis
         keep, inside = _star_precheck(counts[:, None], ring.norms, kappa0s, windows)
         v, j = np.nonzero(keep)
         if len(v):
-            passed = _star_window_check(obs[_runs(starts[v], counts[v])], counts[v],
+            passed = _star_window_check(obs[_ranges(starts[v], counts[v])[1]], counts[v],
                                         obs_c[first[v]] / offs[j], offs, inside[v, j],
                                         windows[v, j])
             v, j = v[passed], j[passed]
         if not len(v):
             continue
-        rows = _runs(starts[v], counts[v])
+        rows = _ranges(starts[v], counts[v])[1]
         theta0s = [ang[a] - math.atan2(ring.offs[b, 1], ring.offs[b, 0])
                    for a, b in zip(v.tolist(), j.tolist())]
         matched, idx = _star_match(obs[rows], counts[v], ring.offs, ring.norms,
@@ -889,7 +887,7 @@ def _star_local_fits(views: list[np.ndarray], star: StarPlan, tol: float) -> lis
         if not refined:
             continue
         rv = np.array([a for a, _, _ in refined])
-        verified, _ = _star_match(obs[_runs(starts[rv], counts[rv])], counts[rv], ring.offs,
+        verified, _ = _star_match(obs[_ranges(starts[rv], counts[rv])[1]], counts[rv], ring.offs,
                                   ring.norms, [k for _, k, _ in refined],
                                   [t for _, _, t in refined], np.full(len(rv), tol))
         for (a, kappa, theta), ok in zip(refined, verified.tolist()):
@@ -904,12 +902,6 @@ def _star_local_fits(views: list[np.ndarray], star: StarPlan, tol: float) -> lis
                 unique.append((kappa, center))
         fits[i] = unique
     return fits
-
-
-def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The indices start, ..., start + length - 1 of every run, concatenated."""
-    ends = np.cumsum(lengths)
-    return np.arange(lengths.sum()) - np.repeat(ends - lengths - starts, lengths)
 
 
 def _star_precheck(n_obs, norms, kappa0s, windows):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import (TAU_GEOM, as_points, match_points, mindist, nearest,
                        pairwise_distances, rotation_matrix)
-from .formation import check_validity
+from .formation import detect_arrays, overlapping
 from .protocol import (
     Phase,
     Plan,
@@ -206,6 +206,18 @@ def drift_tolerance(plan: Plan, noise_mu: float, t: int) -> float:
             + 8.0 * (1.0 - plan.path.delta) * math.sqrt(t) * noise_mu / plan.params.epsilon)
 
 
+def noisy_tolerances(plan: Plan, noise_mu: float) -> tuple[float, list[float]]:
+    """(detection tolerance, per-snapshot tolerances) of a drawing run with
+    movement noise noise_mu.  Grid-snap residuals accumulate translational
+    noise and the pair-direction angular noise amplified by the hull lever
+    arm, and must stay below half the 2*eps pitch; snapshot t is reached
+    after t rounds at the earliest, so it is matched at D(t)."""
+    eps = plan.params.epsilon
+    guard = 2.0 * noise_mu * (1.0 + plan.params.delta / eps)
+    tol = min(0.45 * eps, max(3.0 * plan.hops * noise_mu, guard))
+    return tol, [max(tol, drift_tolerance(plan, noise_mu, t)) for t in plan.snapshot_ids]
+
+
 class _GroundTruth:
     """Matches simulated configurations against the reference schedule.
 
@@ -302,15 +314,7 @@ def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
         bound = eps / (10.0 * max(plan.hops, 1))
         if cfg.noise_mu >= bound:
             raise ValueError(f"noise_mu must stay below epsilon/(10*hops) = {bound:.3g}")
-        # Grid-snap residuals accumulate both translational noise and the
-        # pair-direction angular noise amplified by the hull lever arm;
-        # the residual tolerance must stay below half the 2*eps pitch.
-        guard = 2.0 * cfg.noise_mu * (1.0 + plan.params.delta / eps)
-        detect_tol = min(0.45 * eps, max(3.0 * plan.hops * cfg.noise_mu, guard))
-        # Deviation from the reference schedule: snapshot t is reached
-        # after t rounds at the earliest.
-        snapshot_tol = [max(detect_tol, drift_tolerance(plan, cfg.noise_mu, t))
-                        for t in plan.snapshot_ids]
+        detect_tol, snapshot_tol = noisy_tolerances(plan, cfg.noise_mu)
         tolerance = max(cfg.tolerance, min(drift_tolerance(plan, cfg.noise_mu, plan.hops + 2),
                                            0.45 * mindist(plan.pattern)))
 
@@ -380,11 +384,13 @@ def _commit(positions, targets, plan, cfg, rnd):
     if d[i, j] <= TAU_GEOM:
         raise SimulationError(f"robots {i} and {j} collided")
     if plan.branch == "draw":
-        report = check_validity(new_positions, plan.grid, max(
-            TAU_GEOM, 3.0 * plan.hops * cfg.noise_mu))
-        if not report.ok:
-            pairs = "; ".join(f"robots {list(report.formations[a].member_indices)} and "
-                              f"{list(report.formations[b].member_indices)}"
-                              for a, b in report.overlaps)
+        det = detect_arrays(new_positions, [len(new_positions)], plan.grid,
+                            max(TAU_GEOM, 3.0 * plan.hops * cfg.noise_mu))
+        f, g = np.triu_indices(len(det.state), 1)
+        hit = overlapping(det, f, g, plan.grid)
+        if hit.any():
+            members = np.split(det.members, det.bounds[1:-1])
+            pairs = "; ".join(f"robots {members[a].tolist()} and {members[b].tolist()}"
+                              for a, b in zip(f[hit].tolist(), g[hit].tolist()))
             raise SimulationError(f"overlapping formation hulls: {pairs}")
     return new_positions

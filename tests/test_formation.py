@@ -8,12 +8,10 @@ import pytest
 
 from swarmdraw.geometry import TAU_GEOM, pairwise_distances, rotate, unit
 from swarmdraw.formation import (
-    DetectedFormation,
+    Detections,
     DrawingHull,
     FormationError,
-    check_validity,
     count_states,
-    detect_formations,
     grid_spec,
     index_of_state,
     state_by_index,
@@ -32,7 +30,7 @@ from swarmdraw.protocol import (
 )
 
 from corpus import random_connected_pattern
-from test_protocol import _WINDOW_CASES, _run_views
+from test_protocol import _WINDOW_CASES, _run_views, detect_one, overlapping_pairs
 
 SPAN = math.pi / 3
 
@@ -209,17 +207,29 @@ def test_state_index_frame_independent():
     spec = state_by_index(grid, 6, 23)
     for theta, anchor in [(0.0, (0, 0)), (1.1, (3, -2)), (-2.6, (0.4, 0.9))]:
         hull = make_hull(anchor=anchor, direction=(math.cos(theta), math.sin(theta)))
-        dets = detect_formations(spec.points(hull), grid)
-        assert len(dets) == 1
-        assert dets[0].state_index == 23 and dets[0].size == 6
+        det = detect_one(spec.points(hull), grid)
+        assert len(det.state) == 1
+        assert det.state[0] == 23 and det.bounds[1] == 6
+
+
+def _one_window(found):
+    """The one-window Detections of (anchor, heading, members, local, state)
+    tuples, in their order."""
+    return Detections(np.zeros(len(found), dtype=np.int64),
+                      np.array([f[0] for f in found]).reshape(-1, 2),
+                      np.array([f[1] for f in found]).reshape(-1, 2),
+                      np.array([f[4] for f in found], dtype=np.int64),
+                      np.cumsum([0] + [len(f[2]) for f in found], dtype=np.int64),
+                      np.concatenate([np.zeros(0, dtype=np.int64)] + [f[2] for f in found]),
+                      np.concatenate([np.zeros((0, 2))] + [f[3] for f in found]))
 
 
 def _detect_reference(points, grid, tol):
-    """Reference for detect_formations: a hull and a hull-local pass for each
-    orientation of every epsilon-pair, one candidate at a time."""
+    """Reference for detect_arrays of one window: a hull and a hull-local pass
+    for each orientation of every epsilon-pair, one candidate at a time."""
     pts = np.asarray(points, dtype=float)
     if len(pts) < 3:
-        return []
+        return _one_window([])
     pair_i, pair_j = np.nonzero(np.abs(pairwise_distances(pts) - grid.epsilon) <= tol)
     found = {}
     for a, b in zip(pair_i.tolist(), pair_j.tolist()):
@@ -228,10 +238,9 @@ def _detect_reference(points, grid, tol):
         for p, q in ((a, b), (b, a)):
             det = _candidate_reference(pts, p, q, grid, tol)
             if det is not None:
-                key = tuple(np.round(np.concatenate([det.hull.anchor, det.hull.direction]),
-                                     8).tolist())
+                key = tuple(np.round(np.concatenate(det[:2]), 8).tolist())
                 found.setdefault(key, det)
-    return [found[k] for k in sorted(found)]
+    return _one_window([found[k] for k in sorted(found)])
 
 
 def _candidate_reference(pts, p, q, grid, tol):
@@ -262,22 +271,22 @@ def _candidate_reference(pts, p, q, grid, tol):
     decoded = _decode(grid, tuple(sorted(cells.tolist())))
     if decoded is None:
         return None
-    return DetectedFormation(hull, tuple(members.tolist()), loc[members], decoded[1])
+    return hull.anchor, hull.direction, members, loc[members], decoded[1]
 
 
 def _dense_detect(points, grid, tol):
-    """Reference for detect_windows: single-window detection with the dense
+    """Reference for detect_arrays of one window: detection with the dense
     epsilon-pair search over all m(m - 1)/2 pairs, pairs row by row."""
     pts = np.asarray(points, dtype=float)
     m = len(pts)
     if m < 3:
-        return []
+        return _one_window([])
     eps, delta = grid.epsilon, grid.delta
     z = pts[:, 0] + 1j * pts[:, 1]
     b, a = np.tril_indices(m, -1)
     close = np.flatnonzero(np.abs(np.abs(z[b] - z[a]) - eps) <= tol)
     if not len(close):
-        return []
+        return _one_window([])
     close = close[np.argsort(a[close], kind="stable")]
     a, b = a[close], b[close]
     p_idx = np.empty(2 * len(a), dtype=a.dtype)
@@ -305,36 +314,39 @@ def _dense_detect(points, grid, tol):
         decoded = _decode(grid, tuple(sorted(cells.tolist())))
         if decoded is None:
             continue
-        hull = DrawingHull(pts[p_idx[c]], np.array([u[c].real, u[c].imag]), grid.span, delta)
+        anchor, heading = pts[p_idx[c]], np.array([u[c].real, u[c].imag])
+        hull = DrawingHull(anchor, heading, grid.span, delta)
         key = tuple(np.round(np.concatenate([hull.anchor, hull.direction]), 8).tolist())
-        found.setdefault(key, DetectedFormation(hull, tuple(col.tolist()),
-                                                np.column_stack([xs, ys]), decoded[1]))
-    return [found[k] for k in sorted(found)]
+        found.setdefault(key, (anchor, heading, col, np.column_stack([xs, ys]), decoded[1]))
+    return _one_window([found[k] for k in sorted(found)])
+
+
+def window_of(det, w):
+    """Window w's formations of a many-window Detections, as one window."""
+    lo, hi = np.searchsorted(det.window, [w, w + 1])
+    return Detections(det.window[lo:hi] - w, det.anchor[lo:hi], det.heading[lo:hi],
+                      det.state[lo:hi], det.bounds[lo:hi + 1] - det.bounds[lo],
+                      det.members[det.bounds[lo]:det.bounds[hi]],
+                      det.local[det.bounds[lo]:det.bounds[hi]])
 
 
 def assert_bit_equal(got, want):
-    """Two detection results hold the same formations, bit for bit."""
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.member_indices == w.member_indices
-        assert g.state_index == w.state_index
-        assert (g.hull.span, g.hull.diameter) == (w.hull.span, w.hull.diameter)
-        for a, b in ((g.hull.anchor, w.hull.anchor), (g.hull.direction, w.hull.direction),
-                     (g.local, w.local)):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    """Two detection results hold the same formations, bit for bit: every
+    field has the same dtype, shape and bytes."""
+    for name, g, w in zip(Detections._fields, got, want, strict=True):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+        assert g.tobytes() == w.tobytes(), name
 
 
 def _assert_detection_matches_reference(pts, grid, tol=TAU_GEOM):
-    got = detect_formations(pts, grid, tol)
+    got = detect_one(pts, grid, tol)
     assert_bit_equal(got, _dense_detect(pts, grid, tol))
     want = _detect_reference(pts, grid, tol)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.member_indices == w.member_indices
-        assert g.state_index == w.state_index
-        for a, b in ((g.hull.anchor, w.hull.anchor), (g.hull.direction, w.hull.direction),
-                     (g.local, w.local)):
-            assert np.allclose(a, b, atol=1e-12, rtol=0)
+    for name in ("window", "state", "bounds", "members"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("anchor", "heading", "local"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and np.allclose(a, b, atol=1e-12, rtol=0), name
     return got
 
 
@@ -347,7 +359,7 @@ def test_detection_equals_per_candidate_reference(case):
     found = 0
     for pts in views:
         for tol in (TAU_GEOM, 0.45 * plan.params.epsilon):
-            found += len(_assert_detection_matches_reference(pts, plan.grid, tol))
+            found += len(_assert_detection_matches_reference(pts, plan.grid, tol).state)
     assert found
 
 
@@ -365,17 +377,16 @@ def test_detect_synthesize_round_trip_random():
         # Far decoys must not disturb the detection.
         decoys = anchor + np.stack([(1.5 + rng.uniform(0, 3)) * unit(rng.normal(size=2))
                                     for _ in range(5)])
-        dets = _assert_detection_matches_reference(np.vstack([pts, decoys]), grid)
-        assert len(dets) == 1
-        det = dets[0]
-        assert det.size == size and det.state_index == idx
-        assert np.hypot(*(det.hull.anchor - anchor)) <= 1e-9
+        det = _assert_detection_matches_reference(np.vstack([pts, decoys]), grid)
+        assert len(det.state) == 1
+        assert det.bounds[1] == size and det.state[0] == idx
+        assert np.hypot(*(det.anchor[0] - anchor)) <= 1e-9
 
 
 def test_detect_nothing_without_epsilon_pair():
     grid = grid_spec(0.1, 0.01, SPAN)
     pts = np.array([[0, 0], [0.5, 0], [0.2, 0.4]])
-    assert detect_formations(pts, grid) == []
+    assert len(detect_one(pts, grid).state) == 0
 
 
 def test_detect_two_disjoint_formations():
@@ -384,9 +395,9 @@ def test_detect_two_disjoint_formations():
     h2 = make_hull(anchor=(0.7, 0.3), direction=unit(np.array([1.0, 1.0])))
     pts = np.vstack([state_by_index(grid, 4, 2).points(h1),
                      state_by_index(grid, 5, 7).points(h2)])
-    dets = _assert_detection_matches_reference(pts, grid)
-    assert len(dets) == 2
-    assert sorted(d.size for d in dets) == [4, 5]
+    det = _assert_detection_matches_reference(pts, grid)
+    assert len(det.state) == 2
+    assert sorted(np.diff(det.bounds).tolist()) == [4, 5]
 
 
 def test_detect_rejects_off_grid_intruder():
@@ -394,15 +405,16 @@ def test_detect_rejects_off_grid_intruder():
     hull = make_hull()
     pts = state_by_index(grid, 4, 3).points(hull)
     intruder = hull.anchor + np.array([0.033, 0.004])  # inside hull, off grid
-    assert _assert_detection_matches_reference(np.vstack([pts, [intruder]]), grid) == []
+    det = _assert_detection_matches_reference(np.vstack([pts, [intruder]]), grid)
+    assert len(det.state) == 0
 
 
 def test_validity_single_formation_with_drops():
     grid = grid_spec(0.1, 0.01, SPAN)
     pts = state_by_index(grid, 4, 1).points(make_hull(anchor=(0.2, 0.1)))
     drops = np.array([[1.2, 0.3], [0.9, -0.8], [-0.5, 0.6]])
-    report = check_validity(np.vstack([pts, drops]), grid, TAU_GEOM)
-    assert report.ok and len(report.formations) == 1
+    det = detect_one(np.vstack([pts, drops]), grid, TAU_GEOM)
+    assert overlapping_pairs(det, grid) == [] and len(det.state) == 1
 
 
 def test_validity_overlapping_hulls_reported():
@@ -413,10 +425,9 @@ def test_validity_overlapping_hulls_reported():
     pts1 = spec.points(make_hull(anchor=(0.0, 0.0)))
     pts2 = spec.points(make_hull(anchor=(0.13, 0.12),
                                  direction=unit(np.array([-0.735, -0.678]))))
-    report = check_validity(np.vstack([pts1, pts2]), grid, TAU_GEOM)
-    assert len(report.formations) == 2
-    assert not report.ok
-    assert report.overlaps == ((0, 1),)
+    det = detect_one(np.vstack([pts1, pts2]), grid, TAU_GEOM)
+    assert len(det.state) == 2
+    assert overlapping_pairs(det, grid) == [(0, 1)]
 
 
 def test_validity_of_initial_pattern_sym7():
@@ -425,8 +436,8 @@ def test_validity_of_initial_pattern_sym7():
         DrawingHull(np.array([0.2 * math.cos(math.pi / 7), 0.2 * math.sin(math.pi / 7)]),
                     np.array([1.0, 0.0]), 2 * math.pi / 7, 0.1)),
         k * 2 * math.pi / 7) for k in range(7)])
-    report = check_validity(pts, grid, TAU_GEOM)
-    assert report.ok and len(report.formations) == 7
+    det = detect_one(pts, grid, TAU_GEOM)
+    assert overlapping_pairs(det, grid) == [] and len(det.state) == 7
 
 
 # --- formation moves: the plan's per-vertex tables, read by robot_decision ---------
@@ -500,11 +511,11 @@ def test_plan_move_traversal_round_trip():
     positions = plan.schedule[vi].positions.copy()
     for i, t in _formation_moves(plan, positions, seed=1).items():
         positions[i] = t
-    dets = detect_formations(positions, plan.grid)
-    assert len(dets) == 1
-    assert (dets[0].size, dets[0].state_index) == path.labels[vi + 1]
-    assert np.allclose(dets[0].hull.anchor, path.vertices[vi + 1], atol=1e-9)
-    assert np.allclose(dets[0].hull.direction, [1.0, 0.0], atol=1e-9)
+    det = detect_one(positions, plan.grid)
+    assert len(det.state) == 1
+    assert (det.bounds[1], det.state[0]) == path.labels[vi + 1]
+    assert np.allclose(det.anchor[0], path.vertices[vi + 1], atol=1e-9)
+    assert np.allclose(det.heading[0], [1.0, 0.0], atol=1e-9)
 
 
 def test_state_from_cells_requires_defining_robots():

@@ -17,7 +17,7 @@ from swarmdraw.formation import (
     FormationError,
     _decode,
     count_states,
-    detect_windows,
+    detect_arrays,
     grid_spec,
     index_of_state,
     state_by_index,
@@ -28,13 +28,13 @@ from swarmdraw.geometry import (TAU_GEOM, match_points, nearest, nearest_in_sets
 from swarmdraw.protocol import (AssignmentError, Phase, _star_local_fits, _star_match,
                                 _star_precheck, assignment_target, build_plan, fit_isometry,
                                 robot_decision, robot_decisions)
+from swarmdraw.simulator import noisy_tolerances
 from swarmdraw.symmetry import normalize, symmetricity
 
 from corpus import main_corpus, near_gathering, random_connected_pattern, star_corpus
-from test_formation import _dense_detect, assert_bit_equal
+from test_formation import _dense_detect, assert_bit_equal, window_of
 from test_geometry import _brute_force_sec
-from test_protocol import (kdtree_star_match, least_squares_pose, noisy_tolerances,
-                           view_from_global)
+from test_protocol import kdtree_star_match, least_squares_pose, view_from_global
 
 TOL = 0.1
 
@@ -354,7 +354,8 @@ def _detection_window(kind, grid, tol, rng):
 
 def _detect_each(windows, grid, tol):
     points = np.concatenate(windows) if windows else np.zeros((0, 2))
-    return detect_windows(points, [len(w) for w in windows], grid, tol)
+    det = detect_arrays(points, [len(w) for w in windows], grid, tol)
+    return [window_of(det, w) for w in range(len(windows))]
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -390,11 +391,11 @@ def test_window_detection_reads_its_own_window_only(grid, data):
                 assert_bit_equal(again[where(i)], dets)
 
 
-def test_detect_windows_rejects_sizes_that_miss_points():
+def test_detect_arrays_rejects_sizes_that_miss_points():
     grid = grid_spec(0.1, 0.01, math.pi / 3)
     for sizes in ([2], [4], [3, -1, 1], [[3]]):
         with pytest.raises(ValueError, match="window sizes"):
-            detect_windows(np.zeros((3, 2)), sizes, grid)
+            detect_arrays(np.zeros((3, 2)), sizes, grid)
 
 
 @lru_cache(maxsize=None)

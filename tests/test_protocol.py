@@ -19,10 +19,9 @@ from swarmdraw.geometry import (TAU_GEOM, dist, from_polar, match_points, mindis
 from swarmdraw.symmetry import normalize, rotation_orbits, symmetricity
 from swarmdraw.formation import (
     DrawingHull,
-    check_validity,
-    detect_formations,
+    detect_arrays,
     grid_spec,
-    hulls_overlap,
+    overlapping,
     state_by_index,
 )
 from swarmdraw.protocol import (
@@ -42,7 +41,7 @@ from swarmdraw.protocol import (
     robot_decision,
     robot_decisions,
 )
-from swarmdraw.simulator import SimConfig, drift_tolerance, make_local_views, run_fsync
+from swarmdraw.simulator import SimConfig, make_local_views, noisy_tolerances, run_fsync
 
 from corpus import near_gathering, ngon, random_connected_pattern, symmetric_pattern, two_ring
 
@@ -55,6 +54,24 @@ def view_from_global(positions, idx, theta=0.0):
     local = rotate(keep, theta)
     order = np.lexsort((local[:, 1], local[:, 0]))
     return np.vstack([np.zeros((1, 2)), local[order]])
+
+
+def detect_one(points, grid, tol=TAU_GEOM):
+    """``detect_arrays`` of one point set, as one window."""
+    return detect_arrays(points, [len(points)], grid, tol)
+
+
+def members_of(det, f):
+    """The member indices of formation f of det."""
+    return det.members[det.bounds[f]:det.bounds[f + 1]]
+
+
+def overlapping_pairs(det, grid):
+    """The formation pairs (i, j), i < j, whose hulls overlap, in the order of
+    the simulator's commit check."""
+    f, g = np.triu_indices(len(det.state), 1)
+    hit = overlapping(det, f, g, grid)
+    return list(zip(f[hit].tolist(), g[hit].tolist()))
 
 
 # --- parameter derivation ---------------------------------------------------------
@@ -186,12 +203,11 @@ def test_initial_pattern_anchor_sym1():
     assert len(initial) == 9
     # All nine robots form one formation in state 1, anchored at polar
     # (2 * delta, pi) and pointing along +x.
-    dets = detect_formations(initial, plan.grid)
-    assert len(dets) == 1
-    (det,) = dets
-    assert (det.size, det.state_index) == plan.path.labels[0] == (9, 1)
-    assert np.allclose(det.hull.anchor, from_polar(2 * plan.params.delta, math.pi), atol=1e-12)
-    assert np.allclose(det.hull.direction, [1.0, 0.0], atol=1e-12)
+    det = detect_one(initial, plan.grid)
+    assert len(det.state) == 1
+    assert (det.bounds[1], det.state[0]) == plan.path.labels[0] == (9, 1)
+    assert np.allclose(det.anchor[0], from_polar(2 * plan.params.delta, math.pi), atol=1e-12)
+    assert np.allclose(det.heading[0], [1.0, 0.0], atol=1e-12)
 
 
 def test_initial_pattern_sym4():
@@ -201,9 +217,9 @@ def test_initial_pattern_sym4():
     assert len(initial) == 12
     d = np.sqrt(((initial[:, None] - initial[None, :]) ** 2).sum(-1))
     assert d.max() <= 1.0 + 1e-9
-    dets = detect_formations(initial, plan.grid)
-    assert len(dets) == 4
-    assert all(d.size == 3 and d.state_index == 1 for d in dets)
+    det = detect_one(initial, plan.grid)
+    assert len(det.state) == 4
+    assert (np.diff(det.bounds) == 3).all() and (det.state == 1).all()
 
 
 def test_initial_pattern_symmetricity_round_trip():
@@ -261,15 +277,16 @@ def test_classify_initial_pattern_is_not_initial_phase():
 
 
 def _own_formation_full_view(pts, grid, tol):
-    """Reference for _own_formations on one view: detection over the whole view."""
-    dets = detect_formations(pts, grid, tol)
-    mine = [d for d in dets if 0 in d.member_indices]
+    """Reference for _own_formations on one view: detection over the whole view.
+    Returns ((det, f) of the robot's one formation, or None; conflicted)."""
+    det = detect_one(pts, grid, tol)
+    mine = [f for f in range(len(det.state)) if 0 in members_of(det, f)]
     if len(mine) != 1:
         return None, bool(mine)
-    for other in dets:
-        if other is not mine[0] and hulls_overlap(mine[0].hull, other.hull):
-            return None, True
-    return mine[0], False
+    others = [g for g in range(len(det.state)) if g != mine[0]]
+    if overlapping(det, [mine[0]] * len(others), others, grid).any():
+        return None, True
+    return (det, mine[0]), False
 
 
 def _window_agrees(pts, grid, tol=TAU_GEOM) -> tuple[bool, bool, bool]:
@@ -281,14 +298,12 @@ def _window_agrees(pts, grid, tol=TAU_GEOM) -> tuple[bool, bool, bool]:
     assert (own[0] < 0) == (want is None)
     window = 4 * (grid.delta + tol)
     if want is not None:
-        f = own[0]
+        f, (full, g) = own[0], want
         near = np.flatnonzero(np.hypot(*pts.T) <= window)
-        members = det.members[det.bounds[f]:det.bounds[f + 1]]
-        assert tuple(near[members].tolist()) == want.member_indices
-        assert det.state[f] == want.state_index
-        assert np.array_equal(det.anchor[f], want.hull.anchor)
-        direction = det.heading[f] / np.hypot(*det.heading[f])
-        assert np.array_equal(direction, want.hull.direction)
+        assert np.array_equal(near[members_of(det, f)], members_of(full, g))
+        assert det.state[f] == full.state[g]
+        assert np.array_equal(det.anchor[f], full.anchor[g])
+        assert np.array_equal(det.heading[f], full.heading[g])
     return want is not None, want_conflicted, bool((np.hypot(*pts.T) > window).any())
 
 
@@ -346,14 +361,6 @@ def _star_run_views(case):
         views += [view for rec in trace.rounds
                   for view in make_local_views(rec.positions, rec.round, cfg)]
     return plan, views
-
-
-def noisy_tolerances(plan, mu):
-    """The detection tolerance and the per-snapshot D(t) list that run_fsync
-    passes to robot_decisions under movement noise mu."""
-    eps = plan.params.epsilon
-    tol = min(0.45 * eps, max(3.0 * plan.hops * mu, 2.0 * mu * (1.0 + plan.params.delta / eps)))
-    return tol, [max(tol, drift_tolerance(plan, mu, t)) for t in plan.snapshot_ids]
 
 
 @pytest.mark.parametrize("case", sorted(_WINDOW_CASES) + sorted(_STAR_CASES))
@@ -465,7 +472,7 @@ def test_own_formation_window_keeps_overlap_conflicts():
     assert conflicts == len(pts1) + len(pts2)
 
 
-def test_own_formation_and_check_validity_share_the_overlap_cutoff():
+def test_own_formation_and_commit_check_share_the_overlap_cutoff():
     """Two facing formations anchored 2*delta + 5e-10 apart: their padded hulls
     touch, the commit check reports the overlap, and so does every member."""
     grid = grid_spec(0.1, 0.01, math.pi / 3)
@@ -474,8 +481,8 @@ def test_own_formation_and_check_validity_share_the_overlap_cutoff():
     pts2 = spec.points(DrawingHull(np.array([0.2 + 5e-10, 0.0]), np.array([-1.0, 0.0]),
                                    math.pi / 3, 0.1))
     positions = np.vstack([pts1, pts2])
-    report = check_validity(positions, grid, TAU_GEOM)
-    assert len(report.formations) == 2 and report.overlaps == ((0, 1),)
+    det = detect_one(positions, grid)
+    assert len(det.state) == 2 and overlapping_pairs(det, grid) == [(0, 1)]
     for i in range(len(positions)):
         _, own, conflicted = _own_formations([positions - positions[i]], grid, TAU_GEOM)
         assert (own[0], conflicted[0]) == (-1, True)
@@ -591,12 +598,14 @@ def test_staged_fits_try_no_more_candidates_than_the_sequential_loop(monkeypatch
 
 # --- formation moves from the plan's tables ------------------------------------------
 
-def _move_reference(view_pts, plan, det):
-    """Reference for the move tables: the whole formation's targets built in the
-    view frame, and members matched to targets by their lexicographic order in the
+def _move_reference(view_pts, plan, det, f):
+    """Reference for the move tables: formation f's targets built in the view
+    frame, and members matched to targets by their lexicographic order in the
     hull frame at TAU_GEOM resolution.  Returns the origin robot's target."""
-    path, hull = plan.path, det.hull
-    vi = path.vertex_of_label(det.size, det.state_index)
+    path = plan.path
+    hull = DrawingHull(det.anchor[f], det.heading[f], plan.grid.span, plan.grid.delta)
+    members = members_of(det, f).tolist()
+    vi = path.vertex_of_label(len(members), int(det.state[f]))
     v = path.vertices[vi]
     basis = np.stack([hull.direction, perp(hull.direction)], axis=0)
 
@@ -611,15 +620,15 @@ def _move_reference(view_pts, plan, det):
         drops = path.pattern[list(path.coverage[vi])] if vi < path.tail_start else []
         targets = np.vstack([state_by_index(plan.grid, *path.labels[vi + 1]).points(next_hull),
                              to_view(drops) if len(drops) else np.zeros((0, 2))])
-    assert len(targets) == det.size
+    assert len(targets) == len(members)
 
     def order(points):
         loc = np.round(hull.local(points) / TAU_GEOM) * TAU_GEOM
         return np.lexsort((loc[:, 1], loc[:, 0]))
 
     out = np.empty_like(targets)
-    out[order(view_pts[list(det.member_indices)])] = targets[order(targets)]
-    return out[det.member_indices.index(0)]
+    out[order(view_pts[members])] = targets[order(targets)]
+    return out[members.index(0)]
 
 
 def _disc_jitter(rng, n, radius):
@@ -658,9 +667,9 @@ def test_move_tables_equal_whole_formation_assignment(corpus_plans):
                     view = view_from_global(positions, i, theta)
                     dec = robot_decision(view, plan, tol=tol)
                     assert dec.phase is Phase.FORMATION, (name, vi)
-                    det = next(d for d in detect_formations(view, plan.grid, tol)
-                               if 0 in d.member_indices)
-                    want = _move_reference(view, plan, det)
+                    det = detect_one(view, plan.grid, tol)
+                    f = next(f for f in range(len(det.state)) if 0 in members_of(det, f))
+                    want = _move_reference(view, plan, det, f)
                     assert np.abs(dec.target - want).max() <= 1e-12, (name, vi, tol)
                     assert dec.events == (("ending-reshape",) if vi == last else ())
                     kinds.add("ending" if vi == last else "drop" if path.coverage[vi]
@@ -720,12 +729,12 @@ def test_formation_step_matches_path_ground_truth():
     targets = np.empty_like(plan.initial)
     for i, view in enumerate(make_local_views(plan.initial, 0, cfg)):
         targets[i] = plan.initial[i] + robot_decision(view, plan=plan).target
-    dets = detect_formations(targets, plan.grid)
-    assert len(dets) == plan.params.s_p
+    det = detect_one(targets, plan.grid)
+    assert len(det.state) == plan.params.s_p
     size1, idx1 = path.labels[1]
-    det = min(dets, key=lambda d: dist(d.hull.anchor, path.vertices[1]))
-    assert det.size == size1 and det.state_index == idx1
-    assert dist(det.hull.anchor, path.vertices[1]) <= 1e-9
+    f = min(range(len(det.state)), key=lambda f: dist(det.anchor[f], path.vertices[1]))
+    assert np.diff(det.bounds)[f] == size1 and det.state[f] == idx1
+    assert dist(det.anchor[f], path.vertices[1]) <= 1e-9
 
 
 def test_endgame_round_two_zero_displacement_when_vertex_is_coordinate():

@@ -194,6 +194,27 @@ def test_abort_names_the_members_of_overlapping_formations(small_plan):
         _commit(positions, positions.copy(), replace(small_plan, grid=grid), SimConfig(), 0)
 
 
+def test_abort_names_every_overlapping_pair_in_formation_order(small_plan):
+    """Three formations, the first (robots 3-5) overlapping both others: the
+    message lists the pairs (i, j), i < j, of the formations in detection
+    order (by anchor), which is not the order of the robot indices."""
+    grid = grid_spec(0.1, 0.01, math.pi / 3)
+    spec = state_by_index(grid, 3, 2)
+
+    def formation(anchor, direction):
+        return spec.points(DrawingHull(np.array(anchor), unit(np.array(direction)),
+                                       math.pi / 3, 0.1))
+
+    far = np.array([[-0.5, 0.3], [0.6, -0.4], [0.1, 0.9]])
+    positions = np.vstack([far, formation([0.0, 0.0], [1.0, 0.0]),
+                           formation([0.13, 0.12], [-0.735, -0.678]),
+                           formation([0.06, -0.1], [0.49, 0.7])])
+    with pytest.raises(SimulationError,
+                       match=r"^overlapping formation hulls: robots \[3, 4, 5\] and \[9, 10, 11\]; "
+                             r"robots \[3, 4, 5\] and \[6, 7, 8\]$"):
+        _commit(positions, positions.copy(), replace(small_plan, grid=grid), SimConfig(), 0)
+
+
 def test_dropped_robots_never_move(small_plan):
     trace = run_fsync(small_plan.initial, small_plan,
                       SimConfig(seed=0, max_rounds=small_plan.hops + 5))
