@@ -2,6 +2,9 @@
 
 Exit codes: 0 success / pattern formed, 1 simulation timeout, 2 invalid
 input, 3 disconnected pattern, 4 model invariant violated during a run.
+Exit 2 also covers input files that cannot be read, ``--out`` and ``--trace``
+paths that cannot be written, and patterns whose points merge when
+normalisation moves them.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -26,6 +30,7 @@ EXIT_TIMEOUT = 1
 EXIT_INVALID = 2
 EXIT_DISCONNECTED = 3
 EXIT_ABORTED = 4
+VERDICT_EXIT = {"formed": EXIT_OK, "timeout": EXIT_TIMEOUT, "aborted": EXIT_ABORTED}
 
 
 def point_list(value, what: str) -> np.ndarray:
@@ -44,7 +49,7 @@ def point_list(value, what: str) -> np.ndarray:
 def load_pattern(filename) -> np.ndarray:
     with open(filename, encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
+    if not isinstance(data, dict) or "points" not in data:
         raise ValueError('pattern file must hold a JSON object {"points": [[x, y], ...]}')
     pts = point_list(data["points"], "pattern points")
     if len(pts) > 1:
@@ -53,11 +58,7 @@ def load_pattern(filename) -> np.ndarray:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        pts = load_pattern(args.pattern)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    pts = load_pattern(args.pattern)
     pts = normalize(pts)
     info = symmetricity(pts)
     n = len(pts)
@@ -76,11 +77,7 @@ def cmd_analyze(args) -> int:
         print("warning: pattern is not connected in the unit disc graph", file=sys.stderr)
         return EXIT_DISCONNECTED
     if branch == "main":
-        try:
-            plan = build_plan(pts, args.params_c)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+        plan = build_plan(pts, args.params_c)
         report["params"] = {
             "epsilon": plan.params.epsilon,
             "delta": plan.params.delta,
@@ -93,15 +90,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    try:
-        pts = load_pattern(args.pattern)
-        plan = build_plan(pts, args.params_c)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    pts = load_pattern(args.pattern)
+    plan = build_plan(pts, args.params_c)
     if plan.path is None:
-        print("error: the scaling branch has no drawing path to export", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError("the scaling branch has no drawing path to export")
     save_path(plan.path, args.out)
     print(f"plan written to {args.out} ({plan.hops} hops, "
           f"epsilon {plan.params.epsilon:.6g})")
@@ -109,75 +101,48 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        pts = load_pattern(args.pattern)
-        plan = build_plan(pts, args.params_c)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
+    pts = load_pattern(args.pattern)
+    plan = build_plan(pts, args.params_c)
     if args.source == "initial-pattern":
         initial = plan.initial if plan.branch == "draw" else plan.star.kappa0 * plan.pattern
     else:
-        try:
-            initial = load_pattern(args.source)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        if len(initial) != plan.n:
-            print("error: initial configuration size differs from the pattern",
-                  file=sys.stderr)
-            return EXIT_INVALID
+        initial = load_pattern(args.source)
         if pairwise_distances(initial).max() > 1.0 + 1e-9:
-            print("error: initial configuration is not a near-gathering "
-                  "(diameter must be <= 1)", file=sys.stderr)
-            return EXIT_INVALID
+            raise ValueError("initial configuration is not a near-gathering "
+                             "(diameter must be <= 1)")
         sym_init = symmetricity(initial).sym
         if plan.params.s_p % sym_init != 0:
-            print(f"error: initial symmetricity {sym_init} does not divide "
-                  f"the pattern symmetricity {plan.params.s_p}", file=sys.stderr)
-            return EXIT_INVALID
+            raise ValueError(f"initial symmetricity {sym_init} does not divide "
+                             f"the pattern symmetricity {plan.params.s_p}")
 
     cfg = SimConfig(seed=args.seed, max_rounds=args.max_rounds, noise_mu=args.noise_mu)
-    try:
-        trace = run_fsync(initial, plan, cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    trace = run_fsync(initial, plan, cfg)
     if args.trace:
         trace.write_jsonl(args.trace)
     msg = {"verdict": trace.verdict, "rounds": trace.total_rounds}
     if not math.isinf(trace.max_error):
         msg["max_error"] = trace.max_error
     print(json.dumps(msg))
-    if trace.verdict == "formed":
-        return EXIT_OK
-    if trace.verdict == "timeout":
-        return EXIT_TIMEOUT
-    return EXIT_ABORTED
+    return VERDICT_EXIT[trace.verdict]
 
 
 def cmd_render(args) -> int:
-    try:
-        records = []
-        with open(args.trace, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    records.append(json.loads(line))
-        if not records or not isinstance(records[-1], dict) or "verdict" not in records[-1]:
-            raise ValueError("trace has no final record")
-        final = records[-1]
-        rounds = records[:-1]
-        for rec in rounds:
-            if not (isinstance(rec, dict) and {"round", "positions"} <= rec.keys()
-                    and type(rec["round"]) is int):
-                raise ValueError("every round record needs an integer 'round' and 'positions'")
-            rec["positions"] = point_list(rec["positions"], f"round {rec['round']} positions")
-        pattern, path_vertices = (point_list(final[key], key) if key in final
-                                  else np.zeros((0, 2)) for key in ("pattern", "path_vertices"))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    records = []
+    with open(args.trace, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                records.append(json.loads(line))
+    if not records or not isinstance(records[-1], dict) or "verdict" not in records[-1]:
+        raise ValueError("trace has no final record")
+    final = records[-1]
+    rounds = records[:-1]
+    for rec in rounds:
+        if not (isinstance(rec, dict) and {"round", "positions"} <= rec.keys()
+                and type(rec["round"]) is int):
+            raise ValueError("every round record needs an integer 'round' and 'positions'")
+        rec["positions"] = point_list(rec["positions"], f"round {rec['round']} positions")
+    pattern, path_vertices = (point_list(final[key], key) if key in final
+                              else np.zeros((0, 2)) for key in ("pattern", "path_vertices"))
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -239,15 +204,22 @@ def positive_int(text: str) -> int:
 
 
 def main(argv=None) -> int:
+    try:
+        args = _parser().parse_args(argv)
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+
+
+def _parser() -> argparse.ArgumentParser:
+    seed = os.environ.get("SWARMDRAW_SEED", "0")
+    if not re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", seed):     # the grammar of int(seed)
+        raise ValueError(f"SWARMDRAW_SEED must be an integer, got {seed!r}")
     parser = argparse.ArgumentParser(
         prog="swarmdraw",
         description="Pattern formation planner and simulator for oblivious "
                     "robots with viewing range 1")
-    try:
-        default_seed = int(os.environ.get("SWARMDRAW_SEED", "0"))
-    except ValueError as exc:
-        print(f"error: SWARMDRAW_SEED must be an integer: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="Report symmetricity, parameters, and branch")
@@ -265,7 +237,7 @@ def main(argv=None) -> int:
     p.add_argument("pattern")
     p.add_argument("--from", dest="source", default="initial-pattern",
                    help="'initial-pattern' or a near-gathering JSON file")
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, default=int(seed))
     p.add_argument("--max-rounds", type=int, default=10_000)
     p.add_argument("--noise-mu", type=float, default=0.0)
     p.add_argument("--trace", help="Write a JSON-lines trace to this file")
@@ -278,8 +250,7 @@ def main(argv=None) -> int:
     p.add_argument("--every", type=positive_int, default=1, help="Render every k-th round")
     p.set_defaults(func=cmd_render)
 
-    args = parser.parse_args(argv)
-    return args.func(args)
+    return parser
 
 
 if __name__ == "__main__":

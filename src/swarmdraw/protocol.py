@@ -643,14 +643,11 @@ def _intermediate_decision(view: np.ndarray, plan: Plan, inter) -> Decision:
     (r1, r2, r3), theta = inter
     vk = plan.path.vertices[-1]
     rot = rotation_matrix(theta)
-    finals = (plan.tail_points - vk) @ rot.T + view[r1]
-    for role, idx in zip(range(3), (r1, r2, r3)):
-        if idx == 0:
-            target = finals[role]
-            if np.hypot(*target) > 1.0 + TAU_GEOM:
-                return Decision(np.zeros(2), Phase.INTERMEDIATE, ("ending-out-of-reach",))
-            return Decision(target, Phase.INTERMEDIATE)
-    return Decision(np.zeros(2), Phase.INTERMEDIATE, ("not-in-triple",))
+    # _find_intermediate returns only triples that hold view row 0.
+    target = ((plan.tail_points - vk) @ rot.T + view[r1])[(r1, r2, r3).index(0)]
+    if np.hypot(*target) > 1.0 + TAU_GEOM:
+        return Decision(np.zeros(2), Phase.INTERMEDIATE, ("ending-out-of-reach",))
+    return Decision(target, Phase.INTERMEDIATE)
 
 
 # --- forming the initial cluster pattern ----------------------------------------------

@@ -160,13 +160,14 @@ def verify_pattern(config, pattern, tol: float = 1e-6):
         mindist(target)
     if len(pts) != len(target):
         raise ValueError("configuration and pattern sizes differ")
-    return _verify(pts, target, tol, want_error=True)
+    formed, alignment, err = _verify(pts, target, tol)
+    return formed, alignment, err if formed else _greedy_error(pts, target)
 
 
-def _verify(pts, target, tol, want_error=False):
+def _verify(pts, target, tol):
     fit = fit_isometry(pts, target, tol)
     if fit is None:
-        return False, None, _greedy_error(pts, target) if want_error else math.inf
+        return False, None, math.inf
     theta, translation, _, err = fit
     return True, {"theta": float(theta),
                   "tx": float(translation[0]), "ty": float(translation[1])}, err
@@ -334,9 +335,10 @@ def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
             trace.total_rounds = rnd
             trace.max_error = err
             trace.alignment = alignment
-            trace.diverged = gt.diverged
-            return trace
+            break
         if rnd == cfg.max_rounds:
+            trace.total_rounds = rnd
+            trace.max_error = _greedy_error(positions, plan.pattern)
             break
         try:
             positions = _commit(positions, targets, plan, cfg, rnd)
@@ -344,12 +346,7 @@ def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
             trace.verdict = "aborted"
             trace.total_rounds = rnd + 1
             trace.rounds[-1].events.append({"error": str(exc)})
-            trace.diverged = gt.diverged
-            return trace
-
-    trace.verdict = "timeout"
-    trace.total_rounds = cfg.max_rounds
-    trace.max_error = _greedy_error(positions, plan.pattern)
+            break
     trace.diverged = gt.diverged
     return trace
 

@@ -131,8 +131,6 @@ def cone_index(p, s: int) -> int:
     # Snap onto a boundary ray when within ANG_SNAP of it.
     if (k + 1) * w - theta <= ANG_SNAP:
         k += 1
-    elif theta - k * w <= ANG_SNAP:
-        pass
     k %= s
     return k + 1
 

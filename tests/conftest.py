@@ -47,3 +47,23 @@ def corpus_runs(corpus_plans):
         trace = run_fsync(plan.initial, plan, cfg)
         runs.append((name, plan, trace, time.perf_counter() - t0))
     return runs
+
+
+@pytest.fixture()
+def robot_0_out_of_range(monkeypatch):
+    """Runs in which robot 0 decides a move to (2, 0) of its own frame every
+    round, which the engine must reject at the first commit."""
+    from dataclasses import replace
+
+    import numpy as np
+
+    from swarmdraw import simulator
+
+    decide = simulator.robot_decisions
+
+    def patched(views, *args, **kwargs):
+        decisions = decide(views, *args, **kwargs)
+        decisions[0] = replace(decisions[0], target=np.array([2.0, 0.0]))
+        return decisions
+
+    monkeypatch.setattr(simulator, "robot_decisions", patched)

@@ -102,9 +102,20 @@ def test_simulate_seed_invariance(pattern_file, capsys):
     assert results[0]["rounds"] == results[1]["rounds"]
 
 
+def test_simulate_aborted_exit_code(pattern_file, robot_0_out_of_range, capsys):
+    assert main(["simulate", pattern_file, "--max-rounds", "20"]) == 4
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["verdict"] == "aborted"
+
+
 def test_simulate_from_near_gathering(pattern_file, tmp_path, capsys):
     ng = write_pattern(tmp_path / "start.json", near_gathering(8, seed=2))
     assert main(["simulate", pattern_file, "--from", ng, "--max-rounds", "200"]) == 0
+
+
+def test_simulate_from_wrong_size(pattern_file, tmp_path, capsys):
+    start = write_pattern(tmp_path / "start.json", near_gathering(7, seed=2))
+    assert main(["simulate", pattern_file, "--from", start]) == 2
+    assert capsys.readouterr().err.startswith("error: 7 robots cannot form a pattern of 8")
 
 
 def test_simulate_from_not_an_object(pattern_file, tmp_path, capsys):
@@ -250,3 +261,40 @@ def test_render_every_zero_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["render", str(trace), "--out", str(tmp_path / "f"), "--every", "0"])
     assert exc.value.code == 2
+
+
+def files_under(path: Path) -> list[Path]:
+    return sorted(p for p in path.rglob("*") if p.is_file())
+
+
+def test_analyze_points_merged_by_normalisation(tmp_path, capsys):
+    # Distinct as given, but translating the SEC centre to the origin rounds
+    # 0 and 0.5 to the same float next to 1e17.
+    f = write_pattern(tmp_path / "far.json", [[0, 0], [0.5, 0], [1e17, 0]])
+    assert main(["analyze", f]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_simulate_trace_in_missing_directory(pattern_file, tmp_path, capsys):
+    trace = tmp_path / "missing" / "t.jsonl"
+    assert main(["simulate", pattern_file, "--trace", str(trace), "--max-rounds", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_plan_out_in_missing_directory(pattern_file, tmp_path, capsys):
+    before = files_under(tmp_path)
+    assert main(["plan", pattern_file, "--out", str(tmp_path / "missing" / "p.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert files_under(tmp_path) == before
+
+
+def test_render_out_under_a_regular_file(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(json.dumps({"round": 0, "positions": [[0, 0]]}) + "\n"
+                     + json.dumps({"verdict": "timeout", "rounds": 1}) + "\n")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    before = files_under(tmp_path)
+    assert main(["render", str(trace), "--out", str(blocker / "frames")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert files_under(tmp_path) == before

@@ -215,6 +215,16 @@ def test_abort_names_every_overlapping_pair_in_formation_order(small_plan):
         _commit(positions, positions.copy(), replace(small_plan, grid=grid), SimConfig(), 0)
 
 
+def test_run_aborts_on_a_move_beyond_the_viewing_range(small_plan, robot_0_out_of_range):
+    trace = run_fsync(small_plan.initial, small_plan, SimConfig(seed=0, max_rounds=20))
+    assert trace.verdict == "aborted"
+    assert trace.total_rounds == 1
+    assert trace.max_error == math.inf
+    assert len(trace.rounds) == 1
+    assert trace.rounds[-1].events[-1] == {
+        "error": "robot 0 displacement 2.000000 exceeds the viewing range"}
+
+
 def test_dropped_robots_never_move(small_plan):
     trace = run_fsync(small_plan.initial, small_plan,
                       SimConfig(seed=0, max_rounds=small_plan.hops + 5))
