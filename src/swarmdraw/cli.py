@@ -115,6 +115,8 @@ def cmd_simulate(args) -> int:
             raise ValueError(f"initial symmetricity {sym_init} does not divide "
                              f"the pattern symmetricity {plan.params.s_p}")
 
+    if args.trace:
+        open(args.trace, "a", encoding="utf-8").close()     # fail before the run, not after
     cfg = SimConfig(seed=args.seed, max_rounds=args.max_rounds, noise_mu=args.noise_mu)
     trace = run_fsync(initial, plan, cfg)
     if args.trace:

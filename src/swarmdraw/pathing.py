@@ -481,18 +481,6 @@ class DrawingPath:
             "labels": [list(l) for l in self.labels],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DrawingPath":
-        return cls(
-            pattern=np.asarray(data["pattern"], dtype=float),
-            comp=tuple(data["component"]),
-            vertices=np.asarray(data["vertices"], dtype=float),
-            delta=float(data["delta"]),
-            coverage=tuple(tuple(c) for c in data["coverage"]),
-            tail_start=int(data["tail_start"]),
-            labels=tuple((int(a), int(b)) for a, b in data["labels"]),
-        )
-
 
 def coverage_and_tail(vertices, comp_points, delta) -> tuple[list[tuple[int, ...]], int]:
     """Coverage per vertex (maximal index within 1 - delta) and tail start."""
@@ -660,7 +648,3 @@ def save_path(path: DrawingPath, filename) -> None:
     with open(filename, "w", encoding="utf-8") as fh:
         json.dump(path.to_dict(), fh, indent=1)
 
-
-def load_path(filename) -> DrawingPath:
-    with open(filename, encoding="utf-8") as fh:
-        return DrawingPath.from_dict(json.load(fh))

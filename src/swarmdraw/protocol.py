@@ -825,14 +825,13 @@ def _star_full_fits(views: list[np.ndarray], plan: Plan, tol: float) -> list:
 def _star_local_fits(views: list[np.ndarray], star: StarPlan, tol: float) -> list[list]:
     """Each local view's candidate (scale, center) fits against the pattern.
 
-    A coarse fit seeds each candidate from the view's nearest neighbor; the
-    scale and rotation are then refined by least squares over the whole
+    A coarse fit seeds each candidate from the view's nearest neighbor, at the
+    complex pose nearest / offs[j] for each of the ring's 8 nearest offsets;
+    the scale and rotation are then refined by least squares over the whole
     matched neighborhood and verified again within tol.  The refinement
     matters: a center estimated from a single baseline amplifies per-round
     float noise by ring-radius/baseline, which would compound across the
-    scaling rounds.  Candidates that cannot pass the first match, by their
-    scale and count of offsets in range or by the distances at their coarse
-    pose, are dropped before it.
+    scaling rounds.
 
     Each stage is one array pass per ring over all the views' candidates.
     Every row of a pass reads its own view only, so each view's fits are those
@@ -850,46 +849,33 @@ def _star_local_fits(views: list[np.ndarray], star: StarPlan, tol: float) -> lis
     # Each view's nearest neighbour, at the first index of its smallest norm.
     norms = np.hypot(obs[:, 0], obs[:, 1])
     first = np.lexsort((norms, np.repeat(np.arange(len(seen)), counts)))[starts]
-    nearest = obs[first]
-    nearest_norms = np.hypot(nearest[:, 0], nearest[:, 1])[:, None]
-    ang = [math.atan2(y, x) for x, y in nearest.tolist()]
     for ring in star.rings:
         offs = ring.offs[:, 0] + 1j * ring.offs[:, 1]
-        kappa0s = nearest_norms / ring.norms[:8]
-        windows = np.maximum(0.3 * kappa0s * star.mindist, tol)
-        keep, inside = _star_precheck(counts[:, None], ring.norms, kappa0s, windows)
-        v, j = np.nonzero(keep)
-        if len(v):
-            passed = _star_window_check(obs[_ranges(starts[v], counts[v])[1]], counts[v],
-                                        obs_c[first[v]] / offs[j], offs, inside[v, j],
-                                        windows[v, j])
-            v, j = v[passed], j[passed]
-        if not len(v):
-            continue
-        rows = _ranges(starts[v], counts[v])[1]
-        theta0s = [ang[a] - math.atan2(ring.offs[b, 1], ring.offs[b, 0])
-                   for a, b in zip(v.tolist(), j.tolist())]
-        matched, idx = _star_match(obs[rows], counts[v], ring.offs, ring.norms,
-                                   kappa0s[v, j], theta0s, windows[v, j])
+        kappa0s = norms[first, None] / ring.norms[:8]
+        v, j = np.nonzero((1e-6 <= kappa0s) & (kappa0s <= 1.0 + 1e-9))
+        kappa0s = kappa0s[v, j]
+        matched, idx = _star_match(obs, starts[v], counts[v], offs, ring.norms, kappa0s,
+                                   obs_c[first[v]] / offs[j],
+                                   np.maximum(0.3 * kappa0s * star.mindist, tol))
         # The least-squares pose of each match, by one vdot per match so that
         # every sum adds in the order of its one-view call.
-        ends = np.cumsum(counts[v]).tolist()
         refined = []
-        for c in np.flatnonzero(matched).tolist():
-            part = slice(ends[c] - counts[v[c]], ends[c])
-            o = offs[idx[part]]
-            z = np.vdot(o, obs_c[rows[part]]) / np.vdot(o, o)
+        end = 0
+        for a in v[matched].tolist():
+            o = offs[idx[end:end + counts[a]]]
+            end += counts[a]
+            z = np.vdot(o, obs_c[starts[a]:starts[a] + counts[a]]) / np.vdot(o, o)
             if 1e-6 <= abs(z) <= 1.0 + 1e-6:
-                refined.append((v[c], abs(z), math.atan2(z.imag, z.real)))
+                refined.append((a, abs(z), z))
         if not refined:
             continue
         rv = np.array([a for a, _, _ in refined])
-        verified, _ = _star_match(obs[_ranges(starts[rv], counts[rv])[1]], counts[rv], ring.offs,
-                                  ring.norms, [k for _, k, _ in refined],
-                                  [t for _, _, t in refined], np.full(len(rv), tol))
-        for (a, kappa, theta), ok in zip(refined, verified.tolist()):
+        verified, _ = _star_match(obs, starts[rv], counts[rv], offs, ring.norms,
+                                  np.array([k for _, k, _ in refined]),
+                                  np.array([z for _, _, z in refined]), np.full(len(rv), tol))
+        for (a, kappa, z), ok in zip(refined, verified.tolist()):
             if ok:
-                kappa, theta = float(kappa), float(theta)
+                kappa, theta = float(kappa), math.atan2(z.imag, z.real)
                 fits[seen[a]].append((kappa, -kappa * (rotation_matrix(theta) @ ring.q)))
     for i, found in enumerate(fits):
         unique = []
@@ -901,96 +887,52 @@ def _star_local_fits(views: list[np.ndarray], star: StarPlan, tol: float) -> lis
     return fits
 
 
-def _star_precheck(n_obs, norms, kappa0s, windows):
-    """Which coarse scales can pass the first ``_star_match`` at their window,
-    and how many offsets each has in range.
-
-    Rotation-free necessary conditions, for all candidates at once: the scale
-    lies in the match's range, and since the match pairs the n_obs observed
-    points injectively with offsets inside 1 + window and must cover every
-    offset inside 1 - window, n_obs lies between those two counts.  No norm
-    test is needed: ``_star_window_check`` bounds |observed - expected| by the
-    window, and with it ||observed| - |expected||.  norms is ascending, so the
-    offsets in range are its first ``inside``.
-    """
-    enorms = kappa0s[..., None] * norms
-    inside = (enorms <= 1.0 + windows[..., None]).sum(axis=-1)
-    must = (enorms <= 1.0 - windows[..., None]).sum(axis=-1)
-    keep = (1e-6 <= kappa0s) & (kappa0s <= 1.0 + 1e-9) & (must <= n_obs) & (n_obs <= inside)
-    return keep, inside
-
-
-def _star_window_check(observed, lengths, poses, offs, inside, windows):
-    """Which coarse poses pass the distance clause of the first ``_star_match``,
-    for all candidates at once: each of candidate c's observed points (the
-    next lengths[c] rows of observed) lies within its window of one of the
-    first inside[c] offsets (complex) under the pose.
-
-    The pose kappa0*exp(i*theta0) is nearest / offs[j] in complex form.  It
-    differs from the match's rotation by rounding only, for which TAU_GEOM is
-    ample, so no candidate that the match would accept is dropped.
-    """
-    run = np.repeat(np.arange(len(lengths)), lengths)
-    expected = (poses[:, None] * offs[None, :int(inside.max())]).view(float)
-    expected = expected.reshape(len(poses), -1, 2)
-
-    def near(rows):
-        gaps, _ = nearest_in_sets(observed[rows], expected, run[rows], inside)
-        return gaps <= windows[run[rows]] + TAU_GEOM
-
-    # Each candidate's farthest point first: under a wrong pose it lies farthest
-    # from its place, so it drops most candidates at one row each.
-    far = -np.hypot(observed[:, 0], observed[:, 1])
-    ok = near(np.lexsort((far, run))[np.cumsum(lengths) - lengths])
-    rows = np.flatnonzero(ok[run])
-    ok[run[rows[~near(rows)]]] = False
-    return ok
-
-
-def _star_match(observed, lengths, offs, norms, kappas, thetas, windows):
+def _star_match(obs, starts, lengths, offs, norms, kappas, poses, windows):
     """Injective observed-to-offset matchings within the window, each requiring
     every offset strictly inside the viewing range to be observed, for all
     candidates at once.
 
-    Candidate c matches the next lengths[c] rows of observed against
-    kappas[c] * rotate(offs, thetas[c]), restricted to the offsets whose scaled
-    norm is at most 1 + windows[c]: a prefix of offs, which is in ascending
-    order of norm.  Returns whether each candidate matched and, for every
-    observed row, the index of its nearest offset.
+    Candidate c matches rows starts[c] .. starts[c] + lengths[c] - 1 of obs
+    against poses[c] * offs (complex, poses[c] = kappas[c] * exp(i*theta)),
+    restricted to the offsets whose scaled norm kappas[c] * norms is at most
+    1 + windows[c]: a prefix of offs, which is in ascending order of norm.
+    Returns whether each candidate matched and, for the rows of the matched
+    candidates in order, the index of each row's nearest offset.
 
-    Nearest neighbours come from ``nearest_in_sets``.  Ties cannot change the
-    outcome: within a window of at most 0.3*kappa*mindist every other expected
-    point is at least 0.7*kappa*mindist away, and a match that fails fails for
-    every tie-break.
-
-    The expected points come from one stacked matmul, whose width is the
-    largest ``inside`` of all the candidates.  A candidate's fits equal its
-    one-view call only because the BLAS rounds each row of that product as
-    ``rotate`` rounds it, whatever the width, which NumPy's OpenBLAS 0.3.31
-    (Haswell kernels) does for two rows or more; a one-row product takes
-    another kernel, so a candidate with one offset in range gets its own.
-    Under another BLAS, whether a view matches at its exact window could
-    depend on the other views of the round; the property tests of
-    ``_star_local_fits`` check it on the machine that runs them.
+    The screens go cheapest first: the count of offsets in range (the rows
+    pair injectively with offsets inside 1 + window and cover every offset
+    inside 1 - window), then each candidate's farthest observed point, which
+    under a wrong pose lies farthest from its place, then every row of the
+    survivors.  Each expected point is formed elementwise, so no candidate's
+    result depends on the rest of the batch.  Nearest neighbours come from
+    ``nearest_in_sets``.  Ties cannot change the outcome: within a window of
+    at most 0.3*kappa*mindist every other expected point is at least
+    0.7*kappa*mindist away, and a match that fails fails for every tie-break.
     """
-    kappas = np.asarray(kappas)
-    windows = np.asarray(windows)
     enorms = kappas[:, None] * norms
     inside = (enorms <= 1.0 + windows[:, None]).sum(axis=1)
     must = (enorms <= 1.0 - windows[:, None]).sum(axis=1)
-    width = max(int(inside.max()), 1)
-    rot = np.stack([rotation_matrix(theta).T for theta in thetas])
-    expected = np.matmul(offs[:width], rot)
-    # A one-row product takes another BLAS path, which rounds differently; a
-    # candidate with one offset in range gets the rows ``rotate`` gives it.
-    single = inside == 1
-    expected[single, :1] = np.matmul(offs[:1], rot[single])
-    expected *= kappas[:, None, None]
-    run = np.repeat(np.arange(len(lengths)), lengths)
-    gaps, idx = nearest_in_sets(observed, expected, run, inside)
-    near = gaps <= windows[run]
-    ok = (lengths <= inside) & np.logical_and.reduceat(near, np.cumsum(lengths) - lengths)
-    key = np.sort(run * width + idx)
-    ok[key[1:][key[1:] == key[:-1]] // width] = False
-    ok &= np.bincount(run, weights=idx < must[run], minlength=len(lengths)) == must
-    return ok, idx
+    del enorms      # one float per candidate and offset; the row passes below need the room
+    ok = (must <= lengths) & (lengths <= inside)
+    c = np.flatnonzero(ok)
+    inside, must, windows, lengths = inside[c], must[c], windows[c], lengths[c]
+    o = offs[:max(inside.max(initial=0), 1)]
+    pr, pi = poses[c].real[:, None], poses[c].imag[:, None]
+    expected = np.stack([pr * o.real - pi * o.imag, pr * o.imag + pi * o.real], axis=-1)
+    run, rows = _ranges(starts[c], lengths)
+
+    def near(sel):
+        gaps, idx = nearest_in_sets(obs[rows[sel]], expected, run[sel], inside)
+        return gaps <= windows[run[sel]], idx
+
+    far = -np.hypot(obs[rows, 0], obs[rows, 1])
+    hit = near(np.lexsort((far, run))[np.cumsum(lengths) - lengths])[0]
+    sel = np.flatnonzero(hit[run])
+    close, idx = near(sel)
+    owner = run[sel]
+    hit[owner[~close]] = False
+    key = np.sort(owner * len(o) + idx)
+    hit[key[1:][key[1:] == key[:-1]] // len(o)] = False
+    hit &= np.bincount(owner, weights=idx < must[owner], minlength=len(c)) == must
+    ok[c] = hit
+    return ok, idx[hit[owner]]

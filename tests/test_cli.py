@@ -275,9 +275,14 @@ def test_analyze_points_merged_by_normalisation(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_simulate_trace_in_missing_directory(pattern_file, tmp_path, capsys):
+def test_simulate_trace_in_missing_directory(pattern_file, tmp_path, monkeypatch, capsys):
+    """An unwritable --trace is reported before the run, not after it."""
+    def no_run(*args):
+        raise AssertionError("the run started before the trace path was checked")
+
+    monkeypatch.setattr("swarmdraw.cli.run_fsync", no_run)
     trace = tmp_path / "missing" / "t.jsonl"
-    assert main(["simulate", pattern_file, "--trace", str(trace), "--max-rounds", "1"]) == 2
+    assert main(["simulate", pattern_file, "--trace", str(trace)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

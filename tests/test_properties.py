@@ -26,8 +26,8 @@ from swarmdraw.formation import (
 from swarmdraw.geometry import (TAU_GEOM, match_points, nearest, nearest_in_sets, rotate,
                                 smallest_enclosing_circle, triple_sec_radii, unit)
 from swarmdraw.protocol import (AssignmentError, Phase, _star_local_fits, _star_match,
-                                _star_precheck, assignment_target, build_plan, fit_isometry,
-                                robot_decision, robot_decisions)
+                                assignment_target, build_plan, fit_isometry, robot_decision,
+                                robot_decisions)
 from swarmdraw.simulator import noisy_tolerances
 from swarmdraw.symmetry import normalize, symmetricity
 
@@ -424,62 +424,75 @@ def test_star_match_without_a_tree_equals_the_kdtree_match(name, grow, robot, th
     neighbour jittered by up to spread times the coarse window, and reaching
     past the viewing range by beyond coarse windows.  At every coarse
     candidate, and at the least-squares pose of every match, the tree-free
-    _star_match returns what the KD-tree version returns, called with that
-    one candidate and beside a candidate with every offset in range; and the
-    pre-check keeps every candidate whose coarse match succeeds."""
+    _star_match, screens included, returns what the KD-tree version returns,
+    called with that one candidate and beside a candidate with every offset
+    in range."""
     plan = _star_plan(name)
     star = plan.star
     kappa = star.kappa0 + grow * (1.0 - star.kappa0)
     view = _star_view(plan, kappa, robot, theta, spread, np.random.default_rng(seed),
                       1.0 + beyond * 0.3 * kappa * star.mindist)
-    obs_norms = np.hypot(*view.T)
-    nearest = view[int(np.argmin(obs_norms))]
+    nearest = view[int(np.argmin(np.hypot(*view.T)))]
+    one, two = np.array([0]), np.array([0, 0])
     matched = 0
     for ring in star.rings:
-        kappa0s = np.hypot(*nearest) / ring.norms[:8]
-        windows = np.maximum(0.3 * kappa0s * star.mindist, 1e-6)
-        keep, _ = _star_precheck(len(view), ring.norms, kappa0s, windows)
-        for j, (kappa0, window, kept) in enumerate(zip(kappa0s, windows, keep)):
+        offs = ring.offs[:, 0] + 1j * ring.offs[:, 1]
+        for j, kappa0 in enumerate(np.hypot(*nearest) / ring.norms[:8]):
+            window = max(0.3 * kappa0 * star.mindist, 1e-6)
             theta0 = (math.atan2(nearest[1], nearest[0])
                       - math.atan2(ring.offs[j][1], ring.offs[j][0]))
-            poses = [(kappa0, theta0, window)]
-            for k, th, w in poses:
-                ok, idx = _star_match(view, np.array([len(view)]), ring.offs, ring.norms,
-                                      [k], [th], [w])
-                both, idx2 = _star_match(np.vstack([view, view]), np.array([len(view)] * 2),
-                                         ring.offs, ring.norms, [k, 1e-3], [th, 0.0], [w, w])
+            poses = [(kappa0, complex(*nearest) / offs[j], theta0, window)]
+            for k, pose, th, w in poses:
+                ok, idx = _star_match(view, one, np.array([len(view)]), offs, ring.norms,
+                                      np.array([k]), np.array([pose]), np.array([w]))
+                both, idx2 = _star_match(view, two, np.array([len(view)] * 2), offs, ring.norms,
+                                         np.array([k, 1e-3]), np.array([pose, 1e-3]),
+                                         np.array([w, w]))
                 want = kdtree_star_match(view, ring.offs, ring.norms, k, th, w)
                 assert ok[0] == both[0] == (want is not None)
-                assert np.array_equal(idx2[:len(view)], idx)
+                assert np.array_equal(idx2, idx)
                 if want is not None:
                     assert np.array_equal(idx, want)
                     matched += 1
                     if len(poses) == 1:
-                        assert kept or not 1e-6 <= kappa0 <= 1.0 + 1e-9
-                        k, th = least_squares_pose(view, ring.offs, want)
-                        poses += [(k, th, 1e-6), (k, th, window)]
+                        z = least_squares_pose(view, ring.offs, want)
+                        k, th = abs(z), math.atan2(z.imag, z.real)
+                        poses += [(k, z, th, 1e-6), (k, z, th, window)]
     if spread == 0.0 and beyond == 0.0:
         assert matched
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(st.floats(-math.pi, math.pi), st.integers(0, 2 ** 32 - 1))
-def test_star_match_at_its_exact_window_ignores_the_batch(theta, seed):
-    """A candidate with one offset in range, whose observed point lies exactly
-    its window away from where ``rotate`` puts that offset, matches both alone
-    and beside a candidate with three offsets in range: the other candidate
-    does not change its roundings."""
-    offs = np.array([[0.3, 0.2], [3.0, -0.4], [4.0, 1.0]])
-    norms = np.hypot(*offs.T)
-    expected = 0.5 * rotate(offs[:1], theta)
-    observed = expected + jitter(np.random.default_rng(seed), 1, 1e-3)
-    window = float(nearest(observed, expected)[0][0])
-    other = 0.2 * rotate(offs, 1.0)
-    ok, _ = _star_match(observed, np.array([1]), offs, norms, [0.5], [theta], [window])
-    assert ok.tolist() == [True]
-    ok, _ = _star_match(np.vstack([observed, other]), np.array([1, 3]), offs, norms,
-                        [0.5, 0.2], [theta, 1.0], [window, 0.01])
-    assert ok.tolist() == [True, True]
+@given(st.integers(0, 2 ** 32 - 1))
+def test_star_match_at_its_exact_window_ignores_the_batch(seed):
+    """Candidates with 1 to 4 offsets in range, each with its observed points
+    at most its window, and one of them exactly, away from the match's own
+    expected points, match both alone and in one batch in random order,
+    beside a random candidate with 5 offsets in range: no candidate changes
+    another's roundings."""
+    rng = np.random.default_rng(seed)
+    norms = 0.1 * 2.0 ** np.arange(6)      # the offsets in range of kappa: a prefix
+    offs = norms * np.exp(1j * rng.uniform(-math.pi, math.pi, 6))
+    batch = []
+    for width in rng.permutation(5) + 1:
+        kappa = 0.9 / norms[width - 1]      # scaled norms 0.9 and below, then 1.8
+        pose = kappa * np.exp(1j * rng.uniform(-math.pi, math.pi))
+        expected = np.stack([pose.real * offs[:width].real - pose.imag * offs[:width].imag,
+                             pose.real * offs[:width].imag + pose.imag * offs[:width].real],
+                            axis=-1)
+        observed = expected + jitter(rng, width, 1e-3 * kappa)
+        window = (float(nearest(observed, expected)[0].max()) if width < 5
+                  else rng.uniform(0.0, 2e-3) * kappa)
+        batch.append((width, kappa, pose, observed, window))
+        if width < 5:
+            ok, _ = _star_match(observed, np.array([0]), np.array([width]), offs, norms,
+                                np.array([kappa]), np.array([pose]), np.array([window]))
+            assert ok.tolist() == [True]
+    widths, kappas, poses, rows, windows = zip(*batch)
+    widths = np.array(widths)
+    ok, _ = _star_match(np.vstack(rows), np.cumsum(widths) - widths, widths, offs, norms,
+                        np.array(kappas), np.array(poses), np.array(windows))
+    assert ok[widths < 5].all()
 
 
 def _random_star_view(plan, rng):

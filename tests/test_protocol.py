@@ -1095,11 +1095,10 @@ def kdtree_star_match(observed, offs, norms, kappa, theta, window):
 
 
 def least_squares_pose(observed, offs, match):
-    """(kappa, theta) of the complex least-squares fit of matched offsets."""
+    """The complex least-squares pose kappa*exp(i*theta) of matched offsets."""
     o = offs[match][:, 0] + 1j * offs[match][:, 1]
     w = observed[:, 0] + 1j * observed[:, 1]
-    z = np.vdot(o, w) / np.vdot(o, o)
-    return abs(z), math.atan2(z.imag, z.real)
+    return np.vdot(o, w) / np.vdot(o, o)
 
 
 def _refine_every_candidate(pts, plan, tol):
@@ -1123,7 +1122,8 @@ def _refine_every_candidate(pts, plan, tol):
                                       max(0.3 * kappa0 * star.mindist, tol_r))
             if match is None:
                 continue
-            kappa, theta = least_squares_pose(me_neighbors, offs, match)
+            z = least_squares_pose(me_neighbors, offs, match)
+            kappa, theta = abs(z), math.atan2(z.imag, z.real)
             if not 1e-6 <= kappa <= 1.0 + 1e-6:
                 continue
             if kdtree_star_match(me_neighbors, offs, norms, kappa, theta, tol_r) is None:
@@ -1140,21 +1140,23 @@ def _refine_every_candidate(pts, plan, tol):
 @pytest.mark.parametrize("case", sorted(_STAR_CASES))
 def test_star_local_fits_equal_refining_every_candidate(monkeypatch, case):
     """Every local view of a scaled and a gathered run, fitted in one batched
-    call: the pre-checked, tree-free fits equal the reference bit for bit, and
-    the pre-checks leave about one first match per view."""
+    call: the screened, tree-free fits equal the reference bit for bit, and
+    the coarse matches accept about one candidate per view."""
     import swarmdraw.protocol as protocol
 
     plan, views = _star_run_views(case)
     views = [view for view in views if len(view) != plan.n]
-    matches = [0]
-    window_check = protocol._star_window_check
+    matches = [0, 0]        # coarse calls, candidates they accept
+    star_match = protocol._star_match
 
     def counted(*args):
-        passed = window_check(*args)
-        matches[0] += int(passed.sum())
-        return passed
+        ok, idx = star_match(*args)
+        if not np.all(args[-1] == 1e-6):        # the verifying match runs at the tolerance
+            matches[0] += 1
+            matches[1] += int(ok.sum())
+        return ok, idx
 
-    monkeypatch.setattr(protocol, "_star_window_check", counted)
+    monkeypatch.setattr(protocol, "_star_match", counted)
     assert len(views) > 3 * plan.n
     tol = 1e-7      # the fitting tolerance of a noiseless run
     for view_pts, got in zip(views, _star_local_fits(views, plan.star, tol), strict=True):
@@ -1163,6 +1165,6 @@ def test_star_local_fits_equal_refining_every_candidate(monkeypatch, case):
         for (k1, c1), (k2, c2) in zip(got, want):
             assert k1 == k2 and np.array_equal(c1, c2)
     # The reference refines 8 candidates per orbit.  After the distance-profile
-    # pre-check 3.0 (n-gon) and 5.7 (two-ring) per view were left; the window
-    # check at the coarse pose leaves exactly one per view on both.
-    assert matches[0] <= 1.2 * len(views)
+    # pre-check 3.0 (n-gon) and 5.7 (two-ring) per view were left; the coarse
+    # match accepts exactly one per view on both.
+    assert matches[0] > 0 and matches[1] <= 1.2 * len(views)
