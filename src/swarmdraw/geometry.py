@@ -123,7 +123,9 @@ class Circle:
 #
 # Pure-float inner loops (this sits on several hot paths).  Shuffling uses a
 # fixed seed so the result is deterministic for a fixed input ordering; the
-# circle itself is unique regardless.
+# circle itself is unique regardless.  ``enclosing_centers`` gives the same
+# centres for a batch of equal-size sets in elementwise array passes, and
+# hands the sets whose support is ambiguous to the Welzl loop.
 
 def smallest_enclosing_circle(points) -> Circle:
     arr = as_points(points)
@@ -215,6 +217,93 @@ def _circumcircle(p, q, r):
     radius = max(math.hypot(x - p[0], y - p[1]), math.hypot(x - q[0], y - q[1]),
                  math.hypot(x - r[0], y - r[1]))
     return (x, y, radius)
+
+
+_NEAR = 1e-12       # relative and absolute: a point this near a circle may be on it
+# The candidate supports of a set's points e, s0, s1, s2 (new point first): the
+# pairs, padded by repeating their second point, then the triples.
+_CANDIDATES = np.array([[0, 1, 1], [0, 2, 2], [0, 3, 3], [0, 1, 2], [0, 1, 3], [0, 2, 3]])
+
+
+def enclosing_centers(sets) -> np.ndarray:
+    """``smallest_enclosing_circle(s).center`` of each set s of a (V, n, 2)
+    array, bit for bit, as a (V, 2) array.
+
+    The support-set iteration of Elzinga and Hearn runs on all sets at once,
+    elementwise, so no set's result depends on the rest of the batch.  Each set
+    starts from the circle on a point and its farthest point.  On each pass an
+    unfinished set takes its point farthest outside the circle (by Welzl's
+    in-circle test), and its support becomes the smallest circle through that
+    point and one or two support points that holds all of them.  A support is
+    kept in Welzl's order, latest first, so a triple's centre comes from
+    ``_circumcircle``'s formula with Welzl's roles p, q, r and a pair's from
+    ``_circle_diameter``'s.  A set is ambiguous when a point off its support
+    lies within _NEAR of the circle (cocircular sets), its support triangle is
+    not acute by _NEAR, or its radius is at most _NEAR, where Welzl's absolute
+    tolerance merges points; such sets get ``smallest_enclosing_circle`` itself.
+    """
+    sets = np.asarray(sets, dtype=float)
+    v, n = sets.shape[:2]
+    pts = sets[:, _sec_order(n)]                # Welzl's order: index = rank
+    rows = np.arange(v)
+    far = _distances(pts, pts[:, :1]).argmax(axis=1)
+    sup = np.stack([far, far, np.zeros(v, dtype=int)], axis=1)     # descending
+    center = (pts[rows, 0] + pts[rows, far]) / 2.0
+    radius = _distances(pts[rows, far], center)
+    todo = rows
+    for _ in range(n + 2):
+        reach = radius[todo, None] * (1 + 1e-14) + 1e-14         # Welzl's in-circle test
+        out = _distances(pts[todo], center[todo, None]) - reach
+        new = out.argmax(axis=1)
+        moving = out[np.arange(len(todo)), new] > 0.0
+        todo, new = todo[moving], new[moving]
+        if not len(todo):
+            break
+        members = np.column_stack([new, sup[todo]])
+        cand = np.sort(members[:, _CANDIDATES], axis=2)[..., ::-1]     # (m, 6, 3)
+        x = pts[todo[:, None, None], cand]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # A padded pair sorts to (a, b, b) or (b, b, a): its ends are 0 and 2.
+            centers = np.concatenate([(x[:, :3, 0] + x[:, :3, 2]) / 2.0,
+                                      _circumcenters(x[:, 3:])], axis=1)
+            radii = _distances(x, centers[:, :, None]).max(axis=2)
+            holds = (_distances(pts[todo[:, None], members][:, None], centers[:, :, None])
+                     <= (radii * (1 + _NEAR) + _NEAR)[..., None]).all(axis=2)
+        pick = np.arange(len(todo)), np.where(holds, radii, np.inf).argmin(axis=1)
+        sup[todo], center[todo], radius[todo] = cand[pick], centers[pick], radii[pick]
+
+    off = np.ones((v, n), dtype=bool)
+    off[rows[:, None], sup] = False
+    inner = radius[:, None] * (1 - _NEAR) - _NEAR
+    ambiguous = (radius <= _NEAR) | (off & (_distances(pts, center[:, None]) >= inner)).any(axis=1)
+    # A triangle with a vertex in the circle on its other two points.
+    x = pts[rows[:, None], sup]
+    y, z = np.roll(x, -1, axis=1), np.roll(x, -2, axis=1)
+    tri = (sup[:, 0] != sup[:, 1]) & (sup[:, 1] != sup[:, 2])
+    ambiguous |= tri & (_distances(x, (y + z) / 2.0)
+                        <= _distances(y, z) / 2.0 * (1 + _NEAR) + _NEAR).any(axis=1)
+    ambiguous[todo] = True
+    for i in np.flatnonzero(ambiguous).tolist():
+        center[i] = smallest_enclosing_circle(sets[i]).center
+    return center
+
+
+def _distances(a, b) -> np.ndarray:
+    """Elementwise distances between the points of two broadcast (..., 2) arrays."""
+    return np.hypot(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
+
+
+def _circumcenters(t) -> np.ndarray:
+    """``_circumcircle``'s centre of each triangle p, q, r of a (..., 3, 2)
+    array, with its operations in its order: the same bits.  A collinear
+    triangle gets nan or inf."""
+    o = (t.min(axis=-2) + t.max(axis=-2)) / 2.0
+    (ax, ay), (bx, by), (cx, cy) = np.moveaxis(t - o[..., None, :], (-2, -1), (0, 1))
+    d = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
+    sa, sb, sc = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    return np.stack([o[..., 0] + (sa * (by - cy) + sb * (cy - ay) + sc * (ay - by)) / d,
+                     o[..., 1] + (sa * (cx - bx) + sb * (ax - cx) + sc * (bx - ax)) / d],
+                    axis=-1)
 
 
 def triple_sec_radii(tri) -> np.ndarray:

@@ -25,6 +25,7 @@ from .geometry import (
     TAU_GEOM,
     as_points,
     dist,
+    enclosing_centers,
     match_points,
     mindist,
     nearest_in_sets,
@@ -32,7 +33,6 @@ from .geometry import (
     polar_angle,
     rotate,
     rotation_matrix,
-    smallest_enclosing_circle,
     unit,
     unit_disc_connected,
 )
@@ -626,8 +626,9 @@ def robot_decisions(views: list[np.ndarray], plan: Plan, tol: float = TAU_GEOM,
     if snapshot_tol is None:
         snapshot_tol = max(tol, 1e-7)
     decisions: list[Decision | None] = [None] * len(views)
-    for i in _initial_views(views, plan, snapshot_tol):
-        decisions[i] = _initial_decision(views[i], plan)
+    initial = _initial_views(views, plan, snapshot_tol)
+    for i, decision in zip(initial, _initial_decisions([views[i] for i in initial], plan)):
+        decisions[i] = decision
     rest = [i for i, decision in enumerate(decisions) if decision is None]
     for i, move in zip(rest, _formation_moves([views[i] for i in rest], plan, tol)):
         decisions[i] = move
@@ -698,7 +699,8 @@ _TURN = round(2 * math.pi, 9)
 
 
 def assignment_target(points: np.ndarray, self_idx: int, slots: SlotTable) -> np.ndarray:
-    """Equivariant one-round assignment of mutually visible robots to slots.
+    """Equivariant one-round assignment of mutually visible robots to slots:
+    the one-view call of ``_initial_decisions``' slot targets.
 
     Robots are grouped into orbits of the configuration's own symmetricity,
     taken of the points centred on their one smallest enclosing circle, and
@@ -710,15 +712,31 @@ def assignment_target(points: np.ndarray, self_idx: int, slots: SlotTable) -> np
     (identical signatures), or whose symmetricity does not divide the slots'
     s_p, are rejected.
     """
-    pts = as_points(points)
-    o = np.asarray(smallest_enclosing_circle(pts).center)
-    rel = pts - o
+    pts = as_points(points)[None]
+    center = enclosing_centers(pts)
+    rel, ang = _centered(pts, center)
+    return _slot_target(center[0], rel[0], ang[0], self_idx, slots)
+
+
+def _centered(sets: np.ndarray, centers: np.ndarray):
+    """Each set of a (V, n, 2) array relative to its centre, with every row's
+    ``polar_angle`` from one math.atan2 pass."""
+    rel = sets - centers[:, None]
+    ang = np.array([math.atan2(y, x) for x, y in rel.reshape(-1, 2).tolist()])
+    ang[ang < 0.0] += 2.0 * math.pi
+    ang[ang >= 2.0 * math.pi] = 0.0
+    return rel, ang.reshape(sets.shape[:2])
+
+
+def _slot_target(o, rel, ang, self_idx: int, slots: SlotTable) -> np.ndarray:
+    """``assignment_target`` of the points rel + o, given the centre o and the
+    rows' polar angles ang about it."""
     info = centered_symmetricity(rel)
     s = info.sym
     w = 2.0 * math.pi / s
     radii = np.hypot(*rel.T)
     off = radii > TAU_GEOM
-    ang = np.array([polar_angle(p) if r else 0.0 for p, r in zip(rel, off)])
+    ang = np.where(off, ang, 0.0)       # a robot at the centre has no angle
 
     rr = [round(float(r), 9) for r in radii]
     orbits = info.orbit_partition
@@ -761,34 +779,44 @@ def assignment_target(points: np.ndarray, self_idx: int, slots: SlotTable) -> np
     return o + r_star @ slots.points[members[k]]
 
 
-def _initial_decision(view: np.ndarray, plan: Plan) -> Decision:
-    try:
-        target = assignment_target(view, 0, plan.slots)
-    except AssignmentError as exc:
-        return Decision(np.zeros(2), Phase.INITIAL, (f"assignment-failed: {exc}",))
-    return Decision(target, Phase.INITIAL)
+def _initial_decisions(views: list[np.ndarray], plan: Plan) -> list[Decision]:
+    """The near-gathering decision of each full view: its slot target, with
+    every view's enclosing circle from one ``enclosing_centers`` call."""
+    if not views:
+        return []
+    pts = np.stack(views)
+    centers = enclosing_centers(pts)
+    decisions = []
+    for o, rel, ang in zip(centers, *_centered(pts, centers)):
+        try:
+            decisions.append(Decision(_slot_target(o, rel, ang, 0, plan.slots), Phase.INITIAL))
+        except AssignmentError as exc:
+            decisions.append(Decision(np.zeros(2), Phase.INITIAL, (f"assignment-failed: {exc}",)))
+    return decisions
 
 
 # --- scaling branch for symmetricity >= n/2 ---------------------------------------------
 
 def _star_decisions(views: list[np.ndarray], plan: Plan, tol: float) -> list[Decision]:
     """Each robot's scaling-branch decision: the full views' fits come from one
-    ``_star_full_fits`` call, the local views' from one ``_star_local_fits`` call."""
+    ``_star_full_fits`` call, the local views' from one ``_star_local_fits`` call.
+    Full views that fit no scaled pattern (the initial near-gathering) take a
+    slot of the shrunken pattern from one ``_initial_decisions`` call."""
     if plan.n == 1:
         return [Decision(np.zeros(2), Phase.STAR) for _ in views]
     full = [len(view) == plan.n for view in views]
-    fits = iter(_star_full_fits([v for v, f in zip(views, full) if f], plan, tol))
-    local = iter(_star_local_fits([v for v, f in zip(views, full) if not f], plan.star, tol))
-    return [_star_decision(view, plan, next(fits) if f else next(local), f)
-            for view, f in zip(views, full)]
+    full_fits = iter(_star_full_fits([v for v, f in zip(views, full) if f], plan, tol))
+    local_fits = iter(_star_local_fits([v for v, f in zip(views, full) if not f], plan.star, tol))
+    fits = [next(full_fits) if f else next(local_fits) for f in full]
+    gathered = [i for i, (f, fit) in enumerate(zip(full, fits)) if f and fit is None]
+    initial = dict(zip(gathered, _initial_decisions([views[i] for i in gathered], plan)))
+    return [initial[i] if i in initial else _star_decision(plan, fit, f)
+            for i, (fit, f) in enumerate(zip(fits, full))]
 
 
-def _star_decision(pts: np.ndarray, plan: Plan, fits, full: bool) -> Decision:
+def _star_decision(plan: Plan, fits, full: bool) -> Decision:
     """The move of a robot with its full view's fit or its local view's fits."""
     star = plan.star
-    if full and fits is None:
-        # Initial near-gathering: take a slot of the shrunken pattern.
-        return _initial_decision(pts, plan)
     if not full and len(fits) != 1:
         return Decision(np.zeros(2), Phase.STAR,
                         ("ambiguous-scale" if fits else "no-scale-fit",))

@@ -141,10 +141,10 @@ def make_local_views(positions, rnd: int, cfg: SimConfig, frame=None) -> list[np
     row, col = np.nonzero(mask)
     order = np.lexsort((y, x, row != col, row))
     local = np.stack([x[order], y[order]], axis=1)
-    counts = mask.sum(axis=1)
-    first = np.cumsum(counts) - counts
+    ends = np.cumsum(mask.sum(axis=1))
+    first = np.r_[0, ends[:-1]]
     local[first] = 0.0                              # cos * 0.0 may be -0.0
-    return np.split(local, first[1:])
+    return [local[a:b] for a, b in zip(first.tolist(), ends.tolist())]
 
 
 def verify_pattern(config, pattern, tol: float = 1e-6):

@@ -91,19 +91,9 @@ def centered_symmetricity(pts: np.ndarray) -> SymmetryInfo:
         return SymmetryInfo(1, singletons)
 
     # Candidate m values must divide every radius-class size, hence their gcd.
-    order = np.argsort(radii)
-    class_sizes = []
-    size = 1
-    for a, b in zip(order[:-1], order[1:]):
-        if radii[b] - radii[a] <= TAU_GEOM:
-            size += 1
-        else:
-            class_sizes.append(size)
-            size = 1
-    class_sizes.append(size)
-    g = 0
-    for s in class_sizes:
-        g = math.gcd(g, s)
+    # A class ends where the sorted radii step by more than TAU_GEOM.
+    bounds = np.flatnonzero(np.r_[True, np.diff(np.sort(radii)) > TAU_GEOM, True])
+    g = math.gcd(*np.diff(bounds).tolist())
 
     for m in sorted((d for d in _divisors(g) if d > 1), reverse=True):
         orbits = rotation_orbits(pts, m)

@@ -23,8 +23,9 @@ from swarmdraw.formation import (
     state_by_index,
     state_from_cells,
 )
-from swarmdraw.geometry import (TAU_GEOM, match_points, nearest, nearest_in_sets, rotate,
-                                smallest_enclosing_circle, triple_sec_radii, unit)
+from swarmdraw.geometry import (TAU_GEOM, enclosing_centers, match_points, nearest,
+                                nearest_in_sets, rotate, smallest_enclosing_circle,
+                                triple_sec_radii, unit)
 from swarmdraw.protocol import (AssignmentError, Phase, _star_local_fits, _star_match,
                                 assignment_target, build_plan, fit_isometry, robot_decision,
                                 robot_decisions)
@@ -182,6 +183,57 @@ def test_batched_triple_radii_agree_with_welzl(drawn):
     radii = triple_sec_radii(np.stack([tri for tri, _ in drawn]))
     for (tri, scale), radius in zip(drawn, radii):
         assert abs(radius - smallest_enclosing_circle(tri).radius) <= 1e-12 * scale
+
+
+@st.composite
+def near_circle_sets(draw):
+    """A random set with one more point within 1e-14 of its enclosing circle,
+    relative to the radius."""
+    pts = draw(random_sets)
+    circle = smallest_enclosing_circle(pts)
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    r = circle.radius * (1.0 + draw(st.floats(-1e-14, 1e-14)))
+    return np.vstack([pts, circle.center + r * np.array([math.cos(phi), math.sin(phi)])])
+
+
+@st.composite
+def almost_right_triangles(draw):
+    """A right triangle, anywhere and at any scale, with one leg turned by at
+    most 1e-13 either way: whether its circle stands on the hypotenuse or on
+    all three points is left to rounding."""
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    u = np.array([math.cos(phi), math.sin(phi)])
+    v = np.array([-u[1], u[0]]) + draw(st.sampled_from([-1e-13, -1e-15, 0.0, 1e-15, 1e-13])) * u
+    a, b = draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0))
+    return np.array([draw(coord), draw(coord)]) + np.stack([0.0 * u, a * u, b * v])
+
+
+@st.composite
+def equal_size_batches(draw):
+    """One drawn set, copies of it rotated, shifted and jittered at a drawn
+    scale up to 1e-9, and unrelated uniform sets of its size, in a drawn order."""
+    base = draw(st.one_of(random_sets, cocircular_sets(), collinear_sets(), near_circle_sets(),
+                          triangles().map(lambda drawn: drawn[0]), almost_right_triangles(),
+                          st.lists(st.tuples(coord, coord), min_size=1, max_size=2).map(np.array)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sets = [base]
+    for _ in range(draw(st.integers(0, 3))):
+        jitter_scale = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9]))
+        sets.append(rotate(base, draw(st.floats(-math.pi, math.pi))) + [draw(coord), draw(coord)]
+                    + jitter_scale * rng.standard_normal(base.shape))
+    sets += list(rng.uniform(-10.0, 10.0, (draw(st.integers(0, 3)),) + base.shape))
+    return np.stack(sets)[rng.permutation(len(sets))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(equal_size_batches())
+def test_enclosing_centers_equal_welzl_bit_for_bit(sets):
+    """Each set's batched centre is Welzl's, alone and in a batch: a set's
+    result does not depend on the rest of the batch."""
+    welzl = np.array([smallest_enclosing_circle(s).center for s in sets])
+    for s, center in zip(sets, welzl):
+        assert enclosing_centers(s[None])[0].tobytes() == center.tobytes()
+    assert enclosing_centers(sets).tobytes() == welzl.tobytes()
 
 
 FIT_TOL = 1e-6

@@ -1026,36 +1026,41 @@ def test_drawing_run_recomputes_no_pattern_values(monkeypatch):
 
 
 def test_gathered_runs_take_one_enclosing_circle_per_assignment(monkeypatch):
-    """A gathered star run and a gathered drawing run: each assignment_target
-    call computes one smallest enclosing circle, and the slot orbits come
-    from the plan, so no rotation_orbits call is made on the slots."""
+    """A gathered star run, a gathered drawing run and a 6-fold symmetric
+    gathered star run: each round's near-gathering views pass through one
+    ``enclosing_centers`` call, one row per robot in all, and Welzl's loop
+    runs only on the symmetric views, whose cocircular hexagon takes the
+    fallback.  The slot orbits come from the plan, so no rotation_orbits call
+    is made on the slots."""
     import swarmdraw.geometry as geometry
     import swarmdraw.pathing as pathing
-    import swarmdraw.protocol as protocol
     import swarmdraw.symmetry as symmetry
 
-    runs = [(build_plan(ngon(14, 2.0)), near_gathering(14, seed=21)),
-            (build_plan(random_connected_pattern(8, seed=18)), near_gathering(8, seed=9))]
+    seeds = np.random.default_rng(10).uniform(-0.15, 0.15, (2, 2)) + np.array([0.25, 0.1])
+    hexagonal = np.vstack([rotate(seeds, k * math.pi / 3) for k in range(6)])
+    runs = [(build_plan(ngon(14, 2.0)), near_gathering(14, seed=21), False),
+            (build_plan(random_connected_pattern(8, seed=18)), near_gathering(8, seed=9), False),
+            (build_plan(symmetric_pattern(6, 2, seed=4)), hexagonal, True)]
     calls = Counter()
 
-    def counted(name, real):
+    def counted(name, real, rows=False):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += len(args[0]) if rows else 1
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(protocol, "assignment_target",
-                        counted("assignment", protocol.assignment_target))
+    monkeypatch.setattr(protocol, "enclosing_centers",
+                        counted("rows", geometry.enclosing_centers, rows=True))
     monkeypatch.setattr(protocol, "rotation_orbits", counted("slot orbits", protocol.rotation_orbits))
     sec = counted("sec", geometry.smallest_enclosing_circle)
-    for module in (geometry, symmetry, pathing, protocol):
+    for module in (geometry, symmetry, pathing):
         monkeypatch.setattr(module, "smallest_enclosing_circle", sec)
-    for plan, config in runs:
+    for plan, config, fallback in runs:
         calls.clear()
         rounds = plan.star.rounds_bound if plan.star is not None else plan.hops + 3
         trace = run_fsync(config, plan, SimConfig(seed=3, max_rounds=rounds))
         assert trace.verdict == "formed"
-        assert calls == {"assignment": plan.n, "sec": plan.n}, plan.branch
+        assert calls == Counter(rows=plan.n, sec=plan.n if fallback else 0), plan.branch
 
 
 def test_star_rounds_bound_with_assignment():

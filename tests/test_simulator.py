@@ -473,21 +473,23 @@ def test_run_builds_no_second_plan(monkeypatch):
 def test_run_makes_no_sec_call(monkeypatch, pts):
     """Termination, ground truth and the robots' congruence tests centre on the
     centroid: a drawing run from the initial cluster and a star run from the
-    scaled start compute no smallest enclosing circle.  Verdict, alignment and
-    error equal a fit of every round."""
+    scaled start compute no smallest enclosing circle, one at a time or
+    batched.  Verdict, alignment and error equal a fit of every round."""
     plan = build_plan(pts)
     initial = plan.initial if plan.branch == "draw" else plan.star.kappa0 * plan.pattern
     calls = []
-    inner = geometry.smallest_enclosing_circle
 
-    def counting(points):
-        calls.append(1)
-        return inner(points)
+    def counting(inner):
+        def wrapper(points):
+            calls.append(inner.__name__)
+            return inner(points)
+        return wrapper
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("swarmdraw") and getattr(module, "smallest_enclosing_circle",
-                                                    None) is inner:
-            monkeypatch.setattr(module, "smallest_enclosing_circle", counting)
+    for inner in (geometry.smallest_enclosing_circle, geometry.enclosing_centers):
+        wrapper = counting(inner)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("swarmdraw") and getattr(module, inner.__name__, None) is inner:
+                monkeypatch.setattr(module, inner.__name__, wrapper)
     cfg = SimConfig(seed=2)
     trace = run_fsync(initial, plan, cfg)
     assert trace.verdict == "formed" and trace.total_rounds > 1
