@@ -426,20 +426,26 @@ def detect_arrays(points, sizes, grid: GridSpec, tol: float = TAU_GEOM) -> Detec
 def _epsilon_pairs(pts, win, eps: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (a, b), a < b, of one window whose x-coordinates differ by
     about eps + tol at most: a superset of the pairs at distance eps within tol,
-    from a sweep over the points sorted on (window, x).
+    from a sweep over the points sorted on key = x + win*shift.
 
-    Complex keys sort on the real part (the window) first, so no query leaves
-    its window.  The candidates hold every pair the distance test keeps: that
-    test passes only for a computed distance h <= (eps + tol)(1 + 2^-52), the
-    computed ``np.abs`` of a complex difference is never below the magnitude of
-    its real part, and the reach exceeds eps + tol by more than the rounding
-    of that real part and of x + reach.
+    shift exceeds the span of x by 4(eps + tol) + 1, so each window's keys
+    lie in their own range, more than a reach away from the next window's,
+    and no query leaves its window.  The candidates hold every pair the
+    distance test keeps: that test passes only for a computed distance
+    h <= (eps + tol)(1 + 2^-52), and the computed ``np.abs`` of a complex
+    difference is never below the magnitude of its real part.  Both points of
+    a window add the same rounded fl(win*shift), so their keys differ by their
+    x difference up to the rounding of the two sums and of that difference,
+    each below 2^-53 (|key| + 1); the reach exceeds eps + tol by more than
+    these and the rounding of key + reach together.
     """
-    order = np.lexsort((pts[:, 0], win))
-    x = pts[order, 0]
-    key = win[order] + 1j * x
-    reach = (eps + tol) * (1.0 + 1e-12) + 1e-15 * np.abs(x)
-    ends = np.searchsorted(key, key + 1j * reach, side="right")
+    x = pts[:, 0]
+    shift = 2.0 * np.abs(x).max(initial=0.0) + 4.0 * (eps + tol) + 1.0
+    key = x + win * shift
+    order = np.argsort(key)
+    key = key[order]
+    reach = (eps + tol) * (1.0 + 1e-12) + 2.0 ** -49 * (np.abs(key) + 1.0)
+    ends = np.searchsorted(key, key + reach, side="right")
     after = np.arange(1, len(key) + 1)
     first, second = _ranges(after, ends - after)        # each sorted point's partners after it
     a, b = order[first], order[second]

@@ -418,10 +418,10 @@ def _centered_fits(a, b, b_radii, tol) -> list:
 
     A pair kept by ``_screen_pairs`` fits at once if the set lies within tol of
     its centroid; else its candidate rotations align the set's farthest point
-    (ties broken by x, then y) with each template point of that radius within
-    2*tol.  Wave w fits the w-th candidate of every unmatched set, so a set
-    tries what it would alone and reads its own points only: rotations by one
-    stacked matmul, nearest neighbours by ``nearest_in_sets``, 2**15 at most.
+    (``_farthest``) with each template point of that radius within 2*tol.
+    Wave w fits the w-th candidate of every unmatched set, so a set tries what
+    it would alone and reads its own points only: rotations by one stacked
+    matmul, nearest neighbours by ``nearest_in_sets``, 2**15 at most.
     """
     sets, n = a.shape[:2]
     b, b_radii, tol = (np.broadcast_to(x, (sets,) + x.shape[-k:])
@@ -432,7 +432,7 @@ def _centered_fits(a, b, b_radii, tol) -> list:
     fits = [None] * sets
     if not len(v):
         return fits
-    ext = np.lexsort((a[..., 1], a[..., 0], ra), axis=-1)[:, -1]
+    ext = _farthest(a, ra)
     ang = [math.atan2(y, x) for x, y in a[np.arange(sets), ext].tolist()]
     # Candidates: pair p and template point j; a pair that fits at once has j = 0 only.
     once = (ra.max(axis=1)[v] <= tol[v, t]) | (n == 1)
@@ -467,6 +467,17 @@ def _centered_fits(a, b, b_radii, tol) -> list:
         matched[[o for o, fit in enumerate(fits) if fit is not None]] = True
         todo = todo[~matched[owner[todo]]]
     return fits
+
+
+def _farthest(a, ra) -> np.ndarray:
+    """The row of each set a[v]'s ((sets, n, 2)) farthest point, radii ra:
+    ties to the largest x, then the largest y, then the last row, as the last
+    row of a stable sort on (radius, x, y) would give, by masked maxima."""
+    top = np.ones(ra.shape, dtype=bool)
+    for key in (ra, a[..., 0], a[..., 1]):
+        key = np.where(top, key, -np.inf)
+        top &= key == key.max(axis=1, keepdims=True)
+    return ra.shape[1] - 1 - np.argmax(top[:, ::-1], axis=1)
 
 
 # --- phase classification ---------------------------------------------------------

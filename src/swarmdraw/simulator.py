@@ -127,24 +127,30 @@ def _frame(n: int, rnd: int, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 def make_local_views(positions, rnd: int, cfg: SimConfig, frame=None) -> list[np.ndarray]:
     """Every robot's view: a (k+1, 2) array in its per-(robot, round) rotated
     frame, the robot itself at row 0 as exact +0.0, then its k neighbours
-    within distance 1, lex-sorted.  All views are slices of one array from one
-    pass over the round's differences.  frame is the round's ``_frame``, if
-    the caller already has it."""
+    within distance 1, lex-sorted on (x, y), ties by index.  All views are
+    slices of one array from one pass over the round's differences: each
+    robot's entries, in index order, fill one row of a table padded with +inf
+    (its own entry keyed -inf), and one row-wise stable sort orders them.
+    frame is the round's ``_frame``, if the caller already has it."""
     pts = as_points(positions)
     cos, sin = _frame(len(pts), rnd, cfg) if frame is None else frame
     cos, sin = cos[:, None], sin[:, None]
     dx = pts[None, :, 0] - pts[:, None, 0]          # row i: positions relative to robot i
     dy = pts[None, :, 1] - pts[:, None, 1]
     mask = np.hypot(dx, dy) <= 1.0 + TAU_GEOM       # the diagonal is the robot itself
-    x = (cos * dx - sin * dy)[mask]
-    y = (sin * dx + cos * dy)[mask]
+    counts = mask.sum(axis=1)
+    first = np.cumsum(counts) - counts
     row, col = np.nonzero(mask)
-    order = np.lexsort((y, x, row != col, row))
-    local = np.stack([x[order], y[order]], axis=1)
-    ends = np.cumsum(mask.sum(axis=1))
-    first = np.r_[0, ends[:-1]]
-    local[first] = 0.0                              # cos * 0.0 may be -0.0
-    return [local[a:b] for a, b in zip(first.tolist(), ends.tolist())]
+    slot = np.arange(len(row)) - np.repeat(first, counts)
+    kx = np.full((len(pts), counts.max(initial=0)), np.inf)
+    ky = kx.copy()
+    kx[row, slot] = (cos * dx - sin * dy)[mask]
+    ky[row, slot] = (sin * dx + cos * dy)[mask]
+    kx[np.arange(len(pts)), slot[row == col]] = -np.inf
+    src = np.lexsort((ky, kx), axis=-1)[row, slot]
+    local = np.stack([kx[row, src], ky[row, src]], axis=1)
+    local[first] = 0.0                              # the robot itself, as +0.0
+    return [local[a:a + k] for a, k in zip(first.tolist(), counts.tolist())]
 
 
 def verify_pattern(config, pattern, tol: float = 1e-6):

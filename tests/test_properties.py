@@ -2,7 +2,8 @@
 nearest-neighbour pass, the shared matcher, the orbit walk built on it, the
 congruence fit, the near-gathering assignment, the grid-state enumeration and
 the scaling branch's neighbourhood match and its batched fits, batched
-formation detection, and the batched drawing-branch decisions."""
+formation detection and its epsilon-pair sweep, the fit's farthest point, and
+the batched drawing-branch decisions."""
 
 import math
 from functools import lru_cache
@@ -16,6 +17,7 @@ from swarmdraw.formation import (
     DrawingHull,
     FormationError,
     _decode,
+    _epsilon_pairs,
     count_states,
     detect_arrays,
     grid_spec,
@@ -26,9 +28,9 @@ from swarmdraw.formation import (
 from swarmdraw.geometry import (TAU_GEOM, enclosing_centers, match_points, nearest,
                                 nearest_in_sets, rotate, smallest_enclosing_circle,
                                 triple_sec_radii, unit)
-from swarmdraw.protocol import (AssignmentError, Phase, _star_local_fits, _star_match,
-                                assignment_target, build_plan, fit_isometry, robot_decision,
-                                robot_decisions)
+from swarmdraw.protocol import (AssignmentError, Phase, _farthest, _star_local_fits,
+                                _star_match, assignment_target, build_plan, fit_isometry,
+                                robot_decision, robot_decisions)
 from swarmdraw.simulator import noisy_tolerances
 from swarmdraw.symmetry import normalize, symmetricity
 
@@ -448,6 +450,75 @@ def test_detect_arrays_rejects_sizes_that_miss_points():
     for sizes in ([2], [4], [3, -1, 1], [[3]]):
         with pytest.raises(ValueError, match="window sizes"):
             detect_arrays(np.zeros((3, 2)), sizes, grid)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_epsilon_pair_sweep_holds_every_pair_in_reach(seed):
+    """Every pair of one window whose computed distance is at most
+    (eps + tol)(1 + 2^-52), the reach of detection's distance test, is a
+    candidate of ``_epsilon_pairs``, and no candidate joins two windows.  The
+    windows sit up to 1e3 from the origin (the commit check detects in global
+    coordinates), every one with a point at x = +-1e3, alternately, so that
+    neighbouring windows' keys come closest; each holds pairs at eps +- tol,
+    at that reach and at the floats beside eps + tol, along the x-axis and in
+    random directions, and columns of points sharing an x."""
+    rng = np.random.default_rng(seed)
+    eps = rng.uniform(1e-3, 0.1)
+    tol = float(rng.choice([TAU_GEOM, 0.01 * eps, 0.45 * eps]))
+    reach = (eps + tol) * (1.0 + 2.0 ** -52)
+    gaps = np.array([eps - tol, eps + tol, reach,
+                     np.nextafter(eps + tol, 0.0), np.nextafter(eps + tol, 1.0)])
+    windows = []
+    for w in range(int(rng.integers(1, 60))):
+        p = rng.uniform(-1e3 + 1.0, 1e3 - 1.0, 2)
+        phi = rng.uniform(-math.pi, math.pi, len(gaps))
+        column = np.arange(1, 6)[:, None] * [0.0, 0.3 * eps]
+        windows.append(np.vstack([
+            p, [(-1.0) ** w * 1e3, p[1]],
+            p + np.column_stack([gaps, np.zeros_like(gaps)]),
+            p - np.column_stack([gaps, np.zeros_like(gaps)]),
+            p + gaps[:, None] * np.column_stack([np.cos(phi), np.sin(phi)]),
+            p + column, p + [eps + tol, 0.0] + column,
+            p + jitter(rng, int(rng.integers(0, 10)), 2 * (eps + tol))]))
+    sizes = [len(pts) for pts in windows]
+    win = np.repeat(np.arange(len(windows)), sizes)
+    a, b = _epsilon_pairs(np.vstack(windows), win, eps, tol)
+    assert (win[a] == win[b]).all() and (a < b).all()
+    got = set(zip(a.tolist(), b.tolist()))
+    start = 0
+    for pts in windows:
+        z = pts[:, 0] + 1j * pts[:, 1]
+        i, j = np.triu_indices(len(pts), 1)
+        close = np.abs(z[j] - z[i]) <= reach
+        assert set(zip((start + i[close]).tolist(), (start + j[close]).tolist())) <= got
+        start += len(pts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_farthest_point_is_the_last_row_of_a_stable_sort(seed):
+    """``_farthest`` equals the last row of np.lexsort on (radius, x, y) for
+    sets with tied radii, tied x and tied y: rotated regular polygons, and
+    points repeated with their mirror images and swapped coordinates (x = 0
+    among them, so -0.0 meets +0.0), in random row order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 13))
+    sets = []
+    for _ in range(int(rng.integers(1, 20))):
+        if rng.uniform() < 0.3:
+            phi = rng.choice([0.0, math.pi / 4, rng.uniform(-math.pi, math.pi)])
+            ang = phi + 2 * math.pi * np.arange(n) / n
+            pts = rng.uniform(0.1, 1.0) * np.column_stack([np.cos(ang), np.sin(ang)])
+        else:
+            base = np.round(rng.uniform(-1.0, 1.0, (int(rng.integers(1, 4)), 2)), 1)
+            pool = np.vstack([base, base * [1, -1], base * [-1, 1], -base, base[:, ::-1]])
+            pts = pool[rng.integers(0, len(pool), n)]
+        sets.append(pts[rng.permutation(n)])
+    a = np.stack(sets)
+    ra = np.hypot(a[..., 0], a[..., 1])
+    want = np.lexsort((a[..., 1], a[..., 0], ra), axis=-1)[:, -1]
+    assert np.array_equal(_farthest(a, ra), want)
 
 
 @lru_cache(maxsize=None)

@@ -833,6 +833,20 @@ def test_symmetric_near_gatherings_form(s, m, seed):
             assert trace.total_rounds <= bound, (start, frame_seed)
 
 
+def test_nudged_initial_cluster_forms():
+    """The initial cluster of sym-3x4 with one robot nudged by (2e-4, -1e-4)
+    is a near-gathering that fits no snapshot, so every robot takes the
+    initial phase in round 0, and the run forms within hops + 3 rounds (16 at
+    frame seed 1).  A rule that trusted a formation detected in such a view
+    would set its formation robots moving while the others reassign."""
+    plan = build_plan(symmetric_pattern(3, 4, seed=2004))
+    start = plan.initial.copy()
+    start[10] += (2e-4, -1e-4)
+    trace = run_fsync(start, plan, SimConfig(seed=1, max_rounds=plan.hops + 5))
+    assert trace.verdict == "formed"
+    assert trace.total_rounds <= plan.hops + 3
+
+
 def _assignment_reference(points, self_idx, slots):
     """Reference for assignment_target: the slot orbits of the slot array
     found and sorted on every call, and the symmetricity taken of the

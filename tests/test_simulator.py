@@ -68,11 +68,17 @@ def _views_reference(positions, rnd, cfg):
 def test_views_equal_per_robot_reference(seed):
     """Random swarms holding a pair exactly 1 apart (and one just beyond), in
     random and fixed frames.  Row 0 of every view is the robot itself, stored
-    as +0.0 bytes whatever the frame."""
+    as +0.0 bytes whatever the frame, and rows 1.. are in exact (x, y) order.
+    Beside them, in the fixed frame: neighbours sharing an x (x = 0 beside
+    robot 0), a robot that sees only itself, and a dense grid of rounded points
+    (shared x and y, coincident points) whose rows are far longer than the
+    sparse ones."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(0, 40))
+    shared_x = [[0.25, 0.2], [0.25, 0.8], [0.6, 0.1], [0.6, 0.9], [0.6, 0.5], [10.0, 10.0]]
+    dense = np.round(rng.uniform(-1.3, -0.9, (30, 2)) * 20) / 20
     positions = np.vstack([[[0.25, 0.5], [1.25, 0.5], [0.25, 1.5 + 2 * TAU_GEOM]],
-                           rng.uniform(-1.5, 1.5, (n, 2))])
+                           rng.uniform(-1.5, 1.5, (n, 2)), shared_x, dense])
     for cfg in (SimConfig(seed=seed), SimConfig(seed=seed, frame_mode="fixed")):
         rnd = int(rng.integers(0, 1000))
         got = make_local_views(positions, rnd, cfg)
@@ -82,9 +88,31 @@ def test_views_equal_per_robot_reference(seed):
             assert view[0].tobytes() == np.zeros(2).tobytes()
             assert view[1:].shape == ref.shape
             assert np.allclose(view[1:], ref, atol=1e-12, rtol=0)
+            x, y = view[1:].T
+            assert ((x[:-1] < x[1:]) | ((x[:-1] == x[1:]) & (y[:-1] <= y[1:]))).all()
+        assert len(got[3 + n + 5]) == 1                 # the robot at (10, 10)
+        if cfg.frame_mode == "fixed":
+            assert (got[0][1:, 0] == 0.0).sum() == 2    # (0.25, 0.2) and (0.25, 0.8)
         # The boundary neighbour is seen, the one 2*TAU_GEOM beyond is not.
         assert np.isclose(np.hypot(*got[0][1:].T), 1.0, atol=1e-12).sum() == 1
         assert len(make_local_views(positions[[0, 2]], rnd, cfg)[0]) == 1
+
+
+def test_bench_traces_equal_the_recorded_traces():
+    """The seed-0 traces of the three bench workloads, byte for byte: the
+    SHA-256 digests of tests/trace_digest.py against tests/trace_digests.json.
+    Like plan_digests.json, they hold on the machine that recorded them; a
+    different BLAS or CPU may round the rotations otherwise."""
+    saved = sys.path[:]
+    try:
+        import trace_digest
+    finally:
+        sys.path[:] = saved
+    recorded = json.loads((Path(__file__).parent / "trace_digests.json").read_text())
+    assert sorted(recorded) == ["draw-large 0", "draw-small 0", "star 0"]
+    for label, want in recorded.items():
+        workload, seed = label.split()
+        assert trace_digest.digest(workload, int(seed), noise=False) == want, label
 
 
 def test_frame_angles_are_a_counter_based_hash():
