@@ -486,8 +486,9 @@ def overlapping(det: Detections, f, g, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _wedge_polygon(hull: DrawingHull, segments: int = 48) -> np.ndarray:
+def _wedge_polygon(hull: DrawingHull) -> np.ndarray:
     """Convex polygon circumscribing the wedge (arc slightly padded outward)."""
+    segments = 48
     step = hull.span / segments
     radius = hull.diameter / math.cos(step / 2.0)
     angles = np.linspace(0.0, hull.span, segments + 1)

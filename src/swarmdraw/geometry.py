@@ -90,14 +90,11 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def rotate(points, theta: float, center=None) -> np.ndarray:
-    """Rotate points counter-clockwise by theta about center (default origin)."""
+def rotate(points, theta: float) -> np.ndarray:
+    """Rotate points counter-clockwise by theta about the origin."""
     pts = np.asarray(points, dtype=float)
     rot = rotation_matrix(theta)
-    if center is None:
-        return pts @ rot.T
-    center = np.asarray(center, dtype=float)
-    return (pts - center) @ rot.T + center
+    return pts @ rot.T
 
 
 def _squared_distances(a, b) -> np.ndarray:

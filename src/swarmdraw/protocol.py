@@ -675,14 +675,9 @@ def _slot_table(slots: np.ndarray, s_p: int) -> SlotTable:
     smallest phase, in units of 2*pi/d)."""
     angles = [polar_angle(p) for p in slots]
     radii = [round(float(r), 9) for r in np.hypot(slots[:, 0], slots[:, 1])]
-    rounded = np.round(slots, 9)
-    # The rotation by 2*pi leaves every slot in place: the singletons, sorted
-    # by ``_slot_key`` in one stable lexsort (an angle below 2*pi is its phase).
-    order = np.lexsort((rounded[:, 1], rounded[:, 0], [round(a, 9) for a in angles], radii))
-    table: dict[int, SlotOrbits | None] = {
-        1: SlotOrbits(np.array(angles)[order], tuple((i,) for i in order.tolist()))}
-    rounded = list(map(tuple, rounded.tolist()))
-    for d in (d for d in range(2, s_p + 1) if s_p % d == 0):
+    rounded = list(map(tuple, np.round(slots, 9).tolist()))
+    table: dict[int, SlotOrbits | None] = {}
+    for d in (d for d in range(1, s_p + 1) if s_p % d == 0):
         orbits = rotation_orbits(slots, d, tol=1e-7)
         if orbits is None:
             table[d] = None

@@ -3,9 +3,10 @@
 Each round every robot receives its local view (neighbors within distance 1,
 in a private randomly rotated frame), computes a target through the protocol,
 and all moves commit simultaneously.  The engine checks the model invariants
-(displacement at most 1, no collisions, disjoint formation hulls), tracks
-ground truth against the plan's reference schedule, detects termination by
-congruence with the target pattern, and emits a JSON-lines trace.
+(displacement at most 1, no collisions, disjoint formation hulls), detects
+termination by congruence with the target pattern, and emits a JSON-lines
+trace.  ``ground_truth`` matches a finished trace against the plan's reference
+schedule.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class SimConfig:
     max_rounds: int = 10_000
     tolerance: float = 1e-6
     noise_mu: float = 0.0
-    frame_mode: str = "random"      # "random" or "fixed"
 
 
 @dataclass
@@ -66,8 +66,6 @@ class Trace:
     total_rounds: int = 0
     max_error: float = math.inf
     alignment: dict | None = None
-    diverged: bool = False
-    gt_phases: list[list[Phase] | None] = field(default_factory=list)
     pattern: np.ndarray | None = None
     path_vertices: np.ndarray | None = None
 
@@ -94,11 +92,9 @@ class Trace:
 
 
 def _frame_angles(n: int, rnd: int, cfg: SimConfig) -> np.ndarray:
-    """The n robots' private frame angles of round rnd, in [0, 2*pi) (all 0 in
-    the fixed frame mode): the SplitMix64 finaliser of a counter keyed on
-    (seed, robot, round), its top 53 bits scaled to the circle."""
-    if cfg.frame_mode == "fixed":
-        return np.zeros(n)
+    """The n robots' private frame angles of round rnd, in [0, 2*pi): the
+    SplitMix64 finaliser of a counter keyed on (seed, robot, round), its top
+    53 bits scaled to the circle."""
     with np.errstate(over="ignore"):
         z = (np.uint64((cfg.seed * 0x9E3779B97F4A7C15) % 2 ** 64)
              + ((np.arange(n, dtype=np.uint64) + np.uint64(1)) << np.uint64(32))
@@ -225,58 +221,43 @@ def noisy_tolerances(plan: Plan, noise_mu: float) -> tuple[float, list[float]]:
     return tol, [max(tol, drift_tolerance(plan, noise_mu, t)) for t in plan.snapshot_ids]
 
 
-class _GroundTruth:
-    """Matches simulated configurations against the reference schedule.
+def ground_truth(trace: Trace, plan: Plan,
+                 noise_mu: float = 0.0) -> tuple[list[list[Phase] | None], bool]:
+    """(phases, diverged): the reference schedule's roles of a finished trace's
+    robots, per round, or None where there are none.
 
-    Round rnd is matched at max(1e-6, D(rnd)).
+    The world-to-schedule alignment locks at the first round rnd congruent
+    with schedule[rnd], or with schedule[rnd - 1] for runs that reach the
+    initial cluster one round late; round 0 reads as initial before it locks.
+    From the lock on, round rnd is matched against its transformed reference
+    round at max(1e-6, D(rnd)); the first round that fails diverges the run,
+    and it and every later round read None.
     """
-
-    def __init__(self, plan: Plan, noise_mu: float):
-        self.plan = plan
-        self.noise_mu = noise_mu
-        self.offset: int | None = None
-        self.transform: tuple[float, np.ndarray] | None = None
-        self.diverged = False
-
-    def roles_for(self, positions, rnd: int) -> list[Phase] | None:
-        if self.diverged or not self.plan.schedule:
-            return None
-        if self.transform is None:
-            # Lock the world-to-schedule alignment at the first congruent round;
-            # runs starting one round before the initial cluster lock at offset 1.
-            for t0 in (0, 1):
-                t = rnd - t0
-                if not 0 <= t < len(self.plan.schedule):
-                    continue
-                if len(self.plan.schedule[t].positions) != len(positions):
-                    continue
-                fit = fit_isometry(positions, self.plan.schedule[t].positions,
-                                   self._tol(rnd))
+    schedule = plan.schedule
+    phases, lock = [], None         # lock: (round offset, rotation, translation)
+    for rec in trace.rounds:
+        pts = rec.positions
+        tol = max(1e-6, drift_tolerance(plan, noise_mu, rec.round))
+        for t0 in (0, 1) if lock is None else ():
+            t = rec.round - t0
+            if 0 <= t < len(schedule) and len(schedule[t].positions) == len(pts):
+                fit = fit_isometry(pts, schedule[t].positions, tol)
                 if fit is not None:
-                    self.offset = t0
-                    self.transform = (fit[0], fit[1])
+                    lock = t0, rotation_matrix(fit[0]), fit[1]
                     break
-            if self.transform is None:
-                if rnd == 0:
-                    return [Phase.INITIAL] * len(positions)
-                return None
-        t = min(max(rnd - self.offset, 0), len(self.plan.schedule) - 1)
-        rec = self.plan.schedule[t]
-        if len(rec.positions) != len(positions):
-            self.diverged = True
-            return None
-        theta, translation = self.transform
-        expected = rec.positions @ rotation_matrix(theta).T + translation
-        # Under noise a formation can drift by more than half its own spacing,
-        # so the matcher's exact-assignment fallback is needed.
-        idx, _ = match_points(positions, expected, self._tol(rnd))
+        if lock is None:
+            phases.append([Phase.INITIAL] * len(pts) if rec.round == 0 and schedule else None)
+            continue
+        ref = schedule[min(rec.round - lock[0], len(schedule) - 1)]
+        idx = None
+        if len(ref.positions) == len(pts):
+            # Under noise a formation can drift by more than half its own spacing,
+            # so the matcher's exact-assignment fallback is needed.
+            idx, _ = match_points(pts, ref.positions @ lock[1].T + lock[2], tol)
         if idx is None:
-            self.diverged = True
-            return None
-        return [rec.roles[i] for i in idx]
-
-    def _tol(self, rnd: int) -> float:
-        return max(1e-6, drift_tolerance(self.plan, self.noise_mu, rnd))
+            return phases + [None] * (len(trace.rounds) - len(phases)), True
+        phases.append([ref.roles[i] for i in idx])
+    return phases, False
 
 
 def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
@@ -291,11 +272,11 @@ def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
     run with verdict "aborted".
 
     Noiseless runs match snapshots at 1e-7 and terminate at cfg.tolerance.
-    Under noise a drawing run matches reference snapshot t, and the ground
-    truth of round t, at the drift bound D(t) of ``drift_tolerance``, and
-    terminates at max(cfg.tolerance, min(D(hops + 2), 0.45 * mindist)), the
-    cap keeping "formed" a one-to-one placement on the pattern.  The scaling
-    branch has no noise model and rejects noise_mu > 0.
+    Under noise a drawing run matches reference snapshot t at the drift bound
+    D(t) of ``drift_tolerance`` and terminates at max(cfg.tolerance,
+    min(D(hops + 2), 0.45 * mindist)), the cap keeping "formed" a one-to-one
+    placement on the pattern.  The scaling branch has no noise model and
+    rejects noise_mu > 0.
     """
     if not 0.0 < cfg.tolerance < math.inf:
         raise ValueError("tolerance must be a positive finite number")
@@ -303,8 +284,6 @@ def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
         raise ValueError("noise_mu must be a nonnegative number")
     if cfg.max_rounds < 0:
         raise ValueError("max_rounds must be nonnegative")
-    if cfg.frame_mode not in ("random", "fixed"):
-        raise ValueError(f"frame_mode must be 'random' or 'fixed', got {cfg.frame_mode!r}")
     plan = plan if isinstance(plan, Plan) else build_plan(plan)
     positions = as_points(initial).copy()
     n = len(positions)
@@ -325,7 +304,6 @@ def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
         tolerance = max(cfg.tolerance, min(drift_tolerance(plan, cfg.noise_mu, plan.hops + 2),
                                            0.45 * mindist(plan.pattern)))
 
-    gt = _GroundTruth(plan, cfg.noise_mu)
     trace = Trace(pattern=plan.pattern,
                   path_vertices=plan.path.vertices if plan.path is not None else None)
 
@@ -333,7 +311,6 @@ def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
         formed, alignment, err = _verify(positions, plan.pattern, tolerance)
         phases, events, targets = _compute_round(positions, plan, cfg, rnd, detect_tol,
                                                  snapshot_tol)
-        trace.gt_phases.append(gt.roles_for(positions, rnd))
         trace.rounds.append(TraceRound(rnd, positions.copy(), phases,
                                        events if not formed else []))
         if formed:
@@ -353,7 +330,6 @@ def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
             trace.total_rounds = rnd + 1
             trace.rounds[-1].events.append({"error": str(exc)})
             break
-    trace.diverged = gt.diverged
     return trace
 
 

@@ -20,7 +20,7 @@ from swarmdraw.symmetry import normalize, symmetricity
 from swarmdraw.formation import count_states, grid_spec
 from swarmdraw.pathing import cone_boundary_distance, build_drawing_path
 from swarmdraw.protocol import build_plan
-from swarmdraw.simulator import SimConfig, run_fsync, verify_pattern
+from swarmdraw.simulator import SimConfig, ground_truth, run_fsync, verify_pattern
 
 import corpus
 
@@ -171,9 +171,10 @@ def test_criterion_6_phase_distinction(corpus_runs):
     total = agree = 0
     unavailable = 0
     for name, plan, trace, _ in corpus_runs:
-        assert not trace.diverged, name
+        gt_phases, diverged = ground_truth(trace, plan)
+        assert not diverged, name
         for r, rec in enumerate(trace.rounds):
-            gt = trace.gt_phases[r]
+            gt = gt_phases[r]
             if gt is None:
                 unavailable += 1
                 continue

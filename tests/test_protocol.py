@@ -56,6 +56,12 @@ def view_from_global(positions, idx, theta=0.0):
     return np.vstack([np.zeros((1, 2)), local[order]])
 
 
+def fixed_frame_views(positions):
+    """Every robot's ``make_local_views`` view in the world's own frame."""
+    n = len(positions)
+    return make_local_views(positions, 0, SimConfig(), frame=(np.ones(n), np.zeros(n)))
+
+
 def detect_one(points, grid, tol=TAU_GEOM):
     """``detect_arrays`` of one point set, as one window."""
     return detect_arrays(points, [len(points)], grid, tol)
@@ -725,9 +731,8 @@ def test_formation_step_matches_path_ground_truth():
     path = plan.path
     # One synchronous step from the initial pattern lands every robot of the
     # first formation on the state of the second vertex.
-    cfg = SimConfig(seed=0, frame_mode="fixed")
     targets = np.empty_like(plan.initial)
-    for i, view in enumerate(make_local_views(plan.initial, 0, cfg)):
+    for i, view in enumerate(fixed_frame_views(plan.initial)):
         targets[i] = plan.initial[i] + robot_decision(view, plan=plan).target
     det = detect_one(targets, plan.grid)
     assert len(det.state) == plan.params.s_p
@@ -767,8 +772,7 @@ def test_endgame_displacements_within_viewing_range(tail_corpus):
 
 def test_locality_view_excludes_far_robots():
     positions = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.5, 0.0]])
-    cfg = SimConfig(seed=0, frame_mode="fixed")
-    view = make_local_views(positions, 0, cfg)[0]
+    view = fixed_frame_views(positions)[0]
     dists = np.hypot(*view[1:].T)
     assert len(view[1:]) == 2  # 0.5 and exactly 1.0; 1.5 is out of range
     assert dists.max() <= 1.0 + 1e-9
@@ -778,9 +782,8 @@ def test_near_gathering_assignment_forms_initial_pattern():
     pts = random_connected_pattern(8, seed=18)
     plan = build_plan(pts)
     config = near_gathering(8, seed=9)
-    cfg = SimConfig(seed=0, frame_mode="fixed")
     targets = np.empty_like(config)
-    for i, view in enumerate(make_local_views(config, 0, cfg)):
+    for i, view in enumerate(fixed_frame_views(config)):
         dec = robot_decision(view, plan=plan)
         assert dec.phase is Phase.INITIAL
         targets[i] = config[i] + dec.target
@@ -801,9 +804,8 @@ def test_symmetric_near_gathering_assignment_respects_orbits():
     config = np.vstack([rotate(seeds, k * 2 * math.pi / 3) for k in range(3)])
     info = symmetricity(config)
     assert info.sym == 3
-    cfg = SimConfig(seed=0, frame_mode="fixed")
     targets = np.empty_like(config)
-    for i, view in enumerate(make_local_views(config, 0, cfg)):
+    for i, view in enumerate(fixed_frame_views(config)):
         targets[i] = config[i] + robot_decision(view, plan=plan).target
     from swarmdraw.protocol import fit_isometry
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swarmdraw import geometry, protocol
+from swarmdraw import geometry, protocol, simulator
 from swarmdraw.formation import DrawingHull, grid_spec, state_by_index
 from swarmdraw.geometry import (TAU_GEOM, mindist, pairwise_distances, rotate,
                                 rotation_matrix, unit)
@@ -18,6 +18,7 @@ from swarmdraw.simulator import (
     _commit,
     drift_tolerance,
     _frame_angles,
+    ground_truth,
     make_local_views,
     run_fsync,
     verify_pattern,
@@ -32,15 +33,20 @@ def small_plan():
     return build_plan(pts)
 
 
+def _fixed_frame(n):
+    """The cosines and sines of n robots that all share the world's frame."""
+    return np.ones(n), np.zeros(n)
+
+
 def test_view_isolated_robot():
     positions = np.array([[0.0, 0.0], [2.0, 2.0], [3.0, 0.0]])
-    view = make_local_views(positions, 0, SimConfig(frame_mode="fixed"))[0]
+    view = make_local_views(positions, 0, SimConfig(), frame=_fixed_frame(3))[0]
     assert len(view) == 1
 
 
 def test_view_includes_boundary_neighbor():
     positions = np.array([[0.0, 0.0], [1.0, 0.0]])
-    view = make_local_views(positions, 0, SimConfig(frame_mode="fixed"))[0]
+    view = make_local_views(positions, 0, SimConfig(), frame=_fixed_frame(2))[0]
     assert len(view) == 2
 
 
@@ -52,10 +58,9 @@ def test_view_rotation_preserves_distances():
     assert np.allclose(d1, d2, atol=1e-12)
 
 
-def _views_reference(positions, rnd, cfg):
+def _views_reference(positions, angles):
     """Reference for make_local_views, from the definition: each robot's
     neighbours within 1 + TAU_GEOM, rotated by its frame angle, lex-sorted."""
-    angles = _frame_angles(len(positions), rnd, cfg)
     views = []
     for i in range(len(positions)):
         rel = np.delete(positions, i, axis=0) - positions[i]
@@ -79,10 +84,13 @@ def test_views_equal_per_robot_reference(seed):
     dense = np.round(rng.uniform(-1.3, -0.9, (30, 2)) * 20) / 20
     positions = np.vstack([[[0.25, 0.5], [1.25, 0.5], [0.25, 1.5 + 2 * TAU_GEOM]],
                            rng.uniform(-1.5, 1.5, (n, 2)), shared_x, dense])
-    for cfg in (SimConfig(seed=seed), SimConfig(seed=seed, frame_mode="fixed")):
+    cfg = SimConfig(seed=seed)
+    for fixed in (False, True):
         rnd = int(rng.integers(0, 1000))
-        got = make_local_views(positions, rnd, cfg)
-        want = _views_reference(positions, rnd, cfg)
+        frame = _fixed_frame(len(positions)) if fixed else None
+        got = make_local_views(positions, rnd, cfg, frame)
+        angles = np.zeros(len(positions)) if fixed else _frame_angles(len(positions), rnd, cfg)
+        want = _views_reference(positions, angles)
         assert len(got) == len(positions)
         for view, ref in zip(got, want):
             assert view[0].tobytes() == np.zeros(2).tobytes()
@@ -91,11 +99,12 @@ def test_views_equal_per_robot_reference(seed):
             x, y = view[1:].T
             assert ((x[:-1] < x[1:]) | ((x[:-1] == x[1:]) & (y[:-1] <= y[1:]))).all()
         assert len(got[3 + n + 5]) == 1                 # the robot at (10, 10)
-        if cfg.frame_mode == "fixed":
+        if fixed:
             assert (got[0][1:, 0] == 0.0).sum() == 2    # (0.25, 0.2) and (0.25, 0.8)
         # The boundary neighbour is seen, the one 2*TAU_GEOM beyond is not.
         assert np.isclose(np.hypot(*got[0][1:].T), 1.0, atol=1e-12).sum() == 1
-        assert len(make_local_views(positions[[0, 2]], rnd, cfg)[0]) == 1
+        pair = _fixed_frame(2) if fixed else None
+        assert len(make_local_views(positions[[0, 2]], rnd, cfg, pair)[0]) == 1
 
 
 def test_bench_traces_equal_the_recorded_traces():
@@ -130,7 +139,6 @@ def test_frame_angles_are_a_counter_based_hash():
     # Roughly uniform: each eighth of the circle holds about an eighth of them.
     counts = np.bincount((angles_of(1, 8000, 0) / (math.pi / 4)).astype(int), minlength=8)
     assert len(counts) == 8 and (np.abs(counts - 1000) < 150).all()
-    assert not _frame_angles(5, 3, SimConfig(frame_mode="fixed")).any()
 
 
 def test_run_already_formed(small_plan):
@@ -144,7 +152,7 @@ def test_run_from_initial_pattern(small_plan):
     assert trace.verdict == "formed"
     assert trace.total_rounds <= small_plan.hops + 2
     assert trace.max_error <= 1e-6
-    assert not trace.diverged
+    assert not ground_truth(trace, small_plan)[1]
 
 
 def test_run_from_near_gathering(small_plan):
@@ -165,21 +173,16 @@ def test_seed_replay_identical_positions(small_plan):
         assert np.abs(a.positions - b.positions).max() <= 1e-9
 
 
-def test_fixed_frame_mode_matches_random(small_plan):
-    t_fixed = run_fsync(small_plan.initial, small_plan,
-                        SimConfig(seed=0, frame_mode="fixed", max_rounds=small_plan.hops + 5))
-    t_rand = run_fsync(small_plan.initial, small_plan,
-                       SimConfig(seed=0, frame_mode="random", max_rounds=small_plan.hops + 5))
+def test_fixed_frame_mode_matches_random(monkeypatch, small_plan):
+    """A run in which every robot shares the world's frame moves the robots as
+    a run in random private frames does."""
+    cfg = SimConfig(seed=0, max_rounds=small_plan.hops + 5)
+    t_rand = run_fsync(small_plan.initial, small_plan, cfg)
+    monkeypatch.setattr(simulator, "_frame_angles", lambda n, rnd, cfg: np.zeros(n))
+    t_fixed = run_fsync(small_plan.initial, small_plan, cfg)
     assert t_fixed.total_rounds == t_rand.total_rounds
     for a, b in zip(t_fixed.rounds, t_rand.rounds):
         assert np.abs(a.positions - b.positions).max() <= 1e-9
-
-
-@pytest.mark.parametrize("mode", ["Random", "rotated", ""])
-def test_unknown_frame_mode_rejected(small_plan, mode):
-    """A misspelt frame mode must not silently run every robot in a fixed frame."""
-    with pytest.raises(ValueError, match="frame_mode"):
-        run_fsync(small_plan.initial, small_plan, SimConfig(frame_mode=mode, max_rounds=1))
 
 
 def test_displacements_and_collisions(small_plan):
@@ -270,12 +273,30 @@ def test_dropped_robots_never_move(small_plan):
 def test_ground_truth_matches_classification(small_plan):
     trace = run_fsync(small_plan.initial, small_plan,
                       SimConfig(seed=0, max_rounds=small_plan.hops + 5))
-    assert not trace.diverged
+    gt_phases, diverged = ground_truth(trace, small_plan)
+    assert not diverged and len(gt_phases) == len(trace.rounds)
     for r, rec in enumerate(trace.rounds):
         for i in range(len(rec.phases)):
-            gt = trace.gt_phases[r][i]
+            gt = gt_phases[r][i]
             assert gt is not None
             assert rec.phases[i] == gt
+
+
+def test_ground_truth_diverges_from_the_perturbed_round(small_plan):
+    """Moving one robot of round k off the reference schedule leaves the
+    earlier rounds' phases as they were and diverges the ground truth from
+    round k on."""
+    trace = run_fsync(small_plan.initial, small_plan,
+                      SimConfig(seed=0, max_rounds=small_plan.hops + 5))
+    assert trace.verdict == "formed"
+    clean, diverged = ground_truth(trace, small_plan)
+    assert not diverged
+    k = len(trace.rounds) // 2
+    trace.rounds[k].positions[3] += [0.1, 0.0]
+    phases, diverged = ground_truth(trace, small_plan)
+    assert diverged
+    assert phases[:k] == clean[:k]
+    assert phases[k:] == [None] * (len(trace.rounds) - k)
 
 
 @pytest.mark.parametrize("pts", [random_connected_pattern(10, seed=7), ngon(14, 2.0)],
@@ -285,10 +306,11 @@ def test_ground_truth_matches_a_near_gathering_run(pts):
     schedule, reads as the initial phase the robots report."""
     plan = build_plan(pts)
     trace = run_fsync(near_gathering(plan.n, seed=5), plan, SimConfig(seed=2, max_rounds=60))
-    assert trace.verdict == "formed" and not trace.diverged
+    gt_phases, diverged = ground_truth(trace, plan)
+    assert trace.verdict == "formed" and not diverged
     assert trace.rounds[0].phases == [Phase.INITIAL.value] * plan.n
     for r, rec in enumerate(trace.rounds):
-        assert trace.gt_phases[r] == rec.phases, r
+        assert gt_phases[r] == rec.phases, r
 
 
 def test_timeout_verdict(small_plan):
@@ -408,8 +430,9 @@ def test_noisy_run_is_not_misread_as_near_gathering(main_corpus):
     for rec in trace.rounds[1:]:
         assert "initial-near-gathering" not in rec.phases, rec.round
     # The ground truth follows the drifted run instead of giving up on it.
-    assert not trace.diverged
-    assert all(trace.gt_phases[r][0] is not None for r in range(len(trace.rounds)))
+    gt_phases, diverged = ground_truth(trace, plan, mu)
+    assert not diverged
+    assert all(gt_phases[r][0] is not None for r in range(len(trace.rounds)))
 
 
 def test_noisy_small_pattern_stays_formed(main_corpus):
@@ -499,10 +522,9 @@ def test_run_builds_no_second_plan(monkeypatch):
 @pytest.mark.parametrize("pts", [random_connected_pattern(10, seed=7), ngon(14, 2.0)],
                          ids=["draw", "star"])
 def test_run_makes_no_sec_call(monkeypatch, pts):
-    """Termination, ground truth and the robots' congruence tests centre on the
-    centroid: a drawing run from the initial cluster and a star run from the
-    scaled start compute no smallest enclosing circle, one at a time or
-    batched.  Verdict, alignment and error equal a fit of every round."""
+    """Termination and the robots' congruence tests centre on the centroid: a
+    drawing run from the initial cluster and a star run from the scaled start
+    compute no smallest enclosing circle, one at a time or batched.  Verdict, alignment and error equal a fit of every round."""
     plan = build_plan(pts)
     initial = plan.initial if plan.branch == "draw" else plan.star.kappa0 * plan.pattern
     calls = []
@@ -533,6 +555,26 @@ def test_run_makes_no_sec_call(monkeypatch, pts):
     assert trace.max_error == err
 
 
+def test_plain_run_makes_one_fit_per_round(monkeypatch, small_plan):
+    """A run fits each round to the pattern once, for termination, and matches
+    no round against the reference schedule: that is ``ground_truth``'s work,
+    done only when it is called."""
+    calls = {"fit_isometry": 0, "match_points": 0}
+
+    def counting(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(simulator, name, counting(name, getattr(simulator, name)))
+    trace = run_fsync(small_plan.initial, small_plan,
+                      SimConfig(seed=0, max_rounds=small_plan.hops + 5))
+    assert trace.verdict == "formed" and len(trace.rounds) > 1
+    assert calls == {"fit_isometry": len(trace.rounds), "match_points": 0}
+
+
 @pytest.mark.parametrize("tolerance", [-1.0, 0.0, math.nan, math.inf])
 def test_tolerance_must_be_positive_and_finite(small_plan, tolerance):
     with pytest.raises(ValueError, match="tolerance"):
@@ -553,6 +595,6 @@ def test_drawing_pattern_of_150_robots_forms_from_the_initial_cluster():
     pattern = workloads._random_shape(150, 4000, np.random.default_rng(0))
     plan = build_plan(pattern)
     trace = run_fsync(plan.initial, plan, SimConfig(seed=0, max_rounds=plan.hops + 2))
-    assert trace.verdict == "formed" and not trace.diverged
+    assert trace.verdict == "formed" and not ground_truth(trace, plan)[1]
     assert trace.total_rounds <= plan.hops + 2
     assert trace.max_error <= 1e-6
