@@ -387,9 +387,12 @@ def _build_star_schedule(plan: Plan) -> None:
 def fit_isometry(points, template, tol: float):
     """Rotation + translation mapping template onto points, or None: both sets
     are centered on their centroids and fitted by the one-pair call of
-    ``_centered_fits``."""
+    ``_centered_fits``.  Neither set may be empty."""
     pts = as_points(points)
     tmpl = as_points(template)
+    for name, arr in (("points", pts), ("template", tmpl)):
+        if not len(arr):
+            raise ValueError(f"{name} is empty")
     if len(pts) != len(tmpl):
         raise ValueError("point counts differ")
     ca, cb = pts.mean(axis=0), tmpl.mean(axis=0)
@@ -421,7 +424,32 @@ def _centered_fits(a, b, b_radii, tol) -> list:
     (``_farthest``) with each template point of that radius within 2*tol.
     Wave w fits the w-th candidate of every unmatched set, so a set tries what
     it would alone and reads its own points only: rotations by one stacked
-    matmul, nearest neighbours by ``nearest_in_sets``, 2**15 at most.
+    matmul (``_rotated``), then each point's nearest template point.
+
+    Nearest template points come from the dense ``nearest_in_sets``, or on
+    the band side from radius bands (``_band_entries``, ``_band_nearest``).
+    A pair is on the band side if the call's candidates take more than one
+    dense chunk, the pair's own candidates (its farthest point's band) number
+    at most n/4, and its bands hold at most n*n/4 entries, none of them empty.
+    So n-gons and two-rings, whose radii tie, wide tolerances and one-chunk
+    calls stay dense, and only band-side pairs get entries.  A counted pair
+    with an empty band fits under no rotation and tries none.  A chunk holds
+    at most 2**15 distances (n*n per dense candidate, its band's entries per
+    banded one), or a single candidate.
+
+    The bands hold every template point that the distance test keeps, so
+    where each point has its nearest within tol, which is where the test
+    accepts, the band's nearest is the dense one bit for bit, ties to the
+    smallest template row.  Proof, with r the largest radius: rotating about
+    the centroid keeps a radius, so a template point y and an observed point x
+    can come within tol under some rotation only if their radii differ by at
+    most tol, and with rounding by at most tol + 2**-48 (tol + r).  The test
+    keeps y for x only if their computed distance d under the rotation is at
+    most tol.  The exact distance from x to the rotated y' is below
+    d(1 + 2**-50), and it bounds the difference of |x| and |y'|.  The stacked
+    matmul, with the rounded cosine and sine, moves |y'| from |y| by less than
+    2**-50 |y|, and each hypot radius lies within 2**-52 of its exact value.
+    ``_radius_bands`` keeps every pair of radii that close.
     """
     sets, n = a.shape[:2]
     b, b_radii, tol = (np.broadcast_to(x, (sets,) + x.shape[-k:])
@@ -436,37 +464,149 @@ def _centered_fits(a, b, b_radii, tol) -> list:
     ang = [math.atan2(y, x) for x, y in a[np.arange(sets), ext].tolist()]
     # Candidates: pair p and template point j; a pair that fits at once has j = 0 only.
     once = (ra.max(axis=1)[v] <= tol[v, t]) | (n == 1)
-    near = (np.abs(np.hypot(b[v, t, :, 0], b[v, t, :, 1]) - ra[v, ext[v], None])
-            <= 2 * tol[v, t, None] + 1e-12)
+    rb = np.hypot(b[v, t, :, 0], b[v, t, :, 1])
+    near = np.abs(rb - ra[v, ext[v], None]) <= 2 * tol[v, t, None] + 1e-12
     near[once] = np.arange(n) == 0
+    # Bands where the dense pass takes more than one chunk, for the pairs whose
+    # candidates (their farthest point's band) are few; none tries an empty band.
+    count = near.sum(axis=1)
+    counted = np.flatnonzero(~once & (count > 0) & (4 * count <= n)
+                             & (count[~once].sum() * n * n > 2 ** 15))
+    width, first = np.zeros((len(v), n), dtype=np.int64), np.full(len(v), -1)
+    obs = tmpl = None
+    if len(counted):
+        pv, pt = v[counted], t[counted]
+        width[counted], first[counted], obs, tmpl = _band_entries(ra[pv], rb[counted], tol[pv, pt])
+        near[counted[(width[counted] == 0).any(axis=1)]] = False
+    size = width.sum(axis=1)
     p, j = np.nonzero(near)
     owner = v[p]
     rank = np.arange(len(p)) - np.searchsorted(owner, owner)
     todo, matched = np.lexsort((owner, rank)), np.zeros(sets, dtype=bool)
-    chunk = max(2 ** 15 // (n * n), 1)
     while len(todo):
         cut = np.searchsorted(rank[todo], rank[todo[0]], side="right")
         w, todo = todo[:cut], todo[cut:]
         for q in w[once[p[w]]].tolist():
             fits[owner[q]] = (0.0, np.arange(n), float(gap[owner[q], t[p[q]]]))
         w = w[~once[p[w]]]
-        for k in range(0, len(w), chunk):
-            c = w[k:k + chunk]
-            cv, ct = owner[c], t[p[c]]
-            thetas = [ang[i] - math.atan2(y, x)
-                      for i, (x, y) in zip(cv.tolist(), b[cv, ct, j[c]].tolist())]
-            rotated = np.matmul(b[cv, ct], np.stack([rotation_matrix(th).T for th in thetas]))
-            dd, idx = (x.reshape(-1, n) for x in nearest_in_sets(
-                a[cv].reshape(-1, 2), rotated, np.repeat(np.arange(len(c)), n), np.full(len(c), n)))
-            srt = np.sort(idx, axis=1)
-            for q in np.flatnonzero(dd.max(axis=1) <= tol[cv, ct]).tolist():
-                perm, err = ((idx[q], float(dd[q].max())) if (srt[q, 1:] != srt[q, :-1]).all()
-                             else match_points(a[cv[q]], rotated[q], tol[cv[q], ct[q]]))
-                if perm is not None:
-                    fits[cv[q]] = (thetas[q], perm, err)
+        banded = first[p[w]] >= 0
+        for dense, cands in ((True, w[~banded]), (False, w[banded])):
+            for c in _chunks(np.full(len(cands), n * n) if dense else size[p[cands]]):
+                c = cands[c]
+                cv, ct = owner[c], t[p[c]]
+                thetas = [ang[i] - math.atan2(y, x)
+                          for i, (x, y) in zip(cv.tolist(), b[cv, ct, j[c]].tolist())]
+                rotated = _rotated(b[cv, ct], thetas)
+                dd, idx = (_dense_nearest(a, rotated, cv) if dense else
+                           _band_nearest(a, rotated, cv, width[p[c]], first[p[c]], obs, tmpl))
+                far, srt = dd.max(axis=1), np.sort(idx, axis=1)
+                onto = (srt[:, 1:] != srt[:, :-1]).all(axis=1)
+                for q in np.flatnonzero(far <= tol[cv, ct]).tolist():
+                    perm, err = ((idx[q], float(far[q])) if onto[q]
+                                 else match_points(a[cv[q]], rotated[q], tol[cv[q], ct[q]]))
+                    if perm is not None:
+                        fits[cv[q]] = (thetas[q], perm, err)
         matched[[o for o, fit in enumerate(fits) if fit is not None]] = True
         todo = todo[~matched[owner[todo]]]
     return fits
+
+
+def _chunks(cost, budget: int = 2 ** 15):
+    """Consecutive slices of the candidates, each with costs summing to at
+    most budget, or of a single candidate."""
+    end = np.cumsum(cost)
+    k = 0
+    while k < len(end):
+        stop = int(np.searchsorted(end, (end[k - 1] if k else 0) + budget, side="right"))
+        yield slice(k, max(stop, k + 1))
+        k = max(stop, k + 1)
+
+
+def _rotated(templates, thetas) -> np.ndarray:
+    """Each template of templates ((c, n, 2)) rotated by its angle in thetas,
+    by one stacked matmul."""
+    return np.matmul(templates, np.stack([rotation_matrix(th).T for th in thetas]))
+
+
+def _dense_nearest(a, rotated, cv):
+    """(dd, idx) of ``nearest_in_sets`` for each candidate c, set a[cv[c]]
+    against all of its rotated templates rotated[c]."""
+    c, n = rotated.shape[:2]
+    dd, idx = nearest_in_sets(a[cv].reshape(-1, 2), rotated, np.repeat(np.arange(c), n),
+                              np.full(c, n))
+    return dd.reshape(c, n), idx.reshape(c, n)
+
+
+def _band_entries(ra, rb, tol):
+    """The radius bands of pairs with observed radii ra[p], template radii
+    rb[p] ((pairs, n), unsorted) and tolerance tol[p]: (width, first, obs,
+    tmpl).  width[p, i] counts the template points in the band of observed
+    row i (``_radius_bands``).  A pair whose widths are all positive and sum
+    to at most n*n/4 gets entries: they start at first[p], by observed row,
+    then radius, with their observed rows obs and template rows tmpl.  first
+    is -1 for the other pairs."""
+    pairs, n = ra.shape
+    rows = np.arange(pairs)[:, None]
+    a_order, b_order = np.argsort(ra, axis=1), np.argsort(rb, axis=1)
+    lo, hi = _radius_bands(ra[rows, a_order], rb[rows, b_order], tol)
+    width, low = np.empty_like(lo), np.empty_like(lo)
+    width[rows, a_order], low[rows, a_order] = hi - lo, lo
+    size = width.sum(axis=1)
+    side = (size * 4 <= n * n) & (width > 0).all(axis=1)
+    g, m = _ranges(low[side].ravel(), width[side].ravel())
+    return (width, np.where(side, np.cumsum(size * side) - size, -1),
+            g % n, b_order[np.flatnonzero(side)[g // n], m])
+
+
+def _radius_bands(sa, sb, tol) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): for each pair p, the template points at sorted positions
+    lo[p, k] .. hi[p, k] - 1 of its sorted template radii sb[p] hold every one
+    whose radius is within tol[p] + 2**-48 (tol[p] + r) of the k-th sorted
+    observed radius sa[p, k], r the largest radius, and few more.
+
+    All pairs are searched at once, on the keys radius + p*shift.  shift is a
+    power of two above 2r + 4tol + 2, so the offsets are exact and each pair's
+    keys lie in their own range, more than a reach away from the next pair's.
+    A key and a query sa +- reach round three times together, each by at most
+    2**-53 K, where K = pairs*shift bounds every key and query.  As tol and r
+    are below K, reach = tol + 2**-44 (K + 1) exceeds the radius difference
+    and these roundings together.  The queries are sorted, as searchsorted
+    runs fastest.
+    """
+    q, n = sa.shape
+    r = max(sa.max(initial=0.0), sb.max(initial=0.0))
+    shift = 2.0 ** math.ceil(math.log2(2.0 * r + 4.0 * tol.max(initial=0.0) + 2.0))
+    off = (np.arange(q) * shift)[:, None]
+    reach = (tol + 2.0 ** -44 * (q * shift + 1.0))[:, None]
+    keys = (sb + off).ravel()
+    base = (np.arange(q) * n)[:, None]
+    lo = np.searchsorted(keys, (sa + off - reach).ravel()).reshape(q, n) - base
+    hi = np.searchsorted(keys, (sa + off + reach).ravel(), side="right").reshape(q, n) - base
+    return lo, hi
+
+
+def _band_nearest(a, rotated, cv, width, first, obs, tmpl):
+    """(dd, idx) of ``nearest_in_sets`` for each candidate c, set a[cv[c]]
+    against its rotated templates rotated[c], over its pair's band entries
+    only: width[c, i] entries from first[c] on for observed row i, each with
+    its observed row obs and template row tmpl.  The squared distances are
+    formed by nearest_in_sets' operations, and ties go to the smallest
+    template row, as its argmin gives."""
+    n = a.shape[1]
+    c, e = _ranges(first, width.sum(axis=1))
+    rows, cols, owner = obs[e], tmpl[e], cv[c]
+    sq = rotated[c, cols, 0]
+    sq -= a[owner, rows, 0]
+    sq *= sq
+    dy = rotated[c, cols, 1]
+    dy -= a[owner, rows, 1]
+    dy *= dy
+    sq += dy
+    counts = width.ravel()
+    starts = np.cumsum(counts) - counts
+    least = np.minimum.reduceat(sq, starts)
+    idx = np.minimum.reduceat(np.where(sq == np.repeat(least, counts), cols, n), starts)
+    return np.sqrt(least).reshape(-1, n), idx.reshape(-1, n)
 
 
 def _farthest(a, ra) -> np.ndarray:

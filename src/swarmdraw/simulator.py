@@ -153,11 +153,14 @@ def verify_pattern(config, pattern, tol: float = 1e-6):
     """(formed, alignment, max_error): congruence of a configuration with the
     pattern up to rotation and translation.  The alignment maps the pattern as
     given onto the configuration.  The pattern's points must be distinct and
-    tol a positive finite number."""
+    tol a positive finite number; neither set may be empty."""
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be a positive finite number")
     pts = as_points(config)
     target = as_points(pattern)
+    for name, arr in (("configuration", pts), ("pattern", target)):
+        if not len(arr):
+            raise ValueError(f"the {name} is empty")
     if len(target) > 1:
         mindist(target)
     if len(pts) != len(target):

@@ -28,16 +28,17 @@ from swarmdraw.formation import (
 from swarmdraw.geometry import (TAU_GEOM, enclosing_centers, match_points, nearest,
                                 nearest_in_sets, rotate, smallest_enclosing_circle,
                                 triple_sec_radii, unit)
-from swarmdraw.protocol import (AssignmentError, Phase, _farthest, _star_local_fits,
-                                _star_match, assignment_target, build_plan, fit_isometry,
-                                robot_decision, robot_decisions)
+from swarmdraw.protocol import (AssignmentError, Phase, _band_nearest, _centered_fits,
+                                _farthest, _star_local_fits, _star_match, assignment_target,
+                                build_plan, fit_isometry, robot_decision, robot_decisions)
 from swarmdraw.simulator import noisy_tolerances
 from swarmdraw.symmetry import normalize, symmetricity
 
-from corpus import main_corpus, near_gathering, random_connected_pattern, star_corpus
+from corpus import main_corpus, near_gathering, ngon, random_connected_pattern, star_corpus
 from test_formation import _dense_detect, assert_bit_equal, window_of
 from test_geometry import _brute_force_sec
-from test_protocol import kdtree_star_match, least_squares_pose, view_from_global
+from test_protocol import (assert_same_fits, dense_centered_fits, kdtree_star_match,
+                           least_squares_pose, view_from_global)
 
 TOL = 0.1
 
@@ -742,6 +743,94 @@ def test_drawing_decisions_read_their_own_view_only(name, noisy, data):
         for i, decision in enumerate(got):
             if where(i) is not None:
                 _assert_same_decision(again[where(i)], decision)
+
+
+def _fit_template(kind, n, rng):
+    """One centroid-centred template of about n points: generic, an n-gon, a
+    two-ring, s turned copies of a generic chain, or a tiny generic set that
+    fits at once."""
+    if kind == "ngon":
+        pts = rotate(ngon(n, rng.uniform(0.05, 0.5)), rng.uniform(0, 2 * math.pi))
+    elif kind == "two-ring":
+        inner, outer = np.sort(rng.uniform(0.05, 0.5, 2))
+        ang = np.arange(n // 2) * 2 * math.pi / (n // 2)
+        pts = np.vstack([np.stack([inner * np.cos(ang), inner * np.sin(ang)], axis=1),
+                         rotate(ngon(n - n // 2, outer), rng.uniform(0, 2 * math.pi))])
+    elif kind == "symmetric":
+        s = next(d for d in (6, 4, 3, 2, 1) if n % d == 0)
+        chain = rng.uniform(-0.3, 0.3, (n // s, 2))
+        pts = np.vstack([rotate(chain, k * 2 * math.pi / s) for k in range(s)])
+    else:
+        pts = rng.uniform(-1, 1, (n, 2)) * (1e-10 if kind == "tiny" else rng.uniform(0.02, 0.5))
+    return pts - pts.mean(axis=0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(band=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_centered_fits_equal_the_dense_loop(band, seed):
+    """``_centered_fits`` equals the dense loop bit for bit (theta, perm, err,
+    None) on batches of turned, permuted and jittered copies of the templates
+    and of unrelated sets: generic sets, n-gons and two-rings, whose radii tie,
+    symmetric sets, drawing snapshots, and tiny sets that fit at once, for n
+    from 1 to 100 and tolerances up to 0.085.  A pair of points of a copy
+    moves by f*tol in opposite directions, radially or not, for f at 1 and
+    just past it.  Band-prone batches (generic or symmetric, n >= 64, small
+    tolerances, many sets) are half of the examples."""
+    rng = np.random.default_rng(seed)
+    kinds = ["generic", "symmetric"] if band else ["generic", "symmetric", "snapshot",
+                                                   "ngon", "two-ring", "tiny"]
+    kind = kinds[rng.integers(len(kinds))]
+    n = int(rng.choice([64, 100] if band else [1, 2, 3, 5, 8, 12, 24, 64, 100]))
+    if kind == "snapshot":
+        plan = _draw_plan(_DRAW_NAMES[rng.integers(len(_DRAW_NAMES))])
+        b = plan.snapshot_centered[rng.permutation(len(plan.snapshot_ids))[:3]]
+        n = plan.n
+    else:
+        n = max(n, 4) if kind in ("ngon", "two-ring") else n
+        b = np.stack([_fit_template(kind, n, rng) for _ in range(rng.integers(1, 4))])
+    tol = rng.choice([1e-9, 1e-7, 1e-5] + ([] if band else [1e-3, 0.02, 0.085]), size=len(b))
+    sets = int(rng.integers(8 if band else 1, 17))
+    if rng.uniform() < 0.5:
+        tol = tol * rng.choice([0.5, 1.0, 2.0], size=(sets, len(b)))
+    a = np.empty((sets, n, 2))
+    for v in range(sets):
+        t = rng.integers(len(b))
+        if rng.uniform() < 0.2:
+            pts = rng.uniform(-0.3, 0.3, (n, 2))
+        else:
+            pts = rotate(b[t], rng.uniform(0, 2 * math.pi))[rng.permutation(n)]
+            if n >= 2:
+                f = rng.choice([0.0, 0.5, 1.0, 1.0 + 1e-9, 1.5])
+                r0 = math.hypot(*pts[0])
+                u = pts[0] / r0 if rng.uniform() < 0.5 and r0 > 0 else unit(rng.normal(size=2))
+                u *= f * (tol[v, t] if tol.ndim == 2 else tol[t])
+                pts[0] += u
+                pts[1] -= u
+        a[v] = pts - pts.mean(axis=0)
+    radii = np.sort(np.hypot(b[..., 0], b[..., 1]), axis=1)
+    assert_same_fits(_centered_fits(a, b, radii, tol), dense_centered_fits(a, b, radii, tol))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(n=st.integers(1, 12), count=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_band_nearest_over_whole_bands_equals_nearest_in_sets(n, count, seed):
+    """Over bands that hold every template row, each observed row's entries in
+    a random order, ``_band_nearest`` equals ``nearest_in_sets`` bit for bit,
+    distances and indices.  Templates repeat rows, so nearest points tie, and
+    the smallest template row must win whatever the entry order."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3, n, 2))
+    rotated = rng.normal(size=(count, n, 2))
+    dup = rng.integers(n, size=n // 2)
+    rotated[:, rng.integers(n, size=n // 2)] = rotated[:, dup]
+    cv, pair = rng.integers(3, size=count), rng.integers(2, size=count)
+    obs = np.tile(np.repeat(np.arange(n), n), 2)
+    tmpl = np.concatenate([rng.permutation(n) for _ in range(2 * n)])
+    width, first = np.full((count, n), n), pair * n * n
+    want = nearest_in_sets(a[cv].reshape(-1, 2), rotated, np.repeat(np.arange(count), n),
+                           np.full(count, n))
+    got = _band_nearest(a, rotated, cv, width, first, obs, tmpl)
+    assert np.array_equal(got[0].ravel(), want[0]) and np.array_equal(got[1].ravel(), want[1])
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

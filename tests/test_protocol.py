@@ -575,15 +575,17 @@ def test_staged_fits_try_no_more_candidates_than_the_sequential_loop(monkeypatch
     """A noisy run from a near-gathering, whose D(t) tolerances let many
     (view, snapshot, rotation) candidates through the screen: the staged fits
     of every round classify each full view as the sequential loop does, and
-    fit no more candidates (one rotation matrix each) than it tries."""
+    fit no more candidates than it tries, counted as the rotated templates
+    that ``protocol._rotated`` forms.  The count must be positive: a staged
+    pass that stopped rotating through ``_rotated`` would count nothing."""
     plan = build_plan(random_connected_pattern(10, seed=7))
     rounds = _classified_rounds(monkeypatch, plan, plan.params.epsilon / (20 * plan.hops))
     staged = [0]
-    real = protocol.rotation_matrix
+    real = protocol._rotated
 
-    def counted(theta):
-        staged[0] += 1
-        return real(theta)
+    def counted(templates, thetas):
+        staged[0] += len(thetas)
+        return real(templates, thetas)
 
     sequential = 0
     for views, tol in rounds:
@@ -595,11 +597,99 @@ def test_staged_fits_try_no_more_candidates_than_the_sequential_loop(monkeypatch
             sequential += tried
             if not matched and pairwise_distances(view).max() <= 1.0 + TAU_GEOM:
                 want.append(i)
-        monkeypatch.setattr(protocol, "rotation_matrix", counted)
+        monkeypatch.setattr(protocol, "_rotated", counted)
         assert _initial_views(views, plan, tol) == want
-        monkeypatch.setattr(protocol, "rotation_matrix", real)
+        monkeypatch.setattr(protocol, "_rotated", real)
     assert sequential > 3 * plan.n
-    assert staged[0] <= sequential
+    assert 0 < staged[0] <= sequential
+
+
+def dense_centered_fits(a, b, b_radii, tol) -> list:
+    """Reference for ``protocol._centered_fits``: the same waves and candidates,
+    with every candidate's nearest template points from one dense
+    ``nearest_in_sets`` pass over all n*n distances, 2**15 at most per chunk."""
+    sets, n = a.shape[:2]
+    b, b_radii, tol = (np.broadcast_to(x, (sets,) + x.shape[-k:])
+                       for x, k in ((b, 3), (b_radii, 2), (tol, 1)))
+    ra = np.hypot(a[..., 0], a[..., 1])
+    gap, kept = _screen_pairs(np.sort(ra, axis=1), b_radii, tol)
+    v, t = np.nonzero(kept)
+    fits = [None] * sets
+    if not len(v):
+        return fits
+    ext = protocol._farthest(a, ra)
+    ang = [math.atan2(y, x) for x, y in a[np.arange(sets), ext].tolist()]
+    once = (ra.max(axis=1)[v] <= tol[v, t]) | (n == 1)
+    near = (np.abs(np.hypot(b[v, t, :, 0], b[v, t, :, 1]) - ra[v, ext[v], None])
+            <= 2 * tol[v, t, None] + 1e-12)
+    near[once] = np.arange(n) == 0
+    p, j = np.nonzero(near)
+    owner = v[p]
+    rank = np.arange(len(p)) - np.searchsorted(owner, owner)
+    todo, matched = np.lexsort((owner, rank)), np.zeros(sets, dtype=bool)
+    chunk = max(2 ** 15 // (n * n), 1)
+    while len(todo):
+        cut = np.searchsorted(rank[todo], rank[todo[0]], side="right")
+        w, todo = todo[:cut], todo[cut:]
+        for q in w[once[p[w]]].tolist():
+            fits[owner[q]] = (0.0, np.arange(n), float(gap[owner[q], t[p[q]]]))
+        w = w[~once[p[w]]]
+        for k in range(0, len(w), chunk):
+            c = w[k:k + chunk]
+            cv, ct = owner[c], t[p[c]]
+            thetas = [ang[i] - math.atan2(y, x)
+                      for i, (x, y) in zip(cv.tolist(), b[cv, ct, j[c]].tolist())]
+            rotated = np.matmul(b[cv, ct], np.stack([rotation_matrix(th).T for th in thetas]))
+            dd, idx = (x.reshape(-1, n) for x in protocol.nearest_in_sets(
+                a[cv].reshape(-1, 2), rotated, np.repeat(np.arange(len(c)), n), np.full(len(c), n)))
+            srt = np.sort(idx, axis=1)
+            for q in np.flatnonzero(dd.max(axis=1) <= tol[cv, ct]).tolist():
+                perm, err = ((idx[q], float(dd[q].max())) if (srt[q, 1:] != srt[q, :-1]).all()
+                             else match_points(a[cv[q]], rotated[q], tol[cv[q], ct[q]]))
+                if perm is not None:
+                    fits[cv[q]] = (thetas[q], perm, err)
+        matched[[o for o, fit in enumerate(fits) if fit is not None]] = True
+        todo = todo[~matched[owner[todo]]]
+    return fits
+
+
+def assert_same_fits(got, want):
+    """Fits of ``_centered_fits`` equal bit for bit: None, or theta, perm and err."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g[0] == w[0] and g[2] == w[2]
+            assert g[1].dtype == w[1].dtype and np.array_equal(g[1], w[1])
+
+
+def test_full_view_fits_take_bands_for_generic_radii_and_the_dense_pass_for_ngons(monkeypatch):
+    """Turned, permuted copies of a generic n = 100 set, as in a drawing run's
+    near-gathering snapshots, fit through radius bands with no dense
+    nearest-neighbour call; those of a 40-gon, whose radii all tie, keep the
+    dense pass.  Both equal the dense loop."""
+    calls = [0]
+    real = protocol.nearest_in_sets
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(protocol, "nearest_in_sets", counted)
+    rng = np.random.default_rng(5)
+    for base, dense in ((0.04 * rng.uniform(-1, 1, size=(100, 2)), False), (ngon(40, 0.3), True)):
+        base = base - base.mean(axis=0)
+        a = np.stack([rotate(base, rng.uniform(0, 2 * math.pi))[rng.permutation(len(base))]
+                      for _ in range(8)])
+        a[:, 0] += 1e-8         # a pair of points of each copy moves by 1.4e-8
+        a[:, 1] -= 1e-8
+        radii = np.sort(np.hypot(base[:, 0], base[:, 1]))[None]
+        tol = np.array([1e-7])
+        calls[0] = 0
+        got = protocol._centered_fits(a, base[None], radii, tol)
+        assert (calls[0] > 0) == dense
+        assert all(fit is not None for fit in got)
+        assert_same_fits(got, dense_centered_fits(a, base[None], radii, tol))
 
 
 # --- formation moves from the plan's tables ------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -108,20 +109,25 @@ def test_views_equal_per_robot_reference(seed):
 
 
 def test_bench_traces_equal_the_recorded_traces():
-    """The seed-0 traces of the three bench workloads, byte for byte: the
-    SHA-256 digests of tests/trace_digest.py against tests/trace_digests.json.
-    Like plan_digests.json, they hold on the machine that recorded them; a
-    different BLAS or CPU may round the rotations otherwise."""
+    """The seed-0 traces of the three bench workloads, byte for byte, and of
+    draw-small under movement noise (``trace_digest.py --noise``), where the
+    full-view fits meet the D(t) tolerances and the match_points fallback:
+    the SHA-256 digests of tests/trace_digest.py against
+    tests/trace_digests.json.  Like plan_digests.json, they hold on the
+    machine that recorded them; a different BLAS or CPU may round the
+    rotations otherwise."""
     saved = sys.path[:]
     try:
         import trace_digest
     finally:
         sys.path[:] = saved
     recorded = json.loads((Path(__file__).parent / "trace_digests.json").read_text())
-    assert sorted(recorded) == ["draw-large 0", "draw-small 0", "star 0"]
+    assert sorted(recorded) == ["draw-large 0", "draw-small 0", "draw-small 0 noise", "star 0"]
     for label, want in recorded.items():
-        workload, seed = label.split()
-        assert trace_digest.digest(workload, int(seed), noise=False) == want, label
+        workload, seed, *noise = label.split()
+        assert noise in ([], ["noise"]), label
+        digest = trace_digest.digest(workload, int(seed), noise=bool(noise))
+        assert digest == want, label
 
 
 def test_frame_angles_are_a_counter_based_hash():
@@ -403,6 +409,21 @@ def test_failed_fit_error_equals_the_kdtree_diagnostic(named):
 def test_verify_pattern_size_mismatch():
     with pytest.raises(ValueError):
         verify_pattern(np.zeros((3, 2)), np.zeros((4, 2)) + np.arange(8).reshape(4, 2))
+
+
+def test_empty_point_sets_raise_a_value_error_naming_the_empty_set():
+    """An empty configuration, pattern, point set or template is reported as
+    such, before any mean or maximum of an empty array is taken."""
+    empty, one = np.zeros((0, 2)), np.zeros((1, 2))
+    cases = [(lambda: verify_pattern(empty, empty), "the configuration is empty"),
+             (lambda: verify_pattern(one, empty), "the pattern is empty"),
+             (lambda: fit_isometry(empty, empty, 1e-6), "points is empty"),
+             (lambda: fit_isometry(one, empty, 1e-6), "template is empty")]
+    for call, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_noise_run_completes_with_bounded_error(small_plan):
