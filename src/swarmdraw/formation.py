@@ -321,15 +321,38 @@ def state_from_cells(grid: GridSpec, cell_ids) -> StateSpec:
     return StateSpec(grid, third, free)
 
 
-@lru_cache(maxsize=4096)
 def _decode(grid: GridSpec, cell_ids: tuple[int, ...]) -> tuple[StateSpec, int] | None:
-    """(state, index) of a sorted occupied cell-id tuple, or None if it is no state.
-    Cell ids are hull-local, so all members of a formation look up one key."""
+    """(state, index) of a sorted occupied cell-id tuple, or None if it is no state."""
     try:
         spec = state_from_cells(grid, cell_ids)
     except FormationError:
         return None
     return spec, index_of_state(spec)
+
+
+def _decode_rows(grid: GridSpec, cells, lows, counts) -> np.ndarray:
+    """The state index of each row cells[lows[r]:lows[r] + counts[r]] read as
+    a set of the grid's cell ids (duplicates kept), 0 where it is no state.
+
+    The rows fill one (rows, longest) table padded with grid.locations, which
+    sorts after every cell id; each sorted row's bytes key ``_decode_key``, so
+    a cell set is decoded once however many rows hold it.  Cell ids are
+    hull-local, so every member of a formation sees the same key."""
+    table = np.full((len(counts), counts.max(initial=1)), grid.locations, dtype=np.int64)
+    row, at = _ranges(lows, counts)
+    table[row, at - lows[row]] = cells[at]
+    table.sort(axis=1)
+    keys = table.view(np.dtype((np.void, 8 * table.shape[1]))).ravel().tolist()
+    return np.array([_decode_key(grid, key) for key in keys], dtype=np.int64)
+
+
+@lru_cache(maxsize=4096)
+def _decode_key(grid: GridSpec, key: bytes) -> int:
+    """``_decode``'s index of one padded sorted row of ``_decode_rows``, or 0:
+    the one memo of a pure function of the grid and the row's own cells."""
+    cells = np.frombuffer(key, dtype=np.int64)
+    found = _decode(grid, tuple(cells[cells < grid.locations].tolist()))
+    return found[1] if found else 0
 
 
 # --- detection ----------------------------------------------------------------
@@ -353,7 +376,8 @@ def detect_arrays(points, sizes, grid: GridSpec, tol: float = TAU_GEOM) -> Detec
     """The drawing formations on ``grid`` within tol of many point sets, in one
     array pass: epsilon-pairs with a collinear third robot beyond the partner
     (which tells anchor from partner), kept when every robot in the hull
-    realizes a legal grid state.
+    realizes a legal grid state.  A row's members snap to cell ids, and
+    ``_decode_rows`` decodes each distinct sorted cell set of the call once.
 
     ``points`` is the concatenation of the windows and ``sizes`` their
     lengths; window w's formations equal those of window w alone, bit for
@@ -403,9 +427,8 @@ def detect_arrays(points, sizes, grid: GridSpec, tol: float = TAU_GEOM) -> Detec
     counts = np.searchsorted(row, live, side="right") - lows
     off_grid = np.concatenate([[0], np.cumsum(~on_grid)])
     ok = (counts >= 3) & (off_grid[lows + counts] == off_grid[lows])
-    decoded = [(c, _decode(grid, tuple(sorted(cells[lo:lo + k].tolist()))))
-               for c, lo, k in zip(live[ok].tolist(), lows[ok].tolist(), counts[ok].tolist())]
-    rows, state = np.array([(c, d[1]) for c, d in decoded if d], dtype=np.int64).reshape(-1, 2).T
+    state = _decode_rows(grid, cells, lows[ok], counts[ok])
+    rows, state = live[ok][state > 0], state[state > 0]
     heading = np.column_stack([u.real[rows], u.imag[rows]])
     anchor = pts[p_idx[rows]]
     # One formation per window and pose (anchor, normalised direction) rounded

@@ -343,11 +343,29 @@ def _index_snapshots(plan: Plan) -> None:
                                            plan.snapshot_centered[..., 1]), axis=1)
 
 
+def _snapped(local: np.ndarray) -> np.ndarray:
+    """Hull-local points snapped to the TAU_GEOM grid, so that every member of a
+    formation orders the same way whatever its frame."""
+    return np.round(local / TAU_GEOM) * TAU_GEOM
+
+
 def _canonical_order(local: np.ndarray, group=()) -> np.ndarray:
-    """Lexicographic order of hull-local points snapped to the TAU_GEOM grid, so
-    that every member of a formation orders the same way whatever its frame."""
-    snapped = np.round(local / TAU_GEOM) * TAU_GEOM
+    """Lexicographic order of ``_snapped`` hull-local points."""
+    snapped = _snapped(local)
     return np.lexsort((snapped[:, 1], snapped[:, 0], *group))
+
+
+def _canonical_ranks(local: np.ndarray, sizes, own) -> np.ndarray:
+    """For groups of consecutive rows of local with the given sizes, the rank
+    of row own[g] in group g's ``_canonical_order``, by counting: the rows of
+    the group whose snapped (x, y) is lexicographically smaller, plus those
+    with an equal key at a smaller row, as the stable sort places them."""
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    x, y = _snapped(local).T
+    at = own[group]
+    ox, oy = x[at], y[at]
+    before = (x < ox) | ((x == ox) & ((y < oy) | ((y == oy) & (np.arange(len(x)) < at))))
+    return np.bincount(group[before], minlength=len(sizes))
 
 
 def _move_tables(plan: Plan) -> list[np.ndarray]:
@@ -666,16 +684,16 @@ def _own_formations(views: list[np.ndarray], grid: GridSpec, tol: float):
 
 def _formation_moves(views: list[np.ndarray], plan: Plan, tol: float) -> list:
     """Each robot's formation Decision (dropped if conflicted), or None: its
-    rank's row of plan.moves at its vertex, ranked by one ragged
-    ``_canonical_order``, mapped by row @ basis + anchor in one stacked matmul."""
+    rank's row of plan.moves at its vertex, mapped by row @ basis + anchor in
+    one stacked matmul.  ``_canonical_ranks`` counts each robot's rank in its
+    own formation's ``_canonical_order`` without sorting."""
     det, own, conflicted = _own_formations(views, plan.grid, tol)
     out = [Decision(np.zeros(2), Phase.DROPPED) if c else None for c in conflicted.tolist()]
     robots = np.flatnonzero(own >= 0)
     f = own[robots]
     sizes = np.diff(det.bounds)[f]
     rows = _ranges(det.bounds[f], sizes)[1]
-    order = _canonical_order(det.local[rows], (np.repeat(np.arange(len(f)), sizes),))
-    ranks = np.argsort(order)[det.members[rows] == 0] - (np.cumsum(sizes) - sizes)
+    ranks = _canonical_ranks(det.local[rows], sizes, np.flatnonzero(det.members[rows] == 0))
     verts = [plan.path.vertex_of_label(*sv) for sv in zip(sizes.tolist(), det.state[f].tolist())]
     known = [k for k, vi in enumerate(verts) if vi is not None]
     if any(len(plan.moves[verts[k]]) != sizes[k] for k in known):

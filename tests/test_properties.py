@@ -7,16 +7,19 @@ the batched drawing-branch decisions."""
 
 import math
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from swarmdraw import formation
 from swarmdraw.formation import (
     DrawingHull,
     FormationError,
     _decode,
+    _decode_rows,
     _epsilon_pairs,
     count_states,
     detect_arrays,
@@ -28,8 +31,8 @@ from swarmdraw.formation import (
 from swarmdraw.geometry import (TAU_GEOM, enclosing_centers, match_points, nearest,
                                 nearest_in_sets, rotate, smallest_enclosing_circle,
                                 triple_sec_radii, unit)
-from swarmdraw.protocol import (AssignmentError, Phase, _band_nearest, _centered_fits,
-                                _farthest, _star_local_fits, _star_match, assignment_target,
+from swarmdraw.protocol import (AssignmentError, Phase, _band_nearest, _canonical_order,
+                                _canonical_ranks, _centered_fits, _farthest, _star_local_fits, _star_match, assignment_target,
                                 build_plan, fit_isometry, robot_decision, robot_decisions)
 from swarmdraw.simulator import noisy_tolerances
 from swarmdraw.symmetry import normalize, symmetricity
@@ -363,6 +366,72 @@ def test_memoised_decode_agrees_with_a_fresh_decode(grid, data):
     except FormationError:
         want = None
     assert _decode(grid, tuple(sorted(ids))) == want
+    if max(ids) < grid.locations:      # the keyed decode takes the grid's cell ids only
+        got = _decode_rows(grid, np.array(ids), np.array([0]), np.array([len(ids)]))
+        assert got.tolist() == [want[1] if want else 0]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(grids(), st.data())
+def test_keyed_decode_equals_a_decode_per_row(grid, data):
+    """``_decode_rows`` equals ``_decode`` of each row's sorted cells, with the
+    real memo and with a memo of two keys: rows repeat across windows, differ
+    in length within one call, repeat a cell or lack the anchor pair, and a
+    call holds more distinct keys than the memo."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    heads = [[0, 1], [0, 1], [0, 1], [1], [0], [0, 1, 1], []]
+    pool = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        size = int(rng.integers(0, min(grid.locations - 2, 80) + 1))
+        free = rng.choice(np.arange(2, grid.locations), size, replace=rng.random() < 0.3)
+        pool.append(np.concatenate([heads[rng.integers(len(heads))], free]).astype(np.int64))
+    rows = [pool[k] for k in rng.integers(0, len(pool), data.draw(st.integers(0, 40)))]
+    # Stored shuffled and in a different order from the one the call reads.
+    stored = rng.permutation(len(rows))
+    cells = np.concatenate([np.zeros(0, dtype=np.int64)]
+                           + [rng.permutation(rows[k]) for k in stored])
+    at = np.cumsum([0] + [len(rows[k]) for k in stored])
+    lows = np.empty(len(rows), dtype=np.int64)
+    lows[stored] = at[:-1]
+    counts = np.array([len(r) for r in rows], dtype=np.int64)
+    want = []
+    for r in rows:
+        found = _decode(grid, tuple(sorted(r.tolist())))
+        want.append(found[1] if found else 0)
+    assert _decode_rows(grid, cells, lows, counts).tolist() == want
+    # A fresh memo decodes each distinct cell set of the call once.
+    fresh = lru_cache(maxsize=None)(formation._decode_key.__wrapped__)
+    with mock.patch.object(formation, "_decode_key", fresh):
+        assert _decode_rows(grid, cells, lows, counts).tolist() == want
+    assert fresh.cache_info().misses == len({tuple(sorted(r.tolist())) for r in rows})
+    small = lru_cache(maxsize=2)(formation._decode_key.__wrapped__)
+    with mock.patch.object(formation, "_decode_key", small):
+        for _ in range(2):
+            assert _decode_rows(grid, cells, lows, counts).tolist() == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_counted_ranks_equal_the_canonical_order(data):
+    """``_canonical_ranks`` equals each group's own row's place in the stable
+    ``_canonical_order`` of 0-50 groups of 1-120 rows, with duplicated rows,
+    +-0.0 and coordinates on both sides of a TAU_GEOM rounding boundary."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    sizes = np.array(data.draw(st.lists(st.integers(1, 120), max_size=50)), dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    edges = [c + k * TAU_GEOM for c in (0.0, 0.03, -0.07) for k in (-1.5, -0.5, 0.5, 2.5)]
+    special = np.array([0.0, -0.0, TAU_GEOM, -TAU_GEOM, 0.03]
+                       + edges + [np.nextafter(e, s) for e in edges for s in (-1.0, 1.0)])
+    local = rng.uniform(-0.2, 0.2, (int(sizes.sum()), 2))
+    pick = rng.random(local.shape) < 0.7
+    local[pick] = rng.choice(special, int(pick.sum()))
+    if len(local):
+        copies = rng.integers(0, len(local), (len(local) // 4, 2))
+        local[copies[:, 0]] = local[copies[:, 1]]
+    own = starts + (rng.random(len(sizes)) * sizes).astype(np.int64)
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    want = np.argsort(_canonical_order(local, (group,)))[own] - starts
+    assert np.array_equal(_canonical_ranks(local, sizes, own), want)
 
 
 _WINDOW_KINDS = ("empty", "one", "pair", "pair", "state", "state", "boundary", "cloud")

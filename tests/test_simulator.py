@@ -110,8 +110,10 @@ def test_views_equal_per_robot_reference(seed):
 
 def test_bench_traces_equal_the_recorded_traces():
     """The seed-0 traces of the three bench workloads, byte for byte, and of
-    draw-small under movement noise (``trace_digest.py --noise``), where the
-    full-view fits meet the D(t) tolerances and the match_points fallback:
+    draw-small and draw-large under movement noise (``trace_digest.py
+    --noise``), where the full-view fits meet the D(t) tolerances and the
+    match_points fallback, and detection decodes long rows at the noisy
+    tolerance:
     the SHA-256 digests of tests/trace_digest.py against
     tests/trace_digests.json.  Like plan_digests.json, they hold on the
     machine that recorded them; a different BLAS or CPU may round the
@@ -122,7 +124,8 @@ def test_bench_traces_equal_the_recorded_traces():
     finally:
         sys.path[:] = saved
     recorded = json.loads((Path(__file__).parent / "trace_digests.json").read_text())
-    assert sorted(recorded) == ["draw-large 0", "draw-small 0", "draw-small 0 noise", "star 0"]
+    assert sorted(recorded) == ["draw-large 0", "draw-large 0 noise", "draw-small 0",
+                                "draw-small 0 noise", "star 0"]
     for label, want in recorded.items():
         workload, seed, *noise = label.split()
         assert noise in ([], ["noise"]), label
