@@ -378,6 +378,8 @@ def detect_arrays(points, sizes, grid: GridSpec, tol: float = TAU_GEOM) -> Detec
     (which tells anchor from partner), kept when every robot in the hull
     realizes a legal grid state.  A row's members snap to cell ids, and
     ``_decode_rows`` decodes each distinct sorted cell set of the call once.
+    The pass is two steps, ``_orientations`` up to the live rows and
+    ``_complete`` from them.
 
     ``points`` is the concatenation of the windows and ``sizes`` their
     lengths; window w's formations equal those of window w alone, bit for
@@ -388,6 +390,37 @@ def detect_arrays(points, sizes, grid: GridSpec, tol: float = TAU_GEOM) -> Detec
     sizes = np.asarray(sizes, dtype=np.int64)
     if sizes.ndim != 1 or (sizes < 0).any() or sizes.sum() != len(pts):
         raise ValueError("window sizes must be nonnegative and sum to the number of points")
+    return _complete(_orientations(pts, sizes, grid, tol), grid, tol)
+
+
+class _Rows(NamedTuple):
+    """The candidate orientations of ``detect_arrays``: row r is anchored at
+    pts[p[r]] and heads along the unit u[r] to its partner; it is live when a
+    collinear third robot lies beyond the partner.  Entry k sets row[k] against
+    point col[k], at hull coordinates (x[k], y[k]); win and starts give each
+    point's window and each window's first point."""
+
+    pts: np.ndarray
+    win: np.ndarray
+    starts: np.ndarray
+    p: np.ndarray
+    u: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    live: np.ndarray
+
+    def live_anchors(self) -> np.ndarray:
+        """The anchor points of the live rows, in row order: every formation's
+        anchor is among them."""
+        return self.pts[self.p[self.live]]
+
+
+def _orientations(pts, sizes, grid: GridSpec, tol: float) -> _Rows:
+    """``detect_arrays``' first step on checked points and window sizes: the
+    epsilon-pairs of each window, both orientations of each, every point in
+    each orientation's hull coordinates, and which rows are live."""
     eps, delta = grid.epsilon, grid.delta
     starts = np.cumsum(sizes) - sizes
     win = np.repeat(np.arange(len(sizes)), sizes)
@@ -415,10 +448,24 @@ def detect_arrays(points, sizes, grid: GridSpec, tol: float = TAU_GEOM) -> Detec
              & (i >= 1) & (np.abs(x - (1 + 2 * i) * eps) <= tol)
              & (col != p_idx[row]) & (col != q_idx[row]))
     live = np.bincount(row[third], minlength=len(p_idx)) > 0
+    return _Rows(pts, win, starts, p_idx, u, row, col, x, y, live)
+
+
+def _complete(orient: _Rows, grid: GridSpec, tol: float) -> Detections:
+    """``detect_arrays``' second step: the members of each live row, snapped
+    and decoded, one formation per window and pose.  With no live row it
+    returns the empty ``Detections`` at once."""
+    if not orient.live.any():
+        none = np.zeros(0, dtype=np.int64)
+        return Detections(none, np.zeros((0, 2)), np.zeros((0, 2)), none,
+                          np.zeros(1, dtype=np.int64), none, np.zeros((0, 2)))
+    pts, win, starts, p_idx, u, row, col, x, y, live = orient
+    eps = grid.epsilon
+    row_win = win[p_idx]
     # Members: the points of each live row within delta + tol of its anchor and
     # inside the wedge, tested and snapped as one flat (row-major) array.
     keep = np.flatnonzero(live[row])
-    keep = keep[np.hypot(x[keep], y[keep]) <= delta + tol]
+    keep = keep[np.hypot(x[keep], y[keep]) <= grid.delta + tol]
     keep = keep[_lateral_distance(x[keep], y[keep], grid.span) <= tol]
     row, col, xs, ys = row[keep], col[keep], x[keep], y[keep]
     cells, on_grid = _snap_cells(grid, xs, ys, eps, tol)
@@ -499,14 +546,20 @@ def _snap_cells(grid: GridSpec, xs, ys, eps: float, tol: float):
 def overlapping(det: Detections, f, g, grid: GridSpec) -> np.ndarray:
     """Whether the hulls of formations f[k] and g[k] of det intersect (touching
     counts), for every k.  A configuration is valid when no two of its hulls
-    do.  Hulls anchored more than 2δ + TAU_GEOM apart are disjoint without a
-    polygon test."""
-    gap = det.anchor[f] - det.anchor[g]
-    out = np.hypot(gap[:, 0], gap[:, 1]) <= 2 * grid.delta + TAU_GEOM
+    do.  Hulls anchored more than 2δ + TAU_GEOM apart (``_within_cutoff``)
+    are disjoint without a polygon test."""
+    out = _within_cutoff(det.anchor, f, g, grid)
     for k in np.flatnonzero(out).tolist():
         out[k] = _convex_overlap(*(_wedge_polygon(DrawingHull(
             det.anchor[h], det.heading[h], grid.span, grid.delta)) for h in (f[k], g[k])))
     return out
+
+
+def _within_cutoff(anchor, f, g, grid: GridSpec) -> np.ndarray:
+    """Whether anchor[f[k]] and anchor[g[k]] lie within 2δ + TAU_GEOM, for every k:
+    the cutoff beyond which two hulls cannot meet."""
+    gap = anchor[f] - anchor[g]
+    return np.hypot(gap[:, 0], gap[:, 1]) <= 2 * grid.delta + TAU_GEOM
 
 
 def _wedge_polygon(hull: DrawingHull) -> np.ndarray:

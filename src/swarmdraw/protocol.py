@@ -405,7 +405,9 @@ def _build_star_schedule(plan: Plan) -> None:
 def fit_isometry(points, template, tol: float):
     """Rotation + translation mapping template onto points, or None: both sets
     are centered on their centroids and fitted by the one-pair call of
-    ``_centered_fits``.  Neither set may be empty."""
+    ``_centered_fits``.  Neither set may be empty.  Sets whose sorted radii
+    fail ``_screen_pairs`` are rejected before the call, as it would reject
+    them."""
     pts = as_points(points)
     tmpl = as_points(template)
     for name, arr in (("points", pts), ("template", tmpl)):
@@ -414,9 +416,12 @@ def fit_isometry(points, template, tol: float):
     if len(pts) != len(tmpl):
         raise ValueError("point counts differ")
     ca, cb = pts.mean(axis=0), tmpl.mean(axis=0)
-    b = tmpl - cb
-    got = _centered_fits((pts - ca)[None], b[None], np.sort(np.hypot(*b.T))[None],
-                         np.array([tol]))[0]
+    a, b = (pts - ca)[None], tmpl - cb
+    b_radii, tols = np.sort(np.hypot(*b.T))[None], np.array([tol])
+    ra = np.sort(np.hypot(a[..., 0], a[..., 1]), axis=1)
+    if not _screen_pairs(ra, b_radii[None], tols[None])[1][0, 0]:
+        return None
+    got = _centered_fits(a, b[None], b_radii, tols)[0]
     if got is None:
         return None
     theta, perm, err = got
@@ -686,29 +691,37 @@ def _formation_moves(views: list[np.ndarray], plan: Plan, tol: float) -> list:
     """Each robot's formation Decision (dropped if conflicted), or None: its
     rank's row of plan.moves at its vertex, mapped by row @ basis + anchor in
     one stacked matmul.  ``_canonical_ranks`` counts each robot's rank in its
-    own formation's ``_canonical_order`` without sorting."""
+    own formation's ``_canonical_order`` without sorting, and every robot's
+    vertex, table row and event are looked up as arrays."""
     det, own, conflicted = _own_formations(views, plan.grid, tol)
     out = [Decision(np.zeros(2), Phase.DROPPED) if c else None for c in conflicted.tolist()]
     robots = np.flatnonzero(own >= 0)
+    if not len(robots):
+        return out
     f = own[robots]
     sizes = np.diff(det.bounds)[f]
     rows = _ranges(det.bounds[f], sizes)[1]
     ranks = _canonical_ranks(det.local[rows], sizes, np.flatnonzero(det.members[rows] == 0))
-    verts = [plan.path.vertex_of_label(*sv) for sv in zip(sizes.tolist(), det.state[f].tolist())]
-    known = [k for k, vi in enumerate(verts) if vi is not None]
-    if any(len(plan.moves[verts[k]]) != sizes[k] for k in known):
+    # Each robot's vertex: the one path label equal to its (size, state), or -1.
+    labels = np.array(plan.path.labels).reshape(-1, 2)
+    hit = (labels[:, 0] == sizes[:, None]) & (labels[:, 1] == det.state[f][:, None])
+    vert = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    known = vert >= 0
+    lengths = np.array([len(table) for table in plan.moves])
+    if (lengths[vert[known]] != sizes[known]).any():
         raise FormationError("a formation's size differs from its move table")
     d = det.heading[f[known]] / np.hypot(*det.heading[f[known]].T)[:, None]
     basis = np.stack([d, np.column_stack([-d[:, 1], d[:, 0]])], axis=1)
-    table_rows = np.array([plan.moves[verts[k]][ranks[k]] for k in known]).reshape(-1, 1, 2)
-    targets = iter(np.matmul(table_rows, basis)[:, 0] + det.anchor[f[known]])
+    table = np.concatenate(plan.moves)[(np.cumsum(lengths) - lengths)[vert[known]] + ranks[known]]
+    targets = np.zeros((len(robots), 2))
+    targets[known] = np.matmul(table.reshape(-1, 1, 2), basis)[:, 0] + det.anchor[f[known]]
+    if (np.hypot(targets[:, 0], targets[:, 1]) > 1.0 + TAU_GEOM).any():
+        raise AssertionError("planned displacement exceeds the viewing range")
     # At the last vertex the move reshapes the formation into the ending triple.
-    for r, vi in zip(robots.tolist(), verts):
-        out[r] = (Decision(np.zeros(2), Phase.FORMATION, ("unknown-state",)) if vi is None
-                  else Decision(next(targets), Phase.FORMATION,
-                                ("ending-reshape",) if vi == len(plan.path.vertices) - 1 else ()))
-        if math.hypot(*out[r].target) > 1.0 + TAU_GEOM:
-            raise AssertionError("planned displacement exceeds the viewing range")
+    kind = np.where(known, np.where(vert == len(plan.path.vertices) - 1, 2, 0), 1)
+    events = ((), ("unknown-state",), ("ending-reshape",))
+    for r, target, k in zip(robots.tolist(), targets, kind.tolist()):
+        out[r] = Decision(target, Phase.FORMATION, events[k])
     return out
 
 

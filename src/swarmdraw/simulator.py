@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import (TAU_GEOM, as_points, match_points, mindist, nearest,
                        pairwise_distances, rotation_matrix)
-from .formation import detect_arrays, overlapping
+from .formation import _complete, _orientations, _within_cutoff, overlapping
 from .protocol import (
     Phase,
     Plan,
@@ -125,9 +125,11 @@ def make_local_views(positions, rnd: int, cfg: SimConfig, frame=None) -> list[np
     frame, the robot itself at row 0 as exact +0.0, then its k neighbours
     within distance 1, lex-sorted on (x, y), ties by index.  All views are
     slices of one array from one pass over the round's differences: each
-    robot's entries, in index order, fill one row of a table padded with +inf
-    (its own entry keyed -inf), and one row-wise stable sort orders them.
-    frame is the round's ``_frame``, if the caller already has it."""
+    robot's entries, in index order, fill one row of a table of complex keys
+    x + iy padded with inf + i*inf (its own entry's real part -inf), and one
+    row-wise stable sort orders them: NumPy orders complex numbers by real,
+    then imaginary part.  frame is the round's ``_frame``, if the caller
+    already has it."""
     pts = as_points(positions)
     cos, sin = _frame(len(pts), rnd, cfg) if frame is None else frame
     cos, sin = cos[:, None], sin[:, None]
@@ -138,13 +140,13 @@ def make_local_views(positions, rnd: int, cfg: SimConfig, frame=None) -> list[np
     first = np.cumsum(counts) - counts
     row, col = np.nonzero(mask)
     slot = np.arange(len(row)) - np.repeat(first, counts)
-    kx = np.full((len(pts), counts.max(initial=0)), np.inf)
-    ky = kx.copy()
-    kx[row, slot] = (cos * dx - sin * dy)[mask]
-    ky[row, slot] = (sin * dx + cos * dy)[mask]
-    kx[np.arange(len(pts)), slot[row == col]] = -np.inf
-    src = np.lexsort((ky, kx), axis=-1)[row, slot]
-    local = np.stack([kx[row, src], ky[row, src]], axis=1)
+    key = np.full((len(pts), counts.max(initial=0)), complex(np.inf, np.inf))
+    # Parts assigned one by one: x + 1j*y would turn the padding's infinite y into NaN.
+    key.real[row, slot] = (cos * dx - sin * dy)[mask]
+    key.imag[row, slot] = (sin * dx + cos * dy)[mask]
+    key.real[np.arange(len(pts)), slot[row == col]] = -np.inf
+    src = np.argsort(key, axis=-1, kind="stable")[row, slot]
+    local = np.stack([key.real[row, src], key.imag[row, src]], axis=1)
     local[first] = 0.0                              # the robot itself, as +0.0
     return [local[a:a + k] for a, k in zip(first.tolist(), counts.tolist())]
 
@@ -366,8 +368,20 @@ def _commit(positions, targets, plan, cfg, rnd):
     if d[i, j] <= TAU_GEOM:
         raise SimulationError(f"robots {i} and {j} collided")
     if plan.branch == "draw":
-        det = detect_arrays(new_positions, [len(new_positions)], plan.grid,
-                            max(TAU_GEOM, 3.0 * plan.hops * cfg.noise_mu))
+        _check_hulls(new_positions, plan, max(TAU_GEOM, 3.0 * plan.hops * cfg.noise_mu))
+    return new_positions
+
+
+def _check_hulls(positions, plan, tol):
+    """Raise if two formation hulls of the configuration overlap.  Detection
+    stops at the live orientations, whose anchors hold every formation's
+    anchor, and completes only when two of them lie within the cutoff that
+    ``overlapping`` applies before any polygon test: otherwise no pair of
+    hulls can meet, and the verdict is the same without detecting."""
+    orient = _orientations(positions, np.array([len(positions)]), plan.grid, tol)
+    anchors = orient.live_anchors()
+    if _within_cutoff(anchors, *np.triu_indices(len(anchors), 1), plan.grid).any():
+        det = _complete(orient, plan.grid, tol)
         f, g = np.triu_indices(len(det.state), 1)
         hit = overlapping(det, f, g, plan.grid)
         if hit.any():
@@ -375,4 +389,3 @@ def _commit(positions, targets, plan, cfg, rnd):
             pairs = "; ".join(f"robots {members[a].tolist()} and {members[b].tolist()}"
                               for a, b in zip(f[hit].tolist(), g[hit].tolist()))
             raise SimulationError(f"overlapping formation hulls: {pairs}")
-    return new_positions

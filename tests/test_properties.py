@@ -2,10 +2,12 @@
 nearest-neighbour pass, the shared matcher, the orbit walk built on it, the
 congruence fit, the near-gathering assignment, the grid-state enumeration and
 the scaling branch's neighbourhood match and its batched fits, batched
-formation detection and its epsilon-pair sweep, the fit's farthest point, and
-the batched drawing-branch decisions."""
+formation detection and its epsilon-pair sweep, the fit's farthest point, the
+batched drawing-branch decisions, the commit's hull check, the termination
+fit's radius screen and the sorted local views."""
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
 
@@ -25,6 +27,7 @@ from swarmdraw.formation import (
     detect_arrays,
     grid_spec,
     index_of_state,
+    overlapping,
     state_by_index,
     state_from_cells,
 )
@@ -32,9 +35,11 @@ from swarmdraw.geometry import (TAU_GEOM, enclosing_centers, match_points, neare
                                 nearest_in_sets, rotate, smallest_enclosing_circle,
                                 triple_sec_radii, unit)
 from swarmdraw.protocol import (AssignmentError, Phase, _band_nearest, _canonical_order,
-                                _canonical_ranks, _centered_fits, _farthest, _star_local_fits, _star_match, assignment_target,
+                                _canonical_ranks, _centered_fits, _farthest, _screen_pairs,
+                                _star_local_fits, _star_match, assignment_target,
                                 build_plan, fit_isometry, robot_decision, robot_decisions)
-from swarmdraw.simulator import noisy_tolerances
+from swarmdraw.simulator import (SimConfig, SimulationError, _commit, _frame, make_local_views,
+                                 noisy_tolerances)
 from swarmdraw.symmetry import normalize, symmetricity
 
 from corpus import main_corpus, near_gathering, ngon, random_connected_pattern, star_corpus
@@ -1005,3 +1010,185 @@ def test_robot_decision_is_rotation_equivariant(pattern, pick, phi):
     assert base.phase is role
     assert turned.phase is base.phase and turned.events == base.events
     assert np.abs(turned.target - rotate(base.target, phi)).max() <= 1e-9
+
+
+# --- engine checks --------------------------------------------------------------------
+
+@lru_cache(maxsize=1)
+def _commit_plan():
+    return build_plan(random_connected_pattern(10, seed=7))
+
+
+def _hull_check_reference(positions, grid, tol):
+    """The commit's hull-check message, or None: every formation of the
+    configuration detected, and every pair of them tested with ``overlapping``."""
+    det = detect_arrays(positions, [len(positions)], grid, tol)
+    f, g = np.triu_indices(len(det.state), 1)
+    hit = overlapping(det, f, g, grid)
+    if not hit.any():
+        return None
+    members = np.split(det.members, det.bounds[1:-1])
+    return "overlapping formation hulls: " + "; ".join(
+        f"robots {members[a].tolist()} and {members[b].tolist()}"
+        for a, b in zip(f[hit].tolist(), g[hit].tolist()))
+
+
+def _formation_points(grid, rng, anchor, direction):
+    size = int(rng.integers(3, min(grid.locations, 7) + 1))
+    spec = state_by_index(grid, size, int(rng.integers(1, count_states(grid, size) + 1)))
+    return spec.points(DrawingHull(anchor, direction, grid.span, grid.delta))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(grids(), st.data())
+def test_commit_hull_check_equals_detecting_every_pair(grid, data):
+    """``_commit`` raises exactly when detecting every formation and testing
+    every pair with ``overlapping`` finds an overlap, with the same message.
+    A few far robots and 1-3 formations: the next one anchored near the
+    previous, facing it with anchors 2δ + TAU_GEOM ± 1e-10 apart (the anchor
+    cutoff, where the hulls' tips meet), or on the previous one's epsilon-pair,
+    reversed, so that both orientations of that pair are live; at TAU_GEOM or
+    a noisy tolerance, jittered so that every formation stays detected."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    tol = data.draw(st.sampled_from([TAU_GEOM, 0.01 * grid.epsilon, 0.2 * grid.epsilon]))
+    cutoff = 2 * grid.delta + TAU_GEOM
+    anchor, direction = rng.uniform(-0.2, 0.2, 2), unit(rng.normal(size=2))
+    parts = [rng.uniform(-1.5, 1.5, (int(rng.integers(0, 5)), 2)),
+             _formation_points(grid, rng, anchor, direction)]
+    for _ in range(int(rng.integers(0, 3))):
+        how = rng.choice(["near", "cutoff", "reversed"])
+        if how == "reversed":
+            anchor, direction = anchor + grid.epsilon * direction, -direction
+        elif how == "cutoff":
+            anchor = anchor + (cutoff + rng.choice([-1e-10, 1e-10])) * direction
+            direction = -direction
+        else:
+            anchor = anchor + rng.uniform(0.0, 2.5 * grid.delta) * unit(rng.normal(size=2))
+            direction = unit(rng.normal(size=2))
+        parts.append(_formation_points(grid, rng, anchor, direction))
+    points = np.concatenate(parts)
+    # Shared points (the reversed pair's) once; no two robots collide.
+    d = np.hypot(*(points[:, None] - points[None]).T)
+    points = points[~np.triu(d <= 1e-7, 1).any(axis=0)]
+    if tol > TAU_GEOM:  # the heading error times the hull's lever arm stays within tol/2
+        points = points + jitter(rng, len(points), tol / (4 * grid.delta / grid.epsilon + 2))
+    points = points[rng.permutation(len(points))]
+    plan = replace(_commit_plan(), grid=grid)
+    cfg = SimConfig(noise_mu=tol / (3.0 * plan.hops)) if tol > TAU_GEOM else SimConfig()
+    tol = max(TAU_GEOM, 3.0 * plan.hops * cfg.noise_mu)     # the engine's, as drawn up to rounding
+    want = _hull_check_reference(points, grid, tol)
+    if want is None:
+        assert _commit(points, points.copy(), plan, cfg, 0).tobytes() == points.tobytes()
+    else:
+        with pytest.raises(SimulationError) as err:
+            _commit(points, points.copy(), plan, cfg, 0)
+        assert str(err.value) == want
+
+
+def _antipodal(rng, count):
+    """count antipodal pairs (centroid 0) at radii at least 0.1 apart."""
+    radii = 0.3 + 0.1 * np.arange(count) + rng.uniform(0.0, 0.05, count)
+    angles = rng.uniform(0.0, 2 * math.pi, count)
+    half = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return np.concatenate([half, -half])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.sampled_from(["inside", "edge", "beyond", "unrelated", "equal-radii"]),
+       st.integers(2, 12), st.sampled_from([1e-9, 1e-7, 1e-4]), st.integers(0, 2 ** 32 - 1))
+def test_fit_isometry_radius_screen_agrees_with_the_one_pair_fit(kind, count, tol, seed):
+    """``fit_isometry``'s early rejection agrees with ``_centered_fits``' one-pair
+    result: the same fit (theta, permutation, error) bit for bit, or None for
+    both.  Cases: turned, shifted, permuted copies jittered within tol/4, with
+    every point pushed out from the centroid by 0.9*tol (a fit whose radii
+    differ by nearly tol), or jittered by 3*tol; unrelated sets; and antipodal
+    pairs each turned by its own angle, whose sorted radii equal the
+    template's (the screen passes) while no rotation fits them."""
+    rng = np.random.default_rng(seed)
+    template = _antipodal(rng, count) + rng.uniform(-1.0, 1.0, 2)
+    n = len(template)
+    theta = rng.uniform(-math.pi, math.pi)
+    if kind in ("inside", "edge", "beyond"):
+        copy = template
+        if kind == "edge":
+            b = template - template.mean(axis=0)
+            copy = b * (1.0 + 0.9 * tol / np.hypot(*b.T))[:, None]
+        points = rotate(copy, theta)[rng.permutation(n)] + rng.uniform(-1.0, 1.0, 2)
+        if kind != "edge":
+            points = points + jitter(rng, n, tol / 4 if kind == "inside" else 3 * tol)
+    elif kind == "unrelated":
+        points = rng.uniform(-1.0, 1.0, (n, 2))
+    else:
+        turns = rng.uniform(0.0, 2 * math.pi, count)
+        turns[1:] = turns[0] + 0.1 + rng.uniform(0.0, math.pi - 0.2, count - 1)
+        half = template[:count] - template.mean(axis=0)
+        turned = np.stack([rotate(row, t) for row, t in zip(half, turns)])
+        points = np.concatenate([turned, -turned])[rng.permutation(n)] + rng.uniform(-1, 1, 2)
+    a = points - points.mean(axis=0)
+    b = template - template.mean(axis=0)
+    b_radii = np.sort(np.hypot(*b.T))
+    want = _centered_fits(a[None], b[None], b_radii[None], np.array([tol]))[0]
+    screen = _screen_pairs(np.sort(np.hypot(*a.T))[None], b_radii[None, None],
+                           np.array([[tol]]))[1][0, 0]
+    got = fit_isometry(points, template, tol)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert screen
+        assert (got[0], got[2].tolist(), got[3]) == (want[0], want[1].tolist(), want[2])
+    if kind in ("inside", "edge"):
+        assert got is not None
+    if kind == "equal-radii":
+        assert screen and got is None
+
+
+def _empty_detections_pinned(det):
+    assert [(x.dtype, x.shape) for x in det] == [
+        (np.int64, (0,)), (np.float64, (0, 2)), (np.float64, (0, 2)), (np.int64, (0,)),
+        (np.int64, (1,)), (np.int64, (0,)), (np.float64, (0, 2))]
+    assert det.bounds.tolist() == [0]
+
+
+def test_detection_without_a_live_row_is_the_empty_detections():
+    """With no epsilon-pair, or pairs with no collinear third robot beyond the
+    partner, ``detect_arrays`` returns the empty ``Detections`` with the
+    shapes and dtypes of a found one, for one window and for several."""
+    grid = grid_spec(0.1, 0.01, math.pi / 3)
+    eps = grid.epsilon
+    sparse = np.array([[0.0, 0.0], [0.3, 0.1], [-0.2, 0.5]])
+    # Epsilon-pairs whose third robots sit off the axis, or at 2*eps (i = 1/2).
+    pairs = np.array([[0.0, 0.0], [eps, 0.0], [3 * eps, 0.5 * eps],
+                      [0.5, 0.5], [0.5, 0.5 + eps], [0.5, 0.5 + 2 * eps]])
+    orient = formation._orientations(pairs, np.array([len(pairs)]), grid, TAU_GEOM)
+    assert len(orient.p) == 6 and not orient.live.any()
+    for points in (sparse, pairs):
+        _empty_detections_pinned(detect_arrays(points, [len(points)], grid))
+        _empty_detections_pinned(detect_arrays(np.vstack([points, points + 3.0]),
+                                               [len(points), 0, len(points)], grid))
+    _empty_detections_pinned(detect_arrays(np.zeros((0, 2)), [0], grid))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(1, 40), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_local_views_equal_a_two_key_lexsort(n, axis_frame, seed):
+    """``make_local_views``' stable sort of complex keys orders each view as a
+    row-wise two-key ``np.lexsort`` does, ties by index, bit for bit.  Robots
+    on a quarter grid in the world's frame tie on x often."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(81, size=min(n, 81), replace=False)
+    pts = 0.25 * np.stack([cells % 9, cells // 9], axis=1).astype(float)
+    if not axis_frame:
+        pts = pts + rng.uniform(-0.01, 0.01, pts.shape)
+    cfg = SimConfig(seed=seed % 1000)
+    frame = (np.ones(len(pts)), np.zeros(len(pts))) if axis_frame else _frame(len(pts), 3, cfg)
+    got = make_local_views(pts, 3, cfg, frame)
+    cos, sin = frame
+    for i, view in enumerate(got):
+        dx, dy = pts[:, 0] - pts[i, 0], pts[:, 1] - pts[i, 1]
+        seen = np.flatnonzero(np.hypot(dx, dy) <= 1.0 + TAU_GEOM)
+        kx = cos[i] * dx[seen] - sin[i] * dy[seen]
+        ky = sin[i] * dx[seen] + cos[i] * dy[seen]
+        kx[seen == i] = -np.inf
+        order = np.lexsort((ky, kx))
+        want = np.stack([kx[order], ky[order]], axis=1)
+        want[0] = 0.0
+        assert view.tobytes() == want.tobytes()

@@ -1,10 +1,12 @@
 """SHA-256 digests of benchmark traces, to check that a change keeps every run.
 
     python tests/trace_digest.py <workload> <seed> [<seed> ...] [--noise]
+    python tests/trace_digest.py all <seed> [<seed> ...] [--noise]
 
 Runs every instance of the benchmark workload (``perfbench/workloads.py``,
-imported read-only) for each seed, from the start and with the round bound
-that ``perfbench/child.py`` uses, and prints one line per workload and seed:
+imported read-only), or of every workload for ``all``, for each seed, from
+the start and with the round bound that ``perfbench/child.py`` uses, and
+prints one line per workload and seed:
 the SHA-256 over every round's position bytes, phases and events, then each
 run's verdict, ``total_rounds`` and ``max_error``.  With ``--noise`` the
 drawing-branch instances run with movement noise mu = epsilon/(20*hops); the
@@ -60,15 +62,16 @@ def digest(workload: str, seed: int, noise: bool) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("workload", choices=sorted(workloads.WORKLOADS) + ["all"])
     parser.add_argument("seeds", type=int, nargs="+")
     parser.add_argument("--noise", action="store_true",
                         help="drawing runs with movement noise epsilon/(20*hops)")
     args = parser.parse_args(argv)
     label = " noise" if args.noise else ""
-    for seed in args.seeds:
-        print(f"{args.workload} {seed}{label} {digest(args.workload, seed, args.noise)}",
-              flush=True)
+    names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
+    for name in names:
+        for seed in args.seeds:
+            print(f"{name} {seed}{label} {digest(name, seed, args.noise)}", flush=True)
     return 0
 
 
