@@ -57,27 +57,32 @@ def load_pattern(filename) -> np.ndarray:
     return pts
 
 
+def disconnected(pts) -> bool:
+    """Whether the pattern is not connected in the unit disc graph, so that no
+    plan exists (exit 3); if so, it says so on stderr."""
+    if unit_disc_connected(normalize(pts)):
+        return False
+    print("error: pattern is not connected in the unit disc graph", file=sys.stderr)
+    return True
+
+
 def cmd_analyze(args) -> int:
-    pts = load_pattern(args.pattern)
-    pts = normalize(pts)
-    info = symmetricity(pts)
-    n = len(pts)
-    connected = unit_disc_connected(pts)
-    md = mindist(pts) if n > 1 else math.inf
-    branch = "star" if 2 * info.sym >= n else "main"
+    """The pattern's report, with the symmetricity and branch of its plan."""
+    pts = normalize(load_pattern(args.pattern))
+    md = mindist(pts) if len(pts) > 1 else math.inf
+    connected = not disconnected(pts)
+    plan = build_plan(pts, args.params_c) if connected else None
     report = {
-        "n": n,
-        "sym": info.sym,
+        "n": len(pts),
+        "sym": plan.params.s_p if connected else symmetricity(pts).sym,
         "mindist": None if math.isinf(md) else md,
         "connected": connected,
-        "branch": branch,
     }
     if not connected:
         print(json.dumps(report, indent=1))
-        print("warning: pattern is not connected in the unit disc graph", file=sys.stderr)
         return EXIT_DISCONNECTED
-    if branch == "main":
-        plan = build_plan(pts, args.params_c)
+    report["branch"] = "main" if plan.branch == "draw" else "star"
+    if plan.branch == "draw":
         report["params"] = {
             "epsilon": plan.params.epsilon,
             "delta": plan.params.delta,
@@ -91,6 +96,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_plan(args) -> int:
     pts = load_pattern(args.pattern)
+    if disconnected(pts):
+        return EXIT_DISCONNECTED
     plan = build_plan(pts, args.params_c)
     if plan.path is None:
         raise ValueError("the scaling branch has no drawing path to export")
@@ -102,6 +109,8 @@ def cmd_plan(args) -> int:
 
 def cmd_simulate(args) -> int:
     pts = load_pattern(args.pattern)
+    if disconnected(pts):
+        return EXIT_DISCONNECTED
     plan = build_plan(pts, args.params_c)
     if args.source == "initial-pattern":
         initial = plan.initial if plan.branch == "draw" else plan.star.kappa0 * plan.pattern

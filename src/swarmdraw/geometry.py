@@ -1,9 +1,8 @@
 """Planar geometry primitives shared by every other module.
 
 Points are numpy arrays of shape (2,) or stacked as (n, 2) float64 arrays.
-Angles are measured counter-clockwise from the +x axis; signed angles live
-in (-pi, pi].  All coincidence/containment predicates use the absolute
-tolerance TAU_GEOM.
+Angles are measured counter-clockwise from the +x axis.  All
+coincidence/containment predicates use the absolute tolerance TAU_GEOM.
 """
 
 from __future__ import annotations
@@ -56,18 +55,6 @@ def perp(v) -> np.ndarray:
     """Rotate a vector by +pi/2."""
     v = np.asarray(v, dtype=float)
     return np.array([-v[1], v[0]])
-
-
-def signed_angle(u, v) -> float:
-    """Signed angle in (-pi, pi] rotating u counter-clockwise onto v."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if norm(u) <= TAU_GEOM or norm(v) <= TAU_GEOM:
-        raise ValueError("signed_angle requires nonzero vectors")
-    a = math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1])
-    if a <= -math.pi:
-        a = math.pi
-    return a
 
 
 def polar_angle(p) -> float:

@@ -80,10 +80,6 @@ class DrawingTree:
     parent: list[int | None]
     children: list[list[int]]
 
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
 
 def build_drawing_tree(comp_points, s: int, delta: float, diameter: float,
                        margin: float) -> DrawingTree:
@@ -456,19 +452,9 @@ class DrawingPath:
     tail_start: int
     labels: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_label_map", {lab: i for i, lab in enumerate(self.labels)})
-
     @property
     def hops(self) -> int:
         return len(self.vertices) - 1
-
-    @property
-    def tail_len(self) -> int:
-        return len(self.vertices) - self.tail_start
-
-    def vertex_of_label(self, size: int, index: int) -> int | None:
-        return self._label_map.get((size, index))
 
     def to_dict(self) -> dict:
         return {
@@ -510,7 +496,7 @@ def path_state_label(coverage, tail_start: int, i: int) -> tuple[int, int]:
 
     Body vertices encode progress as (remaining coordinates, 1 + length of
     the empty-coverage run just before i); tail vertices count positions
-    1..tail_len at size 3.
+    1, 2, ... from tail_start at size 3.
     """
     k = len(coverage)
     if not 0 <= i < k:
@@ -616,7 +602,7 @@ def _validate_path(path: DrawingPath, params, grid: GridSpec) -> None:
     follow: epsilon is below the pattern's minimum spacing, every run of
     vertices with empty coverage fits in the size-4 states (none when the
     grid has fewer than 6 locations), and every label is a state of the grid.
-    The tail's labels are (3, 1..tail_len), so the last check also bounds the
+    The tail's labels are (3, 1), (3, 2), ..., so the last check also bounds the
     tail length by the size-3 states.
     """
     verts = path.vertices

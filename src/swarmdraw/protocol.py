@@ -645,21 +645,30 @@ def _farthest(a, ra) -> np.ndarray:
 
 # --- phase classification ---------------------------------------------------------
 
-def _initial_views(views: list[np.ndarray], plan: Plan, snapshot_tol) -> list[int]:
+def _take(pts, sizes, rows):
+    """The views at ascending indices rows of the batch (pts, sizes), as a batch."""
+    if len(rows) == len(sizes):
+        return pts, sizes
+    keep = np.zeros(len(sizes), dtype=bool)
+    keep[rows] = True
+    return np.compress(np.repeat(keep, sizes), pts, axis=0), sizes[keep]
+
+
+def _initial_views(pts, sizes, plan: Plan, snapshot_tol) -> np.ndarray:
     """Indices of the full views of diameter at most 1 fitting no snapshot (the
     initial near-gathering) at snapshot_tol, one value or one per snapshot."""
-    full = [i for i, view in enumerate(views) if len(view) == plan.n > 1]
-    if not full:
-        return []
-    a = np.stack([views[i] for i in full])
-    a -= a.mean(axis=1, keepdims=True)
+    full = np.flatnonzero((sizes == plan.n) & (plan.n > 1))
+    if not len(full):
+        return full
+    views = _take(pts, sizes, full)[0].reshape(-1, plan.n, 2)
     tol = np.broadcast_to(np.asarray(snapshot_tol, dtype=float), (len(plan.snapshot_ids),))
-    fits = _centered_fits(a, plan.snapshot_centered, plan.snapshot_radii, tol)
-    return [i for i, fit in zip(full, fits)
-            if fit is None and pairwise_distances(views[i]).max() <= 1.0 + TAU_GEOM]
+    fits = _centered_fits(views - views.mean(axis=1, keepdims=True), plan.snapshot_centered,
+                          plan.snapshot_radii, tol)
+    return full[[fit is None and pairwise_distances(view).max() <= 1.0 + TAU_GEOM
+                 for fit, view in zip(fits, views)]]
 
 
-def _own_formations(views: list[np.ndarray], grid: GridSpec, tol: float):
+def _own_formations(pts, sizes, grid: GridSpec, tol: float):
     """(det, own, conflicted): ``detect_arrays`` over each view's points within
     4δ + 4·tol of the robot; the index in det of each robot's one formation
     (holding the window's point 0) if none overlaps it, else -1; and whether it
@@ -667,13 +676,13 @@ def _own_formations(views: list[np.ndarray], grid: GridSpec, tol: float):
     anchored within δ + tol, ``overlapping`` tests it against the other
     formations of its window but reads only those within its anchor cutoff,
     and each formation reads points within δ + tol of its anchor."""
-    pts = np.concatenate([np.zeros((0, 2))] + views)
     near = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1]) <= 4 * (grid.delta + tol))
-    owner = np.repeat(np.arange(len(views)), [len(v) for v in views])
-    det = detect_arrays(pts[near], np.bincount(owner[near], minlength=len(views)), grid, tol)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    det = detect_arrays(pts.take(near, axis=0), np.bincount(owner[near], minlength=len(sizes)),
+                        grid, tol)
     mine = np.repeat(np.arange(len(det.window)), np.diff(det.bounds))[det.members == 0]
-    count = np.bincount(det.window[mine], minlength=len(views))
-    own = np.full(len(views), -1)
+    count = np.bincount(det.window[mine], minlength=len(sizes))
+    own = np.full(len(sizes), -1)
     own[det.window[mine]] = np.where(count[det.window[mine]] == 1, mine, -1)
     conflicted = count > 1
     # Each robot's formation against the other formations of its window.
@@ -687,13 +696,13 @@ def _own_formations(views: list[np.ndarray], grid: GridSpec, tol: float):
     return det, own, conflicted
 
 
-def _formation_moves(views: list[np.ndarray], plan: Plan, tol: float) -> list:
+def _formation_moves(pts, sizes, plan: Plan, tol: float) -> list:
     """Each robot's formation Decision (dropped if conflicted), or None: its
     rank's row of plan.moves at its vertex, mapped by row @ basis + anchor in
     one stacked matmul.  ``_canonical_ranks`` counts each robot's rank in its
     own formation's ``_canonical_order`` without sorting, and every robot's
     vertex, table row and event are looked up as arrays."""
-    det, own, conflicted = _own_formations(views, plan.grid, tol)
+    det, own, conflicted = _own_formations(pts, sizes, plan.grid, tol)
     out = [Decision(np.zeros(2), Phase.DROPPED) if c else None for c in conflicted.tolist()]
     robots = np.flatnonzero(own >= 0)
     if not len(robots):
@@ -725,14 +734,14 @@ def _formation_moves(views: list[np.ndarray], plan: Plan, tol: float) -> list:
     return out
 
 
-def _ending_screen(views: list[np.ndarray], plan: Plan, tol: float) -> np.ndarray:
+def _ending_screen(pts, sizes, plan: Plan, tol: float) -> np.ndarray:
     """Which views have a point within min(tol, epsilon/16) + TAU_GEOM of distance
     epsilon/2 or epsilon/3, as every ending triple holding the robot has."""
     eps = plan.params.epsilon
-    r = np.hypot(*np.concatenate(views).T) if views else np.zeros(0)
+    r = np.hypot(pts[:, 0], pts[:, 1])
     hit = np.minimum(np.abs(r - eps / 2.0), np.abs(r - eps / 3.0)) <= min(tol, eps / 16.0) + TAU_GEOM
-    owner = np.repeat(np.arange(len(views)), [len(v) for v in views])
-    return np.bincount(owner, weights=hit, minlength=len(views)) > 0
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return np.bincount(owner, weights=hit, minlength=len(sizes)) > 0
 
 
 def _find_intermediate(pts, plan: Plan, tol: float):
@@ -782,16 +791,18 @@ def robot_decision(view: np.ndarray, plan: Plan, tol: float = TAU_GEOM,
                    snapshot_tol=None) -> Decision:
     """The robot's move (in its own frame) and phase for one round: the one-view
     call of ``robot_decisions``."""
-    return robot_decisions([view], plan, tol, snapshot_tol)[0]
+    return robot_decisions(view, [len(view)], plan, tol, snapshot_tol)[0]
 
 
-def robot_decisions(views: list[np.ndarray], plan: Plan, tol: float = TAU_GEOM,
+def robot_decisions(pts, sizes, plan: Plan, tol: float = TAU_GEOM,
                     snapshot_tol=None) -> list[Decision]:
     """Each robot's move (in its own frame) and phase for one round.
 
-    Each view is a (k+1, 2) array in the robot's private frame: the robot
-    itself at row 0, at the origin, then the k neighbours it sees, in an order
-    that carries no information (``make_local_views`` sorts them).
+    The views come as one ragged batch: view i is the sizes[i] rows of pts
+    after the first sum(sizes[:i]), in the robot's private frame: the robot
+    itself at the origin first, then the neighbours it sees, in an order that
+    carries no information (``make_local_views`` sorts them).  Every stage
+    takes such a batch, and ``_take`` gathers the views a stage passes on.
 
     tol is the detection tolerance.  snapshot_tol is the tolerance at which a
     full view is matched against the reference snapshots (one value, or one
@@ -803,22 +814,26 @@ def robot_decisions(views: list[np.ndarray], plan: Plan, tol: float = TAU_GEOM,
     ``_find_intermediate`` decodes.  Star fits of local views are batched too
     (``_star_local_fits``).  Each decision reads its own view and the plan only.
     """
+    pts, sizes = np.asarray(pts, dtype=float), np.asarray(sizes, dtype=np.int64)
     if plan.branch == "star":
-        return _star_decisions(views, plan, max(tol, 1e-7))
+        return _star_decisions(pts, sizes, plan, max(tol, 1e-7))
     if snapshot_tol is None:
         snapshot_tol = max(tol, 1e-7)
-    decisions: list[Decision | None] = [None] * len(views)
-    initial = _initial_views(views, plan, snapshot_tol)
-    for i, decision in zip(initial, _initial_decisions([views[i] for i in initial], plan)):
+    decisions: list[Decision | None] = [None] * len(sizes)
+    initial = _initial_views(pts, sizes, plan, snapshot_tol)
+    for i, decision in zip(initial.tolist(), _initial_decisions(*_take(pts, sizes, initial), plan)):
         decisions[i] = decision
-    rest = [i for i, decision in enumerate(decisions) if decision is None]
-    for i, move in zip(rest, _formation_moves([views[i] for i in rest], plan, tol)):
+    rest = np.flatnonzero(np.bincount(initial, minlength=len(sizes)) == 0)
+    moves = _formation_moves(*_take(pts, sizes, rest), plan, tol)
+    for i, move in zip(rest.tolist(), moves):
         decisions[i] = move
-    free = [i for i, decision in enumerate(decisions) if decision is None]
-    for i, seen in zip(free, _ending_screen([views[i] for i in free], plan, tol)):
-        inter = _find_intermediate(views[i], plan, tol) if seen else None
+    free = rest[[move is None for move in moves]]
+    starts = np.cumsum(sizes) - sizes
+    for i, seen in zip(free.tolist(), _ending_screen(*_take(pts, sizes, free), plan, tol)):
+        view = pts[starts[i]:starts[i] + sizes[i]]
+        inter = _find_intermediate(view, plan, tol) if seen else None
         decisions[i] = (Decision(np.zeros(2), Phase.DROPPED) if inter is None
-                        else _intermediate_decision(views[i], plan, inter))
+                        else _intermediate_decision(view, plan, inter))
     return decisions
 
 
@@ -956,15 +971,15 @@ def _slot_target(o, rel, ang, self_idx: int, slots: SlotTable) -> np.ndarray:
     return o + r_star @ slots.points[members[k]]
 
 
-def _initial_decisions(views: list[np.ndarray], plan: Plan) -> list[Decision]:
+def _initial_decisions(pts, sizes, plan: Plan) -> list[Decision]:
     """The near-gathering decision of each full view: its slot target, with
     every view's enclosing circle from one ``enclosing_centers`` call."""
-    if not views:
+    if not len(sizes):
         return []
-    pts = np.stack(views)
-    centers = enclosing_centers(pts)
+    views = pts.reshape(-1, plan.n, 2)
+    centers = enclosing_centers(views)
     decisions = []
-    for o, rel, ang in zip(centers, *_centered(pts, centers)):
+    for o, rel, ang in zip(centers, *_centered(views, centers)):
         try:
             decisions.append(Decision(_slot_target(o, rel, ang, 0, plan.slots), Phase.INITIAL))
         except AssignmentError as exc:
@@ -974,19 +989,19 @@ def _initial_decisions(views: list[np.ndarray], plan: Plan) -> list[Decision]:
 
 # --- scaling branch for symmetricity >= n/2 ---------------------------------------------
 
-def _star_decisions(views: list[np.ndarray], plan: Plan, tol: float) -> list[Decision]:
+def _star_decisions(pts, sizes, plan: Plan, tol: float) -> list[Decision]:
     """Each robot's scaling-branch decision: the full views' fits come from one
     ``_star_full_fits`` call, the local views' from one ``_star_local_fits`` call.
     Full views that fit no scaled pattern (the initial near-gathering) take a
     slot of the shrunken pattern from one ``_initial_decisions`` call."""
     if plan.n == 1:
-        return [Decision(np.zeros(2), Phase.STAR) for _ in views]
-    full = [len(view) == plan.n for view in views]
-    full_fits = iter(_star_full_fits([v for v, f in zip(views, full) if f], plan, tol))
-    local_fits = iter(_star_local_fits([v for v, f in zip(views, full) if not f], plan.star, tol))
+        return [Decision(np.zeros(2), Phase.STAR) for _ in sizes]
+    full = sizes == plan.n
+    full_fits = iter(_star_full_fits(*_take(pts, sizes, np.flatnonzero(full)), plan, tol))
+    local_fits = iter(_star_local_fits(*_take(pts, sizes, np.flatnonzero(~full)), plan.star, tol))
     fits = [next(full_fits) if f else next(local_fits) for f in full]
-    gathered = [i for i, (f, fit) in enumerate(zip(full, fits)) if f and fit is None]
-    initial = dict(zip(gathered, _initial_decisions([views[i] for i in gathered], plan)))
+    gathered = np.flatnonzero([f and fit is None for f, fit in zip(full, fits)])
+    initial = dict(zip(gathered.tolist(), _initial_decisions(*_take(pts, sizes, gathered), plan)))
     return [initial[i] if i in initial else _star_decision(plan, fit, f)
             for i, (fit, f) in enumerate(zip(fits, full))]
 
@@ -1005,16 +1020,16 @@ def _star_decision(plan: Plan, fits, full: bool) -> Decision:
     return Decision(target, Phase.STAR)
 
 
-def _star_full_fits(views: list[np.ndarray], plan: Plan, tol: float) -> list:
+def _star_full_fits(pts, sizes, plan: Plan, tol: float) -> list:
     """(scale, center) of each full view that is a scaled copy of the pattern,
     or None, in one ``_centered_fits`` call.  The pattern's symmetricity is at
     least 2, so its centroid is the origin of plan.pattern, as d_max takes it."""
-    fits: list = [None] * len(views)
-    if not views:
+    fits: list = [None] * len(sizes)
+    if not len(sizes):
         return fits
-    pts = np.stack(views)
-    center = pts.mean(axis=1)
-    rel = pts - center[:, None]
+    views = pts.reshape(-1, plan.n, 2)
+    center = views.mean(axis=1)
+    rel = views - center[:, None]
     r_max = np.hypot(rel[..., 0], rel[..., 1]).max(axis=1)
     kappa = r_max / plan.star.d_max
     ok = np.flatnonzero((r_max > TAU_GEOM) & (kappa <= 1.0 + 1e-9))
@@ -1027,7 +1042,7 @@ def _star_full_fits(views: list[np.ndarray], plan: Plan, tol: float) -> list:
     return fits
 
 
-def _star_local_fits(views: list[np.ndarray], star: StarPlan, tol: float) -> list[list]:
+def _star_local_fits(pts, sizes, star: StarPlan, tol: float) -> list[list]:
     """Each local view's candidate (scale, center) fits against the pattern.
 
     A coarse fit seeds each candidate from the view's nearest neighbor, at the
@@ -1043,17 +1058,18 @@ def _star_local_fits(views: list[np.ndarray], star: StarPlan, tol: float) -> lis
     of its one-view call.
     """
     tol = max(tol, 1e-6)
-    fits: list[list] = [[] for _ in views]
-    seen = [i for i, view in enumerate(views) if len(view) > 1]     # with a neighbour
-    if not seen:
+    fits: list[list] = [[] for _ in sizes]
+    seen = np.flatnonzero(sizes > 1)     # with a neighbour
+    if not len(seen):
         return fits
-    counts = np.array([len(views[i]) - 1 for i in seen])
+    counts = sizes[seen] - 1
     starts = np.cumsum(counts) - counts
-    obs = np.concatenate([views[i][1:] for i in seen])
+    run, rows = _ranges((np.cumsum(sizes) - sizes)[seen] + 1, counts)
+    obs = pts.take(rows, axis=0)
     obs_c = obs[:, 0] + 1j * obs[:, 1]
     # Each view's nearest neighbour, at the first index of its smallest norm.
     norms = np.hypot(obs[:, 0], obs[:, 1])
-    first = np.lexsort((norms, np.repeat(np.arange(len(seen)), counts)))[starts]
+    first = np.lexsort((norms, run))[starts]
     for ring in star.rings:
         offs = ring.offs[:, 0] + 1j * ring.offs[:, 1]
         kappa0s = norms[first, None] / ring.norms[:8]

@@ -120,16 +120,17 @@ def _frame(n: int, rnd: int, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angles), np.sin(angles)
 
 
-def make_local_views(positions, rnd: int, cfg: SimConfig, frame=None) -> list[np.ndarray]:
-    """Every robot's view: a (k+1, 2) array in its per-(robot, round) rotated
-    frame, the robot itself at row 0 as exact +0.0, then its k neighbours
-    within distance 1, lex-sorted on (x, y), ties by index.  All views are
-    slices of one array from one pass over the round's differences: each
-    robot's entries, in index order, fill one row of a table of complex keys
-    x + iy padded with inf + i*inf (its own entry's real part -inf), and one
-    row-wise stable sort orders them: NumPy orders complex numbers by real,
-    then imaginary part.  frame is the round's ``_frame``, if the caller
-    already has it."""
+def make_local_views(positions, rnd: int, cfg: SimConfig, frame=None):
+    """Every robot's view, as the ragged batch (local, counts) that
+    ``robot_decisions`` takes: view i is the counts[i] rows of local after
+    the first sum(counts[:i]), in robot i's per-(robot, round) rotated frame:
+    the robot itself first as exact +0.0, then its neighbours within
+    distance 1, lex-sorted on (x, y), ties by index.  One pass over the
+    round's differences builds them: each robot's entries, in index order,
+    fill one row of a table of complex keys x + iy padded with inf + i*inf
+    (its own entry's real part -inf), and one row-wise stable sort orders
+    them: NumPy orders complex numbers by real, then imaginary part.  frame
+    is the round's ``_frame``, if the caller already has it."""
     pts = as_points(positions)
     cos, sin = _frame(len(pts), rnd, cfg) if frame is None else frame
     cos, sin = cos[:, None], sin[:, None]
@@ -148,7 +149,7 @@ def make_local_views(positions, rnd: int, cfg: SimConfig, frame=None) -> list[np
     src = np.argsort(key, axis=-1, kind="stable")[row, slot]
     local = np.stack([key.real[row, src], key.imag[row, src]], axis=1)
     local[first] = 0.0                              # the robot itself, as +0.0
-    return [local[a:a + k] for a, k in zip(first.tolist(), counts.tolist())]
+    return local, counts
 
 
 def verify_pattern(config, pattern, tol: float = 1e-6):
@@ -340,7 +341,7 @@ def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
 
 def _compute_round(positions, plan, cfg, rnd, detect_tol, snapshot_tol=None):
     cos, sin = frame = _frame(len(positions), rnd, cfg)
-    decisions = robot_decisions(make_local_views(positions, rnd, cfg, frame), plan,
+    decisions = robot_decisions(*make_local_views(positions, rnd, cfg, frame), plan,
                                 tol=detect_tol, snapshot_tol=snapshot_tol)
     phases = [decision.phase.value for decision in decisions]
     events = [{"robot": i, "event": ev}

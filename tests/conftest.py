@@ -61,8 +61,8 @@ def robot_0_out_of_range(monkeypatch):
 
     decide = simulator.robot_decisions
 
-    def patched(views, *args, **kwargs):
-        decisions = decide(views, *args, **kwargs)
+    def patched(*args, **kwargs):
+        decisions = decide(*args, **kwargs)
         decisions[0] = replace(decisions[0], target=np.array([2.0, 0.0]))
         return decisions
 

@@ -10,6 +10,18 @@ from swarmdraw.geometry import mindist, rotate, unit_disc_connected
 from swarmdraw.symmetry import normalize, symmetricity
 
 
+def split_views(pts, sizes) -> list[np.ndarray]:
+    """The views of a ragged batch (pts, sizes), as in ``make_local_views``'
+    result, one array per view."""
+    return np.split(pts, np.cumsum(sizes)[:-1]) if len(sizes) else []
+
+
+def join_views(views) -> tuple[np.ndarray, np.ndarray]:
+    """A list of views as the ragged batch (pts, sizes) of ``robot_decisions``."""
+    return (np.concatenate([np.zeros((0, 2))] + list(views)),
+            np.array([len(view) for view in views], dtype=np.int64))
+
+
 def random_connected_pattern(n: int, seed: int, min_sep: float = 0.16,
                              step: float = 0.8) -> np.ndarray:
     """Grow a unit-disc-connected point set by attaching near existing points."""

@@ -43,6 +43,16 @@ def test_analyze_disconnected_exit_code(tmp_path, capsys):
     assert "not connected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["plan", "--out", "plan.json"], ["simulate"]])
+def test_planning_commands_exit_3_on_a_disconnected_pattern(tmp_path, monkeypatch, capsys,
+                                                           command):
+    monkeypatch.chdir(tmp_path)
+    f = write_pattern(tmp_path / "gap.json", [[0, 0], [5, 0]])
+    assert main([command[0], f, *command[1:]]) == 3
+    assert capsys.readouterr().err == "error: pattern is not connected in the unit disc graph\n"
+    assert not (tmp_path / "plan.json").exists()
+
+
 def test_analyze_invalid_file(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text("{not json")
@@ -253,6 +263,13 @@ def test_params_c_zero_exit_code(pattern_file, tmp_path, monkeypatch, capsys, co
     assert main([command[0], pattern_file, *command[1:], "--params-c", "0"]) == 2
     assert capsys.readouterr().err.startswith("error: c must be a positive finite number")
     assert not (tmp_path / "plan.json").exists()
+
+
+@pytest.mark.parametrize("c", ["-1", "nan", "0"])
+def test_analyze_checks_params_c_on_the_scaling_branch(tmp_path, capsys, c):
+    f = write_pattern(tmp_path / "square.json", [[0.5, 0], [0, 0.5], [-0.5, 0], [0, -0.5]])
+    assert main(["analyze", f, "--params-c", c]) == 2
+    assert capsys.readouterr().err.startswith("error: c must be a positive finite number")
 
 
 def test_render_every_zero_rejected(tmp_path, capsys):

@@ -14,39 +14,9 @@ from swarmdraw.geometry import (
     mindist,
     pairwise_distances,
     rotate,
-    signed_angle,
     smallest_enclosing_circle,
     unit_disc_connected,
 )
-
-
-def test_signed_angle_quarter_turn():
-    assert signed_angle((1, 0), (0, 1)) == pytest.approx(math.pi / 2)
-
-
-def test_signed_angle_identity():
-    assert signed_angle((1, 0), (1, 0)) == 0.0
-
-
-def test_signed_angle_half_turn_positive():
-    assert signed_angle((1, 0), (-1, 0)) == pytest.approx(math.pi)
-    assert signed_angle((1, 0), (-1, 0)) > 0
-
-
-def test_signed_angle_zero_vector_rejected():
-    with pytest.raises(ValueError):
-        signed_angle((0, 0), (1, 0))
-
-
-def test_signed_angle_antisymmetry():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        u = rng.normal(size=2)
-        v = rng.normal(size=2)
-        a = signed_angle(u, v)
-        if abs(a - math.pi) < 1e-9:
-            continue
-        assert signed_angle(v, u) == pytest.approx(-a, abs=1e-12)
 
 
 def test_sec_single_point():

@@ -54,7 +54,7 @@ def test_tree_single_point_prunes_to_root():
     root = from_polar(2 * DELTA, math.pi)
     comp = np.array([root + [-0.3, 0.8]])
     tree = build_drawing_tree(comp, 1, DELTA, DELTA, margin=0.002)
-    assert tree.size == 1
+    assert len(tree.nodes) == 1
     assert dist(tree.nodes[0], root) <= 1e-12
 
 
@@ -103,7 +103,7 @@ def test_traverse_hop_bound():
     comp = random_connected_pattern(15, seed=7)
     tree = build_drawing_tree(comp, 1, DELTA, DELTA, margin=0.002)
     walk = traverse_tree(tree)
-    assert len(walk) - 1 <= 2 * (tree.size - 1)
+    assert len(walk) - 1 <= 2 * (len(tree.nodes) - 1)
 
 
 # --- connected triple rotation ---------------------------------------------------
@@ -433,4 +433,4 @@ def test_path_serialization_round_trip(tmp_path):
     assert saved.keys() == want.keys()
     for key, value in want.items():
         assert saved[key] == value, key
-    assert path.vertex_of_label(*path.labels[-1]) == len(path.vertices) - 1
+    assert path.labels.index(path.labels[-1]) == len(path.vertices) - 1

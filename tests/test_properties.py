@@ -42,7 +42,8 @@ from swarmdraw.simulator import (SimConfig, SimulationError, _commit, _frame, ma
                                  noisy_tolerances)
 from swarmdraw.symmetry import normalize, symmetricity
 
-from corpus import main_corpus, near_gathering, ngon, random_connected_pattern, star_corpus
+from corpus import (join_views, main_corpus, near_gathering, ngon, random_connected_pattern,
+                    split_views, star_corpus)
 from test_formation import _dense_detect, assert_bit_equal, window_of
 from test_geometry import _brute_force_sec
 from test_protocol import (assert_same_fits, dense_centered_fits, kdtree_star_match,
@@ -725,10 +726,10 @@ def test_star_fits_read_their_own_view_only(name, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     count = min(data.draw(st.integers(0, 330)), 300)     # 300 views about one time in ten
     views = [_random_star_view(plan, rng) for _ in range(count)]
-    got = _star_local_fits(views, star, tol)
+    got = _star_local_fits(*join_views(views), star, tol)
     assert len(got) == count
     for view, fits in zip(views, got):
-        _assert_same_fits(fits, _star_local_fits([view], star, tol)[0])
+        _assert_same_fits(fits, _star_local_fits(*join_views([view]), star, tol)[0])
 
     k = data.draw(st.integers(0, count))
     variants = [  # (views, old index -> new index, or None where replaced)
@@ -738,7 +739,7 @@ def test_star_fits_read_their_own_view_only(name, data):
         (views[:k] + views[k + 1:], lambda i: None if i == k else i - (i > k)),
     ]
     for other, where in variants:
-        again = _star_local_fits(other, star, tol)
+        again = _star_local_fits(*join_views(other), star, tol)
         for i, fits in enumerate(got):
             if where(i) is not None:
                 _assert_same_fits(again[where(i)], fits)
@@ -800,7 +801,7 @@ def test_drawing_decisions_read_their_own_view_only(name, noisy, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     count = data.draw(st.integers(0, 40))
     views = [_random_draw_view(plan, rng, tol) for _ in range(count)]
-    got = robot_decisions(views, plan, tol, snapshot_tol)
+    got = robot_decisions(*join_views(views), plan, tol, snapshot_tol)
     assert len(got) == count
     for view, decision in zip(views, got):
         _assert_same_decision(decision, robot_decision(view, plan, tol, snapshot_tol))
@@ -813,7 +814,61 @@ def test_drawing_decisions_read_their_own_view_only(name, noisy, data):
         (views[:k] + views[k + 1:], lambda i: None if i == k else i - (i > k)),
     ]
     for other, where in variants:
-        again = robot_decisions(other, plan, tol, snapshot_tol)
+        again = robot_decisions(*join_views(other), plan, tol, snapshot_tol)
+        for i, decision in enumerate(got):
+            if where(i) is not None:
+                _assert_same_decision(again[where(i)], decision)
+
+
+def _random_star_batch_view(plan, rng):
+    """(view, kind) for a scaling-branch round: a local view
+    (``_random_star_view``), a full view of the pattern scaled to fit the
+    viewing range, such a view with every robot jittered by up to 1e-3, or a
+    full view of a near-gathering."""
+    kind = rng.choice(["local", "scaled", "jittered", "gathering"])
+    if kind == "local":
+        return _random_star_view(plan, rng), kind
+    if kind == "gathering":
+        positions = rng.uniform(-0.35, 0.35, (plan.n, 2))
+    else:
+        diameter = np.hypot(*(plan.pattern[:, None] - plan.pattern[None]).T).max()
+        positions = rng.uniform(plan.star.kappa0, min(1.0, 0.999 / diameter)) * plan.pattern
+        if kind == "jittered":
+            positions = positions + jitter(rng, plan.n, 1e-3)
+    return view_from_global(positions, int(rng.integers(plan.n)), rng.uniform(0, 2 * math.pi)), kind
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(_STAR_NAMES), st.data())
+def test_star_decisions_read_their_own_view_only(name, data):
+    """Local and full views in one scaling-branch robot_decisions call: every
+    decision equals its one-view call byte for byte, and replacing, adding or
+    removing other views never changes it.  Scaled full views fit in
+    ``_star_full_fits`` and near-gatherings take the star branch's
+    ``_initial_decisions``, so both stages see mixed batches."""
+    plan = _star_plan(name)
+    tol = data.draw(st.sampled_from([1e-7, 1e-6, 1e-4]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    count = data.draw(st.integers(0, 24))
+    drawn = [_random_star_batch_view(plan, rng) for _ in range(count)]
+    views = [view for view, _ in drawn]
+    got = robot_decisions(*join_views(views), plan, tol)
+    assert len(got) == count
+    for (view, kind), decision in zip(drawn, got):
+        _assert_same_decision(decision, robot_decision(view, plan, tol))
+        if kind in ("scaled", "gathering"):
+            assert len(view) == plan.n
+            assert decision.phase is (Phase.STAR if kind == "scaled" else Phase.INITIAL)
+
+    k = data.draw(st.integers(0, count))
+    variants = [  # (views, old index -> new index, or None where replaced)
+        ([v if i % 2 else _random_star_batch_view(plan, rng)[0] for i, v in enumerate(views)],
+         lambda i: i if i % 2 else None),
+        (views[:k] + [_random_star_batch_view(plan, rng)[0]] + views[k:], lambda i: i + (i >= k)),
+        (views[:k] + views[k + 1:], lambda i: None if i == k else i - (i > k)),
+    ]
+    for other, where in variants:
+        again = robot_decisions(*join_views(other), plan, tol)
         for i, decision in enumerate(got):
             if where(i) is not None:
                 _assert_same_decision(again[where(i)], decision)
@@ -1180,7 +1235,7 @@ def test_local_views_equal_a_two_key_lexsort(n, axis_frame, seed):
         pts = pts + rng.uniform(-0.01, 0.01, pts.shape)
     cfg = SimConfig(seed=seed % 1000)
     frame = (np.ones(len(pts)), np.zeros(len(pts))) if axis_frame else _frame(len(pts), 3, cfg)
-    got = make_local_views(pts, 3, cfg, frame)
+    got = split_views(*make_local_views(pts, 3, cfg, frame))
     cos, sin = frame
     for i, view in enumerate(got):
         dx, dy = pts[:, 0] - pts[i, 0], pts[:, 1] - pts[i, 1]

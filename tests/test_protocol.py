@@ -43,7 +43,8 @@ from swarmdraw.protocol import (
 )
 from swarmdraw.simulator import SimConfig, make_local_views, noisy_tolerances, run_fsync
 
-from corpus import near_gathering, ngon, random_connected_pattern, symmetric_pattern, two_ring
+from corpus import (join_views, near_gathering, ngon, random_connected_pattern, split_views,
+                    symmetric_pattern, two_ring)
 
 
 def view_from_global(positions, idx, theta=0.0):
@@ -59,7 +60,8 @@ def view_from_global(positions, idx, theta=0.0):
 def fixed_frame_views(positions):
     """Every robot's ``make_local_views`` view in the world's own frame."""
     n = len(positions)
-    return make_local_views(positions, 0, SimConfig(), frame=(np.ones(n), np.zeros(n)))
+    frame = (np.ones(n), np.zeros(n))
+    return split_views(*make_local_views(positions, 0, SimConfig(), frame=frame))
 
 
 def detect_one(points, grid, tol=TAU_GEOM):
@@ -122,7 +124,7 @@ def test_plan_capacity_invariants():
     assert plan.grid.locations >= 15 // plan.params.s_p + 2
     from swarmdraw.formation import count_states
 
-    assert count_states(plan.grid, 3) >= plan.path.tail_len
+    assert count_states(plan.grid, 3) >= len(plan.path.vertices) - plan.path.tail_start
 
 
 @pytest.mark.parametrize("pts, attempts", [(symmetric_pattern(3, 3, seed=2003), 2),
@@ -298,7 +300,7 @@ def _own_formation_full_view(pts, grid, tol):
 def _window_agrees(pts, grid, tol=TAU_GEOM) -> tuple[bool, bool, bool]:
     """Assert _own_formations equals the full-view reference on one view;
     return (found, conflicted, whether the window left points out)."""
-    det, own, conflicted = _own_formations([pts], grid, tol)
+    det, own, conflicted = _own_formations(pts, [len(pts)], grid, tol)
     want, want_conflicted = _own_formation_full_view(pts, grid, tol)
     assert conflicted[0] == want_conflicted
     assert (own[0] < 0) == (want is None)
@@ -332,7 +334,7 @@ def _run_views(case):
     trace = run_fsync(plan.initial, plan, cfg)
     assert trace.verdict == "formed"
     return plan, [view for rec in trace.rounds
-                  for view in make_local_views(rec.positions, rec.round, cfg)]
+                  for view in split_views(*make_local_views(rec.positions, rec.round, cfg))]
 
 
 @pytest.mark.parametrize("case", sorted(_WINDOW_CASES))
@@ -365,7 +367,7 @@ def _star_run_views(case):
         trace = run_fsync(initial, plan, cfg)
         assert trace.verdict == "formed"
         views += [view for rec in trace.rounds
-                  for view in make_local_views(rec.positions, rec.round, cfg)]
+                  for view in split_views(*make_local_views(rec.positions, rec.round, cfg))]
     return plan, views
 
 
@@ -378,7 +380,7 @@ def test_robot_decisions_equal_one_view_at_a_time(case):
     as snapshot tolerance; on the scaling branch at two fitting tolerances."""
     star = case in _STAR_CASES
     plan, views = _star_run_views(case) if star else _run_views(case)
-    gathering = make_local_views(near_gathering(plan.n, seed=1), 0, SimConfig(seed=4))
+    gathering = split_views(*make_local_views(near_gathering(plan.n, seed=1), 0, SimConfig(seed=4)))
     views = gathering[:3] + views + gathering[3:]
     phases = set()
     if star:
@@ -387,7 +389,8 @@ def test_robot_decisions_equal_one_view_at_a_time(case):
         tols = [(TAU_GEOM, None), (0.45 * plan.params.epsilon, None),
                 noisy_tolerances(plan, plan.params.epsilon / (20 * plan.hops))]
     for tol, snapshot_tol in tols:
-        for view, got in zip(views, robot_decisions(views, plan, tol, snapshot_tol), strict=True):
+        got_all = robot_decisions(*join_views(views), plan, tol, snapshot_tol)
+        for view, got in zip(views, got_all, strict=True):
             want = robot_decision(view, plan, tol, snapshot_tol)
             assert (got.phase, got.events) == (want.phase, want.events)
             assert got.target.tobytes() == want.target.tobytes()
@@ -443,7 +446,7 @@ def test_find_intermediate_window_matches_full_view(case):
     def agree(pts_i, tol):
         want = _find_intermediate_full_view(pts_i, plan, tol)
         assert _find_intermediate(pts_i, plan, tol) == want
-        assert want is None or _ending_screen([pts_i], plan, tol).tolist() == [True]
+        assert want is None or _ending_screen(pts_i, [len(pts_i)], plan, tol).tolist() == [True]
         seen.add((want is not None, bool((np.hypot(*pts_i.T) > window).any())))
         return want is not None
 
@@ -490,7 +493,8 @@ def test_own_formation_and_commit_check_share_the_overlap_cutoff():
     det = detect_one(positions, grid)
     assert len(det.state) == 2 and overlapping_pairs(det, grid) == [(0, 1)]
     for i in range(len(positions)):
-        _, own, conflicted = _own_formations([positions - positions[i]], grid, TAU_GEOM)
+        _, own, conflicted = _own_formations(positions - positions[i], [len(positions)], grid,
+                                             TAU_GEOM)
         assert (own[0], conflicted[0]) == (-1, True)
 
 
@@ -510,9 +514,9 @@ def _classified_rounds(monkeypatch, plan, mu):
     calls = []
     real = protocol._initial_views
 
-    def record(views, plan_, tol):
-        calls.append((views, tol))
-        return real(views, plan_, tol)
+    def record(pts, sizes, plan_, tol):
+        calls.append((split_views(pts, sizes), tol))
+        return real(pts, sizes, plan_, tol)
 
     monkeypatch.setattr(protocol, "_initial_views", record)
     run_fsync(near_gathering(plan.n, seed=3), plan,
@@ -598,7 +602,7 @@ def test_staged_fits_try_no_more_candidates_than_the_sequential_loop(monkeypatch
             if not matched and pairwise_distances(view).max() <= 1.0 + TAU_GEOM:
                 want.append(i)
         monkeypatch.setattr(protocol, "_rotated", counted)
-        assert _initial_views(views, plan, tol) == want
+        assert _initial_views(*join_views(views), plan, tol).tolist() == want
         monkeypatch.setattr(protocol, "_rotated", real)
     assert sequential > 3 * plan.n
     assert 0 < staged[0] <= sequential
@@ -701,7 +705,7 @@ def _move_reference(view_pts, plan, det, f):
     path = plan.path
     hull = DrawingHull(det.anchor[f], det.heading[f], plan.grid.span, plan.grid.delta)
     members = members_of(det, f).tolist()
-    vi = path.vertex_of_label(len(members), int(det.state[f]))
+    vi = path.labels.index((len(members), int(det.state[f])))
     v = path.vertices[vi]
     basis = np.stack([hull.direction, perp(hull.direction)], axis=0)
 
@@ -1270,7 +1274,8 @@ def test_star_local_fits_equal_refining_every_candidate(monkeypatch, case):
     monkeypatch.setattr(protocol, "_star_match", counted)
     assert len(views) > 3 * plan.n
     tol = 1e-7      # the fitting tolerance of a noiseless run
-    for view_pts, got in zip(views, _star_local_fits(views, plan.star, tol), strict=True):
+    for view_pts, got in zip(views, _star_local_fits(*join_views(views), plan.star, tol),
+                             strict=True):
         want = _refine_every_candidate(view_pts, plan, tol)
         assert len(got) == len(want)
         for (k1, c1), (k2, c2) in zip(got, want):

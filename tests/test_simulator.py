@@ -25,7 +25,8 @@ from swarmdraw.simulator import (
     verify_pattern,
 )
 
-from corpus import main_corpus, near_gathering, ngon, random_connected_pattern, star_corpus
+from corpus import (main_corpus, near_gathering, ngon, random_connected_pattern, split_views,
+                    star_corpus)
 
 
 @pytest.fixture(scope="module")
@@ -41,19 +42,19 @@ def _fixed_frame(n):
 
 def test_view_isolated_robot():
     positions = np.array([[0.0, 0.0], [2.0, 2.0], [3.0, 0.0]])
-    view = make_local_views(positions, 0, SimConfig(), frame=_fixed_frame(3))[0]
+    view = split_views(*make_local_views(positions, 0, SimConfig(), frame=_fixed_frame(3)))[0]
     assert len(view) == 1
 
 
 def test_view_includes_boundary_neighbor():
     positions = np.array([[0.0, 0.0], [1.0, 0.0]])
-    view = make_local_views(positions, 0, SimConfig(), frame=_fixed_frame(2))[0]
+    view = split_views(*make_local_views(positions, 0, SimConfig(), frame=_fixed_frame(2)))[0]
     assert len(view) == 2
 
 
 def test_view_rotation_preserves_distances():
     positions = np.vstack([np.zeros(2), np.random.default_rng(0).uniform(-0.5, 0.5, (6, 2))])
-    views = [make_local_views(positions, 0, SimConfig(seed=s))[0] for s in (1, 2)]
+    views = [split_views(*make_local_views(positions, 0, SimConfig(seed=s)))[0] for s in (1, 2)]
     d1 = np.sort(np.hypot(*views[0][1:].T))
     d2 = np.sort(np.hypot(*views[1][1:].T))
     assert np.allclose(d1, d2, atol=1e-12)
@@ -89,7 +90,7 @@ def test_views_equal_per_robot_reference(seed):
     for fixed in (False, True):
         rnd = int(rng.integers(0, 1000))
         frame = _fixed_frame(len(positions)) if fixed else None
-        got = make_local_views(positions, rnd, cfg, frame)
+        got = split_views(*make_local_views(positions, rnd, cfg, frame))
         angles = np.zeros(len(positions)) if fixed else _frame_angles(len(positions), rnd, cfg)
         want = _views_reference(positions, angles)
         assert len(got) == len(positions)
@@ -105,7 +106,7 @@ def test_views_equal_per_robot_reference(seed):
         # The boundary neighbour is seen, the one 2*TAU_GEOM beyond is not.
         assert np.isclose(np.hypot(*got[0][1:].T), 1.0, atol=1e-12).sum() == 1
         pair = _fixed_frame(2) if fixed else None
-        assert len(make_local_views(positions[[0, 2]], rnd, cfg, pair)[0]) == 1
+        assert make_local_views(positions[[0, 2]], rnd, cfg, pair)[1][0] == 1
 
 
 def test_bench_traces_equal_the_recorded_traces():
@@ -470,7 +471,7 @@ def test_noisy_small_pattern_stays_formed(main_corpus):
     assert trace.verdict == "formed"
     final = trace.rounds[-1].positions
     snapshot_tol = [drift_tolerance(plan, mu, t) for t in plan.snapshot_ids]
-    for view in make_local_views(final, trace.total_rounds + 1, cfg):
+    for view in split_views(*make_local_views(final, trace.total_rounds + 1, cfg)):
         decision = robot_decision(view, plan=plan, snapshot_tol=snapshot_tol)
         assert decision.phase is Phase.DROPPED
         assert not decision.target.any()
