@@ -74,7 +74,7 @@ def cmd_analyze(args) -> int:
     plan = build_plan(pts, args.params_c) if connected else None
     report = {
         "n": len(pts),
-        "sym": plan.params.s_p if connected else symmetricity(pts).sym,
+        "sym": plan.s_p if connected else symmetricity(pts).sym,
         "mindist": None if math.isinf(md) else md,
         "connected": connected,
     }
@@ -84,10 +84,10 @@ def cmd_analyze(args) -> int:
     report["branch"] = "main" if plan.branch == "draw" else "star"
     if plan.branch == "draw":
         report["params"] = {
-            "epsilon": plan.params.epsilon,
-            "delta": plan.params.delta,
-            "span": plan.params.span,
-            "c": plan.params.c,
+            "epsilon": plan.grid.epsilon,
+            "delta": plan.grid.delta,
+            "span": plan.grid.span,
+            "c": plan.c,
         }
         report["path_hops"] = plan.hops
     print(json.dumps(report, indent=1))
@@ -103,7 +103,7 @@ def cmd_plan(args) -> int:
         raise ValueError("the scaling branch has no drawing path to export")
     save_path(plan.path, args.out)
     print(f"plan written to {args.out} ({plan.hops} hops, "
-          f"epsilon {plan.params.epsilon:.6g})")
+          f"epsilon {plan.grid.epsilon:.6g})")
     return EXIT_OK
 
 
@@ -120,9 +120,9 @@ def cmd_simulate(args) -> int:
             raise ValueError("initial configuration is not a near-gathering "
                              "(diameter must be <= 1)")
         sym_init = symmetricity(initial).sym
-        if plan.params.s_p % sym_init != 0:
+        if plan.s_p % sym_init != 0:
             raise ValueError(f"initial symmetricity {sym_init} does not divide "
-                             f"the pattern symmetricity {plan.params.s_p}")
+                             f"the pattern symmetricity {plan.s_p}")
 
     if args.trace:
         open(args.trace, "a", encoding="utf-8").close()     # fail before the run, not after

@@ -1,12 +1,14 @@
 """Drawing hulls, epsilon-grid states, detection, and hull overlap.
 
-A drawing hull is a wedge (anchor, unit direction, span, diameter) whose
-robots encode a counter value by their placement on an epsilon grid:
+A drawing hull is a wedge whose robots encode a counter value by their
+placement on an epsilon grid.  Epsilon, the span and the diameter delta are
+the plan's ``GridSpec``; a hull's pose is its anchor a and unit heading d,
+and its frame is ``hull_basis(d)``, rows d and its left normal n:
 
 * robot 1 sits on the anchor,
 * robot 2 sits at distance epsilon along the direction,
 * robot 3 sits collinearly at distance 2*i*epsilon beyond robot 2 (i >= 1),
-* all further robots occupy grid cells a + (1+2i)*eps*d + 2j*eps*d_perp.
+* all further robots occupy grid cells a + (1+2i)*eps*d + 2j*eps*n.
 
 States are finite point sets, enumerated canonically so that every occupied
 set has exactly one index: blocks ordered by the smallest occupied axis cell
@@ -24,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import TAU_GEOM, as_points, perp
+from .geometry import TAU_GEOM, as_points
 
 # Hard cap on the grid resolution; beyond this the state machinery would be
 # astronomically large and something upstream chose parameters badly.
@@ -35,40 +37,13 @@ class FormationError(ValueError):
     """Raised for invalid hull/state parameters."""
 
 
-@dataclass(frozen=True)
-class DrawingHull:
-    """Wedge container: all x with dist(x, anchor) <= diameter and
-    angle(direction, x - anchor) in [0, span)."""
-
-    anchor: np.ndarray
-    direction: np.ndarray
-    span: float
-    diameter: float
-
-    def __post_init__(self):
-        a = np.asarray(self.anchor, dtype=float)
-        d = np.asarray(self.direction, dtype=float)
-        if abs(float(np.hypot(d[0], d[1])) - 1.0) > 1e-7:
-            raise FormationError("hull direction must be a unit vector")
-        if not 0.0 < self.span <= math.pi / 3 + 1e-12:
-            raise FormationError("hull span must lie in (0, pi/3]")
-        if not 0.0 < self.diameter <= 1.0 + 1e-12:
-            raise FormationError("hull diameter must lie in (0, 1]")
-        object.__setattr__(self, "anchor", a)
-        object.__setattr__(self, "direction", d / np.hypot(d[0], d[1]))
-
-    def local(self, points: np.ndarray) -> np.ndarray:
-        """Coordinates of an (n, 2) array relative to the anchor, x along
-        direction.  Callers pass checked arrays; nothing is re-validated."""
-        d = self.direction
-        basis = np.stack([d, perp(d)], axis=1)
-        return (points - self.anchor) @ basis
-
-    def to_global(self, local_points: np.ndarray) -> np.ndarray:
-        """Inverse of ``local`` for an (n, 2) array of hull coordinates."""
-        d = self.direction
-        basis = np.stack([d, perp(d)], axis=0)
-        return local_points @ basis + self.anchor
+def hull_basis(heading) -> np.ndarray:
+    """Rows [d, left normal of d] for the unit d along each heading of shape
+    (..., 2): hull coordinates x map to x @ basis + anchor, and points p to
+    hull coordinates by (p - anchor) @ basis.T."""
+    heading = np.asarray(heading, dtype=float)
+    d = heading / np.hypot(heading[..., 0], heading[..., 1])[..., None]
+    return np.stack([d, np.stack([-d[..., 1], d[..., 0]], axis=-1)], axis=-2)
 
 
 def _lateral_distance(x, y, span) -> np.ndarray:
@@ -125,6 +100,17 @@ class GridSpec:
 
     def axis_id(self, i: int) -> int:
         return 1 + int(self.col_prefix[i])
+
+    @cached_property
+    def wedge(self) -> np.ndarray:
+        """Convex polygon circumscribing the wedge at the origin, heading +x
+        (arc slightly padded outward)."""
+        segments = 48
+        step = self.span / segments
+        radius = self.delta / math.cos(step / 2.0)
+        angles = np.linspace(0.0, self.span, segments + 1)
+        arc = np.stack([radius * np.cos(angles), radius * np.sin(angles)], axis=1)
+        return np.vstack([[0.0, 0.0], arc])
 
     def cells_local(self, cell_ids) -> np.ndarray:
         """Local coordinates of cell ids (0 = anchor), one row per id."""
@@ -227,9 +213,6 @@ class StateSpec:
     def local(self) -> np.ndarray:
         """Hull-local coordinates of the occupied cells, in cell-id order."""
         return self.grid.cells_local(self.cell_ids())
-
-    def points(self, hull: DrawingHull) -> np.ndarray:
-        return hull.to_global(self.local)
 
 
 @lru_cache(maxsize=65536)
@@ -359,9 +342,9 @@ def _decode_key(grid: GridSpec, key: bytes) -> int:
 
 class Detections(NamedTuple):
     """Formation f of window window[f] is anchored at anchor[f], heads to its
-    partner along heading[f] (as ``DrawingHull`` takes it), is in state
-    state[f], and has members members[bounds[f]:bounds[f + 1]] (local to the
-    window) at hull coordinates local[...].  Ordered by window, then pose."""
+    partner along heading[f], is in state state[f], and has members
+    members[bounds[f]:bounds[f + 1]] (local to the window) at hull coordinates
+    local[...].  Ordered by window, then pose."""
 
     window: np.ndarray
     anchor: np.ndarray
@@ -410,11 +393,6 @@ class _Rows(NamedTuple):
     x: np.ndarray
     y: np.ndarray
     live: np.ndarray
-
-    def live_anchors(self) -> np.ndarray:
-        """The anchor points of the live rows, in row order: every formation's
-        anchor is among them."""
-        return self.pts[self.p[self.live]]
 
 
 def _orientations(pts, sizes, grid: GridSpec, tol: float) -> _Rows:
@@ -550,9 +528,29 @@ def overlapping(det: Detections, f, g, grid: GridSpec) -> np.ndarray:
     are disjoint without a polygon test."""
     out = _within_cutoff(det.anchor, f, g, grid)
     for k in np.flatnonzero(out).tolist():
-        out[k] = _convex_overlap(*(_wedge_polygon(DrawingHull(
-            det.anchor[h], det.heading[h], grid.span, grid.delta)) for h in (f[k], g[k])))
+        pair = [f[k], g[k]]
+        out[k] = _convex_overlap(grid.wedge @ hull_basis(det.heading[pair])
+                                 + det.anchor[pair][:, None])
     return out
+
+
+def overlapping_hulls(points, grid: GridSpec, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The member rows of both formations of each overlapping pair among the
+    formations of one point set, pairs in ``np.triu_indices`` order.  Detection
+    stops at the live orientations, whose anchors hold every formation's
+    anchor, and completes only when two of them lie within the cutoff that
+    ``overlapping`` applies before any polygon test: otherwise no pair of
+    hulls can meet, and the answer is the same without detecting."""
+    pts = as_points(points)
+    orient = _orientations(pts, np.array([len(pts)]), grid, tol)
+    anchors = pts[orient.p[orient.live]]
+    if not _within_cutoff(anchors, *np.triu_indices(len(anchors), 1), grid).any():
+        return []
+    det = _complete(orient, grid, tol)
+    f, g = np.triu_indices(len(det.state), 1)
+    hit = overlapping(det, f, g, grid)
+    members = np.split(det.members, det.bounds[1:-1])
+    return [(members[a], members[b]) for a, b in zip(f[hit].tolist(), g[hit].tolist())]
 
 
 def _within_cutoff(anchor, f, g, grid: GridSpec) -> np.ndarray:
@@ -562,25 +560,12 @@ def _within_cutoff(anchor, f, g, grid: GridSpec) -> np.ndarray:
     return np.hypot(gap[:, 0], gap[:, 1]) <= 2 * grid.delta + TAU_GEOM
 
 
-def _wedge_polygon(hull: DrawingHull) -> np.ndarray:
-    """Convex polygon circumscribing the wedge (arc slightly padded outward)."""
-    segments = 48
-    step = hull.span / segments
-    radius = hull.diameter / math.cos(step / 2.0)
-    angles = np.linspace(0.0, hull.span, segments + 1)
-    arc = np.stack([radius * np.cos(angles), radius * np.sin(angles)], axis=1)
-    local = np.vstack([[0.0, 0.0], arc])
-    return hull.to_global(local)
-
-
-def _convex_overlap(pa: np.ndarray, pb: np.ndarray) -> bool:
-    """Separating-axis test for two convex polygons (touching counts as overlap)."""
-    for poly in (pa, pb):
-        edges = np.roll(poly, -1, axis=0) - poly
-        normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1)
-        for nrm in normals:
-            a0, a1 = (pa @ nrm).min(), (pa @ nrm).max()
-            b0, b1 = (pb @ nrm).min(), (pb @ nrm).max()
-            if a1 < b0 - 1e-12 or b1 < a0 - 1e-12:
-                return False
-    return True
+def _convex_overlap(polys: np.ndarray) -> bool:
+    """Separating-axis test for the two convex polygons of polys (2, m, 2),
+    projected onto every edge normal of both in one product (touching counts
+    as overlap)."""
+    edges = np.roll(polys, -1, axis=1) - polys
+    normals = np.stack([-edges[..., 1], edges[..., 0]], axis=-1).reshape(-1, 2)
+    proj = polys @ normals.T
+    lo, hi = proj.min(axis=1), proj.max(axis=1)
+    return not ((hi[0] < lo[1] - 1e-12) | (hi[1] < lo[0] - 1e-12)).any()

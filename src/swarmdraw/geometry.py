@@ -51,12 +51,6 @@ def unit(v) -> np.ndarray:
     return np.asarray(v, dtype=float) / n
 
 
-def perp(v) -> np.ndarray:
-    """Rotate a vector by +pi/2."""
-    v = np.asarray(v, dtype=float)
-    return np.array([-v[1], v[0]])
-
-
 def polar_angle(p) -> float:
     """Angle of a nonzero point in [0, 2*pi)."""
     p = np.asarray(p, dtype=float)

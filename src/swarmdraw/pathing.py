@@ -512,18 +512,17 @@ def path_state_label(coverage, tail_start: int, i: int) -> tuple[int, int]:
     return size, g + 1
 
 
-def build_drawing_path(pattern, params, grid: GridSpec) -> DrawingPath:
-    """Deterministic drawing path for the first component of a pattern.
+def build_drawing_path(pattern, s: int, grid: GridSpec) -> DrawingPath:
+    """Deterministic drawing path for the first component of a pattern of
+    symmetricity s.
 
-    ``params`` must provide epsilon, delta (hull diameter) and s_p
-    (``ProtocolParams`` does); ``grid`` is the hull grid they define, on
-    which the path's state labels must be encodable.  The pattern is
-    normalized and canonically rotated so that a connected triple ends up
-    inside the first cone.  Raises PathConstructionError naming the first
-    property the path cannot meet.
+    ``grid`` is the hull grid: its epsilon and diameter delta set the path's
+    margins and slack, and the path's state labels must be encodable on it.
+    The pattern is normalized and canonically rotated so that a connected
+    triple ends up inside the first cone.  Raises PathConstructionError
+    naming the first property the path cannot meet.
     """
-    diameter = params.delta
-    s = params.s_p
+    diameter = grid.delta
     delta = diameter  # path slack equals the hull diameter
     pts = normalize(pattern)
     theta, _ = find_connected_triple_rotation(pts, s)
@@ -533,7 +532,7 @@ def build_drawing_path(pattern, params, grid: GridSpec) -> DrawingPath:
     if len(comp) != len(canon) // s:
         raise PathConstructionError("component size mismatch; pattern symmetricity is off")
 
-    margin_req = _margin_req(params)
+    margin_req = _margin_req(grid, s)
     margin_target = margin_req * (1 + 1e-6) + 1e-9
 
     tree = build_drawing_tree(comp, s, delta, diameter, margin_target)
@@ -576,7 +575,7 @@ def build_drawing_path(pattern, params, grid: GridSpec) -> DrawingPath:
         tail_start=tail_start,
         labels=labels,
     )
-    _validate_path(path, params, grid)
+    _validate_path(path, s, grid)
     return path
 
 
@@ -588,13 +587,13 @@ def _dedupe(vertices: np.ndarray) -> np.ndarray:
     return np.stack(out)
 
 
-def _margin_req(params) -> float:
+def _margin_req(grid: GridSpec, s: int) -> float:
     """Clearance every vertex keeps from the cone boundary, so that the
     rotated copies of the path and of its formations never interact."""
-    return max(params.epsilon, params.delta * max(math.sin(2.0 * math.pi / params.s_p), 0.0))
+    return max(grid.epsilon, grid.delta * max(math.sin(2.0 * math.pi / s), 0.0))
 
 
-def _validate_path(path: DrawingPath, params, grid: GridSpec) -> None:
+def _validate_path(path: DrawingPath, s: int, grid: GridSpec) -> None:
     """Raise PathConstructionError naming the first property the path breaks.
 
     Every hop is at most 1 - delta, every vertex keeps the cone margin, and
@@ -609,13 +608,12 @@ def _validate_path(path: DrawingPath, params, grid: GridSpec) -> None:
     steps = np.hypot(*np.diff(verts, axis=0).T)
     if np.any(steps > 1.0 - path.delta + TAU_GEOM):
         raise PathConstructionError("consecutive vertices too far apart")
-    s = params.s_p
-    if s > 1 and min(cone_boundary_distance(v, s) for v in verts) <= _margin_req(params):
+    if s > 1 and min(cone_boundary_distance(v, s) for v in verts) <= _margin_req(grid, s):
         raise PathConstructionError("path violates the cone boundary margin")
-    start = from_polar(2.0 * params.delta, math.pi / s)
+    start = from_polar(2.0 * grid.delta, math.pi / s)
     if dist(verts[0], start) > TAU_GEOM:
         raise PathConstructionError("path does not start at the formation anchor")
-    if params.epsilon >= mindist(path.pattern):
+    if grid.epsilon >= mindist(path.pattern):
         raise PathConstructionError("epsilon is not below the pattern's minimum spacing")
     run_limit = count_states(grid, 4) if grid.locations >= 6 else 0
     run = 0

@@ -1,7 +1,7 @@
 """Per-robot decision logic and the plan derived deterministically from a pattern.
 
 Every robot runs the same pure function of its local view and the plan.
-The pattern alone determines the plan: protocol parameters, the
+The pattern alone determines the plan: the hull grid, the
 canonical rotation, the drawing path, the initial cluster placement, and a
 reference schedule used both as the simulator's ground truth and as the
 near-gathering snapshot list robots match against.
@@ -38,12 +38,12 @@ from .geometry import (
 )
 from .symmetry import centered_symmetricity, normalize, rotation_orbits, symmetricity
 from .formation import (
-    DrawingHull,
     FormationError,
     GridSpec,
     _ranges,
     detect_arrays,
     grid_spec,
+    hull_basis,
     overlapping,
     state_by_index,
 )
@@ -64,17 +64,6 @@ class Phase(str, Enum):
     INTERMEDIATE = "in-intermediate-formation"
     DROPPED = "dropped"
     STAR = "star"
-
-
-@dataclass(frozen=True)
-class ProtocolParams:
-    epsilon: float
-    delta: float
-    span: float
-    c: float
-    s_p: int
-    n: int
-    branch: str  # "draw" or "star"
 
 
 @dataclass(frozen=True)
@@ -129,13 +118,16 @@ class SlotTable:
 
 @dataclass
 class Plan:
-    """Everything the protocol derives from the pattern.  ``slots`` holds the
-    targets of the near-gathering assignment (``initial`` on the drawing
-    branch, the shrunken pattern kappa0*pattern on the scaling branch) with
-    their orbits for every divisor of s_p."""
+    """Everything the protocol derives from the pattern.  ``grid`` holds the
+    hull grid's epsilon, diameter delta and span; ``c`` is the grid constant
+    the drawing branch settled on.  ``slots`` holds the targets of the
+    near-gathering assignment (``initial`` on the drawing branch, the shrunken
+    pattern kappa0*pattern on the scaling branch) with their orbits for every
+    divisor of s_p."""
 
     pattern: np.ndarray             # canonical pattern (normalized, rotated)
-    params: ProtocolParams
+    s_p: int                        # the pattern's symmetricity
+    c: float | None = None          # None on the scaling branch
     path: DrawingPath | None = None
     grid: GridSpec | None = None        # the hull grid of every drawing formation
     initial: np.ndarray | None = None
@@ -151,11 +143,12 @@ class Plan:
 
     @property
     def n(self) -> int:
-        return self.params.n
+        return len(self.pattern)
 
     @property
     def branch(self) -> str:
-        return self.params.branch
+        """The scaling branch ("star") or the drawing branch ("draw")."""
+        return "star" if self.star is not None else "draw"
 
     @property
     def hops(self) -> int:
@@ -198,9 +191,6 @@ def _build_plan(pts: np.ndarray, c0: float) -> Plan:
         diam = float(pairwise_distances(pts).max()) if n > 1 else 0.0
         kappa0 = 1.0 if diam <= _SHRINK_DIAMETER or diam == 0.0 else _SHRINK_DIAMETER / diam
         rounds_bound = 1 + int(math.ceil((1.0 - kappa0) * d_max - 1e-9)) if d_max > 0 else 1
-        params = ProtocolParams(epsilon=0.0, delta=0.1,
-                                span=min(2.0 * math.pi / s, math.pi / 3),
-                                c=0.0, s_p=s, n=n, branch="star")
         rings = []
         for orbit in info.orbit_partition:
             offs = pts - pts[orbit[0]]
@@ -210,7 +200,7 @@ def _build_plan(pts: np.ndarray, c0: float) -> Plan:
             rings.append(StarRing(pts[orbit[0]], offs[keep][order], norms[keep][order]))
         star = StarPlan(d_max=d_max, kappa0=kappa0, rounds_bound=rounds_bound,
                         mindist=md, rings=tuple(rings))
-        plan = Plan(pattern=pts, params=params, star=star,
+        plan = Plan(pattern=pts, s_p=s, star=star,
                     slots=_slot_table(kappa0 * pts, s))
         _build_star_schedule(plan)
         return plan
@@ -225,8 +215,6 @@ def _build_plan(pts: np.ndarray, c0: float) -> Plan:
         if eps >= delta / 3:
             last_err = PlanError("epsilon must be below a third of the hull diameter")
             continue
-        params = ProtocolParams(epsilon=eps, delta=delta, span=span,
-                                c=c, s_p=s, n=n, branch="draw")
         try:
             grid = grid_spec(delta, eps, span)
         except FormationError as exc:
@@ -237,11 +225,11 @@ def _build_plan(pts: np.ndarray, c0: float) -> Plan:
         try:
             if grid.locations < n // s + 2:
                 raise PlanError("not enough grid locations for the component")
-            path = build_drawing_path(pts, params, grid)
+            path = build_drawing_path(pts, s, grid)
         except (PlanError, ValueError) as exc:
             last_err = exc
             continue
-        plan = Plan(pattern=path.pattern, params=params, path=path, grid=grid)
+        plan = Plan(pattern=path.pattern, s_p=s, c=c, path=path, grid=grid)
         _finish_draw_plan(plan)
         return plan
     raise PlanError(f"no workable epsilon found after {halving} halvings: {last_err}")
@@ -260,7 +248,7 @@ def _finish_draw_plan(plan: Plan) -> None:
     plan.ending = intermediate_targets(plan)
 
     plan.initial = _initial_positions(plan)
-    plan.slots = _slot_table(plan.initial, plan.params.s_p)
+    plan.slots = _slot_table(plan.initial, plan.s_p)
     plan.schedule = _build_draw_schedule(plan)
     _index_snapshots(plan)
     plan.moves = _move_tables(plan)
@@ -269,7 +257,7 @@ def _finish_draw_plan(plan: Plan) -> None:
 def intermediate_targets(plan: Plan) -> np.ndarray:
     """The three ending positions around the last vertex, in the path frame."""
     vk = plan.path.vertices[-1]
-    eps = plan.params.epsilon
+    eps = plan.grid.epsilon
     p1, p2, p3 = plan.tail_points
     t1 = vk
     t2 = vk + (eps / 2.0) * unit(p2 - vk)
@@ -279,24 +267,20 @@ def intermediate_targets(plan: Plan) -> np.ndarray:
 
 def _initial_positions(plan: Plan) -> np.ndarray:
     """The initial cluster configuration: s rotated copies of the first
-    formation in state 1, anchored at polar (2*diameter, pi/s)."""
-    params = plan.params
-    s = params.s_p
+    formation in state 1, anchored at polar (2*diameter, pi/s) and heading +x."""
+    s = plan.s_p
     size0, idx0 = plan.path.labels[0]
-    assert idx0 == 1 and size0 == params.n // s
-    hull = DrawingHull(plan.path.vertices[0], np.array([1.0, 0.0]),
-                       params.span, params.delta)
-    spec = state_by_index(plan.grid, size0, 1)
-    base = spec.points(hull)
+    assert idx0 == 1 and size0 == plan.n // s
+    base = state_by_index(plan.grid, size0, 1).local + plan.path.vertices[0]
     blocks = [rotate(base, k * 2.0 * math.pi / s) for k in range(s)]
     return np.vstack(blocks)
 
 
 def _build_draw_schedule(plan: Plan) -> list[ScheduleRound]:
-    """Formation-level replay of the whole execution, one record per round."""
-    params = plan.params
+    """Formation-level replay of the whole execution, one record per round;
+    each formation heads +x from its vertex."""
     path = plan.path
-    s = params.s_p
+    s = plan.s_p
     k = len(path.vertices)
     w = 2.0 * math.pi / s
     rounds: list[ScheduleRound] = []
@@ -304,8 +288,7 @@ def _build_draw_schedule(plan: Plan) -> list[ScheduleRound]:
     dropped: list[np.ndarray] = []       # path-frame positions, component 1
     for t in range(k):
         size, idx = path.labels[t]
-        hull = DrawingHull(path.vertices[t], np.array([1.0, 0.0]), params.span, params.delta)
-        state_pts = state_by_index(plan.grid, size, idx).points(hull)
+        state_pts = state_by_index(plan.grid, size, idx).local + path.vertices[t]
         drops_now = [path.pattern[i] for i in path.coverage[t]] if t < path.tail_start else []
         pos, roles = _replicate(dropped, state_pts, Phase.FORMATION, s, w)
         rounds.append(ScheduleRound(pos, roles))
@@ -719,8 +702,7 @@ def _formation_moves(pts, sizes, plan: Plan, tol: float) -> list:
     lengths = np.array([len(table) for table in plan.moves])
     if (lengths[vert[known]] != sizes[known]).any():
         raise FormationError("a formation's size differs from its move table")
-    d = det.heading[f[known]] / np.hypot(*det.heading[f[known]].T)[:, None]
-    basis = np.stack([d, np.column_stack([-d[:, 1], d[:, 0]])], axis=1)
+    basis = hull_basis(det.heading[f[known]])
     table = np.concatenate(plan.moves)[(np.cumsum(lengths) - lengths)[vert[known]] + ranks[known]]
     targets = np.zeros((len(robots), 2))
     targets[known] = np.matmul(table.reshape(-1, 1, 2), basis)[:, 0] + det.anchor[f[known]]
@@ -737,7 +719,7 @@ def _formation_moves(pts, sizes, plan: Plan, tol: float) -> list:
 def _ending_screen(pts, sizes, plan: Plan, tol: float) -> np.ndarray:
     """Which views have a point within min(tol, epsilon/16) + TAU_GEOM of distance
     epsilon/2 or epsilon/3, as every ending triple holding the robot has."""
-    eps = plan.params.epsilon
+    eps = plan.grid.epsilon
     r = np.hypot(pts[:, 0], pts[:, 1])
     hit = np.minimum(np.abs(r - eps / 2.0), np.abs(r - eps / 3.0)) <= min(tol, eps / 16.0) + TAU_GEOM
     owner = np.repeat(np.arange(len(sizes)), sizes)
@@ -755,7 +737,7 @@ def _find_intermediate(pts, plan: Plan, tol: float):
     the origin or lies at epsilon/2 or epsilon/3 (within tol) from it, and the
     isolation check reads only points within epsilon + tol of r1.
     """
-    eps = plan.params.epsilon
+    eps = plan.grid.epsilon
     tol = min(tol, eps / 16.0)
     vk = plan.path.vertices[-1]
     u2 = plan.ending[1] - vk

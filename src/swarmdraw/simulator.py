@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import (TAU_GEOM, as_points, match_points, mindist, nearest,
                        pairwise_distances, rotation_matrix)
-from .formation import _complete, _orientations, _within_cutoff, overlapping
+from .formation import overlapping_hulls
 from .protocol import (
     Phase,
     Plan,
@@ -33,13 +33,16 @@ class SimulationError(RuntimeError):
     """An invariant of the model was violated during a run."""
 
 
+# The congruence tolerance at which a noiseless run counts as formed.
+FORMED_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Run settings.
 
-    ``tolerance`` is the congruence tolerance at which a run counts as
-    formed.  Noiseless runs use it as given.  Drawing runs with
-    ``noise_mu > 0`` terminate at max(tolerance, min(D(hops + 2),
+    Noiseless runs terminate at ``FORMED_TOL``.  Drawing runs with
+    ``noise_mu > 0`` terminate at max(FORMED_TOL, min(D(hops + 2),
     0.45 * mindist(pattern))): the drift bound of ``drift_tolerance`` after
     the last scheduled round, capped so that each robot is matched to one
     pattern point only.
@@ -47,7 +50,6 @@ class SimConfig:
 
     seed: int = 0
     max_rounds: int = 10_000
-    tolerance: float = 1e-6
     noise_mu: float = 0.0
 
 
@@ -212,7 +214,7 @@ def drift_tolerance(plan: Plan, noise_mu: float, t: int) -> float:
     if noise_mu <= 0.0:
         return 0.0
     return (2.0 * t * noise_mu
-            + 8.0 * (1.0 - plan.path.delta) * math.sqrt(t) * noise_mu / plan.params.epsilon)
+            + 8.0 * (1.0 - plan.path.delta) * math.sqrt(t) * noise_mu / plan.grid.epsilon)
 
 
 def noisy_tolerances(plan: Plan, noise_mu: float) -> tuple[float, list[float]]:
@@ -221,8 +223,8 @@ def noisy_tolerances(plan: Plan, noise_mu: float) -> tuple[float, list[float]]:
     noise and the pair-direction angular noise amplified by the hull lever
     arm, and must stay below half the 2*eps pitch; snapshot t is reached
     after t rounds at the earliest, so it is matched at D(t)."""
-    eps = plan.params.epsilon
-    guard = 2.0 * noise_mu * (1.0 + plan.params.delta / eps)
+    eps = plan.grid.epsilon
+    guard = 2.0 * noise_mu * (1.0 + plan.grid.delta / eps)
     tol = min(0.45 * eps, max(3.0 * plan.hops * noise_mu, guard))
     return tol, [max(tol, drift_tolerance(plan, noise_mu, t)) for t in plan.snapshot_ids]
 
@@ -277,15 +279,13 @@ def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
     applied to nonzero moves.  Violations of the model invariants abort the
     run with verdict "aborted".
 
-    Noiseless runs match snapshots at 1e-7 and terminate at cfg.tolerance.
+    Noiseless runs match snapshots at 1e-7 and terminate at FORMED_TOL.
     Under noise a drawing run matches reference snapshot t at the drift bound
-    D(t) of ``drift_tolerance`` and terminates at max(cfg.tolerance,
+    D(t) of ``drift_tolerance`` and terminates at max(FORMED_TOL,
     min(D(hops + 2), 0.45 * mindist)), the cap keeping "formed" a one-to-one
     placement on the pattern.  The scaling branch has no noise model and
     rejects noise_mu > 0.
     """
-    if not 0.0 < cfg.tolerance < math.inf:
-        raise ValueError("tolerance must be a positive finite number")
     if not cfg.noise_mu >= 0.0:
         raise ValueError("noise_mu must be a nonnegative number")
     if cfg.max_rounds < 0:
@@ -298,17 +298,17 @@ def run_fsync(initial, plan, cfg: SimConfig = SimConfig()) -> Trace:
 
     detect_tol = TAU_GEOM
     snapshot_tol = None
-    tolerance = cfg.tolerance
+    tolerance = FORMED_TOL
     if cfg.noise_mu > 0.0:
         if plan.branch != "draw":
             raise ValueError("the scaling branch has no noise model")
-        eps = plan.params.epsilon
+        eps = plan.grid.epsilon
         bound = eps / (10.0 * max(plan.hops, 1))
         if cfg.noise_mu >= bound:
             raise ValueError(f"noise_mu must stay below epsilon/(10*hops) = {bound:.3g}")
         detect_tol, snapshot_tol = noisy_tolerances(plan, cfg.noise_mu)
-        tolerance = max(cfg.tolerance, min(drift_tolerance(plan, cfg.noise_mu, plan.hops + 2),
-                                           0.45 * mindist(plan.pattern)))
+        tolerance = max(FORMED_TOL, min(drift_tolerance(plan, cfg.noise_mu, plan.hops + 2),
+                                        0.45 * mindist(plan.pattern)))
 
     trace = Trace(pattern=plan.pattern,
                   path_vertices=plan.path.vertices if plan.path is not None else None)
@@ -369,24 +369,9 @@ def _commit(positions, targets, plan, cfg, rnd):
     if d[i, j] <= TAU_GEOM:
         raise SimulationError(f"robots {i} and {j} collided")
     if plan.branch == "draw":
-        _check_hulls(new_positions, plan, max(TAU_GEOM, 3.0 * plan.hops * cfg.noise_mu))
+        tol = max(TAU_GEOM, 3.0 * plan.hops * cfg.noise_mu)
+        pairs = overlapping_hulls(new_positions, plan.grid, tol)
+        if pairs:
+            raise SimulationError("overlapping formation hulls: " + "; ".join(
+                f"robots {a.tolist()} and {b.tolist()}" for a, b in pairs))
     return new_positions
-
-
-def _check_hulls(positions, plan, tol):
-    """Raise if two formation hulls of the configuration overlap.  Detection
-    stops at the live orientations, whose anchors hold every formation's
-    anchor, and completes only when two of them lie within the cutoff that
-    ``overlapping`` applies before any polygon test: otherwise no pair of
-    hulls can meet, and the verdict is the same without detecting."""
-    orient = _orientations(positions, np.array([len(positions)]), plan.grid, tol)
-    anchors = orient.live_anchors()
-    if _within_cutoff(anchors, *np.triu_indices(len(anchors), 1), plan.grid).any():
-        det = _complete(orient, plan.grid, tol)
-        f, g = np.triu_indices(len(det.state), 1)
-        hit = overlapping(det, f, g, plan.grid)
-        if hit.any():
-            members = np.split(det.members, det.bounds[1:-1])
-            pairs = "; ".join(f"robots {members[a].tolist()} and {members[b].tolist()}"
-                              for a, b in zip(f[hit].tolist(), g[hit].tolist()))
-            raise SimulationError(f"overlapping formation hulls: {pairs}")

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from swarmdraw.formation import hull_basis
 from swarmdraw.geometry import mindist, rotate, unit_disc_connected
 from swarmdraw.symmetry import normalize, symmetricity
 
@@ -20,6 +21,16 @@ def join_views(views) -> tuple[np.ndarray, np.ndarray]:
     """A list of views as the ragged batch (pts, sizes) of ``robot_decisions``."""
     return (np.concatenate([np.zeros((0, 2))] + list(views)),
             np.array([len(view) for view in views], dtype=np.int64))
+
+
+def at_pose(local, anchor, heading=(1.0, 0.0)) -> np.ndarray:
+    """Hull coordinates (a state's ``local``) placed at the pose (anchor, heading)."""
+    return np.asarray(local) @ hull_basis(heading) + np.asarray(anchor, dtype=float)
+
+
+def hull_frame(points, anchor, heading) -> np.ndarray:
+    """Points in the hull coordinates of the pose (anchor, heading)."""
+    return (np.asarray(points) - anchor) @ hull_basis(heading).T
 
 
 def random_connected_pattern(n: int, seed: int, min_sep: float = 0.16,

@@ -102,18 +102,15 @@ def test_criterion_3_path_construction_soundness(corpus_plans):
     start = time.perf_counter()
     failures = []
     for name, plan in corpus_plans:
-        params = plan.params
+        grid, s = plan.grid, plan.s_p
         # Building raises PathConstructionError on any failed path property.
-        path = build_drawing_path(plan.pattern, params, plan.grid)
-        margin_req = max(params.epsilon,
-                         params.delta * max(math.sin(2 * math.pi / params.s_p), 0.0))
+        path = build_drawing_path(plan.pattern, s, grid)
+        margin_req = max(grid.epsilon, grid.delta * max(math.sin(2 * math.pi / s), 0.0))
         conditions = [
-            np.allclose(path.vertices[0], from_polar(2 * params.delta, math.pi / params.s_p),
-                        atol=1e-12),
+            np.allclose(path.vertices[0], from_polar(2 * grid.delta, math.pi / s), atol=1e-12),
             np.hypot(*np.diff(path.vertices, axis=0).T).max() <= 1 - path.delta + TAU_GEOM,
             sum(len(c) for c in path.coverage) == len(path.comp),
-            params.s_p == 1
-            or min(cone_boundary_distance(v, params.s_p) for v in path.vertices) > margin_req,
+            s == 1 or min(cone_boundary_distance(v, s) for v in path.vertices) > margin_req,
         ]
         if not all(conditions):
             failures.append((name, conditions))
@@ -248,7 +245,7 @@ def test_criterion_8_noise_tolerance(corpus_plans):
     worst = (0.0, "")
     ratios = []
     for k, (name, plan) in enumerate(corpus_plans):
-        eps = plan.params.epsilon
+        eps = plan.grid.epsilon
         mu = eps / (20.0 * plan.hops)
         t = plan.hops + 2
         spacing = mindist(plan.pattern)
@@ -262,8 +259,8 @@ def test_criterion_8_noise_tolerance(corpus_plans):
         if set(trace.rounds[-1].phases) == {"dropped"}:
             completed += 1
             _, _, err = verify_pattern(trace.rounds[-1].positions, plan.pattern,
-                                       tol=plan.params.epsilon)
-            errors.append(err / plan.params.epsilon)
+                                       tol=plan.grid.epsilon)
+            errors.append(err / plan.grid.epsilon)
         if k % 5 == 0 and trace.verdict == "formed":
             quarter = run_fsync(plan.initial, plan, replace(cfg, noise_mu=mu / 4.0))
             ratios.append(trace.max_error / quarter.max_error
@@ -293,7 +290,7 @@ def test_criterion_9_last_three_endgame(tail_corpus, corpus_runs):
         plan, trace = runs[name]
         vk = plan.path.vertices[-1]
         far = max(np.hypot(*(plan.tail_points - vk).T))
-        if far <= 1.0 - plan.params.delta:
+        if far <= 1.0 - plan.grid.delta:
             failures.append((name, "tail not far enough", far))
             continue
         if trace.verdict != "formed":

@@ -91,7 +91,7 @@ def test_simulate_formed_and_trace(pattern_file, tmp_path, capsys):
 
 def test_simulate_noisy_run_formed(pattern_file, capsys):
     plan = build_plan(load_pattern(pattern_file))
-    mu = plan.params.epsilon / (20 * plan.hops)   # below epsilon/(10*hops)
+    mu = plan.grid.epsilon / (20 * plan.hops)   # below epsilon/(10*hops)
     code = main(["simulate", pattern_file, "--noise-mu", repr(mu),
                  "--max-rounds", str(plan.hops + 6)])
     out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])

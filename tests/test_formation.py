@@ -9,7 +9,6 @@ import pytest
 from swarmdraw.geometry import TAU_GEOM, pairwise_distances, rotate, unit
 from swarmdraw.formation import (
     Detections,
-    DrawingHull,
     FormationError,
     count_states,
     grid_spec,
@@ -29,46 +28,42 @@ from swarmdraw.protocol import (
     robot_decision,
 )
 
-from corpus import random_connected_pattern
+from corpus import at_pose, hull_frame, random_connected_pattern
 from test_protocol import _WINDOW_CASES, _run_views, detect_one, overlapping_pairs
 
 SPAN = math.pi / 3
 
 
-def make_hull(anchor=(0.0, 0.0), direction=(1.0, 0.0), span=SPAN, diameter=0.1):
-    return DrawingHull(np.asarray(anchor, float), np.asarray(direction, float), span, diameter)
-
-
-def scan_locations(hull, eps):
-    """Independent oracle: scan the (i, j) grid and keep wedge members."""
-    out = [np.array(hull.anchor)]
-    lim = int(math.ceil(hull.diameter / eps)) + 2
-    d = hull.direction
+def scan_locations(eps, d=(1.0, 0.0), diameter=0.1):
+    """Independent oracle: scan the (i, j) grid of the hull at the origin
+    heading along the unit d, and keep wedge members."""
+    out = [np.zeros(2)]
+    lim = int(math.ceil(diameter / eps)) + 2
+    d = np.asarray(d, dtype=float)
     dp = np.array([-d[1], d[0]])
     for i in range(lim):
         for j in range(lim):
-            p = hull.anchor + (1 + 2 * i) * eps * d + 2 * j * eps * dp
-            v = p - hull.anchor
+            v = (1 + 2 * i) * eps * d + 2 * j * eps * dp
             r = np.hypot(*v)
-            if r > hull.diameter + 1e-9:
+            if r > diameter + 1e-9:
                 continue
             ang = math.atan2(float(v @ dp), float(v @ d))
-            if not 0 <= ang < hull.span:
+            if not 0 <= ang < SPAN:
                 continue
-            out.append(p)
+            out.append(v)
     return np.array(out)
 
 
-def grid_locations(hull, eps):
-    """The grid's anchor and cells, in id order, placed in the hull."""
-    grid = grid_spec(hull.diameter, eps, hull.span)
-    return hull.to_global(grid.cells_local(range(grid.locations)))
+def grid_locations(eps, d=(1.0, 0.0)):
+    """The grid's anchor and cells, in id order, placed in the hull at the
+    origin heading along d."""
+    grid = grid_spec(0.1, eps, SPAN)
+    return at_pose(grid.cells_local(range(grid.locations)), (0.0, 0.0), d)
 
 
 def test_epsilon_locations_match_scan():
-    hull = make_hull()
-    got = grid_locations(hull, 0.04)
-    want = scan_locations(hull, 0.04)
+    got = grid_locations(0.04)
+    want = scan_locations(0.04)
     assert len(got) == len(want)
     got_s = sorted(map(tuple, np.round(got, 9)))
     want_s = sorted(map(tuple, np.round(want, 9)))
@@ -76,16 +71,13 @@ def test_epsilon_locations_match_scan():
 
 
 def test_epsilon_locations_half_diameter():
-    hull = make_hull()
-    got = grid_locations(hull, 0.05)
+    got = grid_locations(0.05)
     assert len(got) == 2  # anchor plus the single cell at anchor + eps*d
 
 
 def test_epsilon_locations_rotated_hull_equivariant():
-    base = make_hull()
-    rot = make_hull(direction=(math.cos(0.5236), math.sin(0.5236)))
-    a = grid_locations(base, 0.02)
-    b = grid_locations(rot, 0.02)
+    a = grid_locations(0.02)
+    b = grid_locations(0.02, (math.cos(0.5236), math.sin(0.5236)))
     assert np.allclose(rotate(a, 0.5236), b, atol=1e-9)
 
 
@@ -206,8 +198,7 @@ def test_state_index_frame_independent():
     grid = grid_spec(0.1, 0.01, SPAN)
     spec = state_by_index(grid, 6, 23)
     for theta, anchor in [(0.0, (0, 0)), (1.1, (3, -2)), (-2.6, (0.4, 0.9))]:
-        hull = make_hull(anchor=anchor, direction=(math.cos(theta), math.sin(theta)))
-        det = detect_one(spec.points(hull), grid)
+        det = detect_one(at_pose(spec.local, anchor, (math.cos(theta), math.sin(theta))), grid)
         assert len(det.state) == 1
         assert det.state[0] == 23 and det.bounds[1] == 6
 
@@ -245,8 +236,8 @@ def _detect_reference(points, grid, tol):
 
 def _candidate_reference(pts, p, q, grid, tol):
     eps, delta = grid.epsilon, grid.delta
-    hull = DrawingHull(pts[p], unit(pts[q] - pts[p]), grid.span, delta)
-    loc = hull.local(pts)
+    heading = unit(pts[q] - pts[p])
+    loc = hull_frame(pts, pts[p], heading)
     x, y = loc[:, 0], loc[:, 1]
     i = np.rint((x / eps - 1.0) / 2.0)
     third = ((np.abs(y) <= tol) & (x >= 3 * eps - tol) & (x <= delta + tol)
@@ -271,7 +262,7 @@ def _candidate_reference(pts, p, q, grid, tol):
     decoded = _decode(grid, tuple(sorted(cells.tolist())))
     if decoded is None:
         return None
-    return hull.anchor, hull.direction, members, loc[members], decoded[1]
+    return pts[p], heading, members, loc[members], decoded[1]
 
 
 def _dense_detect(points, grid, tol):
@@ -315,8 +306,7 @@ def _dense_detect(points, grid, tol):
         if decoded is None:
             continue
         anchor, heading = pts[p_idx[c]], np.array([u[c].real, u[c].imag])
-        hull = DrawingHull(anchor, heading, grid.span, delta)
-        key = tuple(np.round(np.concatenate([hull.anchor, hull.direction]), 8).tolist())
+        key = tuple(np.round(np.concatenate([anchor, heading / np.hypot(*heading)]), 8).tolist())
         found.setdefault(key, (anchor, heading, col, np.column_stack([xs, ys]), decoded[1]))
     return _one_window([found[k] for k in sorted(found)])
 
@@ -358,7 +348,7 @@ def test_detection_equals_per_candidate_reference(case):
     plan, views = _run_views(case)
     found = 0
     for pts in views:
-        for tol in (TAU_GEOM, 0.45 * plan.params.epsilon):
+        for tol in (TAU_GEOM, 0.45 * plan.grid.epsilon):
             found += len(_assert_detection_matches_reference(pts, plan.grid, tol).state)
     assert found
 
@@ -371,9 +361,8 @@ def test_detect_synthesize_round_trip_random():
         idx = int(rng.integers(1, count_states(grid, size) + 1))
         theta = rng.uniform(0, 2 * math.pi)
         anchor = rng.uniform(-5, 5, 2)
-        hull = make_hull(anchor=anchor, direction=(math.cos(theta), math.sin(theta)))
-        spec = state_by_index(grid, size, idx)
-        pts = spec.points(hull)
+        pts = at_pose(state_by_index(grid, size, idx).local, anchor,
+                      (math.cos(theta), math.sin(theta)))
         # Far decoys must not disturb the detection.
         decoys = anchor + np.stack([(1.5 + rng.uniform(0, 3)) * unit(rng.normal(size=2))
                                     for _ in range(5)])
@@ -391,10 +380,8 @@ def test_detect_nothing_without_epsilon_pair():
 
 def test_detect_two_disjoint_formations():
     grid = grid_spec(0.1, 0.01, SPAN)
-    h1 = make_hull(anchor=(0, 0))
-    h2 = make_hull(anchor=(0.7, 0.3), direction=unit(np.array([1.0, 1.0])))
-    pts = np.vstack([state_by_index(grid, 4, 2).points(h1),
-                     state_by_index(grid, 5, 7).points(h2)])
+    pts = np.vstack([at_pose(state_by_index(grid, 4, 2).local, (0, 0)),
+                     at_pose(state_by_index(grid, 5, 7).local, (0.7, 0.3), (1.0, 1.0))])
     det = _assert_detection_matches_reference(pts, grid)
     assert len(det.state) == 2
     assert sorted(np.diff(det.bounds).tolist()) == [4, 5]
@@ -402,16 +389,15 @@ def test_detect_two_disjoint_formations():
 
 def test_detect_rejects_off_grid_intruder():
     grid = grid_spec(0.1, 0.01, SPAN)
-    hull = make_hull()
-    pts = state_by_index(grid, 4, 3).points(hull)
-    intruder = hull.anchor + np.array([0.033, 0.004])  # inside hull, off grid
+    pts = at_pose(state_by_index(grid, 4, 3).local, (0, 0))
+    intruder = np.array([0.033, 0.004])  # inside hull, off grid
     det = _assert_detection_matches_reference(np.vstack([pts, [intruder]]), grid)
     assert len(det.state) == 0
 
 
 def test_validity_single_formation_with_drops():
     grid = grid_spec(0.1, 0.01, SPAN)
-    pts = state_by_index(grid, 4, 1).points(make_hull(anchor=(0.2, 0.1)))
+    pts = at_pose(state_by_index(grid, 4, 1).local, (0.2, 0.1))
     drops = np.array([[1.2, 0.3], [0.9, -0.8], [-0.5, 0.6]])
     det = detect_one(np.vstack([pts, drops]), grid, TAU_GEOM)
     assert overlapping_pairs(det, grid) == [] and len(det.state) == 1
@@ -422,9 +408,8 @@ def test_validity_overlapping_hulls_reported():
     # stays outside the other hull, so both formations are detected.
     grid = grid_spec(0.1, 0.01, SPAN)
     spec = state_by_index(grid, 3, 2)
-    pts1 = spec.points(make_hull(anchor=(0.0, 0.0)))
-    pts2 = spec.points(make_hull(anchor=(0.13, 0.12),
-                                 direction=unit(np.array([-0.735, -0.678]))))
+    pts1 = at_pose(spec.local, (0.0, 0.0))
+    pts2 = at_pose(spec.local, (0.13, 0.12), (-0.735, -0.678))
     det = detect_one(np.vstack([pts1, pts2]), grid, TAU_GEOM)
     assert len(det.state) == 2
     assert overlapping_pairs(det, grid) == [(0, 1)]
@@ -432,10 +417,9 @@ def test_validity_overlapping_hulls_reported():
 
 def test_validity_of_initial_pattern_sym7():
     grid = grid_spec(0.1, 0.005, 2 * math.pi / 7)
-    pts = np.vstack([rotate(state_by_index(grid, 3, 1).points(
-        DrawingHull(np.array([0.2 * math.cos(math.pi / 7), 0.2 * math.sin(math.pi / 7)]),
-                    np.array([1.0, 0.0]), 2 * math.pi / 7, 0.1)),
-        k * 2 * math.pi / 7) for k in range(7)])
+    anchor = (0.2 * math.cos(math.pi / 7), 0.2 * math.sin(math.pi / 7))
+    pts = np.vstack([rotate(at_pose(state_by_index(grid, 3, 1).local, anchor),
+                            k * 2 * math.pi / 7) for k in range(7)])
     det = detect_one(pts, grid, TAU_GEOM)
     assert overlapping_pairs(det, grid) == [] and len(det.state) == 7
 
@@ -447,7 +431,7 @@ def _move_plan():
     """A drawing plan (symmetricity 1) and its first vertex that drops robots."""
     plan = build_plan(random_connected_pattern(12, seed=5))
     path = plan.path
-    assert plan.params.s_p == 1
+    assert plan.s_p == 1
     vi = next(i for i in range(path.tail_start) if path.coverage[i])
     return plan, vi
 
@@ -499,8 +483,8 @@ def test_plan_move_rejects_long_move():
     vertices = plan.path.vertices.copy()
     vertices[1] = vertices[0] + np.array([0.95, 0.0])
     with pytest.raises(PathConstructionError, match="consecutive vertices too far apart"):
-        _validate_path(replace(plan.path, vertices=vertices), plan.params, plan.grid)
-    _validate_path(plan.path, plan.params, plan.grid)
+        _validate_path(replace(plan.path, vertices=vertices), plan.s_p, plan.grid)
+    _validate_path(plan.path, plan.s_p, plan.grid)
     assert len(_move_tables(plan)) == len(plan.path.vertices)
 
 

@@ -1,7 +1,6 @@
 import json
 import math
 from itertools import combinations
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,17 +32,12 @@ from corpus import main_corpus, random_connected_pattern, symmetric_pattern, tai
 DELTA = 0.1
 
 
-def params_for(s_p, eps=0.002):
-    return SimpleNamespace(epsilon=eps, delta=DELTA, span=min(2 * math.pi / s_p, math.pi / 3),
-                           s_p=s_p)
+def grid_for(s_p, eps=0.002):
+    return grid_spec(DELTA, eps, min(2 * math.pi / s_p, math.pi / 3))
 
 
-def grid_for(params):
-    return grid_spec(params.delta, params.epsilon, params.span)
-
-
-def drawing_path(pts, params):
-    return build_drawing_path(pts, params, grid_for(params))
+def drawing_path(pts, s_p, eps=0.002):
+    return build_drawing_path(pts, s_p, grid_for(s_p, eps))
 
 
 # --- drawing tree -------------------------------------------------------------
@@ -239,8 +233,8 @@ _SCAN_CASES = [_MAIN[i] for i in (0, 9, 29, 42, 49)] + _MAIN[50:] + tail_corpus(
 
 @pytest.mark.parametrize("named", _SCAN_CASES, ids=[name for name, _ in _SCAN_CASES])
 def test_triple_scans_match_the_full_welzl_reference(monkeypatch, named):
-    params = build_plan(named[1]).params
-    s = params.s_p
+    plan = build_plan(named[1])
+    s, delta = plan.s_p, plan.grid.delta
     pts = normalize(named[1])
     theta, trip = find_connected_triple_rotation(pts, s)
     assert (theta, trip) == _reference_rotation(pts, s)
@@ -252,10 +246,10 @@ def test_triple_scans_match_the_full_welzl_reference(monkeypatch, named):
     assert [t for t, _ in seeds] == [t for t, _ in reference]
     assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(seeds, reference))
 
-    margin = max(params.epsilon, params.delta * max(math.sin(2.0 * math.pi / s), 0.0))
-    tail = build_tail(comp, s, params.delta, margin)
+    margin = max(plan.grid.epsilon, delta * max(math.sin(2.0 * math.pi / s), 0.0))
+    tail = build_tail(comp, s, delta, margin)
     monkeypatch.setattr(pathing, "_ending_seeds", _reference_ending_seeds)
-    ref = build_tail(comp, s, params.delta, margin)
+    ref = build_tail(comp, s, delta, margin)
     assert tail.triple == ref.triple
     assert np.array_equal(tail.z_end, ref.z_end)
     assert np.array_equal(tail.extras, ref.extras)
@@ -292,7 +286,7 @@ def test_coverage_picks_maximal_vertex():
 
 def test_coverage_counts_every_coordinate_once():
     pts = random_connected_pattern(10, seed=11)
-    path = drawing_path(pts, params_for(1))
+    path = drawing_path(pts, 1)
     assert sum(len(c) for c in path.coverage) == len(path.comp)
 
 
@@ -330,55 +324,51 @@ def test_path_state_labels():
 
 def test_path_small_symmetric_component():
     pts = symmetric_pattern(2, 3, seed=1)
-    params = params_for(2)
-    path = drawing_path(pts, params)
+    path = drawing_path(pts, 2)
     assert len(path.comp) == 3
     assert path.tail_start <= 1  # with three coordinates almost all is tail
-    _validate_path(path, params, grid_for(params))     # raises on a failed property
+    _validate_path(path, 2, grid_for(2))     # raises on a failed property
 
 
 def test_path_random_pattern_compatible():
     pts = random_connected_pattern(20, seed=23)
-    params = params_for(1)
-    path = drawing_path(pts, params)
-    _validate_path(path, params, grid_for(params))     # raises on a failed property
+    path = drawing_path(pts, 1)
+    _validate_path(path, 1, grid_for(1))     # raises on a failed property
 
 
 def test_path_starts_at_formation_anchor():
     pts = random_connected_pattern(8, seed=2)
-    path = drawing_path(pts, params_for(1))
+    path = drawing_path(pts, 1)
     assert np.allclose(path.vertices[0], from_polar(2 * DELTA, math.pi), atol=1e-12)
 
 
 def test_path_hop_lengths_bounded():
     pts = random_connected_pattern(14, seed=4)
-    path = drawing_path(pts, params_for(1))
+    path = drawing_path(pts, 1)
     steps = np.hypot(*np.diff(path.vertices, axis=0).T)
     assert steps.max() <= 1 - DELTA + 1e-9
 
 
 def test_path_deterministic():
     pts = random_connected_pattern(12, seed=9)
-    a = drawing_path(pts, params_for(1))
-    b = drawing_path(pts, params_for(1))
+    a = drawing_path(pts, 1)
+    b = drawing_path(pts, 1)
     assert np.array_equal(a.vertices, b.vertices)
     assert a.coverage == b.coverage and a.labels == b.labels
 
 
 def test_path_labels_are_valid_states():
     pts = random_connected_pattern(16, seed=13)
-    params = params_for(1)
-    path = drawing_path(pts, params)
-    grid = grid_for(params)
+    path = drawing_path(pts, 1)
+    grid = grid_for(1)
     for size, idx in path.labels:
         assert 1 <= idx <= count_states(grid, size)
 
 
 def test_path_rotated_copies_stay_in_their_cones():
     pts = symmetric_pattern(4, 4, seed=3)
-    params = params_for(4)
-    path = drawing_path(pts, params)
-    margin = max(params.epsilon, DELTA * math.sin(2 * math.pi / 4))
+    path = drawing_path(pts, 4)
+    margin = max(0.002, DELTA * math.sin(2 * math.pi / 4))
     for k in range(4):
         rotated = rotate(path.vertices, k * 2 * math.pi / 4)
         for v in rotated:
@@ -390,32 +380,29 @@ def test_compatibility_fails_when_epsilon_hits_mindist():
     # A close pair makes mindist small enough that epsilon can match it
     # while still fitting the hull grid; property (1) is strict.
     pts = np.vstack([random_connected_pattern(8, seed=31), [[0.02, 0.005]]])
-    params = params_for(1, eps=0.001)
-    path = drawing_path(pts, params)
+    path = drawing_path(pts, 1, eps=0.001)
     md = mindist(path.pattern)
     assert md < DELTA / 3
-    bad = SimpleNamespace(epsilon=md, delta=DELTA, span=math.pi / 3, s_p=1)
     with pytest.raises(PathConstructionError, match="epsilon is not below the pattern's minimum"):
-        _validate_path(path, bad, grid_for(bad))
+        _validate_path(path, 1, grid_for(1, eps=md))
 
 
 def test_compatibility_fails_on_overlong_tail():
     """A grid with one size-3 state has fewer than 6 locations, so it admits no
     empty-coverage run, and no tail longer than one vertex."""
-    coarse = SimpleNamespace(epsilon=0.032, delta=DELTA, span=math.pi / 3, s_p=1)
-    grid = grid_for(coarse)
+    grid = grid_for(1, eps=0.032)
     assert count_states(grid, 3) == 1 and grid.locations < 6
-    path = drawing_path(random_connected_pattern(10, seed=37), params_for(1))
+    path = drawing_path(random_connected_pattern(10, seed=37), 1)
     assert not all(path.coverage)
     with pytest.raises(PathConstructionError, match="empty-coverage run exceeds the 0 states"):
-        _validate_path(path, coarse, grid)
+        _validate_path(path, 1, grid)
     # Two tail vertices and no empty coverage: the tail labels are (3, 1), (3, 2).
     start = from_polar(2 * DELTA, math.pi)
     pattern = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])
     short = DrawingPath(pattern, (0, 1, 2), np.stack([start, start + [0.5, 0.0]]), DELTA,
                         ((0,), (1, 2)), tail_start=0, labels=((3, 1), (3, 2)))
     with pytest.raises(PathConstructionError, match=r"state \(3, 2\) is not encodable"):
-        _validate_path(short, coarse, grid)
+        _validate_path(short, 1, grid)
 
 
 def test_path_serialization_round_trip(tmp_path):
@@ -424,7 +411,7 @@ def test_path_serialization_round_trip(tmp_path):
     from swarmdraw.pathing import save_path
 
     pts = random_connected_pattern(9, seed=41)
-    path = drawing_path(pts, params_for(1))
+    path = drawing_path(pts, 1)
     f = tmp_path / "plan.json"
     save_path(path, f)
     with open(f, encoding="utf-8") as fh:

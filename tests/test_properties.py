@@ -3,7 +3,8 @@ nearest-neighbour pass, the shared matcher, the orbit walk built on it, the
 congruence fit, the near-gathering assignment, the grid-state enumeration and
 the scaling branch's neighbourhood match and its batched fits, batched
 formation detection and its epsilon-pair sweep, the fit's farthest point, the
-batched drawing-branch decisions, the commit's hull check, the termination
+batched drawing-branch decisions, the hull overlap test, the commit's hull
+check, the termination
 fit's radius screen and the sorted local views."""
 
 import math
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from swarmdraw import formation
 from swarmdraw.formation import (
-    DrawingHull,
+    Detections,
     FormationError,
     _decode,
     _decode_rows,
@@ -42,8 +43,8 @@ from swarmdraw.simulator import (SimConfig, SimulationError, _commit, _frame, ma
                                  noisy_tolerances)
 from swarmdraw.symmetry import normalize, symmetricity
 
-from corpus import (join_views, main_corpus, near_gathering, ngon, random_connected_pattern,
-                    split_views, star_corpus)
+from corpus import (at_pose, join_views, main_corpus, near_gathering, ngon,
+                    random_connected_pattern, split_views, star_corpus)
 from test_formation import _dense_detect, assert_bit_equal, window_of
 from test_geometry import _brute_force_sec
 from test_protocol import (assert_same_fits, dense_centered_fits, kdtree_star_match,
@@ -464,7 +465,7 @@ def _detection_window(kind, grid, tol, rng):
     if kind == "state":
         size = int(rng.integers(3, min(grid.locations, 8) + 1))
         spec = state_by_index(grid, size, int(rng.integers(1, count_states(grid, size) + 1)))
-        pts = spec.points(DrawingHull(anchor, direction, grid.span, delta))
+        pts = at_pose(spec.local, anchor, direction)
         radius = rng.choice([0.0, tol / 4, 2 * tol, -1.0])
         if radius >= 0.0:
             pts = pts + jitter(rng, len(pts), radius)
@@ -765,10 +766,9 @@ def _random_draw_view(plan, rng, tol):
         positions = near_gathering(plan.n, seed=int(rng.integers(100)))
     elif kind == "conflict":
         # Two facing three-robot formations anchored 2*delta apart: their hulls touch.
-        spec, delta, span = state_by_index(plan.grid, 3, 1), plan.params.delta, plan.params.span
-        positions = np.vstack([
-            spec.points(DrawingHull(np.zeros(2), np.array([1.0, 0.0]), span, delta)),
-            spec.points(DrawingHull(np.array([2 * delta, 0.0]), np.array([-1.0, 0.0]), span, delta))])
+        local = state_by_index(plan.grid, 3, 1).local
+        positions = np.vstack([at_pose(local, (0.0, 0.0)),
+                               at_pose(local, (2 * plan.grid.delta, 0.0), (-1.0, 0.0))])
     else:
         rounds = (plan.snapshot_ids if kind == "full" else [len(plan.schedule) - 2]
                   if kind == "ending" else range(len(plan.schedule)))
@@ -777,7 +777,7 @@ def _random_draw_view(plan, rng, tol):
         if kind == "ending":
             robots = [i for i, role in enumerate(rec.roles) if role is Phase.INTERMEDIATE]
         if kind == "jittered":
-            lever = 1 + plan.params.delta / plan.params.epsilon
+            lever = 1 + plan.grid.delta / plan.grid.epsilon
             positions = positions + jitter(rng, len(positions), tol / (4 * lever))
     robot = int(rng.choice(robots if robots else len(positions)))
     return view_from_global(positions, robot, rng.uniform(0, 2 * math.pi))
@@ -796,7 +796,7 @@ def test_drawing_decisions_read_their_own_view_only(name, noisy, data):
     views never changes it: at the noiseless tolerances and at those run_fsync
     passes under noise (the D(t) list as snapshot tolerance)."""
     plan = _draw_plan(name)
-    tol, snapshot_tol = (noisy_tolerances(plan, plan.params.epsilon / (20 * plan.hops))
+    tol, snapshot_tol = (noisy_tolerances(plan, plan.grid.epsilon / (20 * plan.hops))
                          if noisy else (TAU_GEOM, None))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     count = data.draw(st.integers(0, 40))
@@ -1091,7 +1091,7 @@ def _hull_check_reference(positions, grid, tol):
 def _formation_points(grid, rng, anchor, direction):
     size = int(rng.integers(3, min(grid.locations, 7) + 1))
     spec = state_by_index(grid, size, int(rng.integers(1, count_states(grid, size) + 1)))
-    return spec.points(DrawingHull(anchor, direction, grid.span, grid.delta))
+    return at_pose(spec.local, anchor, direction)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -1138,6 +1138,96 @@ def test_commit_hull_check_equals_detecting_every_pair(grid, data):
         with pytest.raises(SimulationError) as err:
             _commit(points, points.copy(), plan, cfg, 0)
         assert str(err.value) == want
+
+
+def _wedge_polygon_reference(anchor, heading, grid):
+    """The padded hull polygon, built without ``GridSpec.wedge``: the wedge in
+    hull coordinates, mapped by rows [d, left normal of d] and the anchor."""
+    segments = 48
+    step = grid.span / segments
+    radius = grid.delta / math.cos(step / 2.0)
+    angles = np.linspace(0.0, grid.span, segments + 1)
+    arc = np.stack([radius * np.cos(angles), radius * np.sin(angles)], axis=1)
+    d = np.asarray(heading, dtype=float)
+    d = d / np.hypot(d[0], d[1])
+    basis = np.stack([d, np.array([-d[1], d[0]])], axis=0)
+    return np.vstack([[0.0, 0.0], arc]) @ basis + np.asarray(anchor, dtype=float)
+
+
+def _convex_overlap_reference(pa, pb):
+    """Separating-axis test, one edge normal at a time (touching overlaps)."""
+    for poly in (pa, pb):
+        edges = np.roll(poly, -1, axis=0) - poly
+        for nrm in np.stack([-edges[:, 1], edges[:, 0]], axis=1):
+            a0, a1 = (pa @ nrm).min(), (pa @ nrm).max()
+            b0, b1 = (pb @ nrm).min(), (pb @ nrm).max()
+            if a1 < b0 - 1e-12 or b1 < a0 - 1e-12:
+                return False
+    return True
+
+
+def _hulls(anchor, heading):
+    """Detections holding only the given poses, as ``overlapping`` reads them."""
+    none = np.zeros(0, dtype=np.int64)
+    k = len(anchor)
+    return Detections(np.zeros(k, dtype=np.int64), np.asarray(anchor, dtype=float),
+                      np.asarray(heading, dtype=float), np.ones(k, dtype=np.int64),
+                      np.zeros(k + 1, dtype=np.int64), none, np.zeros((0, 2)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(grids(), st.sampled_from(["random", "facing", "mirrored", "shared-edge", "identical"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_overlapping_equals_the_per_normal_loop(grid, kind, seed):
+    """``overlapping`` gives the verdict of the anchor cutoff followed by the
+    per-normal separating-axis loop on each pair's polygons, for every pair
+    of: random poses near each other; two hulls facing each other with anchors
+    exactly 2δ apart; a hull and its mirror image in a line at a drawn
+    distance from its anchor (0 puts the anchor on the line); two hulls whose
+    straight edges lie on one line, the second turned by the span and moved
+    off the first by a drawn gap from 0 to 1e-5; two identical hulls.  Each
+    pair is tested in both orders.  Facing and identical hulls, mirror images
+    in a line through the anchor and edges without a gap touch, which counts
+    as overlap; a gap of 1e-9 or more separates.  At the origin heading +x,
+    ``grid.wedge`` is the reference polygon bit for bit."""
+    origin = _wedge_polygon_reference((0.0, 0.0), (1.0, 0.0), grid)
+    assert grid.wedge.tobytes() == origin.tobytes()
+    rng = np.random.default_rng(seed)
+    anchor, d = rng.uniform(-1.0, 1.0, 2), unit(rng.normal(size=2))
+    touch = True        # the verdict of the one pair, where it is known
+    if kind == "random":
+        k = int(rng.integers(2, 7))
+        anchors = anchor + rng.uniform(-2.5 * grid.delta, 2.5 * grid.delta, (k, 2))
+        headings, touch = rng.normal(size=(k, 2)), None
+    elif kind == "facing":
+        anchors, headings = [anchor, anchor + 2 * grid.delta * d], [d, -d]
+    elif kind == "mirrored":
+        # Reflection in the line through anchor + t*n normal to the unit n.
+        t = rng.choice([0.0, rng.uniform(0.0, 1.5 * grid.delta)])
+        n = unit(rng.normal(size=2))
+        reflect = np.eye(2) - 2.0 * np.outer(n, n)
+        far_edge = rotate(d, grid.span)        # the mirror image's heading edge
+        anchors = [anchor, anchor + 2.0 * t * n]
+        headings = [d, far_edge @ reflect.T]
+        touch = True if t == 0.0 else None
+    elif kind == "shared-edge":
+        gap = rng.choice([0.0, 1e-9, 1e-7, 1e-5])
+        edge = rotate(d, grid.span)
+        anchors, headings = [anchor, anchor + gap * rotate(edge, math.pi / 2)], [d, edge]
+        touch = gap == 0.0
+    else:
+        anchors, headings = [anchor, anchor], [d, d]
+    det = _hulls(anchors, headings)
+    f, g = np.triu_indices(len(det.anchor), 1)
+    polys = [_wedge_polygon_reference(a, h, grid) for a, h in zip(det.anchor, det.heading)]
+    want = [bool(np.hypot(*(det.anchor[a] - det.anchor[b])) <= 2 * grid.delta + TAU_GEOM)
+            and _convex_overlap_reference(polys[a], polys[b])
+            for a, b in zip(f.tolist(), g.tolist())]
+    got = overlapping(det, f, g, grid)
+    assert got.dtype == bool and got.tolist() == want
+    assert overlapping(det, g, f, grid).tolist() == want
+    if touch is not None:
+        assert want == [touch]
 
 
 def _antipodal(rng, count):

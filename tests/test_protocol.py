@@ -14,11 +14,10 @@ from scipy.spatial import cKDTree
 
 from swarmdraw import formation, protocol
 from swarmdraw.geometry import (TAU_GEOM, dist, from_polar, match_points, mindist,
-                                pairwise_distances, perp, polar_angle, rotate, rotation_matrix,
+                                pairwise_distances, polar_angle, rotate, rotation_matrix,
                                 smallest_enclosing_circle, unit)
 from swarmdraw.symmetry import normalize, rotation_orbits, symmetricity
 from swarmdraw.formation import (
-    DrawingHull,
     detect_arrays,
     grid_spec,
     overlapping,
@@ -43,8 +42,8 @@ from swarmdraw.protocol import (
 )
 from swarmdraw.simulator import SimConfig, make_local_views, noisy_tolerances, run_fsync
 
-from corpus import (join_views, near_gathering, ngon, random_connected_pattern, split_views,
-                    symmetric_pattern, two_ring)
+from corpus import (at_pose, hull_frame, join_views, near_gathering, ngon,
+                    random_connected_pattern, split_views, symmetric_pattern, two_ring)
 
 
 def view_from_global(positions, idx, theta=0.0):
@@ -87,28 +86,29 @@ def overlapping_pairs(det, grid):
 def test_derive_params_span_choice():
     pts7 = symmetric_pattern(7, 3, seed=77) if False else None
     # span follows min(2*pi/s, pi/3): check on real plans
-    p1 = build_plan(random_connected_pattern(8, seed=1)).params
+    p1 = build_plan(random_connected_pattern(8, seed=1)).grid
     assert p1.span == pytest.approx(math.pi / 3)
-    p4 = build_plan(symmetric_pattern(4, 3, seed=2)).params
+    p4 = build_plan(symmetric_pattern(4, 3, seed=2)).grid
     assert p4.span == pytest.approx(math.pi / 3)  # 2*pi/4 > pi/3
-    p6 = build_plan(symmetric_pattern(6, 3, seed=3)).params
+    p6 = build_plan(symmetric_pattern(6, 3, seed=3)).grid
     assert p6.span == pytest.approx(2 * math.pi / 6)
 
 
 def test_derive_params_epsilon_formula():
     pts = random_connected_pattern(12, seed=5)
-    params = build_plan(pts).params
+    plan = build_plan(pts)
     base = min(1.0, mindist(normalize(pts)), 1.0 / math.sqrt(12))
-    assert params.epsilon == pytest.approx(params.c * base)
-    assert params.epsilon < params.delta / 3
-    assert params.delta == 0.1
+    assert plan.grid.epsilon == pytest.approx(plan.c * base)
+    assert plan.grid.epsilon < plan.grid.delta / 3
+    assert plan.grid.delta == 0.1
 
 
 def test_derive_params_star_branch():
     from corpus import ngon
 
-    params = build_plan(ngon(14, 2.0)).params
-    assert params.branch == "star" and params.s_p == 14
+    plan = build_plan(ngon(14, 2.0))
+    assert plan.branch == "star" and plan.s_p == 14
+    assert plan.grid is None and plan.c is None
 
 
 @pytest.mark.parametrize("c", [0.0, -0.01, math.nan, math.inf])
@@ -121,7 +121,7 @@ def test_build_plan_rejects_c_that_is_not_positive_and_finite(c):
 def test_plan_capacity_invariants():
     pts = random_connected_pattern(15, seed=8)
     plan = build_plan(pts)
-    assert plan.grid.locations >= 15 // plan.params.s_p + 2
+    assert plan.grid.locations >= 15 // plan.s_p + 2
     from swarmdraw.formation import count_states
 
     assert count_states(plan.grid, 3) >= len(plan.path.vertices) - plan.path.tail_start
@@ -148,7 +148,7 @@ def test_plan_builds_one_grid_per_attempted_epsilon(pts, attempts, monkeypatch):
     plan = build_plan(pts)
     assert plan.branch == "draw"
     assert len(calls) == len(set(calls)) == attempts
-    assert calls[-1] == plan.grid.epsilon == plan.params.epsilon
+    assert calls[-1] == plan.grid.epsilon
 
 
 @pytest.mark.parametrize("pts", [np.array([[0.0, 0.0], [0.4, 0.0], [0.8, 0.0]]),
@@ -187,15 +187,17 @@ def _digest(*arrays) -> str:
 
 
 def test_plans_equal_the_recorded_plans(corpus_plans):
-    """Epsilon, path vertices, labels and move tables of the drawing corpus
-    plans and an n = 100 plan, bit for bit: the epsilon exactly, the arrays by
-    SHA-256 digests of their float64 bytes (tests/plan_digests.json)."""
+    """Epsilon, path vertices, labels, move tables, initial cluster and
+    centroid-centred snapshots of the drawing corpus plans and an n = 100
+    plan, bit for bit: the epsilon exactly, the arrays by SHA-256 digests of
+    their float64 bytes (tests/plan_digests.json)."""
     recorded = json.loads((Path(__file__).parent / "plan_digests.json").read_text())
     plans = corpus_plans + [("random-100", build_plan(random_connected_pattern(100, seed=11)))]
     assert sorted(name for name, _ in plans) == sorted(recorded)
     for name, plan in plans:
-        got = [plan.params.epsilon, _digest(plan.path.vertices),
-               _digest(np.array(plan.path.labels, dtype=float)), _digest(*plan.moves)]
+        got = [plan.grid.epsilon, _digest(plan.path.vertices),
+               _digest(np.array(plan.path.labels, dtype=float)), _digest(*plan.moves),
+               _digest(plan.initial), _digest(plan.snapshot_centered)]
         assert got == recorded[name], name
 
 
@@ -214,7 +216,7 @@ def test_initial_pattern_anchor_sym1():
     det = detect_one(initial, plan.grid)
     assert len(det.state) == 1
     assert (det.bounds[1], det.state[0]) == plan.path.labels[0] == (9, 1)
-    assert np.allclose(det.anchor[0], from_polar(2 * plan.params.delta, math.pi), atol=1e-12)
+    assert np.allclose(det.anchor[0], from_polar(2 * plan.grid.delta, math.pi), atol=1e-12)
     assert np.allclose(det.heading[0], [1.0, 0.0], atol=1e-12)
 
 
@@ -252,11 +254,7 @@ def test_classify_dropped_robot():
 def test_classify_formation_member():
     pts = random_connected_pattern(10, seed=14)
     plan = build_plan(pts)
-    from swarmdraw.formation import DrawingHull, state_by_index
-
-    hull = DrawingHull(np.array([2.0, 1.0]), np.array([0.0, 1.0]),
-                       plan.params.span, plan.params.delta)
-    members = state_by_index(plan.grid, 5, 3).points(hull)
+    members = at_pose(state_by_index(plan.grid, 5, 3).local, (2.0, 1.0), (0.0, 1.0))
     view = view_from_global(members, 2, theta=0.7)
     assert robot_decision(view, plan).phase is Phase.FORMATION
 
@@ -328,7 +326,7 @@ def _run_views(case):
     """(plan, every robot's view in every round) of a run from the initial cluster."""
     pts, noisy = _WINDOW_CASES[case]
     plan = build_plan(pts)
-    eps = plan.params.epsilon
+    eps = plan.grid.epsilon
     cfg = SimConfig(seed=4, max_rounds=plan.hops + 6,
                     noise_mu=eps / (20 * plan.hops) if noisy else 0.0)
     trace = run_fsync(plan.initial, plan, cfg)
@@ -342,7 +340,7 @@ def test_own_formation_window_matches_full_view(case):
     """Every robot's view in every round of a run, at the noiseless detection
     tolerance and at the noisy cap 0.45*epsilon."""
     plan, views = _run_views(case)
-    eps = plan.params.epsilon
+    eps = plan.grid.epsilon
     seen = set()
     for pts_i in views:
         for tol in (TAU_GEOM, 0.45 * eps):
@@ -386,8 +384,8 @@ def test_robot_decisions_equal_one_view_at_a_time(case):
     if star:
         tols = [(TAU_GEOM, None), (1e-5, None)]
     else:
-        tols = [(TAU_GEOM, None), (0.45 * plan.params.epsilon, None),
-                noisy_tolerances(plan, plan.params.epsilon / (20 * plan.hops))]
+        tols = [(TAU_GEOM, None), (0.45 * plan.grid.epsilon, None),
+                noisy_tolerances(plan, plan.grid.epsilon / (20 * plan.hops))]
     for tol, snapshot_tol in tols:
         got_all = robot_decisions(*join_views(views), plan, tol, snapshot_tol)
         for view, got in zip(views, got_all, strict=True):
@@ -400,7 +398,7 @@ def test_robot_decisions_equal_one_view_at_a_time(case):
 
 def _find_intermediate_full_view(pts, plan, tol):
     """Reference for _find_intermediate: every view point tried as r1."""
-    eps = plan.params.epsilon
+    eps = plan.grid.epsilon
     tol = min(tol, eps / 16.0)
     targets = plan.ending
     vk = plan.path.vertices[-1]
@@ -436,7 +434,7 @@ def test_find_intermediate_window_matches_full_view(case):
     also tried with robots added around it: six at 3*epsilon and 0.5, outside
     the window but not near the triple, and ten scattered within 4*epsilon."""
     plan, views = _run_views(case)
-    eps = plan.params.epsilon
+    eps = plan.grid.epsilon
     window = 1.5 * eps + 2 * min(0.45 * eps, eps / 16.0)
     ring = np.array([from_polar(r, k * math.pi / 3 + 0.1)
                      for r in (3 * eps, 0.5) for k in range(3)])
@@ -467,9 +465,8 @@ def test_own_formation_window_keeps_overlap_conflicts():
     every member of either formation sees the conflict."""
     grid = grid_spec(0.1, 0.01, math.pi / 3)
     spec = state_by_index(grid, 3, 2)
-    pts1 = spec.points(DrawingHull(np.zeros(2), np.array([1.0, 0.0]), math.pi / 3, 0.1))
-    pts2 = spec.points(DrawingHull(np.array([0.13, 0.12]), unit(np.array([-0.735, -0.678])),
-                                   math.pi / 3, 0.1))
+    pts1 = at_pose(spec.local, (0.0, 0.0))
+    pts2 = at_pose(spec.local, (0.13, 0.12), (-0.735, -0.678))
     far = np.array([[-0.5, 0.3], [0.6, -0.4], [0.1, 0.9]])
     positions = np.vstack([pts1, pts2, far])
     conflicts = 0
@@ -486,9 +483,8 @@ def test_own_formation_and_commit_check_share_the_overlap_cutoff():
     touch, the commit check reports the overlap, and so does every member."""
     grid = grid_spec(0.1, 0.01, math.pi / 3)
     spec = state_by_index(grid, 3, 1)
-    pts1 = spec.points(DrawingHull(np.zeros(2), np.array([1.0, 0.0]), math.pi / 3, 0.1))
-    pts2 = spec.points(DrawingHull(np.array([0.2 + 5e-10, 0.0]), np.array([-1.0, 0.0]),
-                                   math.pi / 3, 0.1))
+    pts1 = at_pose(spec.local, (0.0, 0.0))
+    pts2 = at_pose(spec.local, (0.2 + 5e-10, 0.0), (-1.0, 0.0))
     positions = np.vstack([pts1, pts2])
     det = detect_one(positions, grid)
     assert len(det.state) == 2 and overlapping_pairs(det, grid) == [(0, 1)]
@@ -534,7 +530,7 @@ def test_snapshot_screen_equals_allclose_loop(monkeypatch, noisy):
                       ("sym-3x4", symmetric_pattern(3, 4, seed=2004))):
         plan = build_plan(pts)
         count = len(plan.snapshot_ids)
-        mu = plan.params.epsilon / (20 * plan.hops) if noisy else 0.0
+        mu = plan.grid.epsilon / (20 * plan.hops) if noisy else 0.0
         kept = set()
         for views, tol in _classified_rounds(monkeypatch, plan, mu):
             assert (np.isscalar(tol) and not noisy) or len(tol) == count
@@ -583,7 +579,7 @@ def test_staged_fits_try_no_more_candidates_than_the_sequential_loop(monkeypatch
     that ``protocol._rotated`` forms.  The count must be positive: a staged
     pass that stopped rotating through ``_rotated`` would count nothing."""
     plan = build_plan(random_connected_pattern(10, seed=7))
-    rounds = _classified_rounds(monkeypatch, plan, plan.params.epsilon / (20 * plan.hops))
+    rounds = _classified_rounds(monkeypatch, plan, plan.grid.epsilon / (20 * plan.hops))
     staged = [0]
     real = protocol._rotated
 
@@ -703,27 +699,27 @@ def _move_reference(view_pts, plan, det, f):
     frame, and members matched to targets by their lexicographic order in the
     hull frame at TAU_GEOM resolution.  Returns the origin robot's target."""
     path = plan.path
-    hull = DrawingHull(det.anchor[f], det.heading[f], plan.grid.span, plan.grid.delta)
+    anchor, d = det.anchor[f], unit(det.heading[f])
     members = members_of(det, f).tolist()
     vi = path.labels.index((len(members), int(det.state[f])))
     v = path.vertices[vi]
-    basis = np.stack([hull.direction, perp(hull.direction)], axis=0)
+    basis = np.array([d, [-d[1], d[0]]])
 
     def to_view(q):
-        return (np.atleast_2d(q) - v) @ basis + hull.anchor
+        return (np.atleast_2d(q) - v) @ basis + anchor
 
     if vi == len(path.vertices) - 1:
         targets = to_view(intermediate_targets(plan))
     else:
-        move = to_view(path.vertices[vi + 1])[0] - hull.anchor
-        next_hull = DrawingHull(hull.anchor + move, hull.direction, hull.span, hull.diameter)
+        move = to_view(path.vertices[vi + 1])[0] - anchor
         drops = path.pattern[list(path.coverage[vi])] if vi < path.tail_start else []
-        targets = np.vstack([state_by_index(plan.grid, *path.labels[vi + 1]).points(next_hull),
+        targets = np.vstack([at_pose(state_by_index(plan.grid, *path.labels[vi + 1]).local,
+                                     anchor + move, d),
                              to_view(drops) if len(drops) else np.zeros((0, 2))])
     assert len(targets) == len(members)
 
     def order(points):
-        loc = np.round(hull.local(points) / TAU_GEOM) * TAU_GEOM
+        loc = np.round(hull_frame(points, anchor, d) / TAU_GEOM) * TAU_GEOM
         return np.lexsort((loc[:, 1], loc[:, 0]))
 
     out = np.empty_like(targets)
@@ -751,7 +747,7 @@ def test_move_tables_equal_whole_formation_assignment(corpus_plans):
     kinds = set()
     for name, plan in corpus_plans:
         path = plan.path
-        eps = plan.params.epsilon
+        eps = plan.grid.epsilon
         last = len(path.vertices) - 1
         drop = next((i for i in range(path.tail_start) if path.coverage[i]), 0)
         for vi in sorted({0, drop, path.tail_start, last}):
@@ -761,7 +757,7 @@ def test_move_tables_equal_whole_formation_assignment(corpus_plans):
                 for tol in (TAU_GEOM, 0.1 * eps):
                     positions = rec.positions
                     if tol > TAU_GEOM:
-                        radius = tol / (4 * (1 + plan.params.delta / eps))
+                        radius = tol / (4 * (1 + plan.grid.delta / eps))
                         positions = positions + _disc_jitter(rng, len(positions), radius)
                     theta = float(rng.uniform(0, 2 * math.pi))
                     view = view_from_global(positions, i, theta)
@@ -829,7 +825,7 @@ def test_formation_step_matches_path_ground_truth():
     for i, view in enumerate(fixed_frame_views(plan.initial)):
         targets[i] = plan.initial[i] + robot_decision(view, plan=plan).target
     det = detect_one(targets, plan.grid)
-    assert len(det.state) == plan.params.s_p
+    assert len(det.state) == plan.s_p
     size1, idx1 = path.labels[1]
     f = min(range(len(det.state)), key=lambda f: dist(det.anchor[f], path.vertices[1]))
     assert np.diff(det.bounds)[f] == size1 and det.state[f] == idx1
@@ -1064,7 +1060,7 @@ def test_assignment_target_equals_reference(main_corpus, tail_corpus, star_corpu
              (symmetric_pattern(2, 3, seed=5), 2), (random_connected_pattern(9, seed=18), 1)]
     for pts, s_p in cases:
         plan = build_plan(pts)
-        assert plan.params.s_p == s_p and plan.n % 3 == 0
+        assert plan.s_p == s_p and plan.n % 3 == 0
         seeds = rng.uniform(-0.15, 0.15, (plan.n // 3, 2)) + np.array([0.25, 0.1])
         config = np.vstack([rotate(seeds, k * 2 * math.pi / 3) for k in range(3)])
         assert symmetricity(config).sym == 3

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from swarmdraw import geometry, protocol, simulator
-from swarmdraw.formation import DrawingHull, grid_spec, state_by_index
+from swarmdraw.formation import grid_spec, state_by_index
 from swarmdraw.geometry import (TAU_GEOM, mindist, pairwise_distances, rotate,
-                                rotation_matrix, unit)
+                                rotation_matrix)
 from swarmdraw.protocol import Phase, build_plan, fit_isometry, robot_decision
 from swarmdraw.simulator import (
+    FORMED_TOL,
     SimConfig,
     SimulationError,
     _commit,
@@ -25,8 +26,8 @@ from swarmdraw.simulator import (
     verify_pattern,
 )
 
-from corpus import (main_corpus, near_gathering, ngon, random_connected_pattern, split_views,
-                    star_corpus)
+from corpus import (at_pose, main_corpus, near_gathering, ngon, random_connected_pattern,
+                    split_views, star_corpus)
 
 
 @pytest.fixture(scope="module")
@@ -225,9 +226,8 @@ def test_abort_names_the_members_of_overlapping_formations(small_plan):
     the message names robot indices, not positions in the formation list."""
     grid = grid_spec(0.1, 0.01, math.pi / 3)
     spec = state_by_index(grid, 3, 2)
-    pts1 = spec.points(DrawingHull(np.zeros(2), np.array([1.0, 0.0]), math.pi / 3, 0.1))
-    pts2 = spec.points(DrawingHull(np.array([0.13, 0.12]), unit(np.array([-0.735, -0.678])),
-                                   math.pi / 3, 0.1))
+    pts1 = at_pose(spec.local, (0.0, 0.0))
+    pts2 = at_pose(spec.local, (0.13, 0.12), (-0.735, -0.678))
     far = np.array([[-0.5, 0.3], [0.6, -0.4], [0.1, 0.9]])
     positions = np.vstack([far, pts1, pts2])
     with pytest.raises(SimulationError,
@@ -243,8 +243,7 @@ def test_abort_names_every_overlapping_pair_in_formation_order(small_plan):
     spec = state_by_index(grid, 3, 2)
 
     def formation(anchor, direction):
-        return spec.points(DrawingHull(np.array(anchor), unit(np.array(direction)),
-                                       math.pi / 3, 0.1))
+        return at_pose(spec.local, anchor, direction)
 
     far = np.array([[-0.5, 0.3], [0.6, -0.4], [0.1, 0.9]])
     positions = np.vstack([far, formation([0.0, 0.0], [1.0, 0.0]),
@@ -435,9 +434,9 @@ def test_noise_run_completes_with_bounded_error(small_plan):
     set by the pair-baseline direction noise, roughly (1 - delta) * 4mu/eps
     per drop, not by the translational mu accumulation alone."""
     plan = small_plan
-    mu = plan.params.epsilon / (20 * plan.hops)
-    achievable = 8.0 * mu / plan.params.epsilon * (1 - plan.path.delta) * math.sqrt(plan.hops)
-    cfg = SimConfig(seed=6, max_rounds=plan.hops + 6, noise_mu=mu, tolerance=achievable)
+    mu = plan.grid.epsilon / (20 * plan.hops)
+    achievable = 8.0 * mu / plan.grid.epsilon * (1 - plan.path.delta) * math.sqrt(plan.hops)
+    cfg = SimConfig(seed=6, max_rounds=plan.hops + 6, noise_mu=mu)
     trace = run_fsync(plan.initial, plan, cfg)
     assert trace.verdict == "formed"
     assert trace.max_error <= achievable
@@ -447,8 +446,8 @@ def test_noisy_run_is_not_misread_as_near_gathering(main_corpus):
     """A symmetric swarm in full view drifts off its reference snapshot by the
     heading walk; mid-run it must not be read as an initial near-gathering."""
     plan = build_plan(dict(main_corpus)["sym-2x3"])
-    assert (plan.n, plan.params.s_p, plan.hops) == (6, 2, 9)
-    mu = plan.params.epsilon / (20 * plan.hops)
+    assert (plan.n, plan.s_p, plan.hops) == (6, 2, 9)
+    mu = plan.grid.epsilon / (20 * plan.hops)
     trace = run_fsync(plan.initial, plan,
                       SimConfig(seed=11, max_rounds=plan.hops + 6, noise_mu=mu))
     assert trace.verdict == "formed"
@@ -465,7 +464,7 @@ def test_noisy_small_pattern_stays_formed(main_corpus):
     noise it must read as dropped robots that stay put, not as a near-gathering."""
     plan = build_plan(dict(main_corpus)["random-6-11"])
     assert pairwise_distances(plan.pattern).max() <= 1.0
-    mu = plan.params.epsilon / (20 * plan.hops)
+    mu = plan.grid.epsilon / (20 * plan.hops)
     cfg = SimConfig(seed=11, max_rounds=plan.hops + 6, noise_mu=mu)
     trace = run_fsync(plan.initial, plan, cfg)
     assert trace.verdict == "formed"
@@ -481,7 +480,7 @@ def test_noisy_formed_needs_one_robot_per_pattern_point(tail_corpus):
     """Under noise a run counts as formed only below half the pattern's minimum
     spacing, even where D(hops + 2) is wider (the tight blob of a tail pattern)."""
     plan = build_plan(dict(tail_corpus)["tail-7-0"])
-    mu = plan.params.epsilon / (20 * plan.hops)
+    mu = plan.grid.epsilon / (20 * plan.hops)
     spacing = mindist(plan.pattern)
     assert drift_tolerance(plan, mu, plan.hops + 2) > spacing
     cfg = SimConfig(max_rounds=0, noise_mu=mu)
@@ -498,7 +497,7 @@ def test_noisy_formed_needs_one_robot_per_pattern_point(tail_corpus):
 
 
 def test_noise_mu_bound_enforced(small_plan):
-    mu = small_plan.params.epsilon  # far beyond the stability bound
+    mu = small_plan.grid.epsilon  # far beyond the stability bound
     with pytest.raises(ValueError):
         run_fsync(small_plan.initial, small_plan,
                   SimConfig(seed=0, noise_mu=mu))
@@ -572,9 +571,9 @@ def test_run_makes_no_sec_call(monkeypatch, pts):
 
     monkeypatch.undo()
     for rec in trace.rounds[:-1]:
-        assert fit_isometry(rec.positions, plan.pattern, cfg.tolerance) is None
+        assert fit_isometry(rec.positions, plan.pattern, FORMED_TOL) is None
     theta, translation, _, err = fit_isometry(trace.rounds[-1].positions, plan.pattern,
-                                              cfg.tolerance)
+                                              FORMED_TOL)
     assert trace.alignment == {"theta": float(theta), "tx": float(translation[0]),
                                "ty": float(translation[1])}
     assert trace.max_error == err
@@ -602,8 +601,6 @@ def test_plain_run_makes_one_fit_per_round(monkeypatch, small_plan):
 
 @pytest.mark.parametrize("tolerance", [-1.0, 0.0, math.nan, math.inf])
 def test_tolerance_must_be_positive_and_finite(small_plan, tolerance):
-    with pytest.raises(ValueError, match="tolerance"):
-        run_fsync(small_plan.initial, small_plan, SimConfig(tolerance=tolerance))
     with pytest.raises(ValueError, match="tol"):
         verify_pattern(small_plan.pattern, small_plan.pattern, tol=tolerance)
 

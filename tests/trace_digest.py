@@ -2,6 +2,7 @@
 
     python tests/trace_digest.py <workload> <seed> [<seed> ...] [--noise]
     python tests/trace_digest.py all <seed> [<seed> ...] [--noise]
+    python tests/trace_digest.py all <seed> [<seed> ...] --plans
 
 Runs every instance of the benchmark workload (``perfbench/workloads.py``,
 imported read-only), or of every workload for ``all``, for each seed, from
@@ -10,19 +11,26 @@ prints one line per workload and seed:
 the SHA-256 over every round's position bytes, phases and events, then each
 run's verdict, ``total_rounds`` and ``max_error``.  With ``--noise`` the
 drawing-branch instances run with movement noise mu = epsilon/(20*hops); the
-scaling branch has no noise model and runs noiseless.  The package is
+scaling branch has no noise model and runs noiseless.  With ``--plans`` each
+line is instead the SHA-256 over every instance's plan arrays: the grid,
+path, move tables, initial cluster, centred snapshots, assignment slots and
+star plan.  It reads only plan attributes that older checkouts also have,
+so a copy of this script compares any two checkouts' plans.  The package is
 imported from the ``src`` directory beside this script's, so two checkouts
-print equal lines exactly when their traces are equal.  Not a pytest module.
+print equal lines exactly when their traces (or plans) are equal.  Not a pytest module.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -43,7 +51,7 @@ def run_instance(pattern, start, frame_seed: int, noise: bool):
         initial = start if gathered else plan.star.kappa0 * plan.pattern
         bound = int(math.ceil(plan.star.d_max - 1e-9)) + 1
     noisy = noise and plan.branch == "draw"
-    mu = plan.params.epsilon / (20.0 * max(plan.hops, 1)) if noisy else 0.0
+    mu = plan.grid.epsilon / (20.0 * max(plan.hops, 1)) if noisy else 0.0
     return run_fsync(initial, plan, SimConfig(seed=frame_seed, max_rounds=bound + 2, noise_mu=mu))
 
 
@@ -60,18 +68,59 @@ def digest(workload: str, seed: int, noise: bool) -> str:
     return h.hexdigest()
 
 
+def _feed(h, value) -> None:
+    """Add a plan value to the hash: arrays by dtype, shape and bytes,
+    dataclasses field by field, sequences item by item, numbers exactly."""
+    if isinstance(value, np.ndarray):
+        h.update(repr((value.dtype.str, value.shape)).encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            h.update(f.name.encode())
+            _feed(h, getattr(value, f.name))
+    elif isinstance(value, (list, tuple)):
+        h.update(f"[{len(value)}".encode())
+        for item in value:
+            _feed(h, item)
+    elif isinstance(value, (bool, np.bool_)):
+        h.update(repr(bool(value)).encode())
+    elif isinstance(value, (int, np.integer)):
+        h.update(repr(int(value)).encode())
+    elif isinstance(value, (float, np.floating)):
+        h.update(repr(float(value)).encode())
+    else:
+        h.update(repr(value).encode())
+
+
+def plan_digest(workload: str, seed: int) -> str:
+    instances, _ = workloads.make(workload, seed)
+    h = hashlib.sha256()
+    for _, pattern, _ in instances:
+        plan = build_plan(pattern)
+        for name in ("grid", "path", "moves", "initial", "snapshot_centered", "star"):
+            h.update(name.encode())
+            _feed(h, getattr(plan, name))
+        _feed(h, plan.slots.points)
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS) + ["all"])
     parser.add_argument("seeds", type=int, nargs="+")
     parser.add_argument("--noise", action="store_true",
                         help="drawing runs with movement noise epsilon/(20*hops)")
+    parser.add_argument("--plans", action="store_true",
+                        help="digest each instance's plan arrays instead of its run")
     args = parser.parse_args(argv)
-    label = " noise" if args.noise else ""
+    if args.plans and args.noise:
+        parser.error("--plans builds plans only and takes no --noise")
+    label = " plans" if args.plans else " noise" if args.noise else ""
     names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
     for name in names:
         for seed in args.seeds:
-            print(f"{name} {seed}{label} {digest(name, seed, args.noise)}", flush=True)
+            line = plan_digest(name, seed) if args.plans else digest(name, seed, args.noise)
+            print(f"{name} {seed}{label} {line}", flush=True)
     return 0
 
 
